@@ -44,7 +44,8 @@ from .core import (
     stable_excess_path,
     unit_vector,
 )
-from .sources import SINGULARITY_RADIUS, ArrayGeometry, ff_precoder, nf_precoder
+from .metric import default_grid
+from .sources import ArrayGeometry, ff_precoder, nf_precoder, on_element
 
 #: Default search bracket (wavelengths) and log-grid density.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -162,7 +163,11 @@ def phi_excess(
     return max(float(np.max(excess + t)) * ctx.wavenumber, 0.0)
 
 
-def gamma_uniform_power(geometry: ArrayGeometry, point: SphericalPoint) -> float:
+def gamma_uniform_power(
+    geometry: ArrayGeometry,
+    point: SphericalPoint,
+    ctx: WaveContext = DEFAULT_CONTEXT,
+) -> float:
     """Uniformity ratio of per-element projected power factors.
 
     ``Gamma = min_n g_n / max_n g_n`` with
@@ -180,7 +185,7 @@ def gamma_uniform_power(geometry: ArrayGeometry, point: SphericalPoint) -> float
     cart = point.to_cartesian()
     rvec = cart - geometry.positions
     dist = np.linalg.norm(rvec, axis=1)
-    if np.any(dist <= SINGULARITY_RADIUS):
+    if np.any(on_element(dist, ctx)):
         raise ValueError("gamma is singular on an element position")
     proj = rvec @ geometry.boresight
     tol = 1e-9 * max(1.0, point.r)
@@ -214,7 +219,7 @@ def psi_gain_ratio(
     """
     cart = point.to_cartesian()
     dist = np.linalg.norm(cart - geometry.positions, axis=1)
-    if np.any(dist <= SINGULARITY_RADIUS):
+    if np.any(on_element(dist, ctx)):
         raise ValueError("psi is singular on an element position")
     h = np.exp(-1j * ctx.wavenumber * dist) / dist
     num = abs(h @ nf_precoder(geometry, cart, ctx))
@@ -224,7 +229,11 @@ def psi_gain_ratio(
     return num / den
 
 
-def upsilon_power(geometry: ArrayGeometry, point: SphericalPoint) -> float:
+def upsilon_power(
+    geometry: ArrayGeometry,
+    point: SphericalPoint,
+    ctx: WaveContext = DEFAULT_CONTEXT,
+) -> float:
     """Mean inverse-square element distance, normalized by ``1/r^2``.
 
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
@@ -232,7 +241,7 @@ def upsilon_power(geometry: ArrayGeometry, point: SphericalPoint) -> float:
     """
     cart = point.to_cartesian()
     dist2 = np.sum((cart - geometry.positions) ** 2, axis=1)
-    if np.any(dist2 <= SINGULARITY_RADIUS**2):
+    if np.any(on_element(np.sqrt(dist2), ctx)):
         raise ValueError("upsilon is singular on an element position")
     return float(point.r**2 / geometry.n * np.sum(1.0 / dist2))
 
@@ -272,7 +281,7 @@ def _xi_element_scalar(y_n: float, s: float, r: float, k: float) -> float:
     return abs(cmath.exp(-1j * k * d) / d - cmath.exp(-1j * k * (r - s * y_n)) / r)
 
 
-def _xi_collinear(y: np.ndarray, r: float, k: float, refine: bool = True) -> float:
+def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
     """Worst-case mismatch over the sphere, reduced to 1-D.
 
     For collinear elements both distances depend on the sphere direction
@@ -285,7 +294,7 @@ def _xi_collinear(y: np.ndarray, r: float, k: float, refine: bool = True) -> flo
     d = np.sqrt(r * r - 2.0 * r * ys + (y * y)[:, None])
     g = np.abs(np.exp(-1j * k * d) / d - np.exp(-1j * k * (r - ys)) / r)
     best = float(g.max())
-    if not refine or best == 0.0:
+    if best == 0.0:
         return best
     per_element = g.max(axis=1)
     for n in np.nonzero(per_element >= 0.999 * best)[0]:
@@ -352,12 +361,12 @@ def xi_worst_mismatch(
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi for the search bracket, got ({lo!r}, {hi!r})")
     if points_per_decade < 100:
         raise ValueError(f"grid density must be >= 100 points/decade, got {points_per_decade}")
-    n = int(round(math.log10(hi / lo) * points_per_decade)) + 1
-    return np.geomspace(lo, hi, max(n, 2))
+    try:
+        return default_grid(lo, hi, points_per_decade)
+    except ValueError as exc:
+        raise ValueError(f"bad search bracket ({lo!r}, {hi!r}): {exc}") from exc
 
 
 def _refine_crossing(
@@ -437,26 +446,6 @@ def find_crossing(
     return _search_values(grid, vals, scan, threshold, mode)
 
 
-def find_first_below(scan, threshold, bracket=DEFAULT_BRACKET, points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """First radius where ``scan`` drops to or below ``threshold``."""
-    return find_crossing(scan, threshold, "first-below", bracket, points_per_decade)
-
-
-def find_first_above(scan, threshold, bracket=DEFAULT_BRACKET, points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """First radius where ``scan`` rises to or above ``threshold``."""
-    return find_crossing(scan, threshold, "first-above", bracket, points_per_decade)
-
-
-def find_last_above(scan, threshold, bracket=DEFAULT_BRACKET, points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """Last radius where ``scan`` is still at or above ``threshold``."""
-    return find_crossing(scan, threshold, "last-above", bracket, points_per_decade)
-
-
-def find_last_below(scan, threshold, bracket=DEFAULT_BRACKET, points_per_decade=DEFAULT_POINTS_PER_DECADE):
-    """Last radius where ``scan`` is still at or below ``threshold``."""
-    return find_crossing(scan, threshold, "last-below", bracket, points_per_decade)
-
-
 # ---------------------------------------------------------------------------
 # boundary operations
 
@@ -466,80 +455,6 @@ def quasi_rayleigh(span: float, ctx: WaveContext = DEFAULT_CONTEXT) -> float:
     if span < 0.0:
         raise ValueError(f"span must be nonnegative, got {span!r}")
     return 2.0 * span * span / ctx.wavelength
-
-
-def d_ar(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-    threshold: float = AR_THRESHOLD,
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-) -> BoundaryResult:
-    """First radius where the phase excess ``Phi`` falls to ``pi/8``."""
-
-    def scan(r: float) -> float:
-        return phi_excess(geometry, SphericalPoint(r, direction), ctx)
-
-    return find_crossing(scan, threshold, "first-below", bracket, points_per_decade)
-
-
-def d_up(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-    threshold: float = DEFAULT_THRESHOLDS["up"],
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-) -> BoundaryResult:
-    """First radius where the power-uniformity ratio reaches ``threshold``."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"up threshold must lie in (0, 1), got {threshold!r}")
-
-    def scan(r: float) -> float:
-        return gamma_uniform_power(geometry, SphericalPoint(r, direction))
-
-    return find_crossing(scan, threshold, "first-above", bracket, points_per_decade)
-
-
-def d_en(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-    threshold: float = DEFAULT_THRESHOLDS["en"],
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-) -> BoundaryResult:
-    """Last radius where the focusing gain ratio is at least ``threshold``."""
-    if not threshold > 1.0:
-        raise ValueError(f"en threshold must exceed 1, got {threshold!r}")
-
-    def scan(r: float) -> float:
-        return psi_gain_ratio(geometry, SphericalPoint(r, direction), direction, ctx)
-
-    return find_crossing(scan, threshold, "last-above", bracket, points_per_decade)
-
-
-def d_ep(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-    threshold: float = DEFAULT_THRESHOLDS["ep"],
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-) -> BoundaryResult:
-    """Last radius where the normalized power ratio is at most ``threshold``."""
-    if not threshold > 0.0:
-        raise ValueError(f"ep threshold must be positive, got {threshold!r}")
-
-    def scan(r: float) -> float:
-        return upsilon_power(geometry, SphericalPoint(r, direction))
-
-    return find_crossing(scan, threshold, "last-below", bracket, points_per_decade)
 
 
 _ENVELOPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -566,13 +481,7 @@ def _xi_scan_samples(
     if cached is not None:
         return cached
     grid = _log_grid(lo, hi, points_per_decade)
-    reduced = _collinear_offsets(geometry)
-    k = ctx.wavenumber
-    if reduced is not None:
-        y = reduced[1]
-        vals = np.array([_xi_collinear(y, float(r), k) for r in grid])
-    else:
-        vals = np.array([_xi_sphere(geometry.positions, float(r), k) for r in grid])
+    vals = np.array([xi_worst_mismatch(geometry, float(r), ctx) for r in grid])
     _ENVELOPE_CACHE[key] = (grid, vals)
     return grid, vals
 
@@ -599,7 +508,6 @@ def d_wc(
     """
     if not threshold > 0.0:
         raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    th_eff = threshold * WC_THRESHOLD_SCALE
     grid, vals = _xi_scan_samples(geometry, ctx, bracket, points_per_decade)
 
     tail = vals[grid >= grid[-1] / 10.0]
@@ -611,28 +519,25 @@ def d_wc(
         )
 
     envelope = np.maximum.accumulate(vals[::-1])[::-1]
-    bracket_used = (float(grid[0]), float(grid[-1]))
-    crossings = int(np.count_nonzero((envelope <= th_eff)[1:] != (envelope <= th_eff)[:-1]))
-    hits = np.nonzero(envelope <= th_eff)[0]
-    if hits.size == 0:
-        return BoundaryResult(STATUS_NOT_FOUND, None, bracket_used, crossings)
-    i = int(hits[0])
-    if i == 0:
-        return BoundaryResult(STATUS_FOUND, bracket_used[0], bracket_used, crossings, degenerate=True)
-
-    reduced = _collinear_offsets(geometry)
-    k = ctx.wavenumber
-    suffix = float(envelope[i])
 
     def env_scan(r: float) -> float:
-        if reduced is not None:
-            point_val = _xi_collinear(reduced[1], r, k)
-        else:
-            point_val = _xi_sphere(geometry.positions, r, k)
-        return max(point_val, suffix)
+        # bisection stays inside one grid cell, whose upper edge holds the
+        # supremum of every sample beyond r
+        return max(xi_worst_mismatch(geometry, r, ctx), float(envelope[np.searchsorted(grid, r)]))
 
-    value = _refine_crossing(env_scan, float(grid[i - 1]), float(grid[i]), th_eff, "first-below")
-    return BoundaryResult(STATUS_FOUND, value, bracket_used, crossings)
+    return _search_values(
+        grid, envelope, env_scan, threshold * WC_THRESHOLD_SCALE, "first-below"
+    )
+
+
+#: Scanned criterion and crossing mode of each searched boundary kind; a
+#: criterion takes ``(geometry, point, ctx)``.
+_SCANS = {
+    "ar": (phi_excess, "first-below"),
+    "up": (gamma_uniform_power, "first-above"),
+    "en": (lambda geo, point, ctx: psi_gain_ratio(geo, point, point.direction, ctx), "last-above"),
+    "ep": (upsilon_power, "last-below"),
+}
 
 
 def evaluate_boundary(
@@ -645,18 +550,18 @@ def evaluate_boundary(
     points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
-    kw = {"bracket": bracket, "points_per_decade": points_per_decade}
     if spec.kind == "qr":
         value = quasi_rayleigh(geometry.span, ctx)
         return BoundaryResult(
             STATUS_FOUND, value, (0.0, math.inf), 0, degenerate=geometry.span == 0.0
         )
-    if spec.kind == "ar":
-        return d_ar(geometry, direction, ctx, spec.threshold, **kw)
-    if spec.kind == "up":
-        return d_up(geometry, direction, ctx, spec.threshold, **kw)
-    if spec.kind == "en":
-        return d_en(geometry, direction, ctx, spec.threshold, **kw)
-    if spec.kind == "ep":
-        return d_ep(geometry, direction, ctx, spec.threshold, **kw)
-    return d_wc(geometry, ctx, spec.threshold, **kw)
+    if spec.kind == "wc":
+        return d_wc(
+            geometry, ctx, spec.threshold, bracket=bracket, points_per_decade=points_per_decade
+        )
+    criterion, mode = _SCANS[spec.kind]
+
+    def scan(r: float) -> float:
+        return criterion(geometry, SphericalPoint(r, direction), ctx)
+
+    return find_crossing(scan, spec.threshold, mode, bracket, points_per_decade)

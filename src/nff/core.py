@@ -1,9 +1,10 @@
 """Coordinate conventions, wave constants, and stable geometric primitives.
 
-All lengths are expressed in wavelengths: the default :class:`WaveContext`
-has ``wavelength == 1`` and every radius reported by the higher-level
-modules is ``r / wavelength``.  Angles cross the public API in degrees and
-are converted to radians exactly once, here.
+Every length, given or reported, is in the units of ``ctx.wavelength``;
+nothing is divided by the wavelength.  At the default ``wavelength == 1``
+of :class:`WaveContext`, which every command-line path uses, lengths are
+therefore in wavelengths.  Angles cross the public API in degrees and are
+converted to radians exactly once, here.
 """
 
 from __future__ import annotations
@@ -19,23 +20,22 @@ FREE_SPACE_IMPEDANCE = 376.730313668
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Wavelength, wavenumber and source constants shared by all field math.
+    """Wavelength, wavenumber and impedance shared by all field math.
+
+    Every element is a unit-strength dipole; the excitation weights carry
+    any amplitude.
 
     Parameters
     ----------
     wavelength : float
-        Operating wavelength.  Internally everything is normalized so the
-        default is 1.
+        Operating wavelength, in the same length units as every position
+        and radius.  The default is 1, which makes those units wavelengths.
     impedance : float
         Wave impedance of the propagation medium, ohms.
-    moment : complex
-        Dipole current moment (current times element length) applied to
-        every element unless the element carries its own multiplier.
     """
 
     wavelength: float = 1.0
     impedance: float = FREE_SPACE_IMPEDANCE
-    moment: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
@@ -53,7 +53,7 @@ class WaveContext:
         return 2.0 * math.pi / self.wavelength
 
 
-#: Shared default context (unit wavelength, free-space impedance, unit moment).
+#: Shared default context (unit wavelength, free-space impedance).
 DEFAULT_CONTEXT = WaveContext()
 
 
@@ -120,11 +120,6 @@ class SphericalPoint:
     def to_cartesian(self) -> np.ndarray:
         """Cartesian coordinates of the point, shape ``(3,)``."""
         return self.r * unit_vector(self.direction)
-
-
-def spherical_to_cartesian(point: SphericalPoint) -> np.ndarray:
-    """Convert a :class:`SphericalPoint` to a cartesian 3-vector."""
-    return point.to_cartesian()
 
 
 def cartesian_to_spherical(vec: np.ndarray) -> SphericalPoint:

@@ -86,11 +86,47 @@ def analytic_angular_distribution(
     u = geometry.orientations
     cos_loc = u @ rhat
     f_elem = (cos_loc[:, None] * rhat[None, :] - u) * (
-        math.sqrt(ctx.impedance) * 1j * k * ctx.moment / (4.0 * math.pi)
+        math.sqrt(ctx.impedance) * 1j * k / (4.0 * math.pi)
     )
     phases = np.exp(1j * k * (geometry.positions @ rhat))
-    f = (w * geometry.moment_scales * phases) @ f_elem
+    f = (w * phases) @ f_elem
     return AngularFieldDistribution(direction, f)
+
+
+def far_field_from_sample(
+    e: np.ndarray,
+    h: np.ndarray,
+    rhat: np.ndarray,
+    r_ff: float,
+    ctx: WaveContext,
+) -> tuple[np.ndarray, float]:
+    """E-based estimate of f from one far-zone sample, and the E/H residual.
+
+    Inverts the far-field relations at ``r_ff`` along ``rhat``:
+    ``f_E = (1/sqrt(Z0)) * E * r * exp(+jkr)`` (projected transversal) and
+    ``f_H = sqrt(Z0) * r * exp(+jkr) * (H x rhat)``.  The two estimates
+    must agree within ``10 / (k * r_ff)`` relative, otherwise the sampling
+    radius is not in the far field (or the sample is corrupt) and
+    :class:`InconsistentFarField` is raised.
+    """
+    k = ctx.wavenumber
+    e = np.asarray(e, dtype=complex).reshape(3)
+    h = np.asarray(h, dtype=complex).reshape(3)
+    back = r_ff * np.exp(1j * k * r_ff)
+    sqrt_z0 = math.sqrt(ctx.impedance)
+    f_e = e * back / sqrt_z0
+    f_e = f_e - rhat * (rhat @ f_e)  # drop the residual near-field radial part
+    f_h = sqrt_z0 * back * np.cross(h, rhat)
+
+    scale = max(float(np.linalg.norm(f_e)), float(np.linalg.norm(f_h)))
+    discrepancy = 0.0 if scale == 0.0 else float(np.linalg.norm(f_e - f_h)) / scale
+    tol = 10.0 / (k * r_ff)
+    if discrepancy > tol:
+        raise InconsistentFarField(
+            f"E-based and H-based angular distributions disagree by {discrepancy:.3e} "
+            f"relative (tolerance {tol:.3e}); the sample is not a consistent far field"
+        )
+    return f_e, discrepancy
 
 
 def sample_angular_distribution(
@@ -101,11 +137,7 @@ def sample_angular_distribution(
 ) -> AngularFieldDistribution:
     """Recover f by sampling fields at a single large radius.
 
-    Inverts the far-field relations at ``r_ff``:
-    ``f_E = (1/sqrt(Z0)) * E * r * exp(+jkr)`` (projected transversal) and
-    ``f_H = sqrt(Z0) * r * exp(+jkr) * (H x rhat)``.  The two estimates
-    must agree within ``10 / (k * r_ff)`` relative, otherwise the sampling
-    radius is not in the far field (or the provider is corrupt).
+    The sample goes through :func:`far_field_from_sample`.
 
     Parameters
     ----------
@@ -127,31 +159,14 @@ def sample_angular_distribution(
     InconsistentFarField
         If the E-based and H-based estimates disagree beyond tolerance.
     """
-    k = ctx.wavenumber
     if r_ff is None:
         r_ff = DEFAULT_SAMPLING_RADIUS * ctx.wavelength
     if r_ff <= 0.0:
         raise ValueError(f"sampling radius must be positive, got {r_ff!r}")
     rhat = unit_vector(direction)
     e, h = field_provider(r_ff * rhat)
-    e = np.asarray(e, dtype=complex).reshape(3)
-    h = np.asarray(h, dtype=complex).reshape(3)
-
-    back = r_ff * np.exp(1j * k * r_ff)
-    sqrt_z0 = math.sqrt(ctx.impedance)
-    f_e = e * back / sqrt_z0
-    f_e = f_e - rhat * (rhat @ f_e)  # drop the residual near-field radial part
-    f_h = sqrt_z0 * back * np.cross(h, rhat)
-
-    scale = max(float(np.linalg.norm(f_e)), float(np.linalg.norm(f_h)))
-    discrepancy = 0.0 if scale == 0.0 else float(np.linalg.norm(f_e - f_h)) / scale
-    tol = 10.0 / (k * r_ff)
-    if discrepancy > tol:
-        raise InconsistentFarField(
-            f"E-based and H-based angular distributions disagree by {discrepancy:.3e} "
-            f"relative (tolerance {tol:.3e}); the sample is not a consistent far field"
-        )
-    return AngularFieldDistribution(direction, f_e, eh_discrepancy=discrepancy)
+    f, discrepancy = far_field_from_sample(e, h, rhat, r_ff, ctx)
+    return AngularFieldDistribution(direction, f, eh_discrepancy=discrepancy)
 
 
 def auxiliary_fields(

@@ -21,7 +21,6 @@ re-runs the far-field consistency cross-check.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,11 +36,7 @@ from .core import (
     cartesian_to_spherical,
     unit_vector,
 )
-from .farfield import (
-    AngularFieldDistribution,
-    InconsistentFarField,
-    TRANSVERSALITY_TOL,
-)
+from .farfield import AngularFieldDistribution, TRANSVERSALITY_TOL, far_field_from_sample
 from .metric import (
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
@@ -53,6 +48,7 @@ from .metric import (
     ErrorCurve,
     default_grid,
     error_sweep,
+    grid_on_element,
 )
 from .sources import uniform_linear_array
 
@@ -129,9 +125,9 @@ class ScenarioConfig:
                     "boundary evaluation needs element positions; imported "
                     "traces do not carry a geometry"
                 )
-        if not (0.0 < self.grid_lo < self.grid_hi):
+        if not (0.0 < self.grid_lo < self.grid_hi < math.inf):
             raise ConfigError(
-                f"need 0 < grid_lo < grid_hi, got {self.grid_lo!r}, {self.grid_hi!r}"
+                f"need 0 < grid_lo < grid_hi < inf, got {self.grid_lo!r}, {self.grid_hi!r}"
             )
         if self.grid_ppd < 1:
             raise ConfigError(f"grid_ppd must be >= 1, got {self.grid_ppd}")
@@ -314,7 +310,6 @@ class FieldTrace:
 
     def _resolve_sample(self) -> None:
         """Recover f, direction, and the E/H residual from the sample."""
-        k = self.ctx.wavenumber
         r_ff = float(self.sample_r)
         if r_ff <= 0.0:
             raise TraceFormatError("far-field sample radius must be positive")
@@ -325,20 +320,7 @@ class FieldTrace:
         if norm == 0.0:
             raise TraceFormatError("far-field sample carries no power flow")
         rhat = poynting / norm
-
-        back = r_ff * np.exp(1j * k * r_ff)
-        sqrt_z0 = math.sqrt(self.ctx.impedance)
-        f_e = e * back / sqrt_z0
-        f_e = f_e - rhat * (rhat @ f_e)
-        f_h = sqrt_z0 * back * np.cross(h, rhat)
-        scale = max(float(np.linalg.norm(f_e)), float(np.linalg.norm(f_h)))
-        discrepancy = 0.0 if scale == 0.0 else float(np.linalg.norm(f_e - f_h)) / scale
-        tol = 10.0 / (k * r_ff)
-        if discrepancy > tol:
-            raise InconsistentFarField(
-                f"trace far-field sample fails the E/H cross-check: "
-                f"{discrepancy:.3e} relative (tolerance {tol:.3e})"
-            )
+        f_e, discrepancy = far_field_from_sample(e, h, rhat, r_ff, self.ctx)
         f_e.flags.writeable = False
         object.__setattr__(self, "f", f_e)
         object.__setattr__(self, "eh_discrepancy", discrepancy)
@@ -385,7 +367,8 @@ def import_trace(path: str | Path, ctx: WaveContext = DEFAULT_CONTEXT) -> FieldT
             key = key.strip().lower()
             value = value.strip()
             if key == "trace_version":
-                if int(float(value)) != TRACE_VERSION:
+                (version,) = _parse_floats(value, 1, f"{path}:{lineno}: trace_version")
+                if version != TRACE_VERSION:
                     raise TraceFormatError(
                         f"{path}:{lineno}: unsupported trace version {value!r}"
                     )
@@ -616,12 +599,7 @@ def _curve_for(
     scenario = DipoleArrayScenario(geometry, excitation, direction, ctx)
     # A canned grid may land exactly on an element (side line through the
     # array); those radii are singular and are dropped from the curve.
-    rhat = unit_vector(direction)
-    dists = np.linalg.norm(
-        grid[:, None, None] * rhat[None, None, :] - geometry.positions[None, :, :],
-        axis=-1,
-    )
-    keep = np.min(dists, axis=1) >= 1e-9 * ctx.wavelength
+    keep = ~grid_on_element(geometry, direction, grid, ctx)
     return error_sweep(scenario, direction, grid[keep])
 
 

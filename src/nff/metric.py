@@ -29,7 +29,7 @@ from .core import (
     unit_vector,
 )
 from .farfield import AngularFieldDistribution, analytic_angular_distribution, auxiliary_fields
-from .sources import ArrayGeometry, FieldSingularity, array_field, ff_precoder, nf_precoder
+from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
 
 #: Default radial sweep grid: 10^-1 .. 10^4 wavelengths, 100 points/decade.
 DEFAULT_GRID_LO = 0.1
@@ -219,12 +219,7 @@ def error_sweep(
         raise ValueError("sweep grid must be strictly increasing")
     geometry = getattr(scenario, "geometry", None)
     if geometry is not None:
-        rhat = unit_vector(direction)
-        dists = np.linalg.norm(
-            grid[:, None, None] * rhat[None, None, :] - geometry.positions[None, :, :],
-            axis=-1,
-        )
-        bad = np.nonzero(np.min(dists, axis=1) < 1e-9 * scenario.ctx.wavelength)[0]
+        bad = np.nonzero(grid_on_element(geometry, direction, grid, scenario.ctx))[0]
         if bad.size:
             raise ValueError(
                 f"sweep grid point r = {grid[bad[0]]!r} coincides with an element position"
@@ -233,6 +228,21 @@ def error_sweep(
         [approximation_error(scenario, SphericalPoint(r, direction)) for r in grid]
     )
     return ErrorCurve(grid, eps, direction, scenario.excitation, scenario.source_kind)
+
+
+def grid_on_element(
+    geometry: ArrayGeometry,
+    direction: Direction,
+    grid: np.ndarray,
+    ctx: WaveContext,
+) -> np.ndarray:
+    """Mask of the radii on a test line that land on an element position."""
+    rhat = unit_vector(direction)
+    dists = np.linalg.norm(
+        grid[:, None, None] * rhat[None, None, :] - geometry.positions[None, :, :],
+        axis=-1,
+    )
+    return np.any(on_element(dists, ctx), axis=1)
 
 
 def default_grid(
@@ -245,5 +255,8 @@ def default_grid(
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     if points_per_decade < 1:
         raise ValueError(f"points per decade must be >= 1, got {points_per_decade}")
-    n = int(round(math.log10(hi / lo) * points_per_decade)) + 1
+    ratio = hi / lo
+    if not math.isfinite(ratio):
+        raise ValueError(f"grid span hi / lo = {ratio!r} is not finite")
+    n = int(round(math.log10(ratio) * points_per_decade)) + 1
     return np.geomspace(lo, hi, max(n, 2))

@@ -1,6 +1,7 @@
 """Closed-form dipole fields, array superposition, and beamforming weights.
 
-The element model is the infinitesimal (Hertzian) dipole.  Its exact
+The element model is the infinitesimal (Hertzian) dipole with a unit
+current-length product ``Il = 1``; weights carry any amplitude.  Its exact
 fields at distance ``R`` along ``Rhat`` from an element oriented along the
 unit vector ``u`` are, with ``c = u . Rhat`` and the polar/azimuthal unit
 vectors absorbed into the coordinate-free combinations ``c*Rhat - u`` and
@@ -35,6 +36,11 @@ class FieldSingularity(ValueError):
     """Raised when fields are requested on (or numerically at) an element."""
 
 
+def on_element(dist: np.ndarray, ctx: WaveContext) -> np.ndarray:
+    """True where a point-to-element distance is within SINGULARITY_RADIUS wavelengths."""
+    return dist < SINGULARITY_RADIUS * ctx.wavelength
+
+
 def _as_unit(vec: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float).reshape(3)
     n = float(np.linalg.norm(v))
@@ -55,20 +61,16 @@ class DipoleElement:
         Element location, wavelengths.
     orientation : numpy.ndarray
         Unit vector along the dipole axis (normalized at construction).
-    moment_scale : complex
-        Dimensionless multiplier on the context's current moment.
     """
 
     position: np.ndarray
     orientation: np.ndarray = field(default_factory=lambda: _Z_HAT.copy())
-    moment_scale: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.position, dtype=float).reshape(3)
         pos.flags.writeable = False
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", _as_unit(self.orientation, "orientation"))
-        object.__setattr__(self, "moment_scale", complex(self.moment_scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +113,6 @@ class ArrayGeometry:
     def orientations(self) -> np.ndarray:
         """Element orientations stacked as shape ``(N, 3)``."""
         out = np.array([e.orientation for e in self.elements], dtype=float)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def moment_scales(self) -> np.ndarray:
-        """Per-element complex moment multipliers, shape ``(N,)``."""
-        out = np.array([e.moment_scale for e in self.elements], dtype=complex)
         out.flags.writeable = False
         return out
 
@@ -170,7 +165,6 @@ def uniform_linear_array(
 def _element_fields(
     positions: np.ndarray,
     orientations: np.ndarray,
-    moments: np.ndarray,
     point: np.ndarray,
     ctx: WaveContext,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -179,22 +173,21 @@ def _element_fields(
     z0 = ctx.impedance
     rvec = point[None, :] - positions
     dist = np.linalg.norm(rvec, axis=1)
-    if np.any(dist < SINGULARITY_RADIUS * ctx.wavelength):
+    if np.any(on_element(dist, ctx)):
         raise FieldSingularity(
             f"field evaluation within {SINGULARITY_RADIUS} wavelengths of an element"
         )
     rhat = rvec / dist[:, None]
     cos_loc = np.sum(orientations * rhat, axis=1)
-    il = ctx.moment * moments
     kr = k * dist
     phase = np.exp(-1j * kr)
     near = 1.0 + 1.0 / (1j * kr)
 
-    h_amp = phase * il * (1j * k / (4.0 * math.pi * dist)) * near
+    h_amp = phase * (1j * k / (4.0 * math.pi * dist)) * near
     h = h_amp[:, None] * np.cross(orientations, rhat)
 
-    e_rad = z0 * il / (2.0 * math.pi * dist**2) * near * cos_loc
-    e_pol = 1j * z0 * k * il / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
+    e_rad = z0 / (2.0 * math.pi * dist**2) * near * cos_loc
+    e_pol = 1j * z0 * k / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
     e = phase[:, None] * (
         e_rad[:, None] * rhat + e_pol[:, None] * (cos_loc[:, None] * rhat - orientations)
     )
@@ -214,13 +207,7 @@ def dipole_field(
         Complex 3-vectors of the electric and magnetic field phasors.
     """
     p = np.asarray(point, dtype=float).reshape(3)
-    e, h = _element_fields(
-        element.position[None, :],
-        element.orientation[None, :],
-        np.array([element.moment_scale]),
-        p,
-        ctx,
-    )
+    e, h = _element_fields(element.position[None, :], element.orientation[None, :], p, ctx)
     return e[0], h[0]
 
 
@@ -247,9 +234,7 @@ def array_field(
     """
     w = np.asarray(weights, dtype=complex).reshape(geometry.n)
     p = np.asarray(point, dtype=float).reshape(3)
-    e, h = _element_fields(
-        geometry.positions, geometry.orientations, geometry.moment_scales, p, ctx
-    )
+    e, h = _element_fields(geometry.positions, geometry.orientations, p, ctx)
     return w @ e, w @ h
 
 
@@ -281,6 +266,6 @@ def nf_precoder(
     k = ctx.wavenumber
     p = np.asarray(focus, dtype=float).reshape(3)
     dist = np.linalg.norm(p[None, :] - geometry.positions, axis=1)
-    if np.any(dist < SINGULARITY_RADIUS * ctx.wavelength):
+    if np.any(on_element(dist, ctx)):
         raise FieldSingularity("focus coincides with an element position")
     return np.exp(1j * k * dist)

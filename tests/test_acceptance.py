@@ -20,8 +20,6 @@ from nff import (
     SphericalPoint,
     analytic_angular_distribution,
     array_field,
-    d_ar,
-    d_up,
     default_grid,
     dipole_field,
     error_sweep,
@@ -96,12 +94,12 @@ def test_criterion_3_side_direction_closed_forms():
     geo = uniform_linear_array(8, 0.5)
     y_max = 1.75
 
-    got_ar = d_ar(geo, SIDE).value
+    got_ar = evaluate_boundary(geo, BoundarySpec("ar"), SIDE).value
     want_ar = y_max - 1.0 / 32.0  # phase excess 2k(y_max - r) crosses pi/8
     assert abs(got_ar - want_ar) / want_ar < 0.005
 
     c = 0.9 ** (1.0 / 3.0)
-    got_up = d_up(geo, SIDE, threshold=0.9).value
+    got_up = evaluate_boundary(geo, BoundarySpec("up", 0.9), SIDE).value
     want_up = y_max * (1.0 + c) / (1.0 - c)  # ((r-a)/(r+a))^3 crosses 0.9
     assert abs(got_up - want_up) / want_up < 0.005
     print(f"  ar: {got_ar:.6f} vs {want_ar}, up(0.9): {got_up:.4f} vs {want_up:.4f}")

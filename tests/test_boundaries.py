@@ -19,15 +19,9 @@ from nff import (
     SphericalPoint,
     TailNotMonotone,
     UndefinedProjection,
-    d_ar,
-    d_en,
-    d_ep,
-    d_up,
     d_wc,
     evaluate_boundary,
     find_crossing,
-    find_first_below,
-    find_last_above,
     gamma_uniform_power,
     phi_excess,
     psi_gain_ratio,
@@ -60,9 +54,15 @@ def test_boundary_spec_validation():
     with pytest.raises(ValueError):
         BoundarySpec("up", 1.2)
     with pytest.raises(ValueError):
+        BoundarySpec("up", 1.5)
+    with pytest.raises(ValueError):
         BoundarySpec("en", 0.9)
     with pytest.raises(ValueError):
+        BoundarySpec("en", 1.0)
+    with pytest.raises(ValueError):
         BoundarySpec("ep", -0.5)
+    with pytest.raises(ValueError):
+        BoundarySpec("ep", 0.0)
     with pytest.raises(ValueError):
         BoundarySpec("wc", 0.0)
     with pytest.raises(ValueError, match="pi/8"):
@@ -116,13 +116,13 @@ def test_phi_excess_properties():
 
 def test_d_ar_side_closed_form():
     # Phi = 2k(y_max - r) = pi/8  =>  r = y_max - 1/32
-    res = d_ar(N8, SIDE)
+    res = evaluate_boundary(N8, BoundarySpec("ar"), SIDE)
     assert res.status == "found"
     assert res.value == pytest.approx(1.75 - 1.0 / 32.0, rel=5e-3)
 
 
 def test_d_ar_single_element_degenerate():
-    res = d_ar(N1, FRONT)
+    res = evaluate_boundary(N1, BoundarySpec("ar"), FRONT)
     assert res.status == "found"
     assert res.degenerate
     assert res.value == pytest.approx(1e-3)
@@ -178,17 +178,15 @@ def test_d_up_side_closed_form():
     # ((r-a)/(r+a))^3 = th  =>  r = a (1+c)/(1-c), c = th^(1/3)
     th = 0.9
     c = th ** (1.0 / 3.0)
-    res = d_up(N8, SIDE, threshold=th)
+    res = evaluate_boundary(N8, BoundarySpec("up", th), SIDE)
     assert res.status == "found"
     assert res.value == pytest.approx(1.75 * (1 + c) / (1 - c), rel=5e-3)
 
 
 def test_d_up_not_found_in_small_bracket():
-    res = d_up(N8, FRONT, threshold=0.99, bracket=(1e-3, 10.0))
+    res = evaluate_boundary(N8, BoundarySpec("up", 0.99), FRONT, bracket=(1e-3, 10.0))
     assert res.status == "not-found"
     assert res.value is None
-    with pytest.raises(ValueError):
-        d_up(N8, FRONT, threshold=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +219,8 @@ def test_psi_at_least_one():
 
 
 def test_d_en_not_found_for_single_element():
-    res = d_en(N1, FRONT, threshold=1.05)
+    res = evaluate_boundary(N1, BoundarySpec("en", 1.05), FRONT)
     assert res.status == "not-found"
-    with pytest.raises(ValueError):
-        d_en(N8, FRONT, threshold=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +241,14 @@ def test_upsilon_reference_cases():
 
 def test_d_ep_front_is_unbounded_at_permissive_threshold():
     for d in (FRONT, Direction(90, 45)):
-        res = d_ep(N8, d, threshold=1.01)
+        res = evaluate_boundary(N8, BoundarySpec("ep", 1.01), d)
         assert res.status == "unbounded"
         assert res.value is None
 
 
 def test_d_ep_not_found_for_tiny_threshold():
-    res = d_ep(N8, SIDE, threshold=1e-9)
+    res = evaluate_boundary(N8, BoundarySpec("ep", 1e-9), SIDE)
     assert res.status == "not-found"
-    with pytest.raises(ValueError):
-        d_ep(N8, FRONT, threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,7 @@ def test_d_wc_rejects_non_monotone_tail(monkeypatch):
 
 
 def test_find_first_below_reciprocal():
-    res = find_first_below(lambda r: 1.0 / r, 0.1)
+    res = find_crossing(lambda r: 1.0 / r, 0.1, "first-below")
     assert res.status == "found"
     assert res.value == pytest.approx(10.0, rel=2e-6)
     assert res.crossings == 1
@@ -342,7 +336,7 @@ def test_find_first_below_reciprocal():
 def test_find_last_above_oscillating_tail():
     scan = lambda r: 1.0 + math.sin(r) / r
     th = 1.05
-    res = find_last_above(scan, th)
+    res = find_crossing(scan, th, "last-above")
     assert res.status == "found"
     # oracle: dense linear scan plus local root polish
     xs = np.linspace(1e-3, 50.0, 1_000_000)
@@ -358,7 +352,7 @@ def test_find_crossing_statuses():
     assert res.status == "not-found"
     res = find_crossing(lambda r: 5.0, 1.0, "last-above")
     assert res.status == "unbounded"
-    res = find_first_below(lambda r: 1.0 / r, 1e6)
+    res = find_crossing(lambda r: 1.0 / r, 1e6, "first-below")
     assert res.status == "found" and res.degenerate
     with pytest.raises(ValueError, match="mode"):
         find_crossing(lambda r: r, 1.0, "sideways")
@@ -370,13 +364,13 @@ def test_find_crossing_statuses():
 
 def test_found_boundaries_straddle_their_threshold():
     cases = [
-        (d_ar(N8, FRONT), lambda r: phi_excess(N8, SphericalPoint(r, FRONT)),
+        (evaluate_boundary(N8, BoundarySpec("ar"), FRONT), lambda r: phi_excess(N8, SphericalPoint(r, FRONT)),
          math.pi / 8, "below"),
-        (d_up(N8, FRONT, threshold=0.9),
+        (evaluate_boundary(N8, BoundarySpec("up", 0.9), FRONT),
          lambda r: gamma_uniform_power(N8, SphericalPoint(r, FRONT)), 0.9, "above"),
-        (d_en(N8, FRONT, threshold=1.05),
+        (evaluate_boundary(N8, BoundarySpec("en", 1.05), FRONT),
          lambda r: psi_gain_ratio(N8, SphericalPoint(r, FRONT), FRONT), 1.05, "above"),
-        (d_ep(N8, FRONT, threshold=0.99),
+        (evaluate_boundary(N8, BoundarySpec("ep", 0.99), FRONT),
          lambda r: upsilon_power(N8, SphericalPoint(r, FRONT)), 0.99, "below"),
     ]
     for res, scan, th, side in cases:

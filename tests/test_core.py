@@ -12,7 +12,6 @@ from nff import (
     SphericalPoint,
     WaveContext,
     cartesian_to_spherical,
-    spherical_to_cartesian,
     stable_excess_path,
     unit_vector,
 )
@@ -81,10 +80,10 @@ def test_unit_vector_norm_property():
 
 def test_spherical_to_cartesian_examples():
     np.testing.assert_allclose(
-        spherical_to_cartesian(SphericalPoint(2, Direction(90, 0))), [2, 0, 0], atol=1e-14
+        SphericalPoint(2, Direction(90, 0)).to_cartesian(), [2, 0, 0], atol=1e-14
     )
     np.testing.assert_allclose(
-        spherical_to_cartesian(SphericalPoint(1, Direction(45, 45))),
+        SphericalPoint(1, Direction(45, 45)).to_cartesian(),
         [0.5, 0.5, math.sqrt(2) / 2],
         atol=1e-15,
     )
@@ -98,7 +97,7 @@ def test_spherical_round_trip_property():
     for _ in range(2_000):
         v = rng.normal(size=3) * 10 ** rng.uniform(-2, 4)
         p = cartesian_to_spherical(v)
-        back = spherical_to_cartesian(p)
+        back = p.to_cartesian()
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
 
 

@@ -418,6 +418,29 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "no boundaries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("hi.cfg", "n = 8\nspacing_lambda = 0.5\ngrid_hi = inf\n", "sweep"),
+        (
+            "wide.cfg",
+            "n = 8\nspacing_lambda = 0.5\ngrid_lo = 1e-300\ngrid_hi = 1e300\n",
+            "sweep",
+        ),
+        ("v.csv", "# trace_version = inf\n", "validate-trace"),
+    ],
+    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf"],
+)
+def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
+    path = str(_write(tmp_path, name, text))
+    if command == "sweep":
+        argv = ["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]
+    else:
+        argv = ["validate-trace", path]
+    assert main(argv) == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
 def test_cli_boundaries(tmp_path, capsys):
     cfg = _write(
         tmp_path, "b.cfg",

@@ -13,12 +13,16 @@ from nff import (
     DipoleElement,
     Direction,
     FieldSingularity,
+    SphericalPoint,
+    WaveContext,
     array_field,
     dipole_field,
     ff_precoder,
+    gamma_uniform_power,
     nf_precoder,
     uniform_linear_array,
     unit_vector,
+    upsilon_power,
 )
 
 Z0 = DEFAULT_CONTEXT.impedance
@@ -206,6 +210,21 @@ def test_array_field_singularity_at_element():
     geo = uniform_linear_array(8, 0.5)
     with pytest.raises(FieldSingularity):
         array_field(geo, np.ones(8), np.array([0.0, 0.75, 0.0]))
+
+
+def test_singular_radius_scales_with_wavelength():
+    # the guard is 1e-9 wavelengths for the field kernel and the boundary
+    # criteria alike: 1.5e-9 from an element is inside it at wavelength 2
+    geo = uniform_linear_array(8, 0.5)
+    point = SphericalPoint(0.75 + 1.5e-9, SIDE)
+    ctx = WaveContext(wavelength=2.0)
+    with pytest.raises(FieldSingularity):
+        array_field(geo, np.ones(8), point.to_cartesian(), ctx)
+    with pytest.raises(ValueError, match="singular"):
+        upsilon_power(geo, point, ctx)
+    with pytest.raises(ValueError, match="singular"):
+        gamma_uniform_power(geo, point, ctx)
+    assert upsilon_power(geo, point) > 0.0  # outside it at wavelength 1
 
 
 # ---------------------------------------------------------------------------

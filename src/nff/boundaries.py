@@ -28,13 +28,11 @@ refined to 1e-6 relative.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     DEFAULT_CONTEXT,
@@ -275,10 +273,19 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(azim), s * np.sin(azim), z])
 
 
-def _xi_element_scalar(y_n: float, s: float, r: float, k: float) -> float:
-    """Mismatch of one collinear element at one line-projection value."""
-    d = math.sqrt(r * r - 2.0 * r * s * y_n + y_n * y_n)
-    return abs(cmath.exp(-1j * k * d) / d - cmath.exp(-1j * k * (r - s * y_n)) / r)
+def _xi_gap(r: float, t: np.ndarray, n2: np.ndarray | float, k: float) -> np.ndarray:
+    """``|exp(-jkd)/d - exp(-jk(r-t))/r|``, ``t = a.r_n``, ``n2 = |r_n|^2``, ``d = |ra - r_n|``.
+
+    Squared, it is ``((r-d)/(r d))^2 + 4 sin^2(k delta/2)/(r d)``, with ``r - d``
+    and ``delta = d - (r - t)`` in ratio forms that do not cancel at large ``r``;
+    their denominators stay positive because ``r > |r_n| >= |t|``.
+    """
+    w = n2 - t * t
+    d = np.sqrt((r - t) ** 2 + w)
+    delta = w / (d + r - t)
+    rd = r * d
+    amplitude = (2.0 * r * t - n2) / ((r + d) * rd)
+    return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)
 
 
 def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
@@ -286,13 +293,12 @@ def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
 
     For collinear elements both distances depend on the sphere direction
     only through its projection ``s`` onto the array axis, so the inner
-    maximization runs over ``s`` in [-1, 1]: a dense grid pass followed by
-    bounded golden-section polishing of the leading elements.
+    maximization runs over ``s`` in [-1, 1]: a dense grid pass, then for
+    each leading element repeated 21-point re-gridding of the cell around
+    its peak until the cell is narrower than 1e-9.
     """
     s = _XI_S_GRID
-    ys = np.outer(y, s)
-    d = np.sqrt(r * r - 2.0 * r * ys + (y * y)[:, None])
-    g = np.abs(np.exp(-1j * k * d) / d - np.exp(-1j * k * (r - ys)) / r)
+    g = _xi_gap(r, np.outer(y, s), (y * y)[:, None], k)
     best = float(g.max())
     if best == 0.0:
         return best
@@ -300,29 +306,19 @@ def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
     for n in np.nonzero(per_element >= 0.999 * best)[0]:
         j = int(np.argmax(g[n]))
         lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
-        if hi <= lo:
-            continue
-        y_n = float(y[n])
-        res = minimize_scalar(
-            lambda sv: -_xi_element_scalar(y_n, sv, r, k),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
-        best = max(best, -float(res.fun))
+        while hi - lo >= 1e-9:
+            cell = np.linspace(lo, hi, 21)
+            gc = _xi_gap(r, y[n] * cell, y[n] * y[n], k)
+            i = int(np.argmax(gc))
+            best = max(best, float(gc[i]))
+            lo, hi = cell[max(i - 1, 0)], cell[min(i + 1, 20)]
     return best
 
 
 def _xi_sphere(positions: np.ndarray, r: float, k: float) -> float:
     """Brute-force worst-case mismatch over a dense unit-sphere sample."""
     a = _fibonacci_sphere(_XI_SPHERE_POINTS)
-    best = 0.0
-    for pos in positions:
-        d = np.linalg.norm(r * a - pos, axis=1)
-        proj = a @ pos
-        g = np.abs(np.exp(-1j * k * d) / d - np.exp(-1j * k * (r - proj)) / r)
-        best = max(best, float(g.max()))
-    return best
+    return max(float(_xi_gap(r, a @ pos, pos @ pos, k).max()) for pos in positions)
 
 
 def xi_worst_mismatch(

@@ -299,6 +299,8 @@ class FieldTrace:
             self._resolve_sample()
         else:
             f = np.asarray(self.f, dtype=complex).reshape(3)
+            if not np.all(np.isfinite(f)):
+                raise TraceFormatError("far-field record values must be finite")
             f.flags.writeable = False
             object.__setattr__(self, "f", f)
             if self.direction is not None:
@@ -311,10 +313,12 @@ class FieldTrace:
     def _resolve_sample(self) -> None:
         """Recover f, direction, and the E/H residual from the sample."""
         r_ff = float(self.sample_r)
-        if r_ff <= 0.0:
-            raise TraceFormatError("far-field sample radius must be positive")
         e = np.asarray(self.sample_e, dtype=complex).reshape(3)
         h = np.asarray(self.sample_h, dtype=complex).reshape(3)
+        if not (math.isfinite(r_ff) and np.all(np.isfinite(e)) and np.all(np.isfinite(h))):
+            raise TraceFormatError("far-field sample values must be finite")
+        if r_ff <= 0.0:
+            raise TraceFormatError("far-field sample radius must be positive")
         poynting = np.real(np.cross(e, np.conj(h)))
         norm = float(np.linalg.norm(poynting))
         if norm == 0.0:

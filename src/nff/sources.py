@@ -119,11 +119,8 @@ class ArrayGeometry:
     @cached_property
     def span(self) -> float:
         """Largest dimension: the maximum inter-element distance."""
-        pos = np.array([e.position for e in self.elements], dtype=float)
-        if len(pos) == 1:
-            return 0.0
-        diff = pos[:, None, :] - pos[None, :, :]
-        return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+        pos = self.positions
+        return float(np.sqrt(max(np.max(np.sum((pos - p) ** 2, axis=1)) for p in pos)))
 
 
 def uniform_linear_array(

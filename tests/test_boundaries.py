@@ -34,6 +34,10 @@ from nff import (
 K = DEFAULT_CONTEXT.wavenumber
 N8 = uniform_linear_array(8, 0.5)
 N1 = uniform_linear_array(1, 0.5)
+#: 2x2 planar array: not collinear, so Xi takes the sphere scan
+SQUARE = ArrayGeometry(
+    tuple(DipoleElement(np.array([x, y, 0.0])) for x in (-0.5, 0.5) for y in (-0.5, 0.5))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,21 @@ def test_xi_reduction_matches_sphere_oracle():
         want = _xi_sphere_oracle(geo.positions, r, K)
         assert got == pytest.approx(want, rel=1e-4)
         assert got >= want * (1.0 - 1e-9)  # the 1-D reduction never undershoots
+
+
+def test_xi_sphere_scan_matches_oracle():
+    for r in (1.2, 2.0, 3.0):
+        got = xi_worst_mismatch(SQUARE, r)
+        assert got == pytest.approx(_xi_sphere_oracle(SQUARE.positions, r, K), rel=1e-4)
+
+
+@pytest.mark.parametrize("geo", [N8, SQUARE], ids=["ula8", "square"])
+def test_xi_large_radius_asymptote(geo):
+    # far out the worst direction is broadside to the outermost element,
+    # where the gap is the phase error k |r_n|^2 / (2 r) over r
+    r = 1e6
+    n2 = float(np.max(np.sum(geo.positions**2, axis=1)))
+    assert xi_worst_mismatch(geo, r) == pytest.approx(K * n2 / (2.0 * r * r), rel=1e-8, abs=0.0)
 
 
 def test_d_wc_is_direction_independent():

@@ -286,6 +286,16 @@ def test_trace_schema_violations(tmp_path):
     with pytest.raises(TraceFormatError, match="exactly one"):
         import_trace(p)
 
+    # non-finite far-field records
+    for name, record in (
+        ("bad8.csv", "# ff_f = nan,0,0,0,0,0"),
+        ("bad9.csv", "# ff_sample = inf,0,0,0,0,1,0,0,0,1,0,0,0"),
+    ):
+        bad = [record if l.startswith("# ff_f") else l for l in lines]
+        p = _write(tmp_path, name, "\n".join(bad) + "\n")
+        with pytest.raises(TraceFormatError, match="finite"):
+            import_trace(p)
+
     # unsupported version
     bad = ["# trace_version = 99"] + lines[1:]
     p = _write(tmp_path, "bad6.csv", "\n".join(bad) + "\n")
@@ -428,8 +438,15 @@ def test_cli_error_paths(tmp_path, capsys):
             "sweep",
         ),
         ("v.csv", "# trace_version = inf\n", "validate-trace"),
+        (
+            "ff.csv",
+            "# trace_version = 1\n# ff_f = nan,0,0,0,0,0\n"
+            "r_lambda,ex_re,ex_im,ey_re,ey_im,ez_re,ez_im,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im\n"
+            "1,0,0,0,0,1,0,0,0,1,0,0,0\n",
+            "validate-trace",
+        ),
     ],
-    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf"],
+    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf", "ff_f_nan"],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     path = str(_write(tmp_path, name, text))

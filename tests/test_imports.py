@@ -1,6 +1,8 @@
-"""Every package module uses each name it imports."""
+"""Imports: every package module uses each name it imports, and nff needs only numpy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,8 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, nff; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -1,6 +1,7 @@
 """Dipole element fields, array superposition, and precoders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,26 @@ def test_ula_single_element_is_degenerate():
     geo = uniform_linear_array(1, 0.5)
     assert geo.span == 0.0
     np.testing.assert_array_equal(geo.positions, [[0.0, 0.0, 0.0]])
+
+
+def test_span_matches_pairwise_maximum():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 17):
+        pos = rng.normal(size=(n, 3))
+        pos -= pos.mean(axis=0)
+        geo = ArrayGeometry(tuple(DipoleElement(p) for p in pos))
+        diff = geo.positions[:, None, :] - geo.positions[None, :, :]
+        assert geo.span == float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+
+
+def test_span_needs_no_pairwise_temporaries():
+    tracemalloc.start()
+    try:
+        uniform_linear_array(1024, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # an (N, N, 3) difference array alone is 24 MiB
 
 
 def test_ula_validation():

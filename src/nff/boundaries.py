@@ -37,13 +37,12 @@ import numpy as np
 from .core import (
     DEFAULT_CONTEXT,
     Direction,
-    SphericalPoint,
     WaveContext,
     stable_excess_path,
     unit_vector,
 )
 from .metric import default_grid
-from .sources import ArrayGeometry, ff_precoder, nf_precoder, on_element
+from .sources import ArrayGeometry, ff_precoder, on_element
 
 #: Default search bracket (wavelengths) and log-grid density.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -51,6 +50,9 @@ DEFAULT_POINTS_PER_DECADE = 400
 
 #: Relative refinement tolerance of every bisected boundary value.
 REFINE_REL_TOL = 1e-6
+
+#: Radii per scan call in a search's grid pass; bounds its (block, N, 3) temporaries.
+_SCAN_BLOCK = 8
 
 #: Fixed phase threshold of the ``ar`` boundary, radians.
 AR_THRESHOLD = math.pi / 8.0
@@ -139,33 +141,45 @@ class BoundaryResult:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluators
+# criteria at a radius, or an array of radii, along a test line
+
+
+def _element_offsets(
+    geometry: ArrayGeometry, r, direction: Direction, ctx: WaveContext, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``r rhat - r_n``, shape ``(..., N, 3)``, and their norms ``(..., N)``."""
+    rvec = np.multiply.outer(r, unit_vector(direction))[..., None, :] - geometry.positions
+    dist = np.linalg.norm(rvec, axis=-1)
+    if np.any(on_element(dist, ctx)):
+        raise ValueError(f"{name} is singular on an element position")
+    return rvec, dist
 
 
 def phi_excess(
     geometry: ArrayGeometry,
-    point: SphericalPoint,
+    r: float | np.ndarray,
+    direction: Direction,
     ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float:
+) -> float | np.ndarray:
     """Worst-case element phase excess, radians.
 
     ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, evaluated through
     :func:`nff.core.stable_excess_path` so large radii do not cancel.
     Nonnegative by the triangle inequality.
     """
-    if point.r <= 0.0:
+    if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    rhat = unit_vector(point.direction)
-    excess = stable_excess_path(point.r, rhat, geometry.positions)
-    t = geometry.positions @ rhat
-    return max(float(np.max(excess + t)) * ctx.wavenumber, 0.0)
+    rhat = unit_vector(direction)
+    excess = stable_excess_path(r, rhat, geometry.positions) + geometry.positions @ rhat
+    return np.maximum(np.max(excess, axis=-1) * ctx.wavenumber, 0.0)[()]
 
 
 def gamma_uniform_power(
     geometry: ArrayGeometry,
-    point: SphericalPoint,
+    r: float | np.ndarray,
+    direction: Direction,
     ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float:
+) -> float | np.ndarray:
     """Uniformity ratio of per-element projected power factors.
 
     ``Gamma = min_n g_n / max_n g_n`` with
@@ -180,76 +194,59 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    cart = point.to_cartesian()
-    rvec = cart - geometry.positions
-    dist = np.linalg.norm(rvec, axis=1)
-    if np.any(on_element(dist, ctx)):
-        raise ValueError("gamma is singular on an element position")
-    proj = rvec @ geometry.boresight
-    tol = 1e-9 * max(1.0, point.r)
-    if np.all(np.abs(proj) <= tol):
-        g = 1.0 / dist**3
-    else:
-        if np.any(proj > tol) and np.any(proj < -tol):
-            raise UndefinedProjection(
-                "boresight projections change sign along the element set; "
-                "the uniform-power ratio is undefined here"
-            )
-        g = np.abs(proj) / dist**3
-    top = float(np.max(g))
-    if top == 0.0:
-        return 0.0
-    return float(np.min(g)) / top
+    rvec, dist = _element_offsets(geometry, r, direction, ctx, "gamma")
+    proj = np.sum(rvec * geometry.boresight, axis=-1)
+    tol = 1e-9 * np.maximum(1.0, r)[..., None]
+    if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
+        raise UndefinedProjection(
+            "boresight projections change sign along the element set; "
+            "the uniform-power ratio is undefined here"
+        )
+    flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
+    g = np.where(flat, 1.0, np.abs(proj)) / dist**3
+    top = np.max(g, axis=-1)
+    return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)[()]
 
 
 def psi_gain_ratio(
     geometry: ArrayGeometry,
-    point: SphericalPoint,
+    r: float | np.ndarray,
     direction: Direction,
+    steering: Direction,
     ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float:
-    """Focusing-over-steering array gain ratio at a point.
+) -> float | np.ndarray:
+    """Focusing-over-steering array gain ratio at radii along ``direction``.
 
     ``Psi = |h . w_focus| / |h . w_steer|`` with channel entries
     ``h_n = exp(-j k |r - r_n|) / |r - r_n|``, focusing weights matched to
-    the point and steering weights matched to ``direction``.  At least 1
-    by the triangle inequality (the focusing weights align every term).
+    the point (so the numerator is ``sum_n 1 / |r - r_n|``) and steering
+    weights matched to ``steering``.  At least 1 by the triangle
+    inequality (the focusing weights align every term).
     """
-    cart = point.to_cartesian()
-    dist = np.linalg.norm(cart - geometry.positions, axis=1)
-    if np.any(on_element(dist, ctx)):
-        raise ValueError("psi is singular on an element position")
+    _, dist = _element_offsets(geometry, r, direction, ctx, "psi")
     h = np.exp(-1j * ctx.wavenumber * dist) / dist
-    num = abs(h @ nf_precoder(geometry, cart, ctx))
-    den = abs(h @ ff_precoder(geometry, direction, ctx))
-    if den == 0.0:
-        return math.inf
-    return num / den
+    den = np.abs(np.sum(h * ff_precoder(geometry, steering, ctx), axis=-1))
+    with np.errstate(divide="ignore"):
+        return (np.sum(1.0 / dist, axis=-1) / den)[()]
 
 
 def upsilon_power(
     geometry: ArrayGeometry,
-    point: SphericalPoint,
+    r: float | np.ndarray,
+    direction: Direction,
     ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float:
+) -> float | np.ndarray:
     """Mean inverse-square element distance, normalized by ``1/r^2``.
 
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    cart = point.to_cartesian()
-    dist2 = np.sum((cart - geometry.positions) ** 2, axis=1)
-    if np.any(on_element(np.sqrt(dist2), ctx)):
-        raise ValueError("upsilon is singular on an element position")
-    return float(point.r**2 / geometry.n * np.sum(1.0 / dist2))
+    rvec, _ = _element_offsets(geometry, r, direction, ctx, "upsilon")
+    return (np.square(r) / geometry.n * np.sum(1.0 / np.sum(rvec**2, axis=-1), axis=-1))[()]
 
 
 # ---------------------------------------------------------------------------
 # worst-case element mismatch
-
-
-_XI_S_GRID = np.linspace(-1.0, 1.0, 2001)
-_XI_SPHERE_POINTS = 20001
 
 
 def _collinear_offsets(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray] | None:
@@ -271,6 +268,10 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     azim = i * (math.pi * (3.0 - math.sqrt(5.0)))
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     return np.column_stack([s * np.cos(azim), s * np.sin(azim), z])
+
+
+_XI_S_GRID = np.linspace(-1.0, 1.0, 2001)
+_XI_SPHERE = _fibonacci_sphere(20001)
 
 
 def _xi_gap(r: float, t: np.ndarray, n2: np.ndarray | float, k: float) -> np.ndarray:
@@ -317,8 +318,7 @@ def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
 
 def _xi_sphere(positions: np.ndarray, r: float, k: float) -> float:
     """Brute-force worst-case mismatch over a dense unit-sphere sample."""
-    a = _fibonacci_sphere(_XI_SPHERE_POINTS)
-    return max(float(_xi_gap(r, a @ pos, pos @ pos, k).max()) for pos in positions)
+    return max(float(_xi_gap(r, _XI_SPHERE @ pos, pos @ pos, k).max()) for pos in positions)
 
 
 def xi_worst_mismatch(
@@ -422,7 +422,7 @@ def _search_values(
 
 
 def find_crossing(
-    scan: Callable[[float], float],
+    scan: Callable[[np.ndarray], np.ndarray],
     threshold: float,
     mode: str,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
@@ -430,7 +430,10 @@ def find_crossing(
 ) -> BoundaryResult:
     """Locate a threshold crossing of ``scan`` on a log grid.
 
-    ``mode`` selects which crossing defines the boundary:
+    ``scan`` maps an array of radii to an array of values of the same
+    shape; the grid pass calls it on blocks of ``_SCAN_BLOCK`` radii and
+    the bisection on single radii.  ``mode`` selects which crossing
+    defines the boundary:
     ``"first-below"``/``"first-above"`` return the first grid entry into
     the target side (an infimum), ``"last-above"``/``"last-below"`` the
     last exit from it (a supremum).  A supremum still satisfied at the
@@ -438,7 +441,8 @@ def find_crossing(
     ``not-found``.  Found values are bisection-refined to 1e-6 relative.
     """
     grid = _log_grid(bracket[0], bracket[1], points_per_decade)
-    vals = np.array([scan(float(r)) for r in grid])
+    blocks = range(0, grid.size, _SCAN_BLOCK)
+    vals = np.concatenate([scan(grid[i : i + _SCAN_BLOCK]) for i in blocks])
     return _search_values(grid, vals, scan, threshold, mode)
 
 
@@ -527,11 +531,11 @@ def d_wc(
 
 
 #: Scanned criterion and crossing mode of each searched boundary kind; a
-#: criterion takes ``(geometry, point, ctx)``.
+#: criterion takes ``(geometry, r, direction, ctx)``.
 _SCANS = {
     "ar": (phi_excess, "first-below"),
     "up": (gamma_uniform_power, "first-above"),
-    "en": (lambda geo, point, ctx: psi_gain_ratio(geo, point, point.direction, ctx), "last-above"),
+    "en": (lambda geo, r, d, ctx: psi_gain_ratio(geo, r, d, d, ctx), "last-above"),
     "ep": (upsilon_power, "last-below"),
 }
 
@@ -557,7 +561,7 @@ def evaluate_boundary(
         )
     criterion, mode = _SCANS[spec.kind]
 
-    def scan(r: float) -> float:
-        return criterion(geometry, SphericalPoint(r, direction), ctx)
+    def scan(r):
+        return criterion(geometry, r, direction, ctx)
 
     return find_crossing(scan, spec.threshold, mode, bracket, points_per_decade)

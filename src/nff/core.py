@@ -139,7 +139,9 @@ def cartesian_to_spherical(vec: np.ndarray) -> SphericalPoint:
     return SphericalPoint(r, Direction(theta, phi))
 
 
-def stable_excess_path(r: float, rhat: np.ndarray, r_n: np.ndarray) -> float | np.ndarray:
+def stable_excess_path(
+    r: float | np.ndarray, rhat: np.ndarray, r_n: np.ndarray
+) -> float | np.ndarray:
     """Excess path length ``|r*rhat - r_n| - r`` without cancellation.
 
     Direct subtraction loses all significant digits once ``r`` exceeds
@@ -149,8 +151,8 @@ def stable_excess_path(r: float, rhat: np.ndarray, r_n: np.ndarray) -> float | n
 
     Parameters
     ----------
-    r : float
-        Nonnegative radial distance of the observation point.
+    r : float or numpy.ndarray
+        Nonnegative radial distance(s) of the observation point.
     rhat : numpy.ndarray
         Unit direction of the observation point, shape ``(3,)``.
     r_n : numpy.ndarray
@@ -159,13 +161,15 @@ def stable_excess_path(r: float, rhat: np.ndarray, r_n: np.ndarray) -> float | n
     Returns
     -------
     float or numpy.ndarray
-        The excess path, one value per source offset.
+        The excess path, one value per radius and source offset, shape
+        ``np.shape(r) + r_n.shape[:-1]``.
     """
     rhat = np.asarray(rhat, dtype=float)
     r_n = np.asarray(r_n, dtype=float)
     n2 = np.sum(r_n * r_n, axis=-1)
     t = r_n @ rhat
-    dist = np.linalg.norm(r * rhat - r_n, axis=-1)
+    r = np.reshape(r, np.shape(r) + (1,) * (r_n.ndim - 1))
+    dist = np.linalg.norm(r[..., None] * rhat - r_n, axis=-1)
     denom = dist + r
     safe = np.where(denom == 0.0, 1.0, denom)
     out = np.where(denom == 0.0, 0.0, (n2 - 2.0 * r * t) / safe)

@@ -60,6 +60,9 @@ TRACE_DATA_HEADER = (
 CURVE_HEADER = "r_lambda,epsilon"
 BOUNDARY_HEADER = "kind,threshold,status,value_lambda,crossings"
 
+#: Largest element count a scenario may ask for.
+MAX_ELEMENTS = 4096
+
 _SOURCES = ("dipole-ula", "imported-trace")
 _EXCITATION_ALIASES = {
     "ff-bf": EXCITATION_STEER,
@@ -108,8 +111,10 @@ class ScenarioConfig:
         if self.source == "dipole-ula":
             if self.n is None:
                 raise ConfigError("dipole-ula scenarios need n")
-            if self.n < 1:
-                raise ConfigError(f"n must be >= 1, got {self.n}")
+            if not 1 <= self.n <= MAX_ELEMENTS:
+                raise ConfigError(f"n must lie in 1..{MAX_ELEMENTS}, got {self.n}")
+            if self.spacing is not None and not math.isfinite(self.spacing):
+                raise ConfigError(f"spacing_lambda must be finite, got {self.spacing!r}")
             if self.n > 1 and (self.spacing is None or self.spacing <= 0.0):
                 raise ConfigError("dipole-ula scenarios with n > 1 need spacing_lambda > 0")
         else:

@@ -36,6 +36,9 @@ DEFAULT_GRID_LO = 0.1
 DEFAULT_GRID_HI = 1.0e4
 DEFAULT_GRID_PPD = 100
 
+#: Largest point count :func:`default_grid` builds.
+MAX_GRID_POINTS = 10**6
+
 #: Excitation scheme labels used in scenario metadata and file naming.
 EXCITATION_STEER = "ff-bf"
 EXCITATION_FOCUS = "nf-bf"
@@ -238,11 +241,12 @@ def grid_on_element(
 ) -> np.ndarray:
     """Mask of the radii on a test line that land on an element position."""
     rhat = unit_vector(direction)
-    dists = np.linalg.norm(
-        grid[:, None, None] * rhat[None, None, :] - geometry.positions[None, :, :],
-        axis=-1,
-    )
-    return np.any(on_element(dists, ctx), axis=1)
+    step = max(1, 8192 // geometry.n)  # radii per block of radius-element distances
+    mask = np.empty(grid.size, dtype=bool)
+    for i in range(0, grid.size, step):
+        dists = np.linalg.norm(grid[i : i + step, None, None] * rhat - geometry.positions, axis=-1)
+        mask[i : i + step] = np.any(on_element(dists, ctx), axis=1)
+    return mask
 
 
 def default_grid(
@@ -250,7 +254,7 @@ def default_grid(
     hi: float = DEFAULT_GRID_HI,
     points_per_decade: int = DEFAULT_GRID_PPD,
 ) -> np.ndarray:
-    """Logarithmic radial grid with a fixed density per decade."""
+    """Logarithmic radial grid with a fixed density per decade, at most MAX_GRID_POINTS points."""
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     if points_per_decade < 1:
@@ -258,5 +262,7 @@ def default_grid(
     ratio = hi / lo
     if not math.isfinite(ratio):
         raise ValueError(f"grid span hi / lo = {ratio!r} is not finite")
-    n = int(round(math.log10(ratio) * points_per_decade)) + 1
-    return np.geomspace(lo, hi, max(n, 2))
+    n = max(int(round(math.log10(ratio) * points_per_decade)) + 1, 2)
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"the grid would have {n} points, more than the limit {MAX_GRID_POINTS}")
+    return np.geomspace(lo, hi, n)

@@ -17,7 +17,6 @@ from nff import (
     DipoleArrayScenario,
     Direction,
     FieldTrace,
-    SphericalPoint,
     analytic_angular_distribution,
     array_field,
     default_grid,
@@ -223,9 +222,9 @@ def test_criterion_7_property_suites():
         geo = uniform_linear_array(n, d)
         y_max = (n - 1) * d / 2.0
         r = float(np.exp(rng.uniform(np.log(max(y_max * 1.01, 1e-2)), np.log(1e3))))
-        point = SphericalPoint(r, _random_direction(rng))
+        direction = _random_direction(rng)
         try:
-            worst = min(worst, psi_gain_ratio(geo, point, _random_direction(rng)))
+            worst = min(worst, psi_gain_ratio(geo, r, direction, _random_direction(rng)))
         except ValueError:
             continue  # point too close to an element
     print(f"  min psi = {worst!r}")
@@ -234,7 +233,7 @@ def test_criterion_7_property_suites():
     # upsilon < 1 everywhere on the front line
     geo8 = uniform_linear_array(8, 0.5)
     ups = [
-        upsilon_power(geo8, SphericalPoint(r, FRONT))
+        upsilon_power(geo8, r, FRONT)
         for r in np.geomspace(1e-2, 1e4, 2000)
     ]
     assert max(ups) < 1.0

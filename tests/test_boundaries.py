@@ -16,7 +16,6 @@ from nff import (
     BoundarySpec,
     DipoleElement,
     Direction,
-    SphericalPoint,
     TailNotMonotone,
     UndefinedProjection,
     d_wc,
@@ -87,21 +86,21 @@ def test_boundary_spec_validation():
 
 def test_phi_excess_single_element_is_zero():
     for r in (0.01, 1.0, 1e3, 1e6):
-        assert phi_excess(N1, SphericalPoint(r, FRONT)) == 0.0
+        assert phi_excess(N1, r, FRONT) == 0.0
 
 
 def test_phi_excess_side_line():
     # beyond a collinear array the excess and the projection cancel
-    assert phi_excess(N8, SphericalPoint(10.0, SIDE)) <= 1e-9
+    assert phi_excess(N8, 10.0, SIDE) <= 1e-9
     # inside the array the worst element contributes 2k(y_max - r)
-    got = phi_excess(N8, SphericalPoint(1.0, SIDE))
+    got = phi_excess(N8, 1.0, SIDE)
     assert got == pytest.approx(2.0 * K * (1.75 - 1.0), rel=1e-12)
 
 
 def test_phi_excess_front_closed_form():
     # front line: excess of the outermost element is sqrt(r^2+y^2) - r
     for r in (0.5, 3.0, 40.0):
-        got = phi_excess(N8, SphericalPoint(r, FRONT))
+        got = phi_excess(N8, r, FRONT)
         assert got == pytest.approx(K * (math.hypot(r, 1.75) - r), rel=1e-12)
 
 
@@ -111,11 +110,11 @@ def test_phi_excess_properties():
         geo = uniform_linear_array(int(rng.integers(2, 12)), rng.uniform(0.1, 1.0))
         d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
         r = 10 ** rng.uniform(-2, 6)
-        assert phi_excess(geo, SphericalPoint(r, d)) >= 0.0
+        assert phi_excess(geo, r, d) >= 0.0
     # vanishing far out: k*y_max^2/(2r) ~ 1e-5 at r = 1e6
-    assert phi_excess(N8, SphericalPoint(1e6, FRONT)) < 1e-4
+    assert phi_excess(N8, 1e6, FRONT) < 1e-4
     with pytest.raises(ValueError):
-        phi_excess(N8, SphericalPoint(0.0, FRONT))
+        phi_excess(N8, 0.0, FRONT)
 
 
 def test_d_ar_side_closed_form():
@@ -140,7 +139,7 @@ def test_gamma_side_closed_form():
     # test line along the array axis: boresight projections vanish and the
     # ratio reduces to (d_min / d_max)^3 = ((r-a)/(r+a))^3
     for r in (5.0, 50.0):
-        got = gamma_uniform_power(N8, SphericalPoint(r, SIDE))
+        got = gamma_uniform_power(N8, r, SIDE)
         assert got == pytest.approx(((r - 1.75) / (r + 1.75)) ** 3, rel=1e-12)
 
 
@@ -151,20 +150,20 @@ def test_gamma_front_matches_direct_evaluation():
         dist = np.linalg.norm(rvec, axis=1)
         g = (rvec @ N8.boresight) / dist**3
         want = g.min() / g.max()
-        got = gamma_uniform_power(N8, SphericalPoint(r, FRONT))
+        got = gamma_uniform_power(N8, r, FRONT)
         assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_gamma_limits_and_errors():
-    assert gamma_uniform_power(N8, SphericalPoint(1e5, FRONT)) > 1.0 - 1e-6
+    assert gamma_uniform_power(N8, 1e5, FRONT) > 1.0 - 1e-6
     rng = np.random.default_rng(14)
     for _ in range(200):
         r = 10 ** rng.uniform(-1, 4)
         d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
-        g = gamma_uniform_power(N8, SphericalPoint(r, d))
+        g = gamma_uniform_power(N8, r, d)
         assert 0.0 <= g <= 1.0
     with pytest.raises(ValueError, match="singular"):
-        gamma_uniform_power(N8, SphericalPoint(0.75, SIDE))
+        gamma_uniform_power(N8, 0.75, SIDE)
 
 
 def test_gamma_mixed_projections_rejected():
@@ -175,7 +174,7 @@ def test_gamma_mixed_projections_rejected():
         )
     )
     with pytest.raises(UndefinedProjection):
-        gamma_uniform_power(geo, SphericalPoint(0.2, FRONT))
+        gamma_uniform_power(geo, 0.2, FRONT)
 
 
 def test_d_up_side_closed_form():
@@ -199,12 +198,12 @@ def test_d_up_not_found_in_small_bracket():
 
 def test_psi_single_element_is_unity():
     for r in (0.01, 1.0, 100.0):
-        psi = psi_gain_ratio(N1, SphericalPoint(r, FRONT), FRONT)
+        psi = psi_gain_ratio(N1, r, FRONT, FRONT)
         assert abs(psi - 1.0) <= 1e-12
 
 
 def test_psi_converges_far_out():
-    psi = psi_gain_ratio(N8, SphericalPoint(1e5, FRONT), FRONT)
+    psi = psi_gain_ratio(N8, 1e5, FRONT, FRONT)
     assert abs(psi - 1.0) < 1e-3
 
 
@@ -214,9 +213,8 @@ def test_psi_at_least_one():
         geo = uniform_linear_array(int(rng.integers(2, 17)), rng.uniform(0.1, 1.0))
         d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
         r = 10 ** rng.uniform(-2, 3)
-        point = SphericalPoint(r, d)
         try:
-            psi = psi_gain_ratio(geo, point, d)
+            psi = psi_gain_ratio(geo, r, d, d)
         except ValueError:
             continue  # point landed on an element
         assert psi >= 1.0 - 1e-12
@@ -232,15 +230,15 @@ def test_d_en_not_found_for_single_element():
 
 
 def test_upsilon_reference_cases():
-    assert abs(upsilon_power(N1, SphericalPoint(3.0, FRONT)) - 1.0) <= 1e-12
+    assert abs(upsilon_power(N1, 3.0, FRONT) - 1.0) <= 1e-12
     # front: every element is farther than r, so the mean is below 1
     grid = np.geomspace(1e-3, 1e6, 400)
-    vals = np.array([upsilon_power(N8, SphericalPoint(float(r), FRONT)) for r in grid])
+    vals = np.array([upsilon_power(N8, float(r), FRONT) for r in grid])
     assert np.all(vals < 1.0)
     # side beyond the array: the nearest element dominates
-    assert upsilon_power(N8, SphericalPoint(5.0, SIDE)) > 1.0
+    assert upsilon_power(N8, 5.0, SIDE) > 1.0
     with pytest.raises(ValueError, match="singular"):
-        upsilon_power(N8, SphericalPoint(1.25, SIDE))
+        upsilon_power(N8, 1.25, SIDE)
 
 
 def test_d_ep_front_is_unbounded_at_permissive_threshold():
@@ -253,6 +251,47 @@ def test_d_ep_front_is_unbounded_at_permissive_threshold():
 def test_d_ep_not_found_for_tiny_threshold():
     res = evaluate_boundary(N8, BoundarySpec("ep", 1e-9), SIDE)
     assert res.status == "not-found"
+
+
+# ---------------------------------------------------------------------------
+# criteria on blocks of radii
+
+
+def test_criteria_on_a_block_match_single_radii():
+    rng = np.random.default_rng(44)
+    for n in (1, 1, 2, 3, 5, 8, 13, 64):
+        geo = uniform_linear_array(n, rng.uniform(0.1, 1.0))
+        d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
+        steering = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
+        radii = np.sort(10 ** rng.uniform(-2, 6, size=int(rng.integers(1, 24))))
+        for criterion in (
+            lambda r: phi_excess(geo, r, d),
+            lambda r: gamma_uniform_power(geo, r, d),
+            lambda r: psi_gain_ratio(geo, r, d, steering),
+            lambda r: upsilon_power(geo, r, d),
+        ):
+            block = criterion(radii)
+            assert block.shape == radii.shape
+            assert np.array_equal(block, [criterion(float(r)) for r in radii])
+            assert np.array_equal(criterion(radii[None, :]), block[None, :])
+
+
+def test_criteria_reject_a_block_that_touches_an_element():
+    radii = np.array([0.5, 0.75, 1.0])  # the side line meets an element at 0.75
+    with pytest.raises(ValueError, match="singular"):
+        gamma_uniform_power(N8, radii, SIDE)
+    with pytest.raises(ValueError, match="singular"):
+        psi_gain_ratio(N8, radii, SIDE, SIDE)
+    with pytest.raises(ValueError, match="singular"):
+        upsilon_power(N8, radii, SIDE)
+    geo = ArrayGeometry(
+        (
+            DipoleElement(np.array([0.5, 0.0, 0.0])),
+            DipoleElement(np.array([-0.5, 0.0, 0.0])),
+        )
+    )
+    with pytest.raises(UndefinedProjection):
+        gamma_uniform_power(geo, np.array([5.0, 0.2, 7.0]), FRONT)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +392,7 @@ def test_find_first_below_reciprocal():
 
 
 def test_find_last_above_oscillating_tail():
-    scan = lambda r: 1.0 + math.sin(r) / r
+    scan = lambda r: 1.0 + np.sin(r) / r
     th = 1.05
     res = find_crossing(scan, th, "last-above")
     assert res.status == "found"
@@ -366,10 +405,26 @@ def test_find_last_above_oscillating_tail():
     assert res.value == pytest.approx(want, rel=1e-5)
 
 
+def test_find_crossing_scans_the_grid_in_blocks():
+    sizes = []
+
+    def scan(r):
+        sizes.append(np.size(r))
+        return 1.0 / r
+
+    res = find_crossing(scan, 0.1, "first-below")
+    assert res.status == "found"
+    block = boundaries._SCAN_BLOCK
+    calls = -(-3601 // block)
+    assert sizes[: calls - 1] == [block] * (calls - 1)
+    assert sum(sizes[:calls]) == 3601
+    assert len(sizes) > calls and set(sizes[calls:]) == {1}  # bisection
+
+
 def test_find_crossing_statuses():
-    res = find_crossing(lambda r: 5.0, 1.0, "first-below")
+    res = find_crossing(lambda r: np.full_like(r, 5.0), 1.0, "first-below")
     assert res.status == "not-found"
-    res = find_crossing(lambda r: 5.0, 1.0, "last-above")
+    res = find_crossing(lambda r: np.full_like(r, 5.0), 1.0, "last-above")
     assert res.status == "unbounded"
     res = find_crossing(lambda r: 1.0 / r, 1e6, "first-below")
     assert res.status == "found" and res.degenerate
@@ -383,14 +438,14 @@ def test_find_crossing_statuses():
 
 def test_found_boundaries_straddle_their_threshold():
     cases = [
-        (evaluate_boundary(N8, BoundarySpec("ar"), FRONT), lambda r: phi_excess(N8, SphericalPoint(r, FRONT)),
+        (evaluate_boundary(N8, BoundarySpec("ar"), FRONT), lambda r: phi_excess(N8, r, FRONT),
          math.pi / 8, "below"),
         (evaluate_boundary(N8, BoundarySpec("up", 0.9), FRONT),
-         lambda r: gamma_uniform_power(N8, SphericalPoint(r, FRONT)), 0.9, "above"),
+         lambda r: gamma_uniform_power(N8, r, FRONT), 0.9, "above"),
         (evaluate_boundary(N8, BoundarySpec("en", 1.05), FRONT),
-         lambda r: psi_gain_ratio(N8, SphericalPoint(r, FRONT), FRONT), 1.05, "above"),
+         lambda r: psi_gain_ratio(N8, r, FRONT, FRONT), 1.05, "above"),
         (evaluate_boundary(N8, BoundarySpec("ep", 0.99), FRONT),
-         lambda r: upsilon_power(N8, SphericalPoint(r, FRONT)), 0.99, "below"),
+         lambda r: upsilon_power(N8, r, FRONT), 0.99, "below"),
     ]
     for res, scan, th, side in cases:
         assert res.status == "found"

@@ -36,6 +36,7 @@ from nff import (
     unit_vector,
 )
 from nff.cli import main
+from nff.harness import MAX_ELEMENTS
 
 K = DEFAULT_CONTEXT.wavenumber
 
@@ -112,6 +113,18 @@ def test_scenario_semantic_validation(tmp_path):
         )
     with pytest.raises(ConfigError, match="grid_lo"):
         ScenarioConfig(n=1, grid_lo=5.0, grid_hi=1.0)
+
+
+def test_scenario_size_limits(tmp_path):
+    ok = load_scenario(_write(tmp_path, "max.cfg", f"n = {MAX_ELEMENTS}\nspacing_lambda = 0.5\n"))
+    assert ok.n == MAX_ELEMENTS
+    big = _write(tmp_path, "big.cfg", f"n = {MAX_ELEMENTS + 1}\nspacing_lambda = 0.5\n")
+    with pytest.raises(ConfigError, match="n must lie"):
+        load_scenario(big)
+    for spacing in ("inf", "nan"):
+        cfg = _write(tmp_path, "s.cfg", f"n = 8\nspacing_lambda = {spacing}\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_scenario(cfg)
 
 
 def test_parse_direction():
@@ -456,6 +469,26 @@ def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
         argv = ["validate-trace", path]
     assert main(argv) == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 5 decades x 200000 + 1 = MAX_GRID_POINTS + 1 sweep radii
+        ["reproduce", "--figure", "fig4", "--grid-ppd", "200000"],
+        ["sweep", "--grid-ppd", "200000"],
+        # 9 decades x 111112 + 1 search radii, just past the limit
+        ["boundaries", "--grid-ppd", "111112"],
+    ],
+    ids=["reproduce", "sweep", "boundaries"],
+)
+def test_cli_rejects_grids_past_the_limit(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "c.cfg", "n = 8\nspacing_lambda = 0.5\nboundaries = ar\n")
+    where = ["--out", str(tmp_path / "out")]
+    if argv[0] != "reproduce":
+        where += ["--config", str(cfg)]
+    assert main(argv + where) == 1
+    assert "more than the limit" in capsys.readouterr().err
 
 
 def test_cli_boundaries(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Field-mismatch metric and radial error sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from nff import (
     error_sweep,
     field_mismatch,
     uniform_linear_array,
+    unit_vector,
 )
+from nff.metric import MAX_GRID_POINTS, grid_on_element
 
 Z0 = DEFAULT_CONTEXT.impedance
 K = DEFAULT_CONTEXT.wavenumber
@@ -188,3 +191,24 @@ def test_default_grid_shape_and_validation():
         default_grid(1.0, 0.5)
     with pytest.raises(ValueError):
         default_grid(points_per_decade=0)
+
+
+def test_default_grid_point_limit():
+    assert default_grid(1.0, 10.0, MAX_GRID_POINTS - 1).size == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="limit"):
+        default_grid(1.0, 10.0, MAX_GRID_POINTS)  # one point over
+
+
+def test_grid_on_element_needs_no_full_temporaries():
+    geo = uniform_linear_array(1024, 0.5)
+    grid = np.sort(np.concatenate([default_grid(), [0.75, 100.25]]))
+    tracemalloc.start()
+    try:
+        mask = grid_on_element(geo, SIDE, grid, DEFAULT_CONTEXT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one (503, 1024, 3) offset array alone is 11.8 MiB
+    dists = np.linalg.norm(grid[:, None, None] * unit_vector(SIDE) - geo.positions, axis=-1)
+    assert np.array_equal(mask, np.any(dists < 1e-9, axis=1))
+    assert np.count_nonzero(mask) == 2

@@ -242,10 +242,10 @@ def test_singular_radius_scales_with_wavelength():
     with pytest.raises(FieldSingularity):
         array_field(geo, np.ones(8), point.to_cartesian(), ctx)
     with pytest.raises(ValueError, match="singular"):
-        upsilon_power(geo, point, ctx)
+        upsilon_power(geo, point.r, point.direction, ctx)
     with pytest.raises(ValueError, match="singular"):
-        gamma_uniform_power(geo, point, ctx)
-    assert upsilon_power(geo, point) > 0.0  # outside it at wavelength 1
+        gamma_uniform_power(geo, point.r, point.direction, ctx)
+    assert upsilon_power(geo, point.r, point.direction) > 0.0  # outside it at wavelength 1
 
 
 # ---------------------------------------------------------------------------

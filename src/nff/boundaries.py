@@ -29,6 +29,7 @@ refined to 1e-6 relative.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,9 @@ DEFAULT_POINTS_PER_DECADE = 400
 #: Relative refinement tolerance of every bisected boundary value.
 REFINE_REL_TOL = 1e-6
 
-#: Radii per scan call in a search's grid pass; bounds its (block, N, 3) temporaries.
+#: Radii per scan call in a search's grid pass, which bounds its (block, N, 3)
+#: temporaries, and grid rows per ``Xi`` evaluation: 8 x 2001 float64 stays below
+#: glibc's 128 KiB mmap threshold, so those temporaries come from the heap.
 _SCAN_BLOCK = 8
 
 #: Fixed phase threshold of the ``ar`` boundary, radians.
@@ -270,11 +273,14 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(azim), s * np.sin(azim), z])
 
 
-_XI_S_GRID = np.linspace(-1.0, 1.0, 2001)
+#: Projections ``s`` onto the array axis, antisymmetric bit for bit (``s[::-1] == -s``).
+_XI_S_GRID = np.concatenate([-np.linspace(0.0, 1.0, 1001)[:0:-1], np.linspace(0.0, 1.0, 1001)])
 _XI_SPHERE = _fibonacci_sphere(20001)
 
 
-def _xi_gap(r: float, t: np.ndarray, n2: np.ndarray | float, k: float) -> np.ndarray:
+def _xi_gap(
+    r: float | np.ndarray, t: np.ndarray, n2: np.ndarray | float, k: float
+) -> np.ndarray:
     """``|exp(-jkd)/d - exp(-jk(r-t))/r|``, ``t = a.r_n``, ``n2 = |r_n|^2``, ``d = |ra - r_n|``.
 
     Squared, it is ``((r-d)/(r d))^2 + 4 sin^2(k delta/2)/(r d)``, with ``r - d``
@@ -289,30 +295,92 @@ def _xi_gap(r: float, t: np.ndarray, n2: np.ndarray | float, k: float) -> np.nda
     return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)
 
 
-def _xi_collinear(y: np.ndarray, r: float, k: float) -> float:
-    """Worst-case mismatch over the sphere, reduced to 1-D.
+def _xi_row_peaks(
+    r: np.ndarray, a: np.ndarray, k: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum, first and last argmax of each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
+    s = _XI_S_GRID
+    peak = np.empty(r.size)
+    first = np.empty(r.size, dtype=int)
+    last = np.empty(r.size, dtype=int)
+    for i in range(0, r.size, _SCAN_BLOCK):
+        rows = slice(i, i + _SCAN_BLOCK)
+        ai = a[rows, None]
+        g = _xi_gap(r[rows, None], ai * s, ai * ai, k)
+        peak[rows] = np.max(g, axis=1)
+        first[rows] = np.argmax(g, axis=1)
+        last[rows] = s.size - 1 - np.argmax(g[:, ::-1], axis=1)
+    return peak, first, last
 
-    For collinear elements both distances depend on the sphere direction
-    only through its projection ``s`` onto the array axis, so the inner
-    maximization runs over ``s`` in [-1, 1]: a dense grid pass, then for
-    each leading element repeated 21-point re-gridding of the cell around
-    its peak until the cell is narrower than 1e-9.
+
+def _xi_row_bound(r: np.ndarray, a: np.ndarray, k: float) -> np.ndarray:
+    """Upper bound of ``gap(r, a s)`` over ``s`` in [-1, 1], for ``0 <= a < r``."""
+    m = r - a
+    rm = r * m
+    return np.sqrt((a / rm) ** 2 + 4.0 * np.minimum(1.0, (k * a * a / (4.0 * m)) ** 2) / rm)
+
+
+def _xi_collinear(y: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
+    """Worst-case mismatch over the sphere at each radius of ``r``, reduced to 1-D.
+
+    For collinear elements at signed axis offsets ``y`` both distances
+    depend on the sphere direction only through its projection ``s`` onto
+    the array axis (``t = s y``), so the inner maximization runs over ``s``
+    in [-1, 1]: a pass over the grid ``_XI_S_GRID``, then, for each leading
+    element (grid peak at least 0.999 of the best), repeated 21-point
+    re-gridding of the cell around its peak until the cell is narrower than
+    1e-9.  The result equals that full pass over every element bit for bit;
+    three things make it cheaper.
+
+    *Mirror fold.*  The grid is antisymmetric bit for bit, so
+    ``(-y) s_j == y s_{-j}`` and an element at ``-y`` sees the row of ``+y``
+    reversed: rows are evaluated once per distinct ``|y|``, and the first
+    argmax of a reversed row is the row's last argmax, mirrored.
+
+    *Row bound.*  Let ``m = r - |y| > 0``.  Then ``d >= m``,
+    ``|r - d| <= |y|`` and ``0 <= delta = (y^2 - t^2)/(d + r - t) <=
+    y^2/(2m)``, so ``gap^2 <= y^2/(r m)^2 + 4 min(1, (k y^2/(4m))^2)/(r m)``
+    (:func:`_xi_row_bound`).  The largest-``|y|`` row is evaluated at every
+    radius; any other row whose bound, widened by 1e-9 for rounding, stays
+    below 0.999 of that row's peak stays below 0.999 of the best, so it can
+    neither hold the maximum nor enter the leading set, and is skipped.
+
+    *Blocks.*  Rows are evaluated ``_SCAN_BLOCK`` at a time, so every grid
+    temporary stays below glibc's 128 KiB mmap threshold, and the
+    re-gridding steps of all leading ``(radius, element)`` pairs run
+    together; a pair stops once its cell is narrower than 1e-9, so it sees
+    the same cells as it would alone.
     """
     s = _XI_S_GRID
-    g = _xi_gap(r, np.outer(y, s), (y * y)[:, None], k)
-    best = float(g.max())
-    if best == 0.0:
-        return best
-    per_element = g.max(axis=1)
-    for n in np.nonzero(per_element >= 0.999 * best)[0]:
-        j = int(np.argmax(g[n]))
-        lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
-        while hi - lo >= 1e-9:
-            cell = np.linspace(lo, hi, 21)
-            gc = _xi_gap(r, y[n] * cell, y[n] * y[n], k)
-            i = int(np.argmax(gc))
-            best = max(best, float(gc[i]))
-            lo, hi = cell[max(i - 1, 0)], cell[min(i + 1, 20)]
+    end = s.size - 1
+    ys = np.unique(y)  # equal offsets have equal rows and refinements
+    a, row = np.unique(np.abs(ys), return_inverse=True)
+    top = a.size - 1
+    peak = np.full((r.size, a.size), -np.inf)
+    first = np.zeros(peak.shape, dtype=int)
+    last = np.zeros(peak.shape, dtype=int)
+    # the widest row at every radius, then the rows whose bound can reach 0.999 of its peak
+    peak[:, top], first[:, top], last[:, top] = _xi_row_peaks(r, np.full(r.size, a[top]), k)
+    keep = _xi_row_bound(r[:, None], a, k) * (1.0 + 1e-9) >= 0.999 * peak[:, top, None]
+    keep[:, top] = False
+    ib, ia = np.nonzero(keep)
+    peak[ib, ia], first[ib, ia], last[ib, ia] = _xi_row_peaks(r[ib], a[ia], k)
+    best = np.max(peak, axis=1)
+
+    # leading (radius, element) pairs; an element at y < 0 reads its row reversed
+    ib, ie = np.nonzero((peak[:, row] >= 0.999 * best[:, None]) & (best[:, None] > 0.0))
+    j = np.where(ys[ie] < 0.0, end - last[ib, row[ie]], first[ib, row[ie]])
+    lo, hi = s[np.maximum(j - 1, 0)], s[np.minimum(j + 1, end)]
+    rp, yp = r[ib, None], ys[ie, None]
+    live = np.nonzero(hi - lo >= 1e-9)[0]
+    while live.size:
+        cell = np.linspace(lo[live], hi[live], 21, axis=1)
+        gc = _xi_gap(rp[live], yp[live] * cell, yp[live] * yp[live], k)
+        i = np.argmax(gc, axis=1)
+        at = np.arange(live.size)
+        np.maximum.at(best, ib[live], gc[at, i])
+        lo[live], hi[live] = cell[at, np.maximum(i - 1, 0)], cell[at, np.minimum(i + 1, 20)]
+        live = live[hi[live] - lo[live] >= 1e-9]
     return best
 
 
@@ -323,33 +391,36 @@ def _xi_sphere(positions: np.ndarray, r: float, k: float) -> float:
 
 def xi_worst_mismatch(
     geometry: ArrayGeometry,
-    r: float,
+    r: float | np.ndarray,
     ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float:
-    """Worst-case single-element spherical-wave mismatch at radius ``r``.
+) -> float | np.ndarray:
+    """Worst-case single-element spherical-wave mismatch at a radius, or an array of radii.
 
     ``Xi(r) = max_n max_{|a|=1} | exp(-jk|ra - r_n|)/|ra - r_n|
     - exp(-jk(r - a.r_n))/r |`` - the largest absolute error, over all
     observation directions and elements, of replacing an element's
     spherical wave by its far-field phase/amplitude approximation.
-    Direction-independent by construction.  Units: one over length.
+    Direction-independent by construction.  Units: one over length.  The
+    result has the shape of ``r``; a block and its radii one at a time
+    agree bit for bit.
 
     Raises
     ------
     ValueError
-        If ``r`` does not exceed the largest element offset (the exact
-        wave would be singular on the sphere of radius ``r``).
+        If a radius does not exceed the largest element offset (the exact
+        wave would be singular on the sphere of that radius).
     """
+    r = np.asarray(r, dtype=float)
     max_offset = float(np.max(np.linalg.norm(geometry.positions, axis=1)))
-    if r <= max_offset:
+    if np.any(r <= max_offset):
         raise ValueError(
-            f"xi needs r > max element offset ({max_offset:.6g}), got r = {r!r}"
+            f"xi needs r > max element offset ({max_offset:.6g}), got r = {float(np.min(r))!r}"
         )
     k = ctx.wavenumber
     reduced = _collinear_offsets(geometry)
     if reduced is not None:
-        return _xi_collinear(reduced[1], r, k)
-    return _xi_sphere(geometry.positions, r, k)
+        return _xi_collinear(reduced[1], r.ravel(), k).reshape(r.shape)[()]
+    return np.array([_xi_sphere(geometry.positions, x, k) for x in r.flat]).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +434,12 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
         return default_grid(lo, hi, points_per_decade)
     except ValueError as exc:
         raise ValueError(f"bad search bracket ({lo!r}, {hi!r}): {exc}") from exc
+
+
+def _scan_grid(scan: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """``scan`` over ``grid``, called on blocks of ``_SCAN_BLOCK`` radii."""
+    blocks = range(0, grid.size, _SCAN_BLOCK)
+    return np.concatenate([scan(grid[i : i + _SCAN_BLOCK]) for i in blocks])
 
 
 def _refine_crossing(
@@ -441,9 +518,7 @@ def find_crossing(
     ``not-found``.  Found values are bisection-refined to 1e-6 relative.
     """
     grid = _log_grid(bracket[0], bracket[1], points_per_decade)
-    blocks = range(0, grid.size, _SCAN_BLOCK)
-    vals = np.concatenate([scan(grid[i : i + _SCAN_BLOCK]) for i in blocks])
-    return _search_values(grid, vals, scan, threshold, mode)
+    return _search_values(grid, _scan_grid(scan, grid), scan, threshold, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +532,10 @@ def quasi_rayleigh(span: float, ctx: WaveContext = DEFAULT_CONTEXT) -> float:
     return 2.0 * span * span / ctx.wavelength
 
 
-_ENVELOPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+#: ``Xi`` samples of the most recent search grids, least recently used first;
+#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.
+_ENVELOPE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_ENVELOPE_CACHE_SIZE = 4
 
 
 def _xi_scan_samples(
@@ -466,7 +544,7 @@ def _xi_scan_samples(
     bracket: tuple[float, float],
     points_per_decade: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``Xi`` samples on the search grid, cached per geometry."""
+    """Raw ``Xi`` samples on the search grid, read-only and cached per geometry."""
     max_offset = float(np.max(np.linalg.norm(geometry.positions, axis=1)))
     lo = max(bracket[0], max_offset * (1.0 + 1e-6))
     hi = bracket[1]
@@ -477,12 +555,15 @@ def _xi_scan_samples(
         hi,
         points_per_decade,
     )
-    cached = _ENVELOPE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if key in _ENVELOPE_CACHE:
+        _ENVELOPE_CACHE.move_to_end(key)
+        return _ENVELOPE_CACHE[key]
     grid = _log_grid(lo, hi, points_per_decade)
-    vals = np.array([xi_worst_mismatch(geometry, float(r), ctx) for r in grid])
+    vals = _scan_grid(lambda r: xi_worst_mismatch(geometry, r, ctx), grid)
+    grid.flags.writeable = vals.flags.writeable = False
     _ENVELOPE_CACHE[key] = (grid, vals)
+    if len(_ENVELOPE_CACHE) > _ENVELOPE_CACHE_SIZE:
+        _ENVELOPE_CACHE.popitem(last=False)
     return grid, vals
 
 

@@ -121,7 +121,7 @@ def far_field_from_sample(
     scale = max(float(np.linalg.norm(f_e)), float(np.linalg.norm(f_h)))
     discrepancy = 0.0 if scale == 0.0 else float(np.linalg.norm(f_e - f_h)) / scale
     tol = 10.0 / (k * r_ff)
-    if discrepancy > tol:
+    if not discrepancy <= tol:  # a NaN from overflowing sample values fails too
         raise InconsistentFarField(
             f"E-based and H-based angular distributions disagree by {discrepancy:.3e} "
             f"relative (tolerance {tol:.3e}); the sample is not a consistent far field"

@@ -262,7 +262,10 @@ def default_grid(
     ratio = hi / lo
     if not math.isfinite(ratio):
         raise ValueError(f"grid span hi / lo = {ratio!r} is not finite")
-    n = max(int(round(math.log10(ratio) * points_per_decade)) + 1, 2)
+    try:
+        n = max(int(round(math.log10(ratio) * points_per_decade)) + 1, 2)
+    except OverflowError:  # no float holds points_per_decade, so no finite span fits
+        n = math.inf
     if n > MAX_GRID_POINTS:
         raise ValueError(f"the grid would have {n} points, more than the limit {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, n)

@@ -1,6 +1,7 @@
 """Boundary evaluators and the shared threshold-crossing search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,104 @@ def test_xi_large_radius_asymptote(geo):
     r = 1e6
     n2 = float(np.max(np.sum(geo.positions**2, axis=1)))
     assert xi_worst_mismatch(geo, r) == pytest.approx(K * n2 / (2.0 * r * r), rel=1e-8, abs=0.0)
+
+
+def _xi_full_grid(y, r, k):
+    """Per-element full-grid Xi pass with per-element peak refinement, one radius."""
+    s = boundaries._XI_S_GRID
+    g = boundaries._xi_gap(r, np.outer(y, s), (y * y)[:, None], k)
+    best = float(g.max())
+    if best == 0.0:
+        return best
+    per_element = g.max(axis=1)
+    for n in np.nonzero(per_element >= 0.999 * best)[0]:
+        j = int(np.argmax(g[n]))
+        lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
+        while hi - lo >= 1e-9:
+            cell = np.linspace(lo, hi, 21)
+            gc = boundaries._xi_gap(r, y[n] * cell, y[n] * y[n], k)
+            i = int(np.argmax(gc))
+            best = max(best, float(gc[i]))
+            lo, hi = cell[max(i - 1, 0)], cell[min(i + 1, 20)]
+    return best
+
+
+def test_xi_grid_is_antisymmetric():
+    s = boundaries._XI_S_GRID
+    assert s.size == 2001 and s[0] == -1.0 and s[1000] == 0.0 and s[-1] == 1.0
+    assert np.array_equal(s, -s[::-1])
+
+
+def test_xi_collinear_matches_full_grid_and_row_bound_holds():
+    rng = np.random.default_rng(2026)
+    for case in range(36):
+        if case % 3 == 0:  # uniform linear arrays, N = 1..128
+            n = int(rng.integers(1, 129))
+            y = (np.arange(n) - (n - 1) / 2) * rng.uniform(0.1, 1.0)
+        elif case % 3 == 1:  # asymmetric sets
+            y = rng.uniform(-5.0, 5.0, int(rng.integers(1, 40)))
+        else:  # duplicated |y| and an element at 0
+            base = rng.uniform(0.0, 4.0, int(rng.integers(1, 10)))
+            y = rng.permutation(np.concatenate([base, -base[: base.size // 2], base[:2], [0.0]]))
+        k = rng.uniform(0.5, 20.0)
+        lo = max(float(np.max(np.abs(y))) * (1.0 + 1e-6), 1e-3)
+        r = np.exp(rng.uniform(math.log(lo), math.log(1e6), 6))
+        r[0] = lo
+        got = boundaries._xi_collinear(y, r, k)
+        assert np.array_equal(got, [_xi_full_grid(y, float(x), k) for x in r]), case
+        a = np.unique(np.abs(y))
+        rr, aa = (m.ravel() for m in np.meshgrid(r, a))
+        peak, _, _ = boundaries._xi_row_peaks(rr, aa, k)
+        assert np.all(boundaries._xi_row_bound(rr, aa, k) >= peak), case
+
+
+def test_xi_block_matches_single_radii():
+    n64 = uniform_linear_array(64, 0.5)
+    for geo, r in [
+        (N1, np.geomspace(1e-3, 1e6, 9)),
+        (N8, np.geomspace(1.75 * (1.0 + 1e-6), 1e6, 17)),
+        (n64, np.geomspace(16.0, 1e5, 12).reshape(3, 4)),
+        (SQUARE, np.array([[0.8, 1.5], [3.0, 40.0]])),
+    ]:
+        block = xi_worst_mismatch(geo, r)
+        assert block.shape == r.shape
+        assert np.array_equal(block, np.vectorize(lambda x: xi_worst_mismatch(geo, x))(r))
+
+
+def test_xi_rejects_a_block_inside_the_array():
+    with pytest.raises(ValueError, match="max element offset"):
+        xi_worst_mismatch(N8, np.array([10.0, 1.75, 100.0]))
+    with pytest.raises(ValueError, match="max element offset"):
+        xi_worst_mismatch(SQUARE, np.array([[2.0, 0.5]]))
+
+
+def test_xi_block_needs_no_full_grid_temporaries():
+    geo = uniform_linear_array(64, 0.5)
+    r = np.geomspace(16.0, 1e6, boundaries._SCAN_BLOCK)
+    xi_worst_mismatch(geo, r)
+    tracemalloc.start()
+    try:
+        xi_worst_mismatch(geo, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (64, 2001) float64 row set alone is 1 MiB
+    assert peak < 2 * 2**20
+
+
+def test_xi_scan_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(boundaries, "_ENVELOPE_CACHE", type(boundaries._ENVELOPE_CACHE)())
+    size = boundaries._ENVELOPE_CACHE_SIZE
+    geos = [uniform_linear_array(2, 0.1 * (i + 1)) for i in range(size + 2)]
+    scan = lambda geo: boundaries._xi_scan_samples(geo, DEFAULT_CONTEXT, (1.0, 10.0), 100)
+    results = [scan(geo)[1] for geo in geos[:size]]
+    assert scan(geos[0])[1] is results[0]  # a hit, now the most recently used entry
+    for geo in geos[size:]:
+        scan(geo)
+    assert len(boundaries._ENVELOPE_CACHE) == size
+    assert scan(geos[0])[1] is results[0]
+    assert scan(geos[1])[1] is not results[1]  # least recently used: evicted, scanned again
+    assert not results[0].flags.writeable
 
 
 def test_d_wc_is_direction_independent():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nff
+import nff.boundaries as boundaries
 from nff import (
     DEFAULT_CONTEXT,
     FRONT,
@@ -458,8 +459,9 @@ def test_cli_error_paths(tmp_path, capsys):
             "1,0,0,0,0,1,0,0,0,1,0,0,0\n",
             "validate-trace",
         ),
+        ("ppd.cfg", f"n = 8\nspacing_lambda = 0.5\ngrid_ppd = {'1' * 400}\n", "sweep"),
     ],
-    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf", "ff_f_nan"],
+    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf", "ff_f_nan", "grid_ppd_huge"],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     path = str(_write(tmp_path, name, text))
@@ -531,6 +533,27 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "5 rows" in proc.stdout
+
+
+def test_reproduction_matches_a_fresh_process(tmp_path):
+    """fig4 from a fresh interpreter equals an in-process run with an empty Xi cache."""
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nff", "reproduce", "--figure", "fig4", "--out", str(fresh)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        boundaries._ENVELOPE_CACHE.clear()
+        assert main(["reproduce", "--figure", "fig4", "--out", str(here)]) == 0
+        _, err = proc.communicate(timeout=600)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    names = sorted(p.name for p in here.glob("*.csv"))
+    assert len(names) == 19 and names == sorted(p.name for p in fresh.glob("*.csv"))
+    for name in names:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def test_package_version():

@@ -197,6 +197,8 @@ def test_default_grid_point_limit():
     assert default_grid(1.0, 10.0, MAX_GRID_POINTS - 1).size == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="limit"):
         default_grid(1.0, 10.0, MAX_GRID_POINTS)  # one point over
+    with pytest.raises(ValueError, match="more than the limit"):
+        default_grid(0.1, 1e4, int("1" * 400))  # too large for any float
 
 
 def test_grid_on_element_needs_no_full_temporaries():

@@ -252,30 +252,11 @@ def upsilon_power(
 # worst-case element mismatch
 
 
-def _collinear_offsets(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray] | None:
-    """Axis and signed offsets if the elements lie on one line, else None."""
-    pos = geometry.positions
-    _, sv, vt = np.linalg.svd(pos, full_matrices=False)
-    axis = vt[0]
-    y = pos @ axis
-    resid = float(np.linalg.norm(pos - np.outer(y, axis)))
-    if resid <= 1e-12 * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0):
-        return axis, y
-    return None
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Near-uniform unit-sphere sample, shape ``(n, 3)``."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    azim = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([s * np.cos(azim), s * np.sin(azim), z])
-
-
-#: Projections ``s`` onto the array axis, antisymmetric bit for bit (``s[::-1] == -s``).
+#: Direction projections ``s = a.r_n / |r_n|`` scanned per element.  These are the
+#: values every ``Xi`` result is pinned to, so the grid keeps its construction from a
+#: half grid and its negation (``s[::-1] == -s`` bit for bit); any other way to
+#: make the same 2001 points rounds differently and moves results.
 _XI_S_GRID = np.concatenate([-np.linspace(0.0, 1.0, 1001)[:0:-1], np.linspace(0.0, 1.0, 1001)])
-_XI_SPHERE = _fibonacci_sphere(20001)
 
 
 def _xi_gap(
@@ -295,22 +276,18 @@ def _xi_gap(
     return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)
 
 
-def _xi_row_peaks(
-    r: np.ndarray, a: np.ndarray, k: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum, first and last argmax of each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
+def _xi_row_peaks(r: np.ndarray, a: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum and its first index in each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
     s = _XI_S_GRID
     peak = np.empty(r.size)
-    first = np.empty(r.size, dtype=int)
-    last = np.empty(r.size, dtype=int)
+    arg = np.empty(r.size, dtype=int)
     for i in range(0, r.size, _SCAN_BLOCK):
         rows = slice(i, i + _SCAN_BLOCK)
         ai = a[rows, None]
         g = _xi_gap(r[rows, None], ai * s, ai * ai, k)
         peak[rows] = np.max(g, axis=1)
-        first[rows] = np.argmax(g, axis=1)
-        last[rows] = s.size - 1 - np.argmax(g[:, ::-1], axis=1)
-    return peak, first, last
+        arg[rows] = np.argmax(g, axis=1)
+    return peak, arg
 
 
 def _xi_row_bound(r: np.ndarray, a: np.ndarray, k: float) -> np.ndarray:
@@ -320,27 +297,21 @@ def _xi_row_bound(r: np.ndarray, a: np.ndarray, k: float) -> np.ndarray:
     return np.sqrt((a / rm) ** 2 + 4.0 * np.minimum(1.0, (k * a * a / (4.0 * m)) ** 2) / rm)
 
 
-def _xi_collinear(y: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
-    """Worst-case mismatch over the sphere at each radius of ``r``, reduced to 1-D.
+def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
+    """Worst-case mismatch over the sphere at each radius of ``r``, from offsets ``a >= 0``.
 
-    For collinear elements at signed axis offsets ``y`` both distances
-    depend on the sphere direction only through its projection ``s`` onto
-    the array axis (``t = s y``), so the inner maximization runs over ``s``
-    in [-1, 1]: a pass over the grid ``_XI_S_GRID``, then, for each leading
-    element (grid peak at least 0.999 of the best), repeated 21-point
-    re-gridding of the cell around its peak until the cell is narrower than
-    1e-9.  The result equals that full pass over every element bit for bit;
-    three things make it cheaper.
+    Element ``n`` at offset ``a = |r_n|`` sees a sphere direction only through
+    ``t = s a`` with ``s`` in [-1, 1], so the inner maximization is a pass
+    over the grid ``_XI_S_GRID``, then, for each leading element (grid peak
+    at least 0.999 of the best), repeated 21-point re-gridding of the cell
+    around its peak until the cell is narrower than 1e-9.  The result equals
+    that full pass over every element bit for bit; two things make it
+    cheaper.
 
-    *Mirror fold.*  The grid is antisymmetric bit for bit, so
-    ``(-y) s_j == y s_{-j}`` and an element at ``-y`` sees the row of ``+y``
-    reversed: rows are evaluated once per distinct ``|y|``, and the first
-    argmax of a reversed row is the row's last argmax, mirrored.
-
-    *Row bound.*  Let ``m = r - |y| > 0``.  Then ``d >= m``,
-    ``|r - d| <= |y|`` and ``0 <= delta = (y^2 - t^2)/(d + r - t) <=
-    y^2/(2m)``, so ``gap^2 <= y^2/(r m)^2 + 4 min(1, (k y^2/(4m))^2)/(r m)``
-    (:func:`_xi_row_bound`).  The largest-``|y|`` row is evaluated at every
+    *Row bound.*  Let ``m = r - a > 0``.  Then ``d >= m``,
+    ``|r - d| <= a`` and ``0 <= delta = (a^2 - t^2)/(d + r - t) <=
+    a^2/(2m)``, so ``gap^2 <= a^2/(r m)^2 + 4 min(1, (k a^2/(4m))^2)/(r m)``
+    (:func:`_xi_row_bound`).  The largest-``a`` row is evaluated at every
     radius; any other row whose bound, widened by 1e-9 for rounding, stays
     below 0.999 of that row's peak stays below 0.999 of the best, so it can
     neither hold the maximum nor enter the leading set, and is skipped.
@@ -353,40 +324,33 @@ def _xi_collinear(y: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     """
     s = _XI_S_GRID
     end = s.size - 1
-    ys = np.unique(y)  # equal offsets have equal rows and refinements
-    a, row = np.unique(np.abs(ys), return_inverse=True)
+    a = np.unique(a)  # equal offsets have equal rows and refinements
     top = a.size - 1
     peak = np.full((r.size, a.size), -np.inf)
-    first = np.zeros(peak.shape, dtype=int)
-    last = np.zeros(peak.shape, dtype=int)
+    arg = np.zeros(peak.shape, dtype=int)
     # the widest row at every radius, then the rows whose bound can reach 0.999 of its peak
-    peak[:, top], first[:, top], last[:, top] = _xi_row_peaks(r, np.full(r.size, a[top]), k)
+    peak[:, top], arg[:, top] = _xi_row_peaks(r, np.full(r.size, a[top]), k)
     keep = _xi_row_bound(r[:, None], a, k) * (1.0 + 1e-9) >= 0.999 * peak[:, top, None]
     keep[:, top] = False
     ib, ia = np.nonzero(keep)
-    peak[ib, ia], first[ib, ia], last[ib, ia] = _xi_row_peaks(r[ib], a[ia], k)
+    peak[ib, ia], arg[ib, ia] = _xi_row_peaks(r[ib], a[ia], k)
     best = np.max(peak, axis=1)
 
-    # leading (radius, element) pairs; an element at y < 0 reads its row reversed
-    ib, ie = np.nonzero((peak[:, row] >= 0.999 * best[:, None]) & (best[:, None] > 0.0))
-    j = np.where(ys[ie] < 0.0, end - last[ib, row[ie]], first[ib, row[ie]])
+    # leading (radius, element) pairs
+    ib, ia = np.nonzero((peak >= 0.999 * best[:, None]) & (best[:, None] > 0.0))
+    j = arg[ib, ia]
     lo, hi = s[np.maximum(j - 1, 0)], s[np.minimum(j + 1, end)]
-    rp, yp = r[ib, None], ys[ie, None]
+    rp, ap = r[ib, None], a[ia, None]
     live = np.nonzero(hi - lo >= 1e-9)[0]
     while live.size:
         cell = np.linspace(lo[live], hi[live], 21, axis=1)
-        gc = _xi_gap(rp[live], yp[live] * cell, yp[live] * yp[live], k)
+        gc = _xi_gap(rp[live], ap[live] * cell, ap[live] * ap[live], k)
         i = np.argmax(gc, axis=1)
         at = np.arange(live.size)
         np.maximum.at(best, ib[live], gc[at, i])
         lo[live], hi[live] = cell[at, np.maximum(i - 1, 0)], cell[at, np.minimum(i + 1, 20)]
         live = live[hi[live] - lo[live] >= 1e-9]
     return best
-
-
-def _xi_sphere(positions: np.ndarray, r: float, k: float) -> float:
-    """Brute-force worst-case mismatch over a dense unit-sphere sample."""
-    return max(float(_xi_gap(r, _XI_SPHERE @ pos, pos @ pos, k).max()) for pos in positions)
 
 
 def xi_worst_mismatch(
@@ -404,23 +368,27 @@ def xi_worst_mismatch(
     result has the shape of ``r``; a block and its radii one at a time
     agree bit for bit.
 
+    The maximum is exact for every geometry: ``|ra - r_n|^2 = r^2 - 2r a.r_n
+    + |r_n|^2``, so element ``n``'s gap depends on ``a`` only through
+    ``t = a.r_n``, which covers exactly ``[-|r_n|, |r_n|]`` over the unit
+    sphere; ``Xi`` is a 1-D scan over the offsets ``|r_n|``.
+
     Raises
     ------
     ValueError
-        If a radius does not exceed the largest element offset (the exact
-        wave would be singular on the sphere of that radius).
+        If a radius is not finite or does not exceed the largest element
+        offset (the exact wave would be singular on the sphere of that radius).
     """
     r = np.asarray(r, dtype=float)
-    max_offset = float(np.max(np.linalg.norm(geometry.positions, axis=1)))
-    if np.any(r <= max_offset):
+    offsets = np.linalg.norm(geometry.positions, axis=1)
+    max_offset = float(np.max(offsets))
+    ok = (r > max_offset) & np.isfinite(r)
+    if not np.all(ok):
         raise ValueError(
-            f"xi needs r > max element offset ({max_offset:.6g}), got r = {float(np.min(r))!r}"
+            f"xi needs finite r > max element offset ({max_offset:.6g}), "
+            f"got r = {float(r[~ok][0])!r}"
         )
-    k = ctx.wavenumber
-    reduced = _collinear_offsets(geometry)
-    if reduced is not None:
-        return _xi_collinear(reduced[1], r.ravel(), k).reshape(r.shape)[()]
-    return np.array([_xi_sphere(geometry.positions, x, k) for x in r.flat]).reshape(r.shape)[()]
+    return _xi_offsets(offsets, r.ravel(), ctx.wavenumber).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------

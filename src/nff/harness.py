@@ -324,12 +324,15 @@ class FieldTrace:
             raise TraceFormatError("far-field sample values must be finite")
         if r_ff <= 0.0:
             raise TraceFormatError("far-field sample radius must be positive")
-        poynting = np.real(np.cross(e, np.conj(h)))
-        norm = float(np.linalg.norm(poynting))
-        if norm == 0.0:
-            raise TraceFormatError("far-field sample carries no power flow")
-        rhat = poynting / norm
-        f_e, discrepancy = far_field_from_sample(e, h, rhat, r_ff, self.ctx)
+        # values near the float limit overflow to inf and NaN here, which the
+        # E/H check of far_field_from_sample rejects as InconsistentFarField
+        with np.errstate(over="ignore", invalid="ignore"):
+            poynting = np.real(np.cross(e, np.conj(h)))
+            norm = float(np.linalg.norm(poynting))
+            if norm == 0.0:
+                raise TraceFormatError("far-field sample carries no power flow")
+            rhat = poynting / norm
+            f_e, discrepancy = far_field_from_sample(e, h, rhat, r_ff, self.ctx)
         f_e.flags.writeable = False
         object.__setattr__(self, "f", f_e)
         object.__setattr__(self, "eh_discrepancy", discrepancy)

@@ -34,10 +34,14 @@ from nff import (
 K = DEFAULT_CONTEXT.wavenumber
 N8 = uniform_linear_array(8, 0.5)
 N1 = uniform_linear_array(1, 0.5)
-#: 2x2 planar array: not collinear, so Xi takes the sphere scan
+#: 2x2 planar array, not collinear
 SQUARE = ArrayGeometry(
     tuple(DipoleElement(np.array([x, y, 0.0])) for x in (-0.5, 0.5) for y in (-0.5, 0.5))
 )
+
+
+def _geometry(points):
+    return ArrayGeometry(tuple(DipoleElement(p) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,37 @@ def test_xi_sphere_scan_matches_oracle():
     for r in (1.2, 2.0, 3.0):
         got = xi_worst_mismatch(SQUARE, r)
         assert got == pytest.approx(_xi_sphere_oracle(SQUARE.positions, r, K), rel=1e-4)
+    # a random non-collinear 3-D set: close to the array the dense sample undershoots
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1.0, 1.0, (7, 3))
+    geo = _geometry(points - points.mean(axis=0))
+    reach = float(np.max(np.linalg.norm(geo.positions, axis=1)))
+    got = xi_worst_mismatch(geo, 1.01 * reach)
+    assert got >= _xi_sphere_oracle(geo.positions, 1.01 * reach, K) * (1.0 - 1e-9)
+    for r in (1.5 * reach, 2.0 * reach, 3.0 * reach):
+        got = xi_worst_mismatch(geo, r)
+        assert got == pytest.approx(_xi_sphere_oracle(geo.positions, r, K), rel=1e-4)
+
+
+def test_xi_depends_only_on_element_offset_norms():
+    ula = uniform_linear_array(8, 0.5).positions
+    # 3-4-5 and 1-2-2 triples scaled by powers of two have exact norms 0.625 and 0.75
+    moved = np.array([[0.375, 0.5, 0.0], [0.25, 0.5, 0.5]])
+    moved_again = np.array([[0.0, 0.0, 0.625], [0.5, -0.25, 0.5]])
+    families = [
+        [ula, ula[:, [1, 0, 2]], ula[:, [2, 0, 1]], -ula],
+        [SQUARE.positions, SQUARE.positions[:, [2, 0, 1]], SQUARE.positions * [1, -1, -1]],
+        [np.vstack([moved, -moved]), np.vstack([moved_again, -moved_again])],
+    ]
+    for family in families:
+        geos = [_geometry(points) for points in family]
+        norms = np.sort(np.linalg.norm(geos[0].positions, axis=1))
+        reach = float(norms[-1])
+        r = reach * np.array([1.0 + 1e-6, 1.01, 1.2, 2.0, 10.0, 1e3, 1e6])
+        want = xi_worst_mismatch(geos[0], r)
+        for geo in geos[1:]:
+            assert np.array_equal(np.sort(np.linalg.norm(geo.positions, axis=1)), norms)
+            assert np.array_equal(xi_worst_mismatch(geo, r), want)
 
 
 @pytest.mark.parametrize("geo", [N8, SQUARE], ids=["ula8", "square"])
@@ -392,11 +427,11 @@ def test_xi_collinear_matches_full_grid_and_row_bound_holds():
         lo = max(float(np.max(np.abs(y))) * (1.0 + 1e-6), 1e-3)
         r = np.exp(rng.uniform(math.log(lo), math.log(1e6), 6))
         r[0] = lo
-        got = boundaries._xi_collinear(y, r, k)
-        assert np.array_equal(got, [_xi_full_grid(y, float(x), k) for x in r]), case
+        got = boundaries._xi_offsets(np.abs(y), r, k)
+        assert np.array_equal(got, [_xi_full_grid(np.abs(y), float(x), k) for x in r]), case
         a = np.unique(np.abs(y))
         rr, aa = (m.ravel() for m in np.meshgrid(r, a))
-        peak, _, _ = boundaries._xi_row_peaks(rr, aa, k)
+        peak, _ = boundaries._xi_row_peaks(rr, aa, k)
         assert np.all(boundaries._xi_row_bound(rr, aa, k) >= peak), case
 
 
@@ -418,6 +453,11 @@ def test_xi_rejects_a_block_inside_the_array():
         xi_worst_mismatch(N8, np.array([10.0, 1.75, 100.0]))
     with pytest.raises(ValueError, match="max element offset"):
         xi_worst_mismatch(SQUARE, np.array([[2.0, 0.5]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="max element offset"):
+            xi_worst_mismatch(N8, np.array([10.0, bad, 100.0]))
+        with pytest.raises(ValueError, match="max element offset"):
+            xi_worst_mismatch(SQUARE, bad)
 
 
 def test_xi_block_needs_no_full_grid_temporaries():

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_CONTEXT, Direction, SphericalPoint, WaveContext, unit_vector
+from .core import DEFAULT_CONTEXT, Direction, WaveContext, unit_vector
 from .sources import ArrayGeometry
 
 #: Default sampling radius, wavelengths: near-field residuals are
@@ -39,8 +39,9 @@ class InconsistentFarField(ValueError):
 class AngularFieldDistribution:
     """The angular field distribution f for one direction.
 
-    ``f`` is transversal: its component along the propagation direction
-    must vanish (to within :data:`TRANSVERSALITY_TOL` of its norm).
+    ``f`` has shape ``(..., 3)``, one row per weight vector.  Each row is
+    transversal: its component along the propagation direction must
+    vanish (to within :data:`TRANSVERSALITY_TOL` of the row's norm).
     ``eh_discrepancy`` records the relative E/H cross-check residual when
     the distribution was recovered from sampled fields.
     """
@@ -50,17 +51,17 @@ class AngularFieldDistribution:
     eh_discrepancy: float | None = None
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.f, dtype=complex).reshape(3)
+        f = np.array(self.f, dtype=complex)
         f.flags.writeable = False
         object.__setattr__(self, "f", f)
-        norm = float(np.linalg.norm(f))
-        if norm > 0.0:
-            radial = abs(unit_vector(self.direction) @ f)
-            if radial > TRANSVERSALITY_TOL * norm:
-                raise ValueError(
-                    f"angular distribution is not transversal: |rhat.f| = {radial:.3e}, "
-                    f"||f|| = {norm:.3e}"
-                )
+        norm = np.linalg.norm(f, axis=-1).reshape(-1)
+        radial = np.abs(f @ unit_vector(self.direction)).reshape(-1)
+        bad = np.flatnonzero(radial > TRANSVERSALITY_TOL * norm)
+        if bad.size:
+            raise ValueError(
+                f"angular distribution is not transversal: |rhat.f| = {radial[bad[0]]:.3e}, "
+                f"||f|| = {norm[bad[0]]:.3e}"
+            )
 
 
 def analytic_angular_distribution(
@@ -71,7 +72,8 @@ def analytic_angular_distribution(
 ) -> AngularFieldDistribution:
     """Exact f of a weighted dipole array in a given direction.
 
-    Each z-oriented element contributes
+    Weights ``(..., N)`` give ``f`` of shape ``(..., 3)``.  Each z-oriented
+    element contributes
     ``f_elem = sqrt(Z0) * j*k*Il/(4*pi) * (cos_loc * rhat - u)`` with
     ``cos_loc = u . rhat``; element offsets enter through the array-factor
     phase ``exp(+j k rhat . r_n)``.
@@ -81,7 +83,7 @@ def analytic_angular_distribution(
     AngularFieldDistribution
     """
     k = ctx.wavenumber
-    w = np.asarray(weights, dtype=complex).reshape(geometry.n)
+    w = np.asarray(weights, dtype=complex)
     rhat = unit_vector(direction)
     u = geometry.orientations
     cos_loc = u @ rhat
@@ -89,7 +91,7 @@ def analytic_angular_distribution(
         math.sqrt(ctx.impedance) * 1j * k / (4.0 * math.pi)
     )
     phases = np.exp(1j * k * (geometry.positions @ rhat))
-    f = (w * phases) @ f_elem
+    f = ((w * phases)[..., None, :] @ f_elem)[..., 0, :]
     return AngularFieldDistribution(direction, f)
 
 
@@ -107,7 +109,8 @@ def far_field_from_sample(
     ``f_H = sqrt(Z0) * r * exp(+jkr) * (H x rhat)``.  The two estimates
     must agree within ``10 / (k * r_ff)`` relative, otherwise the sampling
     radius is not in the far field (or the sample is corrupt) and
-    :class:`InconsistentFarField` is raised.
+    :class:`InconsistentFarField` is raised, as it is when ``k r_ff``, a
+    scaled field or a norm overflows float64.
     """
     k = ctx.wavenumber
     e = np.asarray(e, dtype=complex).reshape(3)
@@ -121,7 +124,12 @@ def far_field_from_sample(
     scale = max(float(np.linalg.norm(f_e)), float(np.linalg.norm(f_h)))
     discrepancy = 0.0 if scale == 0.0 else float(np.linalg.norm(f_e - f_h)) / scale
     tol = 10.0 / (k * r_ff)
-    if not discrepancy <= tol:  # a NaN from overflowing sample values fails too
+    if not (math.isfinite(discrepancy) and tol > 0.0):
+        raise InconsistentFarField(
+            f"the far-field sample at r = {r_ff:.6g} overflows float64 (or is not "
+            "finite), so its E/H check cannot run"
+        )
+    if discrepancy > tol:
         raise InconsistentFarField(
             f"E-based and H-based angular distributions disagree by {discrepancy:.3e} "
             f"relative (tolerance {tol:.3e}); the sample is not a consistent far field"
@@ -171,29 +179,32 @@ def sample_angular_distribution(
 
 def auxiliary_fields(
     distribution: AngularFieldDistribution,
-    point: SphericalPoint,
+    r: float | np.ndarray,
     ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Far-field approximation ``(E_FF, H_FF)`` at a radius.
+    """Far-field approximation ``(E_FF, H_FF)`` at radii ``r``, shape ``(...)``.
+
+    The direction is the distribution's own; its rows broadcast with ``r``.
 
     Returns
     -------
     (E_FF, H_FF) : tuple of numpy.ndarray
-        Outgoing spherical-wave fields; ``|E_FF| = Z0 * |H_FF|`` and both
-        are perpendicular to the propagation direction.
+        Outgoing spherical-wave fields, shape ``(..., 3)``;
+        ``|E_FF| = Z0 * |H_FF|`` and both are perpendicular to the
+        propagation direction.
 
     Raises
     ------
     ValueError
-        At ``r = 0``, where the spherical wave is singular.
+        At ``r <= 0``, where the spherical wave is singular.
     """
-    r = point.r
-    if r <= 0.0:
-        raise ValueError("auxiliary far fields are undefined at r = 0")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("auxiliary far fields are undefined at r <= 0")
     k = ctx.wavenumber
-    rhat = unit_vector(point.direction)
+    rhat = unit_vector(distribution.direction)
     sqrt_z0 = math.sqrt(ctx.impedance)
-    wave = np.exp(-1j * k * r) / r
+    wave = (np.exp(-1j * k * r) / r)[..., None]
     e_ff = sqrt_z0 * distribution.f * wave
     h_ff = np.cross(rhat, distribution.f) * (wave / sqrt_z0)
     return e_ff, h_ff

@@ -36,7 +36,9 @@ from .core import (
     cartesian_to_spherical,
     unit_vector,
 )
-from .farfield import AngularFieldDistribution, TRANSVERSALITY_TOL, far_field_from_sample
+from .farfield import (
+    AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
+)
 from .metric import (
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
@@ -48,6 +50,7 @@ from .metric import (
     ErrorCurve,
     default_grid,
     error_sweep,
+    field_mismatch,
     grid_on_element,
 )
 from .sources import uniform_linear_array
@@ -324,8 +327,8 @@ class FieldTrace:
             raise TraceFormatError("far-field sample values must be finite")
         if r_ff <= 0.0:
             raise TraceFormatError("far-field sample radius must be positive")
-        # values near the float limit overflow to inf and NaN here, which the
-        # E/H check of far_field_from_sample rejects as InconsistentFarField
+        # values near the float limit overflow to inf and NaN here, which
+        # far_field_from_sample rejects as an overflowing sample
         with np.errstate(over="ignore", invalid="ignore"):
             poynting = np.real(np.cross(e, np.conj(h)))
             norm = float(np.linalg.norm(poynting))
@@ -454,43 +457,22 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True, eq=False)
-class TraceScenario:
-    """Adapter presenting an imported trace as a sweep scenario.
-
-    Fields exist only at the recorded radii; the angular distribution is
-    the trace's own far-field record, fixed at capture time.
-    """
-
-    trace: FieldTrace
-    ctx: WaveContext = DEFAULT_CONTEXT
-    source_kind: str = "imported-trace"
-    excitation: str = "as-captured"
-
-    def fields(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = float(np.linalg.norm(np.asarray(point, dtype=float)))
-        idx = int(np.searchsorted(self.trace.r, r))
-        for i in (idx - 1, idx):
-            if 0 <= i < self.trace.r.size and math.isclose(
-                self.trace.r[i], r, rel_tol=1e-12, abs_tol=0.0
-            ):
-                return self.trace.e[i], self.trace.h[i]
-        raise ValueError(f"trace has no sample at r = {r!r}")
-
-    def angular_distribution(self, direction: Direction, r: float) -> AngularFieldDistribution:
-        return AngularFieldDistribution(direction, self.trace.f)
-
-
 def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> ErrorCurve:
-    """Approximation-error curve of a trace at its own radii."""
+    """Approximation-error curve of a trace at its own radii.
+
+    The captured fields are compared, row by row, with the spherical wave
+    of the trace's own far-field record, fixed at capture time.
+    """
     if direction is None:
         direction = trace.direction
     if direction is None:
         raise ValueError(
             "trace carries no direction (ff_f record): pass one explicitly"
         )
-    scenario = TraceScenario(trace, trace.ctx)
-    return error_sweep(scenario, direction, trace.r)
+    dist = AngularFieldDistribution(direction, trace.f)
+    e_ff, h_ff = auxiliary_fields(dist, trace.r, trace.ctx)
+    eps = field_mismatch(trace.e, trace.h, e_ff, h_ff, trace.ctx.impedance)
+    return ErrorCurve(trace.r, eps, direction, "as-captured", "imported-trace")
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +489,12 @@ class SweepResult:
 
 
 def build_scenario(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT):
-    """Materialize the field scenario described by a config."""
-    if config.source == "dipole-ula":
-        geometry = uniform_linear_array(config.n, config.spacing or 0.0)
-        excitation = config.excitation
-        if config.n == 1 and excitation == EXCITATION_STEER:
-            excitation = EXCITATION_NONE  # steering a single element is a no-op
-        return DipoleArrayScenario(geometry, excitation, config.direction, ctx)
-    trace = import_trace(config.trace_path, ctx)
-    return TraceScenario(trace, ctx)
+    """Materialize the dipole-array scenario described by a config."""
+    geometry = uniform_linear_array(config.n, config.spacing or 0.0)
+    excitation = config.excitation
+    if config.n == 1 and excitation == EXCITATION_STEER:
+        excitation = EXCITATION_NONE  # steering a single element is a no-op
+    return DipoleArrayScenario(geometry, excitation, config.direction, ctx)
 
 
 def run_sweep(
@@ -525,11 +504,11 @@ def run_sweep(
     search_points_per_decade: int | None = None,
 ) -> SweepResult:
     """Run the sweep (and boundary searches) described by a config."""
-    scenario = build_scenario(config, ctx)
     if config.source == "imported-trace":
-        direction = scenario.trace.direction or config.direction
-        curve = trace_error_curve(scenario.trace, direction)
+        trace = import_trace(config.trace_path, ctx)
+        curve = trace_error_curve(trace, trace.direction or config.direction)
         return SweepResult(curve, (), config)
+    scenario = build_scenario(config, ctx)
     grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
     curve = error_sweep(scenario, config.direction, grid)
     results = []

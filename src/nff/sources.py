@@ -162,31 +162,31 @@ def uniform_linear_array(
 def _element_fields(
     positions: np.ndarray,
     orientations: np.ndarray,
-    point: np.ndarray,
+    points: np.ndarray,
     ctx: WaveContext,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element dipole fields at one point; shapes ``(N, 3)``."""
+    """Per-element dipole fields at points ``(..., 3)``; shapes ``(..., N, 3)``."""
     k = ctx.wavenumber
     z0 = ctx.impedance
-    rvec = point[None, :] - positions
-    dist = np.linalg.norm(rvec, axis=1)
+    rvec = points[..., None, :] - positions
+    dist = np.linalg.norm(rvec, axis=-1)
     if np.any(on_element(dist, ctx)):
         raise FieldSingularity(
             f"field evaluation within {SINGULARITY_RADIUS} wavelengths of an element"
         )
-    rhat = rvec / dist[:, None]
-    cos_loc = np.sum(orientations * rhat, axis=1)
+    rhat = rvec / dist[..., None]
+    cos_loc = np.sum(orientations * rhat, axis=-1)
     kr = k * dist
     phase = np.exp(-1j * kr)
     near = 1.0 + 1.0 / (1j * kr)
 
     h_amp = phase * (1j * k / (4.0 * math.pi * dist)) * near
-    h = h_amp[:, None] * np.cross(orientations, rhat)
+    h = h_amp[..., None] * np.cross(orientations, rhat)
 
     e_rad = z0 / (2.0 * math.pi * dist**2) * near * cos_loc
     e_pol = 1j * z0 * k / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
-    e = phase[:, None] * (
-        e_rad[:, None] * rhat + e_pol[:, None] * (cos_loc[:, None] * rhat - orientations)
+    e = phase[..., None] * (
+        e_rad[..., None] * rhat + e_pol[..., None] * (cos_loc[..., None] * rhat - orientations)
     )
     return e, h
 
@@ -211,7 +211,7 @@ def dipole_field(
 def array_field(
     geometry: ArrayGeometry,
     weights: np.ndarray,
-    point: np.ndarray,
+    points: np.ndarray,
     ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Superposed array fields ``E = sum_n w_n E_n``, ``H = sum_n w_n H_n``.
@@ -220,19 +220,22 @@ def array_field(
     ----------
     geometry : ArrayGeometry
     weights : numpy.ndarray
-        Complex excitation weights, shape ``(N,)``.
-    point : numpy.ndarray
-        Cartesian observation point, shape ``(3,)``.
+        Complex excitation weights, shape ``(..., N)``; leading axes
+        broadcast against those of ``points``.
+    points : numpy.ndarray
+        Cartesian observation points, shape ``(..., 3)``.
 
     Returns
     -------
     (E, H) : tuple of numpy.ndarray
-        Complex field 3-vectors.
+        Complex field vectors, shape ``(..., 3)``.
     """
-    w = np.asarray(weights, dtype=complex).reshape(geometry.n)
-    p = np.asarray(point, dtype=float).reshape(3)
-    e, h = _element_fields(geometry.positions, geometry.orientations, p, ctx)
-    return w @ e, w @ h
+    e, h = _element_fields(
+        geometry.positions, geometry.orientations, np.asarray(points, dtype=float), ctx
+    )
+    # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
+    w = np.asarray(weights, dtype=complex)[..., None, :]
+    return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
 
 
 def ff_precoder(
@@ -255,14 +258,14 @@ def nf_precoder(
     focus: np.ndarray,
     ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> np.ndarray:
-    """Beamfocusing weights ``w_n = exp(+j k |focus - r_n|)`` for a point.
+    """Beamfocusing weights ``w_n = exp(+j k |focus - r_n|)``, shape ``(..., N)``.
 
-    Aligns the element phases at a specific cartesian focus point; every
-    weight has unit modulus.
+    Aligns the element phases at each cartesian focus point ``(..., 3)``;
+    every weight has unit modulus.
     """
     k = ctx.wavenumber
-    p = np.asarray(focus, dtype=float).reshape(3)
-    dist = np.linalg.norm(p[None, :] - geometry.positions, axis=1)
+    p = np.asarray(focus, dtype=float)
+    dist = np.linalg.norm(p[..., None, :] - geometry.positions, axis=-1)
     if np.any(on_element(dist, ctx)):
         raise FieldSingularity("focus coincides with an element position")
     return np.exp(1j * k * dist)

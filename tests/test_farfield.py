@@ -11,7 +11,6 @@ from nff import (
     AngularFieldDistribution,
     Direction,
     InconsistentFarField,
-    SphericalPoint,
     analytic_angular_distribution,
     array_field,
     auxiliary_fields,
@@ -74,7 +73,7 @@ def test_sampled_f_exact_for_pure_far_field():
         dist0 = AngularFieldDistribution(d, f)
 
         def provider(p, dist0=dist0):
-            return auxiliary_fields(dist0, cartesian_to_spherical(p))
+            return auxiliary_fields(dist0, cartesian_to_spherical(p).r)
 
         got = sample_angular_distribution(provider, d, r_ff=5e5)
         # accuracy is phase-limited: k * r_ff * ulp ~ 3e-10
@@ -113,7 +112,7 @@ def test_auxiliary_fields_structure():
     dist = AngularFieldDistribution(d, np.array([0.0, 2.0 - 1.0j, 0.5 + 0.5j]))
     rhat = unit_vector(d)
     for r in (0.3, 7.0, 1e3):
-        e, h = auxiliary_fields(dist, SphericalPoint(r, d))
+        e, h = auxiliary_fields(dist, r)
         # impedance relation and mutual orthogonality are exact by form;
         # the unconjugated dot is the scalar triple product rhat.(f x f) = 0
         assert np.linalg.norm(e) / np.linalg.norm(h) == pytest.approx(Z0, rel=1e-12)
@@ -126,8 +125,8 @@ def test_auxiliary_fields_spherical_wave_decay():
     d = Direction(90, 45)
     dist = AngularFieldDistribution(d, np.array([1.0 - 1.0j, -1.0 + 1.0j, 0.75]))
     r = 3.7
-    e1, h1 = auxiliary_fields(dist, SphericalPoint(r, d))
-    e2, h2 = auxiliary_fields(dist, SphericalPoint(2 * r, d))
+    e1, h1 = auxiliary_fields(dist, r)
+    e2, h2 = auxiliary_fields(dist, 2 * r)
     # r * exp(+jkr) * E_FF is radius-independent
     lhs = e1 * r * np.exp(1j * K * r)
     rhs = e2 * 2 * r * np.exp(1j * K * 2 * r)
@@ -140,7 +139,7 @@ def test_auxiliary_fields_spherical_wave_decay():
 def test_auxiliary_fields_reject_origin():
     dist = AngularFieldDistribution(FRONT, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
-        auxiliary_fields(dist, SphericalPoint(0.0, FRONT))
+        auxiliary_fields(dist, 0.0)
 
 
 def test_analytic_and_sampled_epsilon_agree():
@@ -160,7 +159,7 @@ def test_analytic_and_sampled_epsilon_agree():
     rhat = unit_vector(FRONT)
     for r in np.geomspace(0.1, 1e4, 41):
         e, h = array_field(geo, w, r * rhat)
-        point = SphericalPoint(float(r), FRONT)
+        point = float(r)
         eps_a = field_mismatch(e, h, *auxiliary_fields(exact, point))
         eps_far = field_mismatch(e, h, *auxiliary_fields(far, point))
         eps_def = field_mismatch(e, h, *auxiliary_fields(default, point))

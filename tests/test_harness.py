@@ -37,7 +37,7 @@ from nff import (
     unit_vector,
 )
 from nff.cli import main
-from nff.harness import MAX_ELEMENTS
+from nff.harness import MAX_ELEMENTS, TRACE_DATA_HEADER
 
 K = DEFAULT_CONTEXT.wavenumber
 
@@ -323,16 +323,6 @@ def test_trace_schema_violations(tmp_path):
         import_trace(p)
 
 
-def test_trace_scenario_rejects_off_grid_radius():
-    grid = np.geomspace(1.0, 10.0, 5)
-    trace = _make_trace(grid)
-    from nff import TraceScenario
-
-    scenario = TraceScenario(trace)
-    with pytest.raises(ValueError, match="no sample"):
-        scenario.fields(np.array([2.345, 0.0, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # export tables
 
@@ -442,6 +432,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "no boundaries" in capsys.readouterr().err
 
 
+def _sample_trace_text(sample: str) -> str:
+    return f"# trace_version = 1\n# ff_sample = {sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12 + "\n"
+
+
 @pytest.mark.parametrize(
     "name, text, command",
     [
@@ -460,8 +454,20 @@ def test_cli_error_paths(tmp_path, capsys):
             "validate-trace",
         ),
         ("ppd.cfg", f"n = 8\nspacing_lambda = 0.5\ngrid_ppd = {'1' * 400}\n", "sweep"),
+        # k r_ff overflows
+        ("kr.csv", _sample_trace_text("1e308,1,0,0,0,0,0,0,0,1,0,0,0"), "validate-trace"),
+        # E x conj(H) overflows
+        ("eh.csv", _sample_trace_text("1,0,0,0,0,0,1e300,0,1e300,0,0,0,0"), "validate-trace"),
     ],
-    ids=["grid_hi_inf", "grid_span_overflows", "trace_version_inf", "ff_f_nan", "grid_ppd_huge"],
+    ids=[
+        "grid_hi_inf",
+        "grid_span_overflows",
+        "trace_version_inf",
+        "ff_f_nan",
+        "grid_ppd_huge",
+        "ff_sample_kr_overflows",
+        "ff_sample_power_overflows",
+    ],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     path = str(_write(tmp_path, name, text))
@@ -470,7 +476,11 @@ def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     else:
         argv = ["validate-trace", path]
     assert main(argv) == 1
-    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors
+    if name in ("kr.csv", "eh.csv"):
+        # the far-field check names the overflow instead of a NaN discrepancy
+        assert "overflow" in errors[0] and "nan" not in errors[0]
 
 
 @pytest.mark.parametrize(

@@ -40,3 +40,8 @@ def test_module_uses_every_import(path):
 def test_import_does_not_load_scipy():
     code = "import sys, nff; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_every_export_resolves_once():
+    assert len(nff.__all__) == len(set(nff.__all__))
+    assert [name for name in nff.__all__ if not hasattr(nff, name)] == []

@@ -28,6 +28,7 @@ refined to 1e-6 relative.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ from .core import (
     DEFAULT_CONTEXT,
     Direction,
     WaveContext,
+    _plane_dot,
+    _plane_offsets,
     stable_excess_path,
     unit_vector,
 )
@@ -52,10 +55,11 @@ DEFAULT_POINTS_PER_DECADE = 400
 #: Relative refinement tolerance of every bisected boundary value.
 REFINE_REL_TOL = 1e-6
 
-#: Radii per scan call in a search's grid pass, which bounds its (block, N, 3)
-#: temporaries, and grid rows per ``Xi`` evaluation: 8 x 2001 float64 stays below
-#: glibc's 128 KiB mmap threshold, so those temporaries come from the heap.
-_SCAN_BLOCK = 8
+#: Radius-element pairs per block of a criterion or ``Xi`` evaluation (``Xi`` grid
+#: rows count 2001 pairs each).  A float64 plane of 8192 pairs is 64 KiB, below
+#: glibc's 128 KiB mmap threshold, so block temporaries come from the heap and are
+#: not mapped and faulted in again on every block; 2048 or 16384 pairs were slower.
+_SCAN_PAIRS = 8192
 
 #: Fixed phase threshold of the ``ar`` boundary, radians.
 AR_THRESHOLD = math.pi / 8.0
@@ -81,7 +85,7 @@ class UndefinedProjection(ValueError):
     """Raised when the uniform-power ratio mixes projection signs."""
 
 
-class TailNotMonotone(RuntimeError):
+class TailNotMonotone(ValueError):
     """Raised when the worst-case mismatch tail fails its decay check."""
 
 
@@ -147,17 +151,41 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
+def _in_blocks(criterion):
+    """Evaluate ``criterion(geometry, r, ...)`` on blocks of ``_SCAN_PAIRS // N`` radii.
+
+    Every value is elementwise in ``r``, so a block gives each radius the same
+    bits as the radius alone, and the ``(radii, N)`` temporaries stay bounded
+    whatever the size of ``r``.
+    """
+
+    @functools.wraps(criterion)
+    def blocked(geometry: ArrayGeometry, r, *args, **kwargs):
+        step = max(1, _SCAN_PAIRS // geometry.n)
+        if np.size(r) <= step:
+            return criterion(geometry, r, *args, **kwargs)
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, step):
+            out[i : i + step] = criterion(geometry, flat[i : i + step], *args, **kwargs)
+        return out.reshape(r.shape)
+
+    return blocked
+
+
 def _element_offsets(
     geometry: ArrayGeometry, r, direction: Direction, ctx: WaveContext, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets ``r rhat - r_n``, shape ``(..., N, 3)``, and their norms ``(..., N)``."""
-    rvec = np.multiply.outer(r, unit_vector(direction))[..., None, :] - geometry.positions
-    dist = np.linalg.norm(rvec, axis=-1)
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Offsets ``r rhat - r_n`` as x, y, z planes ``(..., N)``, and their norms."""
+    point = np.multiply.outer(r, unit_vector(direction))[..., None, :]
+    planes, dist = _plane_offsets(point, geometry.positions)
     if np.any(on_element(dist, ctx)):
         raise ValueError(f"{name} is singular on an element position")
-    return rvec, dist
+    return planes, dist
 
 
+@_in_blocks
 def phi_excess(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -177,6 +205,7 @@ def phi_excess(
     return np.maximum(np.max(excess, axis=-1) * ctx.wavenumber, 0.0)[()]
 
 
+@_in_blocks
 def gamma_uniform_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -197,8 +226,8 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    rvec, dist = _element_offsets(geometry, r, direction, ctx, "gamma")
-    proj = np.sum(rvec * geometry.boresight, axis=-1)
+    planes, dist = _element_offsets(geometry, r, direction, ctx, "gamma")
+    proj = _plane_dot(planes, geometry.boresight)
     tol = 1e-9 * np.maximum(1.0, r)[..., None]
     if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
         raise UndefinedProjection(
@@ -211,6 +240,7 @@ def gamma_uniform_power(
     return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)[()]
 
 
+@_in_blocks
 def psi_gain_ratio(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -233,6 +263,7 @@ def psi_gain_ratio(
         return (np.sum(1.0 / dist, axis=-1) / den)[()]
 
 
+@_in_blocks
 def upsilon_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -244,8 +275,8 @@ def upsilon_power(
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    rvec, _ = _element_offsets(geometry, r, direction, ctx, "upsilon")
-    return (np.square(r) / geometry.n * np.sum(1.0 / np.sum(rvec**2, axis=-1), axis=-1))[()]
+    planes, _ = _element_offsets(geometry, r, direction, ctx, "upsilon")
+    return (np.square(r) / geometry.n * np.sum(1.0 / _plane_dot(planes, planes), axis=-1))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +310,11 @@ def _xi_gap(
 def _xi_row_peaks(r: np.ndarray, a: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximum and its first index in each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
     s = _XI_S_GRID
+    step = _SCAN_PAIRS // s.size
     peak = np.empty(r.size)
     arg = np.empty(r.size, dtype=int)
-    for i in range(0, r.size, _SCAN_BLOCK):
-        rows = slice(i, i + _SCAN_BLOCK)
+    for i in range(0, r.size, step):
+        rows = slice(i, i + step)
         ai = a[rows, None]
         g = _xi_gap(r[rows, None], ai * s, ai * ai, k)
         peak[rows] = np.max(g, axis=1)
@@ -316,8 +348,8 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     below 0.999 of that row's peak stays below 0.999 of the best, so it can
     neither hold the maximum nor enter the leading set, and is skipped.
 
-    *Blocks.*  Rows are evaluated ``_SCAN_BLOCK`` at a time, so every grid
-    temporary stays below glibc's 128 KiB mmap threshold, and the
+    *Blocks.*  Rows are evaluated ``_SCAN_PAIRS // 2001`` (4) at a time, so
+    every grid temporary stays below glibc's 128 KiB mmap threshold, and the
     re-gridding steps of all leading ``(radius, element)`` pairs run
     together; a pair stops once its cell is narrower than 1e-9, so it sees
     the same cells as it would alone.
@@ -353,6 +385,7 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     return best
 
 
+@_in_blocks
 def xi_worst_mismatch(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -366,7 +399,8 @@ def xi_worst_mismatch(
     spherical wave by its far-field phase/amplitude approximation.
     Direction-independent by construction.  Units: one over length.  The
     result has the shape of ``r``; a block and its radii one at a time
-    agree bit for bit.
+    agree bit for bit.  Like the criteria, it evaluates ``r`` in blocks of
+    ``_SCAN_PAIRS // N`` radii, so its temporaries do not grow with ``r``.
 
     The maximum is exact for every geometry: ``|ra - r_n|^2 = r^2 - 2r a.r_n
     + |r_n|^2``, so element ``n``'s gap depends on ``a`` only through
@@ -402,12 +436,6 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
         return default_grid(lo, hi, points_per_decade)
     except ValueError as exc:
         raise ValueError(f"bad search bracket ({lo!r}, {hi!r}): {exc}") from exc
-
-
-def _scan_grid(scan: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """``scan`` over ``grid``, called on blocks of ``_SCAN_BLOCK`` radii."""
-    blocks = range(0, grid.size, _SCAN_BLOCK)
-    return np.concatenate([scan(grid[i : i + _SCAN_BLOCK]) for i in blocks])
 
 
 def _refine_crossing(
@@ -476,8 +504,9 @@ def find_crossing(
     """Locate a threshold crossing of ``scan`` on a log grid.
 
     ``scan`` maps an array of radii to an array of values of the same
-    shape; the grid pass calls it on blocks of ``_SCAN_BLOCK`` radii and
-    the bisection on single radii.  ``mode`` selects which crossing
+    shape; the grid pass calls it once on the whole grid and the bisection
+    on single radii, so the two must agree.  The criteria bound their own
+    memory by evaluating large arrays in blocks.  ``mode`` selects which crossing
     defines the boundary:
     ``"first-below"``/``"first-above"`` return the first grid entry into
     the target side (an infimum), ``"last-above"``/``"last-below"`` the
@@ -486,7 +515,7 @@ def find_crossing(
     ``not-found``.  Found values are bisection-refined to 1e-6 relative.
     """
     grid = _log_grid(bracket[0], bracket[1], points_per_decade)
-    return _search_values(grid, _scan_grid(scan, grid), scan, threshold, mode)
+    return _search_values(grid, scan(grid), scan, threshold, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +556,7 @@ def _xi_scan_samples(
         _ENVELOPE_CACHE.move_to_end(key)
         return _ENVELOPE_CACHE[key]
     grid = _log_grid(lo, hi, points_per_decade)
-    vals = _scan_grid(lambda r: xi_worst_mismatch(geometry, r, ctx), grid)
+    vals = xi_worst_mismatch(geometry, grid, ctx)
     grid.flags.writeable = vals.flags.writeable = False
     _ENVELOPE_CACHE[key] = (grid, vals)
     if len(_ENVELOPE_CACHE) > _ENVELOPE_CACHE_SIZE:

@@ -20,7 +20,14 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import DEFAULT_CONTEXT, FREE_SPACE_IMPEDANCE, Direction, WaveContext, unit_vector
+from .core import (
+    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
+    Direction,
+    WaveContext,
+    _plane_offsets,
+    unit_vector,
+)
 from .farfield import AngularFieldDistribution, analytic_angular_distribution, auxiliary_fields
 from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
 
@@ -241,7 +248,7 @@ def grid_on_element(
     step = max(1, BLOCK_PAIRS // geometry.n)
     mask = np.empty(grid.size, dtype=bool)
     for i in range(0, grid.size, step):
-        dists = np.linalg.norm(grid[i : i + step, None, None] * rhat - geometry.positions, axis=-1)
+        _, dists = _plane_offsets(grid[i : i + step, None, None] * rhat, geometry.positions)
         mask[i : i + step] = np.any(on_element(dists, ctx), axis=1)
     return mask
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_CONTEXT, Direction, WaveContext, unit_vector
+from .core import DEFAULT_CONTEXT, Direction, WaveContext, _plane_offsets, unit_vector
 
 #: Evaluation closer to an element than this (in wavelengths) is rejected.
 SINGULARITY_RADIUS = 1e-9
@@ -265,7 +265,7 @@ def nf_precoder(
     """
     k = ctx.wavenumber
     p = np.asarray(focus, dtype=float)
-    dist = np.linalg.norm(p[..., None, :] - geometry.positions, axis=-1)
+    _, dist = _plane_offsets(p[..., None, :], geometry.positions)
     if np.any(on_element(dist, ctx)):
         raise FieldSingularity("focus coincides with an element position")
     return np.exp(1j * k * dist)

@@ -30,6 +30,7 @@ from nff import (
     upsilon_power,
     xi_worst_mismatch,
 )
+from nff.harness import MAX_ELEMENTS
 
 K = DEFAULT_CONTEXT.wavenumber
 N8 = uniform_linear_array(8, 0.5)
@@ -462,7 +463,7 @@ def test_xi_rejects_a_block_inside_the_array():
 
 def test_xi_block_needs_no_full_grid_temporaries():
     geo = uniform_linear_array(64, 0.5)
-    r = np.geomspace(16.0, 1e6, boundaries._SCAN_BLOCK)
+    r = np.geomspace(16.0, 1e6, boundaries._SCAN_PAIRS // 64)  # one block
     xi_worst_mismatch(geo, r)
     tracemalloc.start()
     try:
@@ -472,6 +473,32 @@ def test_xi_block_needs_no_full_grid_temporaries():
         tracemalloc.stop()
     # one (64, 2001) float64 row set alone is 1 MiB
     assert peak < 2 * 2**20
+
+
+def test_criteria_memory_does_not_grow_with_the_grid():
+    # at N = MAX_ELEMENTS one temporary over the whole search grid would be 118 MB;
+    # blocks of _SCAN_PAIRS // N radii hold each to one 64 KiB plane
+    geo = uniform_linear_array(MAX_ELEMENTS, 2e-7)  # inside 1e-3: Xi takes the whole grid too
+    grid = boundaries._log_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    assert grid.size == 3601
+    plane = boundaries._SCAN_PAIRS * 8
+    for scan in (
+        lambda r: phi_excess(geo, r, FRONT),
+        lambda r: gamma_uniform_power(geo, r, FRONT),
+        lambda r: psi_gain_ratio(geo, r, FRONT, FRONT),
+        lambda r: upsilon_power(geo, r, FRONT),
+        lambda r: xi_worst_mismatch(geo, r),
+    ):
+        scan(grid[:2])
+        tracemalloc.start()
+        try:
+            scan(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # psi, the widest, holds about a dozen planes at once: three offsets, the
+        # distances and complex channel terms
+        assert peak < 16 * plane
 
 
 def test_xi_scan_cache_is_bounded_lru(monkeypatch):
@@ -544,20 +571,25 @@ def test_find_last_above_oscillating_tail():
     assert res.value == pytest.approx(want, rel=1e-5)
 
 
-def test_find_crossing_scans_the_grid_in_blocks():
-    sizes = []
+def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
+    # find_crossing hands the criterion the whole grid, which it evaluates in blocks
+    # of _SCAN_PAIRS // N radii; the bisection evaluates single radii
+    offsets = boundaries._element_offsets
+    for n, bisected in ((1, False), (1024, True)):
+        sizes = []
 
-    def scan(r):
-        sizes.append(np.size(r))
-        return 1.0 / r
+        def spy(geometry, r, *args):
+            sizes.append(np.size(r))
+            return offsets(geometry, r, *args)
 
-    res = find_crossing(scan, 0.1, "first-below")
-    assert res.status == "found"
-    block = boundaries._SCAN_BLOCK
-    calls = -(-3601 // block)
-    assert sizes[: calls - 1] == [block] * (calls - 1)
-    assert sum(sizes[:calls]) == 3601
-    assert len(sizes) > calls and set(sizes[calls:]) == {1}  # bisection
+        monkeypatch.setattr(boundaries, "_element_offsets", spy)
+        res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
+        assert res.status == "found" and res.degenerate != bisected
+        block = min(boundaries._SCAN_PAIRS // n, 3601)
+        calls = -(-3601 // block)
+        assert sizes[: calls - 1] == [block] * (calls - 1)
+        assert sum(sizes[:calls]) == 3601
+        assert (len(sizes) > calls) == bisected and set(sizes[calls:]) <= {1}
 
 
 def test_find_crossing_statuses():

@@ -15,6 +15,7 @@ from nff import (
     stable_excess_path,
     unit_vector,
 )
+from nff.core import _plane_dot, _plane_offsets
 
 
 def _excess_decimal(r, rhat, r_n, digits=50):
@@ -164,3 +165,31 @@ def test_stable_excess_path_bulk_property():
     r_pair = rng.normal(size=3)
     vec = stable_excess_path(2.5, np.array([0.0, 1.0, 0.0]), np.stack([r_pair, r_pair]))
     assert vec[0] == vec[1] == stable_excess_path(2.5, np.array([0.0, 1.0, 0.0]), r_pair)
+
+
+def test_plane_offsets_match_the_length3_reductions():
+    # the per-axis planes must reproduce the (..., N, 3) reductions they replace bit
+    # for bit, or boundary values and reproduced tables would move
+    rng = np.random.default_rng(24576)
+    r_n = rng.normal(size=(64, 3)) * 10 ** rng.uniform(-1, 2, size=(64, 1))
+    for j in range(12):
+        rhat = r_n[j] / np.linalg.norm(r_n[j])
+        far = 10 ** rng.uniform(-3, 6, size=24)
+        near = np.linalg.norm(r_n[j]) + rng.uniform(-1e-6, 1e-6, size=8)  # by element j
+        r = np.concatenate([far, near])
+        point = (r[:, None] * rhat)[:, None, :]
+        rvec = point - r_n
+        planes, dist = _plane_offsets(point, r_n)
+        assert np.array_equal(np.stack(planes, axis=-1), rvec)
+        assert np.array_equal(dist, np.linalg.norm(rvec, axis=-1))
+        assert np.array_equal(_plane_dot(planes, planes), np.sum(rvec**2, axis=-1))
+        b = rng.normal(size=3)
+        assert np.array_equal(_plane_dot(planes, b), np.sum(rvec * b, axis=-1))
+
+        # stable_excess_path as written with (radii, N, 3) offsets
+        rr = r[:, None]
+        denom = np.linalg.norm(rr[..., None] * rhat - r_n, axis=-1) + rr
+        safe = np.where(denom == 0.0, 1.0, denom)
+        numer = np.sum(r_n * r_n, axis=-1) - 2.0 * rr * (r_n @ rhat)
+        want = np.where(denom == 0.0, 0.0, numer / safe)
+        assert np.array_equal(stable_excess_path(r, rhat, r_n), want)

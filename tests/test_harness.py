@@ -516,6 +516,15 @@ def test_cli_boundaries(tmp_path, capsys):
     assert lines[1].startswith("qr,,found,24.5,")
 
 
+def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys):
+    # Xi of a 1e5-wavelength pair still oscillates over the final decade of the bracket
+    cfg = _write(tmp_path, "wc.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = wc\n")
+    assert main(["boundaries", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: the worst-case mismatch is not decreasing"
+    )
+
+
 def test_cli_validate_trace(tmp_path, capsys):
     path = tmp_path / "t.csv"
     export_trace(_make_trace(np.geomspace(1.0, 10.0, 5)), path)

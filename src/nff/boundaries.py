@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import (
+    _SCAN_PAIRS,
     DEFAULT_CONTEXT,
     Direction,
     WaveContext,
@@ -54,12 +54,6 @@ DEFAULT_POINTS_PER_DECADE = 400
 
 #: Relative refinement tolerance of every bisected boundary value.
 REFINE_REL_TOL = 1e-6
-
-#: Radius-element pairs per block of a criterion or ``Xi`` evaluation (``Xi`` grid
-#: rows count 2001 pairs each).  A float64 plane of 8192 pairs is 64 KiB, below
-#: glibc's 128 KiB mmap threshold, so block temporaries come from the heap and are
-#: not mapped and faulted in again on every block; 2048 or 16384 pairs were slower.
-_SCAN_PAIRS = 8192
 
 #: Fixed phase threshold of the ``ar`` boundary, radians.
 AR_THRESHOLD = math.pi / 8.0
@@ -348,12 +342,17 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     below 0.999 of that row's peak stays below 0.999 of the best, so it can
     neither hold the maximum nor enter the leading set, and is skipped.
 
-    *Blocks.*  Rows are evaluated ``_SCAN_PAIRS // 2001`` (4) at a time, so
-    every grid temporary stays below glibc's 128 KiB mmap threshold, and the
-    re-gridding steps of all leading ``(radius, element)`` pairs run
-    together; a pair stops once its cell is narrower than 1e-9, so it sees
-    the same cells as it would alone.
+    *Blocks.*  Radii are taken ``_SCAN_PAIRS // N`` at a time (``N`` counts
+    every offset), so no temporary grows with ``r``.  Within a block, rows are
+    evaluated ``_SCAN_PAIRS // 2001`` (4) at a time, so every grid temporary
+    stays below glibc's 128 KiB mmap threshold, and the re-gridding steps of
+    all leading ``(radius, element)`` pairs run together; a pair stops once
+    its cell is narrower than 1e-9, so it sees the same cells as it would
+    alone.
     """
+    step = max(1, _SCAN_PAIRS // a.size)
+    if r.size > step:
+        return np.concatenate([_xi_offsets(a, r[i : i + step], k) for i in range(0, r.size, step)])
     s = _XI_S_GRID
     end = s.size - 1
     a = np.unique(a)  # equal offsets have equal rows and refinements
@@ -385,7 +384,6 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     return best
 
 
-@_in_blocks
 def xi_worst_mismatch(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -400,7 +398,8 @@ def xi_worst_mismatch(
     Direction-independent by construction.  Units: one over length.  The
     result has the shape of ``r``; a block and its radii one at a time
     agree bit for bit.  Like the criteria, it evaluates ``r`` in blocks of
-    ``_SCAN_PAIRS // N`` radii, so its temporaries do not grow with ``r``.
+    ``_SCAN_PAIRS // N`` radii (:func:`_xi_offsets`), so its temporaries do
+    not grow with ``r``.
 
     The maximum is exact for every geometry: ``|ra - r_n|^2 = r^2 - 2r a.r_n
     + |r_n|^2``, so element ``n``'s gap depends on ``a`` only through
@@ -529,38 +528,27 @@ def quasi_rayleigh(span: float, ctx: WaveContext = DEFAULT_CONTEXT) -> float:
     return 2.0 * span * span / ctx.wavelength
 
 
-#: ``Xi`` samples of the most recent search grids, least recently used first;
-#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.
-_ENVELOPE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_ENVELOPE_CACHE_SIZE = 4
-
-
 def _xi_scan_samples(
     geometry: ArrayGeometry,
     ctx: WaveContext,
     bracket: tuple[float, float],
     points_per_decade: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``Xi`` samples on the search grid, read-only and cached per geometry."""
-    max_offset = float(np.max(np.linalg.norm(geometry.positions, axis=1)))
-    lo = max(bracket[0], max_offset * (1.0 + 1e-6))
-    hi = bracket[1]
-    key = (
-        geometry.positions.tobytes(),
-        ctx.wavenumber,
-        lo,
-        hi,
-        points_per_decade,
-    )
-    if key in _ENVELOPE_CACHE:
-        _ENVELOPE_CACHE.move_to_end(key)
-        return _ENVELOPE_CACHE[key]
+    """Raw ``Xi`` samples on the search grid, read-only and cached per offset set."""
+    offsets = np.sort(np.linalg.norm(geometry.positions, axis=1))
+    lo = max(bracket[0], float(offsets[-1]) * (1.0 + 1e-6))
+    return _xi_grid_samples(offsets.tobytes(), ctx.wavenumber, lo, bracket[1], points_per_decade)
+
+
+#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.  The key is
+#: the sorted offsets ``|r_n|``, all that ``Xi`` depends on.
+@functools.lru_cache(maxsize=4)
+def _xi_grid_samples(
+    offsets: bytes, k: float, lo: float, hi: float, points_per_decade: int
+) -> tuple[np.ndarray, np.ndarray]:
     grid = _log_grid(lo, hi, points_per_decade)
-    vals = xi_worst_mismatch(geometry, grid, ctx)
+    vals = _xi_offsets(np.frombuffer(offsets), grid, k)
     grid.flags.writeable = vals.flags.writeable = False
-    _ENVELOPE_CACHE[key] = (grid, vals)
-    if len(_ENVELOPE_CACHE) > _ENVELOPE_CACHE_SIZE:
-        _ENVELOPE_CACHE.popitem(last=False)
     return grid, vals
 
 

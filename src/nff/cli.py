@@ -23,6 +23,7 @@ from .harness import (
     import_trace,
     load_scenario,
     reproduce_reference,
+    run_boundaries,
     run_sweep,
 )
 
@@ -72,19 +73,16 @@ def _cmd_sweep(args) -> int:
     config = load_scenario(args.config)
     if args.grid_ppd is not None:
         config = dataclasses.replace(config, grid_ppd=args.grid_ppd)
-    result = run_sweep(config)
-    export_table(result.curve, args.out)
-    print(f"wrote {len(result.curve)} points to {args.out}")
+    curve = run_sweep(config)
+    export_table(curve, args.out)
+    print(f"wrote {len(curve)} points to {args.out}")
     return EXIT_OK
 
 
 def _cmd_boundaries(args) -> int:
-    config = load_scenario(args.config)
-    if not config.boundaries:
-        raise ConfigError("the scenario lists no boundaries")
-    result = run_sweep(config, search_points_per_decade=args.grid_ppd)
-    export_table(result.boundaries, args.out)
-    print(f"wrote {len(result.boundaries)} boundaries to {args.out}")
+    pairs = run_boundaries(load_scenario(args.config), search_points_per_decade=args.grid_ppd)
+    export_table(pairs, args.out)
+    print(f"wrote {len(pairs)} boundaries to {args.out}")
     return EXIT_OK
 
 

@@ -139,6 +139,14 @@ def cartesian_to_spherical(vec: np.ndarray) -> SphericalPoint:
     return SphericalPoint(r, Direction(theta, phi))
 
 
+#: Pairs (radius-element, element-element, or ``Xi`` grid points) per block of a
+#: scan over per-axis planes; ``Xi`` grid rows count 2001 pairs each.  A float64
+#: plane of 8192 pairs is 64 KiB, below glibc's 128 KiB mmap threshold, so block
+#: temporaries come from the heap and are not mapped and faulted in again on every
+#: block; 2048 or 16384 pairs were slower.
+_SCAN_PAIRS = 8192
+
+
 def _plane_dot(u, v):
     """``u . v`` of vectors held as three per-axis planes, summed x, y, z left to right.
 

@@ -479,15 +479,6 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
 # sweeps and tables
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """An error curve plus any requested boundary evaluations."""
-
-    curve: ErrorCurve
-    boundaries: tuple[tuple[BoundarySpec, BoundaryResult], ...]
-    config: ScenarioConfig
-
-
 def build_scenario(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT):
     """Materialize the dipole-array scenario described by a config."""
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
@@ -497,29 +488,32 @@ def build_scenario(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT):
     return DipoleArrayScenario(geometry, excitation, config.direction, ctx)
 
 
-def run_sweep(
+def run_sweep(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT) -> ErrorCurve:
+    """The error curve described by a config; no boundary is searched."""
+    if config.source == "imported-trace":
+        trace = import_trace(config.trace_path, ctx)
+        return trace_error_curve(trace, trace.direction or config.direction)
+    grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
+    return error_sweep(build_scenario(config, ctx), config.direction, grid)
+
+
+def run_boundaries(
     config: ScenarioConfig,
     ctx: WaveContext = DEFAULT_CONTEXT,
     *,
     search_points_per_decade: int | None = None,
-) -> SweepResult:
-    """Run the sweep (and boundary searches) described by a config."""
-    if config.source == "imported-trace":
-        trace = import_trace(config.trace_path, ctx)
-        curve = trace_error_curve(trace, trace.direction or config.direction)
-        return SweepResult(curve, (), config)
-    scenario = build_scenario(config, ctx)
-    grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
-    curve = error_sweep(scenario, config.direction, grid)
-    results = []
-    for spec in config.boundaries:
-        kw = {}
-        if search_points_per_decade is not None:
-            kw["points_per_decade"] = search_points_per_decade
-        results.append(
-            (spec, evaluate_boundary(scenario.geometry, spec, config.direction, ctx, **kw))
-        )
-    return SweepResult(curve, tuple(results), config)
+) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
+    """The ``(spec, result)`` pairs of a config's boundary searches; no curve is swept."""
+    if not config.boundaries:
+        raise ConfigError("the scenario lists no boundaries")
+    geometry = build_scenario(config, ctx).geometry
+    kw = {}
+    if search_points_per_decade is not None:
+        kw["points_per_decade"] = search_points_per_decade
+    return tuple(
+        (spec, evaluate_boundary(geometry, spec, config.direction, ctx, **kw))
+        for spec in config.boundaries
+    )
 
 
 def _curve_lines(curve: ErrorCurve) -> list[str]:
@@ -539,18 +533,13 @@ def _boundary_lines(pairs) -> list[str]:
 
 
 def export_table(result, path: str | Path) -> None:
-    """Write an :class:`ErrorCurve`, boundary list, or sweep curve as CSV.
+    """Write an :class:`ErrorCurve` or a list of ``(spec, result)`` boundary pairs as CSV.
 
     Curves use the ``r_lambda,epsilon`` layout; boundary lists use
     ``kind,threshold,status,value_lambda,crossings``.  Numbers carry 17
     significant digits so re-imports are bit-faithful.
     """
-    if isinstance(result, SweepResult):
-        lines = _curve_lines(result.curve)
-    elif isinstance(result, ErrorCurve):
-        lines = _curve_lines(result)
-    else:
-        lines = _boundary_lines(result)
+    lines = _curve_lines(result) if isinstance(result, ErrorCurve) else _boundary_lines(result)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -558,9 +547,6 @@ def export_table(result, path: str | Path) -> None:
 # reference-figure reproduction
 
 
-_FIGURE_DIRECTIONS = (("front", DIRECTION_PRESETS["front"]),
-                      ("diagonal", DIRECTION_PRESETS["diagonal"]),
-                      ("side", DIRECTION_PRESETS["side"]))
 _FIGURE_EXCITATIONS = (("ff", EXCITATION_STEER), ("nf", EXCITATION_FOCUS))
 _FIG4_BOUNDARIES = (
     BoundarySpec("qr"),
@@ -633,13 +619,13 @@ def reproduce_reference(
         single = _curve_for(1, 0.0, DIRECTION_PRESETS["front"], EXCITATION_NONE, grid, ctx)
         emit("fig4_eps_n1_front.csv", single)
         for n, spacing, label in _FIG4_ARRAYS:
-            for dir_label, direction in _FIGURE_DIRECTIONS:
+            for dir_label, direction in DIRECTION_PRESETS.items():
                 for exc_label, excitation in _FIGURE_EXCITATIONS:
                     curve = _curve_for(n, spacing, direction, excitation, grid, ctx)
                     emit(f"fig4_eps_{label}_{dir_label}_{exc_label}.csv", curve)
         for n, spacing, label in _FIG4_ARRAYS:
             geometry = uniform_linear_array(n, spacing)
-            for dir_label, direction in _FIGURE_DIRECTIONS:
+            for dir_label, direction in DIRECTION_PRESETS.items():
                 pairs = tuple(
                     (spec, evaluate_boundary(geometry, spec, direction, ctx))
                     for spec in _FIG4_BOUNDARIES
@@ -647,7 +633,7 @@ def reproduce_reference(
                 emit(f"fig4_boundaries_{label}_{dir_label}.csv", pairs)
     else:
         for n, spacing, label in _FIG5_ARRAYS:
-            for dir_label, direction in _FIGURE_DIRECTIONS:
+            for dir_label, direction in DIRECTION_PRESETS.items():
                 for exc_label, excitation in _FIGURE_EXCITATIONS:
                     curve = _curve_for(n, spacing, direction, excitation, grid, ctx)
                     emit(f"fig5_eps_{label}_{dir_label}_{exc_label}.csv", curve)

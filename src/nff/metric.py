@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -85,7 +85,6 @@ def field_mismatch(e, h, e_ff, h_ff, z0: float = FREE_SPACE_IMPEDANCE):
     return mu
 
 
-@runtime_checkable
 class FieldScenario(Protocol):
     """Anything that can produce true fields and an angular distribution.
 
@@ -223,7 +222,7 @@ def error_sweep(
         bad = np.nonzero(grid_on_element(geometry, direction, grid, scenario.ctx))[0]
         if bad.size:
             raise ValueError(
-                f"sweep grid point r = {grid[bad[0]]!r} coincides with an element position"
+                f"sweep grid point r = {float(grid[bad[0]])!r} coincides with an element position"
             )
     rhat = unit_vector(direction)
     step = max(1, BLOCK_PAIRS // (1 if geometry is None else geometry.n))

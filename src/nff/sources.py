@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_CONTEXT, Direction, WaveContext, _plane_offsets, unit_vector
+from .core import _SCAN_PAIRS, DEFAULT_CONTEXT, Direction, WaveContext, _plane_offsets, unit_vector
 
 #: Evaluation closer to an element than this (in wavelengths) is rejected.
 SINGULARITY_RADIUS = 1e-9
@@ -41,19 +41,29 @@ def on_element(dist: np.ndarray, ctx: WaveContext) -> np.ndarray:
     return dist < SINGULARITY_RADIUS * ctx.wavelength
 
 
-def _as_unit(vec: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).reshape(3)
-    n = float(np.linalg.norm(v))
-    if n == 0.0 or not math.isfinite(n):
-        raise ValueError(f"{what} must be a nonzero finite 3-vector")
-    v = v / n
+def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.ndarray:
+    """A finite, read-only float copy of 3-vectors: ``(3,)`` or, with ``ndim == 2``, ``(N, 3)``.
+
+    With ``unit``, every 3-vector must be nonzero and is scaled to unit length.
+    """
+    v = np.array(vec, dtype=float)
+    if v.ndim != ndim or v.shape[-1] != 3 or v.size == 0:
+        want = "a 3-vector" if ndim == 1 else "an (N, 3) array with N >= 1"
+        raise ValueError(f"{what} must be {want}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    if unit:
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        if not np.all((norm > 0.0) & np.isfinite(norm)):
+            raise ValueError(f"{what} must be nonzero and of finite length")
+        v = v / norm
     v.flags.writeable = False
     return v
 
 
 @dataclass(frozen=True, eq=False)
 class DipoleElement:
-    """A single infinitesimal dipole.
+    """A single infinitesimal dipole, the argument of :func:`dipole_field`.
 
     Attributes
     ----------
@@ -67,60 +77,64 @@ class DipoleElement:
     orientation: np.ndarray = field(default_factory=lambda: _Z_HAT.copy())
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        pos.flags.writeable = False
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", _as_unit(self.orientation, "orientation"))
+        object.__setattr__(self, "position", _as_array(self.position, 1, "position"))
+        object.__setattr__(
+            self, "orientation", _as_array(self.orientation, 1, "orientation", unit=True)
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """An antenna array: element list plus a boresight normal.
+    """An antenna array: element positions and orientations plus a boresight normal.
 
-    Elements must be centered on the origin (the reference point of every
-    radial sweep).  ``spacing`` is recorded for uniform arrays and is
-    purely descriptive.
+    Attributes
+    ----------
+    positions : numpy.ndarray
+        Element locations ``(N, 3)``, wavelengths.  They must be finite and
+        centered on the origin, the reference point of every radial sweep.
+    orientations : numpy.ndarray
+        Dipole axes, one 3-vector for every element or ``(N, 3)``; stored as
+        ``(N, 3)`` unit vectors.
+    boresight : numpy.ndarray
+        Unit normal of the array (normalized at construction).
     """
 
-    elements: tuple[DipoleElement, ...]
+    positions: np.ndarray
+    orientations: np.ndarray = field(default_factory=lambda: _Z_HAT.copy())
     boresight: np.ndarray = field(default_factory=lambda: _X_HAT.copy())
-    spacing: float | None = None
 
     def __post_init__(self) -> None:
-        if len(self.elements) < 1:
-            raise ValueError("an array needs at least one element")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "boresight", _as_unit(self.boresight, "boresight"))
-        centroid = np.mean([e.position for e in self.elements], axis=0)
-        if np.linalg.norm(centroid) > 1e-12 * max(1.0, self.span):
+        pos = _as_array(self.positions, 2, "element positions")
+        u = _as_array(np.broadcast_to(self.orientations, pos.shape), 2, "orientations", unit=True)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "orientations", u)
+        object.__setattr__(self, "boresight", _as_array(self.boresight, 1, "boresight", unit=True))
+        # the same test as ``centroid > 1e-12 * max(1, span)``, but the span is read
+        # only for a centroid that is not already within 1e-12 of the origin
+        centroid = float(np.linalg.norm(np.mean(pos, axis=0)))
+        if centroid > 1e-12 and centroid > 1e-12 * self.span:
             raise ValueError(
-                "elements must be centered on the origin "
-                f"(centroid norm {np.linalg.norm(centroid):.3e})"
+                f"elements must be centered on the origin (centroid norm {centroid:.3e})"
             )
 
     @property
     def n(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Element positions stacked as shape ``(N, 3)``."""
-        out = np.array([e.position for e in self.elements], dtype=float)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def orientations(self) -> np.ndarray:
-        """Element orientations stacked as shape ``(N, 3)``."""
-        out = np.array([e.orientation for e in self.elements], dtype=float)
-        out.flags.writeable = False
-        return out
+        return len(self.positions)
 
     @cached_property
     def span(self) -> float:
-        """Largest dimension: the maximum inter-element distance."""
+        """Largest dimension: the maximum inter-element distance, computed on first read.
+
+        Rows of the pairwise distances are taken ``_SCAN_PAIRS // N`` at a time.
+        """
         pos = self.positions
-        return float(np.sqrt(max(np.max(np.sum((pos - p) ** 2, axis=1)) for p in pos)))
+        step = max(1, _SCAN_PAIRS // len(pos))
+        return float(
+            max(
+                np.max(_plane_offsets(pos[i : i + step, None, :], pos)[1])
+                for i in range(0, len(pos), step)
+            )
+        )
 
 
 def uniform_linear_array(
@@ -151,12 +165,9 @@ def uniform_linear_array(
         raise ValueError(f"spacing must be positive for n > 1, got {spacing!r}")
     if n == 1:
         spacing = 0.0
-    u = _Z_HAT if orientation is None else orientation
-    elements = tuple(
-        DipoleElement(np.array([0.0, (m - (n + 1) / 2.0) * spacing, 0.0]), u)
-        for m in range(1, n + 1)
-    )
-    return ArrayGeometry(elements, _X_HAT.copy(), spacing)
+    positions = np.zeros((n, 3))
+    positions[:, 1] = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
+    return ArrayGeometry(positions, _Z_HAT if orientation is None else orientation)
 
 
 def _element_fields(

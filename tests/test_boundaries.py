@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import nff.boundaries as boundaries
+from nff.core import _SCAN_PAIRS
 from nff import (
     DEFAULT_CONTEXT,
     FRONT,
@@ -15,7 +16,6 @@ from nff import (
     ArrayGeometry,
     BoundaryResult,
     BoundarySpec,
-    DipoleElement,
     Direction,
     TailNotMonotone,
     UndefinedProjection,
@@ -36,13 +36,7 @@ K = DEFAULT_CONTEXT.wavenumber
 N8 = uniform_linear_array(8, 0.5)
 N1 = uniform_linear_array(1, 0.5)
 #: 2x2 planar array, not collinear
-SQUARE = ArrayGeometry(
-    tuple(DipoleElement(np.array([x, y, 0.0])) for x in (-0.5, 0.5) for y in (-0.5, 0.5))
-)
-
-
-def _geometry(points):
-    return ArrayGeometry(tuple(DipoleElement(p) for p in points))
+SQUARE = ArrayGeometry([[x, y, 0.0] for x in (-0.5, 0.5) for y in (-0.5, 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,7 @@ def test_gamma_limits_and_errors():
 
 
 def test_gamma_mixed_projections_rejected():
-    geo = ArrayGeometry(
-        (
-            DipoleElement(np.array([0.5, 0.0, 0.0])),
-            DipoleElement(np.array([-0.5, 0.0, 0.0])),
-        )
-    )
+    geo = ArrayGeometry([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     with pytest.raises(UndefinedProjection):
         gamma_uniform_power(geo, 0.2, FRONT)
 
@@ -290,12 +279,7 @@ def test_criteria_reject_a_block_that_touches_an_element():
         psi_gain_ratio(N8, radii, SIDE, SIDE)
     with pytest.raises(ValueError, match="singular"):
         upsilon_power(N8, radii, SIDE)
-    geo = ArrayGeometry(
-        (
-            DipoleElement(np.array([0.5, 0.0, 0.0])),
-            DipoleElement(np.array([-0.5, 0.0, 0.0])),
-        )
-    )
+    geo = ArrayGeometry([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     with pytest.raises(UndefinedProjection):
         gamma_uniform_power(geo, np.array([5.0, 0.2, 7.0]), FRONT)
 
@@ -348,7 +332,7 @@ def test_xi_sphere_scan_matches_oracle():
     # a random non-collinear 3-D set: close to the array the dense sample undershoots
     rng = np.random.default_rng(5)
     points = rng.uniform(-1.0, 1.0, (7, 3))
-    geo = _geometry(points - points.mean(axis=0))
+    geo = ArrayGeometry(points - points.mean(axis=0))
     reach = float(np.max(np.linalg.norm(geo.positions, axis=1)))
     got = xi_worst_mismatch(geo, 1.01 * reach)
     assert got >= _xi_sphere_oracle(geo.positions, 1.01 * reach, K) * (1.0 - 1e-9)
@@ -368,7 +352,7 @@ def test_xi_depends_only_on_element_offset_norms():
         [np.vstack([moved, -moved]), np.vstack([moved_again, -moved_again])],
     ]
     for family in families:
-        geos = [_geometry(points) for points in family]
+        geos = [ArrayGeometry(points) for points in family]
         norms = np.sort(np.linalg.norm(geos[0].positions, axis=1))
         reach = float(norms[-1])
         r = reach * np.array([1.0 + 1e-6, 1.01, 1.2, 2.0, 10.0, 1e3, 1e6])
@@ -463,7 +447,7 @@ def test_xi_rejects_a_block_inside_the_array():
 
 def test_xi_block_needs_no_full_grid_temporaries():
     geo = uniform_linear_array(64, 0.5)
-    r = np.geomspace(16.0, 1e6, boundaries._SCAN_PAIRS // 64)  # one block
+    r = np.geomspace(16.0, 1e6, _SCAN_PAIRS // 64)  # one block
     xi_worst_mismatch(geo, r)
     tracemalloc.start()
     try:
@@ -481,7 +465,7 @@ def test_criteria_memory_does_not_grow_with_the_grid():
     geo = uniform_linear_array(MAX_ELEMENTS, 2e-7)  # inside 1e-3: Xi takes the whole grid too
     grid = boundaries._log_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
     assert grid.size == 3601
-    plane = boundaries._SCAN_PAIRS * 8
+    plane = _SCAN_PAIRS * 8
     for scan in (
         lambda r: phi_excess(geo, r, FRONT),
         lambda r: gamma_uniform_power(geo, r, FRONT),
@@ -501,16 +485,18 @@ def test_criteria_memory_does_not_grow_with_the_grid():
         assert peak < 16 * plane
 
 
-def test_xi_scan_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(boundaries, "_ENVELOPE_CACHE", type(boundaries._ENVELOPE_CACHE)())
-    size = boundaries._ENVELOPE_CACHE_SIZE
+def test_xi_scan_cache_is_bounded_lru():
+    cache = boundaries._xi_grid_samples
+    cache.cache_clear()
+    size = cache.cache_info().maxsize
     geos = [uniform_linear_array(2, 0.1 * (i + 1)) for i in range(size + 2)]
     scan = lambda geo: boundaries._xi_scan_samples(geo, DEFAULT_CONTEXT, (1.0, 10.0), 100)
     results = [scan(geo)[1] for geo in geos[:size]]
     assert scan(geos[0])[1] is results[0]  # a hit, now the most recently used entry
+    assert cache.cache_info().hits == 1
     for geo in geos[size:]:
         scan(geo)
-    assert len(boundaries._ENVELOPE_CACHE) == size
+    assert cache.cache_info().currsize == size
     assert scan(geos[0])[1] is results[0]
     assert scan(geos[1])[1] is not results[1]  # least recently used: evicted, scanned again
     assert not results[0].flags.writeable
@@ -585,7 +571,7 @@ def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
         monkeypatch.setattr(boundaries, "_element_offsets", spy)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
         assert res.status == "found" and res.degenerate != bisected
-        block = min(boundaries._SCAN_PAIRS // n, 3601)
+        block = min(_SCAN_PAIRS // n, 3601)
         calls = -(-3601 // block)
         assert sizes[: calls - 1] == [block] * (calls - 1)
         assert sum(sizes[:calls]) == 3601

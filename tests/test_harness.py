@@ -31,6 +31,7 @@ from nff import (
     parse_boundaries,
     parse_direction,
     reproduce_reference,
+    run_boundaries,
     run_sweep,
     trace_error_curve,
     uniform_linear_array,
@@ -155,12 +156,12 @@ def test_parse_boundaries():
 
 def test_run_sweep_single_element_matches_direct_engine(tmp_path):
     cfg = ScenarioConfig(n=1, grid_lo=0.5, grid_hi=50.0, grid_ppd=10)
-    result = run_sweep(cfg)
+    curve = run_sweep(cfg)
     # steering a single element degrades to uniform excitation
-    assert result.curve.excitation == "none"
+    assert curve.excitation == "none"
     scenario = DipoleArrayScenario(uniform_linear_array(1, 0.0))
-    want = error_sweep(scenario, FRONT, result.curve.r)
-    np.testing.assert_array_equal(result.curve.epsilon, want.epsilon)
+    want = error_sweep(scenario, FRONT, curve.r)
+    np.testing.assert_array_equal(curve.epsilon, want.epsilon)
 
 
 def test_run_sweep_is_deterministic(tmp_path):
@@ -169,18 +170,17 @@ def test_run_sweep_is_deterministic(tmp_path):
         boundaries=(BoundarySpec("qr"), BoundarySpec("ar")),
     )
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_table(run_sweep(cfg).curve, a)
-    export_table(run_sweep(cfg).curve, b)
+    export_table(run_sweep(cfg), a)
+    export_table(run_sweep(cfg), b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_sweep_evaluates_boundaries():
+def test_run_boundaries_evaluates_the_specs():
     cfg = ScenarioConfig(
         n=8, spacing=0.5, grid_lo=1.0, grid_hi=10.0, grid_ppd=5,
         boundaries=(BoundarySpec("qr"), BoundarySpec("ar")),
     )
-    result = run_sweep(cfg)
-    pairs = dict((spec.kind, res) for spec, res in result.boundaries)
+    pairs = dict((spec.kind, res) for spec, res in run_boundaries(cfg))
     assert pairs["qr"].value == 24.5
     assert pairs["ar"].status == "found"
 
@@ -525,6 +525,25 @@ def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys):
     )
 
 
+def test_cli_sweep_and_boundaries_each_do_one_job(tmp_path, capsys):
+    # wc of a 1e5-wavelength pair fails its tail check, but sweep runs no search
+    far = _write(tmp_path, "far.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = qr, wc\n")
+    assert main(["sweep", "--config", str(far), "--out", str(tmp_path / "c.csv")]) == 0
+    # the default sweep grid meets an element at r = 0.1, but boundaries sweeps no curve
+    side = _write(
+        tmp_path, "side.cfg",
+        "n = 2\nspacing_lambda = 0.2\ndirection = side\nboundaries = qr, ar\n",
+    )
+    out = tmp_path / "b.csv"
+    assert main(["boundaries", "--config", str(side), "--out", str(out)]) == 0
+    assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
+        ["qr", "", "found"], ["ar", str(np.pi / 8).rstrip("0"), "found"]
+    ]
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(side), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "sweep grid point r = 0.1 coincides" in capsys.readouterr().err
+
+
 def test_cli_validate_trace(tmp_path, capsys):
     path = tmp_path / "t.csv"
     export_trace(_make_trace(np.geomspace(1.0, 10.0, 5)), path)
@@ -562,7 +581,7 @@ def test_reproduction_matches_a_fresh_process(tmp_path):
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
-        boundaries._ENVELOPE_CACHE.clear()
+        boundaries._xi_grid_samples.cache_clear()
         assert main(["reproduce", "--figure", "fig4", "--out", str(here)]) == 0
         _, err = proc.communicate(timeout=600)
     finally:

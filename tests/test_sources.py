@@ -42,7 +42,6 @@ def test_ula_positions_and_span():
     assert geo.span == pytest.approx(3.5, rel=1e-15)
     np.testing.assert_array_equal(geo.boresight, [1.0, 0.0, 0.0])
     assert geo.n == 8
-    assert geo.spacing == 0.5
 
 
 def test_ula_single_element_is_degenerate():
@@ -56,7 +55,7 @@ def test_span_matches_pairwise_maximum():
     for n in (2, 3, 17):
         pos = rng.normal(size=(n, 3))
         pos -= pos.mean(axis=0)
-        geo = ArrayGeometry(tuple(DipoleElement(p) for p in pos))
+        geo = ArrayGeometry(pos)
         diff = geo.positions[:, None, :] - geo.positions[None, :, :]
         assert geo.span == float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
 
@@ -64,7 +63,9 @@ def test_span_matches_pairwise_maximum():
 def test_span_needs_no_pairwise_temporaries():
     tracemalloc.start()
     try:
-        uniform_linear_array(1024, 0.5)
+        geo = uniform_linear_array(1024, 0.5)
+        assert "span" not in vars(geo)  # computed on first read
+        assert geo.span == 511.5
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -88,9 +89,33 @@ def test_element_orientation_normalized():
 
 
 def test_geometry_must_be_centered():
-    els = (DipoleElement(np.array([0.0, 1.0, 0.0])), DipoleElement(np.array([0.0, 2.0, 0.0])))
     with pytest.raises(ValueError, match="centered"):
-        ArrayGeometry(els)
+        ArrayGeometry([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
+
+
+def test_geometry_holds_validated_arrays():
+    pos = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    geo = ArrayGeometry(pos, [0.0, 0.0, 3.0])
+    pos[0, 1] = 5.0  # the geometry keeps its own copy
+    np.testing.assert_array_equal(geo.positions, [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(geo.orientations, [[0.0, 0.0, 1.0]] * 2)
+    assert not (geo.positions.flags.writeable or geo.orientations.flags.writeable)
+    tilted = ArrayGeometry(geo.positions, [[0.0, 0.0, 2.0], [0.1, -0.4, 1.3]])
+    el = DipoleElement(np.zeros(3), np.array([0.1, -0.4, 1.3]))
+    np.testing.assert_array_equal(tilted.orientations[1], el.orientation)
+    for bad in ([0.0, 0.0, 0.0], np.zeros((0, 3)), [[0.0, 0.0, 1.0]]):  # shape, empty, off-center
+        with pytest.raises(ValueError):
+            ArrayGeometry(bad)
+    with pytest.raises(ValueError):
+        ArrayGeometry(geo.positions, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_geometry_rejects_non_finite_positions(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry([[0.0, bad, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        DipoleElement(np.array([bad, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +223,7 @@ def test_single_element_array_matches_dipole():
     geo = uniform_linear_array(1, 0.5)
     p = np.array([1.2, -0.7, 0.4])
     e_a, h_a = array_field(geo, np.ones(1), p)
-    e_d, h_d = dipole_field(geo.elements[0], p)
+    e_d, h_d = dipole_field(DipoleElement(geo.positions[0], geo.orientations[0]), p)
     np.testing.assert_array_equal(e_a, e_d)
     np.testing.assert_array_equal(h_a, h_d)
 

@@ -4,7 +4,7 @@ Six boundary notions are implemented, each mapping an array geometry (and,
 for most, a test-line direction) to a single radius in wavelengths:
 
 ``qr``
-    Quasi-Rayleigh distance ``2 * D^2 / wavelength`` from the largest
+    Quasi-Rayleigh distance ``2 * D^2`` (in wavelengths) from the largest
     array dimension ``D``.
 ``ar``
     First radius where the worst-case element path-length excess ``Phi``
@@ -37,9 +37,8 @@ import numpy as np
 
 from .core import (
     _SCAN_PAIRS,
-    DEFAULT_CONTEXT,
+    WAVENUMBER,
     Direction,
-    WaveContext,
     _plane_dot,
     _plane_offsets,
     stable_excess_path,
@@ -169,12 +168,12 @@ def _in_blocks(criterion):
 
 
 def _element_offsets(
-    geometry: ArrayGeometry, r, direction: Direction, ctx: WaveContext, name: str
+    geometry: ArrayGeometry, r, direction: Direction, name: str
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Offsets ``r rhat - r_n`` as x, y, z planes ``(..., N)``, and their norms."""
     point = np.multiply.outer(r, unit_vector(direction))[..., None, :]
     planes, dist = _plane_offsets(point, geometry.positions)
-    if np.any(on_element(dist, ctx)):
+    if np.any(on_element(dist)):
         raise ValueError(f"{name} is singular on an element position")
     return planes, dist
 
@@ -184,7 +183,6 @@ def phi_excess(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
     direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> float | np.ndarray:
     """Worst-case element phase excess, radians.
 
@@ -196,7 +194,7 @@ def phi_excess(
         raise ValueError("phase excess is undefined at r = 0")
     rhat = unit_vector(direction)
     excess = stable_excess_path(r, rhat, geometry.positions) + geometry.positions @ rhat
-    return np.maximum(np.max(excess, axis=-1) * ctx.wavenumber, 0.0)[()]
+    return np.maximum(np.max(excess, axis=-1) * WAVENUMBER, 0.0)[()]
 
 
 @_in_blocks
@@ -204,7 +202,6 @@ def gamma_uniform_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
     direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> float | np.ndarray:
     """Uniformity ratio of per-element projected power factors.
 
@@ -220,7 +217,7 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    planes, dist = _element_offsets(geometry, r, direction, ctx, "gamma")
+    planes, dist = _element_offsets(geometry, r, direction, "gamma")
     proj = _plane_dot(planes, geometry.boresight)
     tol = 1e-9 * np.maximum(1.0, r)[..., None]
     if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
@@ -240,7 +237,6 @@ def psi_gain_ratio(
     r: float | np.ndarray,
     direction: Direction,
     steering: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> float | np.ndarray:
     """Focusing-over-steering array gain ratio at radii along ``direction``.
 
@@ -250,9 +246,9 @@ def psi_gain_ratio(
     weights matched to ``steering``.  At least 1 by the triangle
     inequality (the focusing weights align every term).
     """
-    _, dist = _element_offsets(geometry, r, direction, ctx, "psi")
-    h = np.exp(-1j * ctx.wavenumber * dist) / dist
-    den = np.abs(np.sum(h * ff_precoder(geometry, steering, ctx), axis=-1))
+    _, dist = _element_offsets(geometry, r, direction, "psi")
+    h = np.exp(-1j * WAVENUMBER * dist) / dist
+    den = np.abs(np.sum(h * ff_precoder(geometry, steering), axis=-1))
     with np.errstate(divide="ignore"):
         return (np.sum(1.0 / dist, axis=-1) / den)[()]
 
@@ -262,14 +258,13 @@ def upsilon_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
     direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> float | np.ndarray:
     """Mean inverse-square element distance, normalized by ``1/r^2``.
 
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    planes, _ = _element_offsets(geometry, r, direction, ctx, "upsilon")
+    planes, _ = _element_offsets(geometry, r, direction, "upsilon")
     return (np.square(r) / geometry.n * np.sum(1.0 / _plane_dot(planes, planes), axis=-1))[()]
 
 
@@ -384,11 +379,7 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     return best
 
 
-def xi_worst_mismatch(
-    geometry: ArrayGeometry,
-    r: float | np.ndarray,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-) -> float | np.ndarray:
+def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float | np.ndarray:
     """Worst-case single-element spherical-wave mismatch at a radius, or an array of radii.
 
     ``Xi(r) = max_n max_{|a|=1} | exp(-jk|ra - r_n|)/|ra - r_n|
@@ -421,7 +412,7 @@ def xi_worst_mismatch(
             f"xi needs finite r > max element offset ({max_offset:.6g}), "
             f"got r = {float(r[~ok][0])!r}"
         )
-    return _xi_offsets(offsets, r.ravel(), ctx.wavenumber).reshape(r.shape)[()]
+    return _xi_offsets(offsets, r.ravel(), WAVENUMBER).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -521,40 +512,36 @@ def find_crossing(
 # boundary operations
 
 
-def quasi_rayleigh(span: float, ctx: WaveContext = DEFAULT_CONTEXT) -> float:
-    """Quasi-Rayleigh distance ``2 * span^2 / wavelength``."""
+def quasi_rayleigh(span: float) -> float:
+    """Quasi-Rayleigh distance ``2 * span^2``, span and result in wavelengths."""
     if span < 0.0:
         raise ValueError(f"span must be nonnegative, got {span!r}")
-    return 2.0 * span * span / ctx.wavelength
+    return 2.0 * span * span
 
 
 def _xi_scan_samples(
-    geometry: ArrayGeometry,
-    ctx: WaveContext,
-    bracket: tuple[float, float],
-    points_per_decade: int,
+    geometry: ArrayGeometry, bracket: tuple[float, float], points_per_decade: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw ``Xi`` samples on the search grid, read-only and cached per offset set."""
     offsets = np.sort(np.linalg.norm(geometry.positions, axis=1))
     lo = max(bracket[0], float(offsets[-1]) * (1.0 + 1e-6))
-    return _xi_grid_samples(offsets.tobytes(), ctx.wavenumber, lo, bracket[1], points_per_decade)
+    return _xi_grid_samples(offsets.tobytes(), lo, bracket[1], points_per_decade)
 
 
 #: fig4 needs one entry per geometry, shared by its six ``wc`` specs.  The key is
 #: the sorted offsets ``|r_n|``, all that ``Xi`` depends on.
 @functools.lru_cache(maxsize=4)
 def _xi_grid_samples(
-    offsets: bytes, k: float, lo: float, hi: float, points_per_decade: int
+    offsets: bytes, lo: float, hi: float, points_per_decade: int
 ) -> tuple[np.ndarray, np.ndarray]:
     grid = _log_grid(lo, hi, points_per_decade)
-    vals = _xi_offsets(np.frombuffer(offsets), grid, k)
+    vals = _xi_offsets(np.frombuffer(offsets), grid, WAVENUMBER)
     grid.flags.writeable = vals.flags.writeable = False
     return grid, vals
 
 
 def d_wc(
     geometry: ArrayGeometry,
-    ctx: WaveContext = DEFAULT_CONTEXT,
     threshold: float = DEFAULT_THRESHOLDS["wc"],
     *,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
@@ -574,7 +561,7 @@ def d_wc(
     """
     if not threshold > 0.0:
         raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    grid, vals = _xi_scan_samples(geometry, ctx, bracket, points_per_decade)
+    grid, vals = _xi_scan_samples(geometry, bracket, points_per_decade)
 
     tail = vals[grid >= grid[-1] / 10.0]
     slack = 1e-9 * np.maximum(tail[:-1], tail[1:])
@@ -589,7 +576,7 @@ def d_wc(
     def env_scan(r: float) -> float:
         # bisection stays inside one grid cell, whose upper edge holds the
         # supremum of every sample beyond r
-        return max(xi_worst_mismatch(geometry, r, ctx), float(envelope[np.searchsorted(grid, r)]))
+        return max(xi_worst_mismatch(geometry, r), float(envelope[np.searchsorted(grid, r)]))
 
     return _search_values(
         grid, envelope, env_scan, threshold * WC_THRESHOLD_SCALE, "first-below"
@@ -597,11 +584,11 @@ def d_wc(
 
 
 #: Scanned criterion and crossing mode of each searched boundary kind; a
-#: criterion takes ``(geometry, r, direction, ctx)``.
+#: criterion takes ``(geometry, r, direction)``.
 _SCANS = {
     "ar": (phi_excess, "first-below"),
     "up": (gamma_uniform_power, "first-above"),
-    "en": (lambda geo, r, d, ctx: psi_gain_ratio(geo, r, d, d, ctx), "last-above"),
+    "en": (lambda geo, r, d: psi_gain_ratio(geo, r, d, d), "last-above"),
     "ep": (upsilon_power, "last-below"),
 }
 
@@ -610,24 +597,23 @@ def evaluate_boundary(
     geometry: ArrayGeometry,
     spec: BoundarySpec,
     direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
     *,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
     if spec.kind == "qr":
-        value = quasi_rayleigh(geometry.span, ctx)
+        value = quasi_rayleigh(geometry.span)
         return BoundaryResult(
             STATUS_FOUND, value, (0.0, math.inf), 0, degenerate=geometry.span == 0.0
         )
     if spec.kind == "wc":
         return d_wc(
-            geometry, ctx, spec.threshold, bracket=bracket, points_per_decade=points_per_decade
+            geometry, spec.threshold, bracket=bracket, points_per_decade=points_per_decade
         )
     criterion, mode = _SCANS[spec.kind]
 
     def scan(r):
-        return criterion(geometry, r, direction, ctx)
+        return criterion(geometry, r, direction)
 
     return find_crossing(scan, spec.threshold, mode, bracket, points_per_decade)

@@ -103,7 +103,7 @@ def _cmd_validate_trace(args) -> int:
     where = (
         f"theta={direction.theta_deg:g} deg, phi={direction.phi_deg:g} deg"
         if direction is not None
-        else "unspecified (ff_f record)"
+        else "unspecified (ff_f record without # direction)"
     )
     check = (
         f"{trace.eh_discrepancy:.3e}" if trace.eh_discrepancy is not None else "n/a"

@@ -1,10 +1,9 @@
 """Coordinate conventions, wave constants, and stable geometric primitives.
 
-Every length, given or reported, is in the units of ``ctx.wavelength``;
-nothing is divided by the wavelength.  At the default ``wavelength == 1``
-of :class:`WaveContext`, which every command-line path uses, lengths are
-therefore in wavelengths.  Angles cross the public API in degrees and are
-converted to radians exactly once, here.
+Every length, given or reported, is in wavelengths, and the medium is free
+space: the wavenumber is :data:`WAVENUMBER` (``2*pi`` per wavelength) and
+the wave impedance :data:`FREE_SPACE_IMPEDANCE`.  Angles cross the public
+API in degrees and are converted to radians exactly once, here.
 """
 
 from __future__ import annotations
@@ -17,44 +16,8 @@ import numpy as np
 #: Free-space wave impedance, ohms.
 FREE_SPACE_IMPEDANCE = 376.730313668
 
-
-@dataclass(frozen=True)
-class WaveContext:
-    """Wavelength, wavenumber and impedance shared by all field math.
-
-    Every element is a unit-strength dipole; the excitation weights carry
-    any amplitude.
-
-    Parameters
-    ----------
-    wavelength : float
-        Operating wavelength, in the same length units as every position
-        and radius.  The default is 1, which makes those units wavelengths.
-    impedance : float
-        Wave impedance of the propagation medium, ohms.
-    """
-
-    wavelength: float = 1.0
-    impedance: float = FREE_SPACE_IMPEDANCE
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(
-                f"wavelength must be positive and finite, got {self.wavelength!r}"
-            )
-        if not (math.isfinite(self.impedance) and self.impedance > 0.0):
-            raise ValueError(
-                f"impedance must be positive and finite, got {self.impedance!r}"
-            )
-
-    @property
-    def wavenumber(self) -> float:
-        """Free-space wavenumber ``k = 2*pi / wavelength``."""
-        return 2.0 * math.pi / self.wavelength
-
-
-#: Shared default context (unit wavelength, free-space impedance).
-DEFAULT_CONTEXT = WaveContext()
+#: Wavenumber ``k = 2*pi / wavelength`` in radians per wavelength, the unit of every length.
+WAVENUMBER = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_CONTEXT, Direction, WaveContext, unit_vector
+from .core import FREE_SPACE_IMPEDANCE, WAVENUMBER, Direction, unit_vector
 from .sources import ArrayGeometry
 
 #: Default sampling radius, wavelengths: near-field residuals are
@@ -68,7 +68,6 @@ def analytic_angular_distribution(
     geometry: ArrayGeometry,
     weights: np.ndarray,
     direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> AngularFieldDistribution:
     """Exact f of a weighted dipole array in a given direction.
 
@@ -82,13 +81,13 @@ def analytic_angular_distribution(
     -------
     AngularFieldDistribution
     """
-    k = ctx.wavenumber
+    k = WAVENUMBER
     w = np.asarray(weights, dtype=complex)
     rhat = unit_vector(direction)
     u = geometry.orientations
     cos_loc = u @ rhat
     f_elem = (cos_loc[:, None] * rhat[None, :] - u) * (
-        math.sqrt(ctx.impedance) * 1j * k / (4.0 * math.pi)
+        math.sqrt(FREE_SPACE_IMPEDANCE) * 1j * k / (4.0 * math.pi)
     )
     phases = np.exp(1j * k * (geometry.positions @ rhat))
     f = ((w * phases)[..., None, :] @ f_elem)[..., 0, :]
@@ -96,11 +95,7 @@ def analytic_angular_distribution(
 
 
 def far_field_from_sample(
-    e: np.ndarray,
-    h: np.ndarray,
-    rhat: np.ndarray,
-    r_ff: float,
-    ctx: WaveContext,
+    e: np.ndarray, h: np.ndarray, rhat: np.ndarray, r_ff: float
 ) -> tuple[np.ndarray, float]:
     """E-based estimate of f from one far-zone sample, and the E/H residual.
 
@@ -112,11 +107,11 @@ def far_field_from_sample(
     :class:`InconsistentFarField` is raised, as it is when ``k r_ff``, a
     scaled field or a norm overflows float64.
     """
-    k = ctx.wavenumber
+    k = WAVENUMBER
     e = np.asarray(e, dtype=complex).reshape(3)
     h = np.asarray(h, dtype=complex).reshape(3)
     back = r_ff * np.exp(1j * k * r_ff)
-    sqrt_z0 = math.sqrt(ctx.impedance)
+    sqrt_z0 = math.sqrt(FREE_SPACE_IMPEDANCE)
     f_e = e * back / sqrt_z0
     f_e = f_e - rhat * (rhat @ f_e)  # drop the residual near-field radial part
     f_h = sqrt_z0 * back * np.cross(h, rhat)
@@ -140,8 +135,7 @@ def far_field_from_sample(
 def sample_angular_distribution(
     field_provider: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     direction: Direction,
-    r_ff: float | None = None,
-    ctx: WaveContext = DEFAULT_CONTEXT,
+    r_ff: float = DEFAULT_SAMPLING_RADIUS,
 ) -> AngularFieldDistribution:
     """Recover f by sampling fields at a single large radius.
 
@@ -155,7 +149,7 @@ def sample_angular_distribution(
         Sampling direction.
     r_ff : float, optional
         Sampling radius in wavelengths; defaults to
-        :data:`DEFAULT_SAMPLING_RADIUS` times the wavelength.
+        :data:`DEFAULT_SAMPLING_RADIUS`.
 
     Returns
     -------
@@ -167,20 +161,17 @@ def sample_angular_distribution(
     InconsistentFarField
         If the E-based and H-based estimates disagree beyond tolerance.
     """
-    if r_ff is None:
-        r_ff = DEFAULT_SAMPLING_RADIUS * ctx.wavelength
     if r_ff <= 0.0:
         raise ValueError(f"sampling radius must be positive, got {r_ff!r}")
     rhat = unit_vector(direction)
     e, h = field_provider(r_ff * rhat)
-    f, discrepancy = far_field_from_sample(e, h, rhat, r_ff, ctx)
+    f, discrepancy = far_field_from_sample(e, h, rhat, r_ff)
     return AngularFieldDistribution(direction, f, eh_discrepancy=discrepancy)
 
 
 def auxiliary_fields(
     distribution: AngularFieldDistribution,
     r: float | np.ndarray,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Far-field approximation ``(E_FF, H_FF)`` at radii ``r``, shape ``(...)``.
 
@@ -201,10 +192,9 @@ def auxiliary_fields(
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("auxiliary far fields are undefined at r <= 0")
-    k = ctx.wavenumber
     rhat = unit_vector(distribution.direction)
-    sqrt_z0 = math.sqrt(ctx.impedance)
-    wave = (np.exp(-1j * k * r) / r)[..., None]
+    sqrt_z0 = math.sqrt(FREE_SPACE_IMPEDANCE)
+    wave = (np.exp(-1j * WAVENUMBER * r) / r)[..., None]
     e_ff = sqrt_z0 * distribution.f * wave
     h_ff = np.cross(rhat, distribution.f) * (wave / sqrt_z0)
     return e_ff, h_ff

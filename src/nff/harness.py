@@ -13,10 +13,11 @@ Scenario files are flat ``key = value`` text (``#`` starts a comment)::
     boundaries = qr, ar, up:0.9, en:1.05, ep:0.99, wc:0.001
 
 Field traces are CSV with ``#`` header lines carrying the format version
-and one far-field record (either the angular distribution itself or a
-single far-zone field sample), followed by rows of radius and the six
-complex field components.  A trace is self-contained: importing one
-re-runs the far-field consistency cross-check.
+and one far-field record (either the angular distribution itself, with an
+optional ``# direction = theta,phi`` record in degrees, or a single
+far-zone field sample), followed by rows of radius and the six complex
+field components.  A trace is self-contained: importing one re-runs the
+far-field consistency cross-check.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import BoundaryResult, BoundarySpec, evaluate_boundary
-from .core import (
-    DEFAULT_CONTEXT,
-    DIRECTION_PRESETS,
-    Direction,
-    WaveContext,
-    cartesian_to_spherical,
-    unit_vector,
-)
+from .core import DIRECTION_PRESETS, Direction, cartesian_to_spherical, unit_vector
 from .farfield import (
     AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
 )
@@ -277,7 +271,6 @@ class FieldTrace:
     sample_h: np.ndarray | None = None
     direction: Direction | None = None
     eh_discrepancy: float | None = None
-    ctx: WaveContext = DEFAULT_CONTEXT
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float).reshape(-1)
@@ -311,9 +304,12 @@ class FieldTrace:
                 raise TraceFormatError("far-field record values must be finite")
             f.flags.writeable = False
             object.__setattr__(self, "f", f)
-            if self.direction is not None:
-                radial = abs(unit_vector(self.direction) @ f)
-                if radial > TRANSVERSALITY_TOL * np.linalg.norm(f):
+            # checked on f scaled to a largest part of 1, so values near the float
+            # limit cannot overflow the norm
+            scale = float(np.max(np.abs(f.view(float))))
+            if self.direction is not None and scale > 0.0:
+                g = f / scale
+                if abs(unit_vector(self.direction) @ g) > TRANSVERSALITY_TOL * np.linalg.norm(g):
                     raise TraceFormatError(
                         "far-field record is not transversal to the stated direction"
                     )
@@ -335,7 +331,7 @@ class FieldTrace:
             if norm == 0.0:
                 raise TraceFormatError("far-field sample carries no power flow")
             rhat = poynting / norm
-            f_e, discrepancy = far_field_from_sample(e, h, rhat, r_ff, self.ctx)
+            f_e, discrepancy = far_field_from_sample(e, h, rhat, r_ff)
         f_e.flags.writeable = False
         object.__setattr__(self, "f", f_e)
         object.__setattr__(self, "eh_discrepancy", discrepancy)
@@ -354,7 +350,7 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
     return values
 
 
-def import_trace(path: str | Path, ctx: WaveContext = DEFAULT_CONTEXT) -> FieldTrace:
+def import_trace(path: str | Path) -> FieldTrace:
     """Read and validate a trace file.
 
     Raises
@@ -367,6 +363,7 @@ def import_trace(path: str | Path, ctx: WaveContext = DEFAULT_CONTEXT) -> FieldT
     """
     f_vec = None
     sample = None
+    direction = None
     data_header = None
     rows: list[list[float]] = []
     text = Path(path).read_text(encoding="utf-8")
@@ -395,6 +392,13 @@ def import_trace(path: str | Path, ctx: WaveContext = DEFAULT_CONTEXT) -> FieldT
             elif key == "ff_sample":
                 vals = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
                 sample = vals
+            elif key == "direction":
+                where = f"{path}:{lineno}: direction"
+                theta, phi = _parse_floats(value, 2, where)
+                try:
+                    direction = Direction(theta, phi)
+                except ValueError as exc:
+                    raise TraceFormatError(f"{where}: {exc}") from exc
             # other commented records are ignored
             continue
         if data_header is None:
@@ -430,7 +434,7 @@ def import_trace(path: str | Path, ctx: WaveContext = DEFAULT_CONTEXT) -> FieldT
         kwargs["sample_h"] = np.array(
             [complex(sample[7], sample[8]), complex(sample[9], sample[10]), complex(sample[11], sample[12])]
         )
-    return FieldTrace(r=r, e=e, h=h, ctx=ctx, **kwargs)
+    return FieldTrace(r=r, e=e, h=h, direction=direction, **kwargs)
 
 
 def export_trace(trace: FieldTrace, path: str | Path) -> None:
@@ -447,6 +451,9 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
         for comp in trace.f:
             parts.extend([_fmt(comp.real), _fmt(comp.imag)])
         lines.append("# ff_f = " + ",".join(parts))
+        if trace.direction is not None:
+            d = trace.direction
+            lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
     lines.append(TRACE_DATA_HEADER)
     for i in range(trace.r.size):
         fields = [_fmt(float(trace.r[i]))]
@@ -467,51 +474,46 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
         direction = trace.direction
     if direction is None:
         raise ValueError(
-            "trace carries no direction (ff_f record): pass one explicitly"
+            "trace carries no direction (ff_f record without # direction): pass one explicitly"
         )
     dist = AngularFieldDistribution(direction, trace.f)
-    e_ff, h_ff = auxiliary_fields(dist, trace.r, trace.ctx)
-    eps = field_mismatch(trace.e, trace.h, e_ff, h_ff, trace.ctx.impedance)
-    return ErrorCurve(trace.r, eps, direction, "as-captured", "imported-trace")
+    e_ff, h_ff = auxiliary_fields(dist, trace.r)
+    eps = field_mismatch(trace.e, trace.h, e_ff, h_ff)
+    return ErrorCurve(trace.r, eps, direction)
 
 
 # ---------------------------------------------------------------------------
 # sweeps and tables
 
 
-def build_scenario(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT):
-    """Materialize the dipole-array scenario described by a config."""
-    geometry = uniform_linear_array(config.n, config.spacing or 0.0)
-    excitation = config.excitation
-    if config.n == 1 and excitation == EXCITATION_STEER:
-        excitation = EXCITATION_NONE  # steering a single element is a no-op
-    return DipoleArrayScenario(geometry, excitation, config.direction, ctx)
+def run_sweep(config: ScenarioConfig) -> ErrorCurve:
+    """The error curve described by a config; no boundary is searched.
 
-
-def run_sweep(config: ScenarioConfig, ctx: WaveContext = DEFAULT_CONTEXT) -> ErrorCurve:
-    """The error curve described by a config; no boundary is searched."""
+    Grid radii that land on an element (a test line through the array) are
+    singular and are dropped from the curve.
+    """
     if config.source == "imported-trace":
-        trace = import_trace(config.trace_path, ctx)
+        trace = import_trace(config.trace_path)
         return trace_error_curve(trace, trace.direction or config.direction)
+    geometry = uniform_linear_array(config.n, config.spacing or 0.0)
     grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
-    return error_sweep(build_scenario(config, ctx), config.direction, grid)
+    grid = grid[~grid_on_element(geometry, config.direction, grid)]
+    scenario = DipoleArrayScenario(geometry, config.excitation, config.direction)
+    return error_sweep(scenario, config.direction, grid)
 
 
 def run_boundaries(
-    config: ScenarioConfig,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-    *,
-    search_points_per_decade: int | None = None,
+    config: ScenarioConfig, *, search_points_per_decade: int | None = None
 ) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
     """The ``(spec, result)`` pairs of a config's boundary searches; no curve is swept."""
     if not config.boundaries:
         raise ConfigError("the scenario lists no boundaries")
-    geometry = build_scenario(config, ctx).geometry
+    geometry = uniform_linear_array(config.n, config.spacing or 0.0)
     kw = {}
     if search_points_per_decade is not None:
         kw["points_per_decade"] = search_points_per_decade
     return tuple(
-        (spec, evaluate_boundary(geometry, spec, config.direction, ctx, **kw))
+        (spec, evaluate_boundary(geometry, spec, config.direction, **kw))
         for spec in config.boundaries
     )
 
@@ -564,28 +566,11 @@ _FIG4_ARRAYS = ((8, 0.5, "n8"), (64, 0.5, "n64"))
 _FIG5_ARRAYS = ((8, 0.5, "n8"), (15, 0.25, "n15"))
 
 
-def _curve_for(
-    n: int,
-    spacing: float,
-    direction: Direction,
-    excitation: str,
-    grid: np.ndarray,
-    ctx: WaveContext,
-) -> ErrorCurve:
-    geometry = uniform_linear_array(n, spacing)
-    scenario = DipoleArrayScenario(geometry, excitation, direction, ctx)
-    # A canned grid may land exactly on an element (side line through the
-    # array); those radii are singular and are dropped from the curve.
-    keep = ~grid_on_element(geometry, direction, grid, ctx)
-    return error_sweep(scenario, direction, grid[keep])
-
-
 def reproduce_reference(
     figure: str,
     out_dir: str | Path,
     traces_dir: str | Path | None = None,
     grid_ppd: int = DEFAULT_GRID_PPD,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> list[Path]:
     """Emit the reference data tables for ``fig4`` or ``fig5``.
 
@@ -595,8 +580,9 @@ def reproduce_reference(
     array/direction panel.  ``fig5`` produces the equal-aperture
     comparison curves (N = 8, d = 0.5 against N = 15, d = 0.25).  Curves
     for externally simulated antennas are emitted only for trace files
-    supplied via ``traces_dir``.  Output is a pure function of the inputs:
-    rerunning yields byte-identical files.
+    supplied via ``traces_dir``.  Each curve is :func:`run_sweep` and each
+    boundary table :func:`run_boundaries` of one panel's config.  Output is
+    a pure function of the inputs: rerunning yields byte-identical files.
 
     Returns
     -------
@@ -607,7 +593,6 @@ def reproduce_reference(
         raise ValueError(f"unknown figure {figure!r}; expected 'fig4' or 'fig5'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = default_grid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, grid_ppd)
     written: list[Path] = []
 
     def emit(name: str, payload) -> None:
@@ -615,32 +600,32 @@ def reproduce_reference(
         export_table(payload, target)
         written.append(target)
 
+    def curves(arrays) -> None:
+        for n, spacing, label in arrays:
+            for dir_label, direction in DIRECTION_PRESETS.items():
+                for exc_label, excitation in _FIGURE_EXCITATIONS:
+                    config = ScenarioConfig(
+                        n=n, spacing=spacing, direction=direction,
+                        excitation=excitation, grid_ppd=grid_ppd,
+                    )
+                    emit(f"{figure}_eps_{label}_{dir_label}_{exc_label}.csv", run_sweep(config))
+
     if figure == "fig4":
-        single = _curve_for(1, 0.0, DIRECTION_PRESETS["front"], EXCITATION_NONE, grid, ctx)
-        emit("fig4_eps_n1_front.csv", single)
+        single = ScenarioConfig(n=1, excitation=EXCITATION_NONE, grid_ppd=grid_ppd)
+        emit("fig4_eps_n1_front.csv", run_sweep(single))
+        curves(_FIG4_ARRAYS)
         for n, spacing, label in _FIG4_ARRAYS:
             for dir_label, direction in DIRECTION_PRESETS.items():
-                for exc_label, excitation in _FIGURE_EXCITATIONS:
-                    curve = _curve_for(n, spacing, direction, excitation, grid, ctx)
-                    emit(f"fig4_eps_{label}_{dir_label}_{exc_label}.csv", curve)
-        for n, spacing, label in _FIG4_ARRAYS:
-            geometry = uniform_linear_array(n, spacing)
-            for dir_label, direction in DIRECTION_PRESETS.items():
-                pairs = tuple(
-                    (spec, evaluate_boundary(geometry, spec, direction, ctx))
-                    for spec in _FIG4_BOUNDARIES
+                config = ScenarioConfig(
+                    n=n, spacing=spacing, direction=direction, boundaries=_FIG4_BOUNDARIES
                 )
-                emit(f"fig4_boundaries_{label}_{dir_label}.csv", pairs)
+                emit(f"fig4_boundaries_{label}_{dir_label}.csv", run_boundaries(config))
     else:
-        for n, spacing, label in _FIG5_ARRAYS:
-            for dir_label, direction in DIRECTION_PRESETS.items():
-                for exc_label, excitation in _FIGURE_EXCITATIONS:
-                    curve = _curve_for(n, spacing, direction, excitation, grid, ctx)
-                    emit(f"fig5_eps_{label}_{dir_label}_{exc_label}.csv", curve)
+        curves(_FIG5_ARRAYS)
 
     if traces_dir is not None:
         for trace_file in sorted(Path(traces_dir).glob("*.csv")):
-            trace = import_trace(trace_file, ctx)
+            trace = import_trace(trace_file)
             curve = trace_error_curve(trace)
             emit(f"{figure}_eps_trace_{trace_file.stem}.csv", curve)
     return written

@@ -20,14 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONTEXT,
-    FREE_SPACE_IMPEDANCE,
-    Direction,
-    WaveContext,
-    _plane_offsets,
-    unit_vector,
-)
+from .core import FREE_SPACE_IMPEDANCE, Direction, _plane_offsets, unit_vector
 from .farfield import AngularFieldDistribution, analytic_angular_distribution, auxiliary_fields
 from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
 
@@ -44,21 +37,21 @@ MAX_GRID_POINTS = 10**6
 #: 128 KiB mmap threshold, which perfbench pins, so peak memory stays flat in N.
 BLOCK_PAIRS = 2048
 
-#: Excitation scheme labels used in scenario metadata and file naming.
+#: Excitation scheme labels.
 EXCITATION_STEER = "ff-bf"
 EXCITATION_FOCUS = "nf-bf"
 EXCITATION_NONE = "none"
 _EXCITATIONS = (EXCITATION_STEER, EXCITATION_FOCUS, EXCITATION_NONE)
 
 
-def _stacked_norm(e: np.ndarray, h: np.ndarray, z0: float) -> np.ndarray:
+def _stacked_norm(e: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Norm of the impedance-normalized stacked 6-vector, broadcasting."""
     ne2 = np.sum(np.abs(e) ** 2, axis=-1)
     nh2 = np.sum(np.abs(h) ** 2, axis=-1)
-    return np.sqrt(ne2 / z0 + z0 * nh2)
+    return np.sqrt(ne2 / FREE_SPACE_IMPEDANCE + FREE_SPACE_IMPEDANCE * nh2)
 
 
-def field_mismatch(e, h, e_ff, h_ff, z0: float = FREE_SPACE_IMPEDANCE):
+def field_mismatch(e, h, e_ff, h_ff):
     """Squared normalized distance between two field pairs.
 
     Accepts single complex 3-vectors or arrays of shape ``(..., 3)``
@@ -73,8 +66,8 @@ def field_mismatch(e, h, e_ff, h_ff, z0: float = FREE_SPACE_IMPEDANCE):
     h = np.asarray(h, dtype=complex)
     e_ff = np.asarray(e_ff, dtype=complex)
     h_ff = np.asarray(h_ff, dtype=complex)
-    num = _stacked_norm(e - e_ff, h - h_ff, z0)
-    den = _stacked_norm(e, h, z0) + _stacked_norm(e_ff, h_ff, z0)
+    num = _stacked_norm(e - e_ff, h - h_ff)
+    den = _stacked_norm(e, h) + _stacked_norm(e_ff, h_ff)
     safe = np.where(den == 0.0, 1.0, den)
     ratio = num / safe
     # not ``** 2``, which on a scalar calls libm pow: a row alone would differ from a batch
@@ -94,10 +87,6 @@ class FieldScenario(Protocol):
     or an array of radii ``(...)`` (the radius matters for excitations
     that re-focus at every evaluation point).
     """
-
-    ctx: WaveContext
-    source_kind: str
-    excitation: str
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -119,9 +108,6 @@ class DipoleArrayScenario:
     geometry: ArrayGeometry
     excitation: str = EXCITATION_NONE
     steering: Direction | None = None
-    ctx: WaveContext = DEFAULT_CONTEXT
-
-    source_kind: str = "dipole-ula"
 
     def __post_init__(self) -> None:
         if self.excitation not in _EXCITATIONS:
@@ -133,26 +119,24 @@ class DipoleArrayScenario:
 
     @cached_property
     def _steer_weights(self) -> np.ndarray:
-        return ff_precoder(self.geometry, self.steering, self.ctx)
+        return ff_precoder(self.geometry, self.steering)
 
     def weights(self, points: np.ndarray) -> np.ndarray:
         """Excitation weights ``(..., N)`` used at cartesian points ``(..., 3)``."""
         if self.excitation == EXCITATION_FOCUS:
-            return nf_precoder(self.geometry, points, self.ctx)
+            return nf_precoder(self.geometry, points)
         steer = self.excitation == EXCITATION_STEER
         w = self._steer_weights if steer else np.ones(self.geometry.n, dtype=complex)
         return np.broadcast_to(w, np.shape(points)[:-1] + w.shape)
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return array_field(self.geometry, self.weights(points), points, self.ctx)
+        return array_field(self.geometry, self.weights(points), points)
 
     def angular_distribution(
         self, direction: Direction, r: float | np.ndarray
     ) -> AngularFieldDistribution:
         points = np.multiply.outer(r, unit_vector(direction))
-        return analytic_angular_distribution(
-            self.geometry, self.weights(points), direction, self.ctx
-        )
+        return analytic_angular_distribution(self.geometry, self.weights(points), direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +146,6 @@ class ErrorCurve:
     r: np.ndarray
     epsilon: np.ndarray
     direction: Direction
-    excitation: str
-    source: str
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float).reshape(-1)
@@ -210,16 +192,14 @@ def error_sweep(
     """
     grid = np.asarray(r_grid, dtype=float).reshape(-1)
     if grid.size == 0:
-        return ErrorCurve(
-            grid, grid.copy(), direction, scenario.excitation, scenario.source_kind
-        )
+        return ErrorCurve(grid, grid.copy(), direction)
     if not np.all(grid > 0.0):
         raise ValueError("sweep grid radii must be positive")
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweep grid must be strictly increasing")
     geometry = getattr(scenario, "geometry", None)
     if geometry is not None:
-        bad = np.nonzero(grid_on_element(geometry, direction, grid, scenario.ctx))[0]
+        bad = np.nonzero(grid_on_element(geometry, direction, grid))[0]
         if bad.size:
             raise ValueError(
                 f"sweep grid point r = {float(grid[bad[0]])!r} coincides with an element position"
@@ -231,24 +211,19 @@ def error_sweep(
         r = grid[i : i + step]
         e, h = scenario.fields(r[:, None] * rhat)
         dist = scenario.angular_distribution(direction, r)
-        e_ff, h_ff = auxiliary_fields(dist, r, scenario.ctx)
-        eps[i : i + step] = field_mismatch(e, h, e_ff, h_ff, scenario.ctx.impedance)
-    return ErrorCurve(grid, eps, direction, scenario.excitation, scenario.source_kind)
+        e_ff, h_ff = auxiliary_fields(dist, r)
+        eps[i : i + step] = field_mismatch(e, h, e_ff, h_ff)
+    return ErrorCurve(grid, eps, direction)
 
 
-def grid_on_element(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    grid: np.ndarray,
-    ctx: WaveContext,
-) -> np.ndarray:
+def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:
     """Mask of the radii on a test line that land on an element position."""
     rhat = unit_vector(direction)
     step = max(1, BLOCK_PAIRS // geometry.n)
     mask = np.empty(grid.size, dtype=bool)
     for i in range(0, grid.size, step):
         _, dists = _plane_offsets(grid[i : i + step, None, None] * rhat, geometry.positions)
-        mask[i : i + step] = np.any(on_element(dists, ctx), axis=1)
+        mask[i : i + step] = np.any(on_element(dists), axis=1)
     return mask
 
 

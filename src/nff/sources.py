@@ -23,7 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _SCAN_PAIRS, DEFAULT_CONTEXT, Direction, WaveContext, _plane_offsets, unit_vector
+from .core import (
+    _SCAN_PAIRS,
+    FREE_SPACE_IMPEDANCE,
+    WAVENUMBER,
+    Direction,
+    _plane_offsets,
+    unit_vector,
+)
 
 #: Evaluation closer to an element than this (in wavelengths) is rejected.
 SINGULARITY_RADIUS = 1e-9
@@ -36,9 +43,9 @@ class FieldSingularity(ValueError):
     """Raised when fields are requested on (or numerically at) an element."""
 
 
-def on_element(dist: np.ndarray, ctx: WaveContext) -> np.ndarray:
+def on_element(dist: np.ndarray) -> np.ndarray:
     """True where a point-to-element distance is within SINGULARITY_RADIUS wavelengths."""
-    return dist < SINGULARITY_RADIUS * ctx.wavelength
+    return dist < SINGULARITY_RADIUS
 
 
 def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.ndarray:
@@ -174,14 +181,13 @@ def _element_fields(
     positions: np.ndarray,
     orientations: np.ndarray,
     points: np.ndarray,
-    ctx: WaveContext,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-element dipole fields at points ``(..., 3)``; shapes ``(..., N, 3)``."""
-    k = ctx.wavenumber
-    z0 = ctx.impedance
+    k = WAVENUMBER
+    z0 = FREE_SPACE_IMPEDANCE
     rvec = points[..., None, :] - positions
     dist = np.linalg.norm(rvec, axis=-1)
-    if np.any(on_element(dist, ctx)):
+    if np.any(on_element(dist)):
         raise FieldSingularity(
             f"field evaluation within {SINGULARITY_RADIUS} wavelengths of an element"
         )
@@ -202,11 +208,7 @@ def _element_fields(
     return e, h
 
 
-def dipole_field(
-    element: DipoleElement,
-    point: np.ndarray,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-) -> tuple[np.ndarray, np.ndarray]:
+def dipole_field(element: DipoleElement, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact fields of a single dipole at a cartesian point.
 
     Returns
@@ -215,7 +217,7 @@ def dipole_field(
         Complex 3-vectors of the electric and magnetic field phasors.
     """
     p = np.asarray(point, dtype=float).reshape(3)
-    e, h = _element_fields(element.position[None, :], element.orientation[None, :], p, ctx)
+    e, h = _element_fields(element.position[None, :], element.orientation[None, :], p)
     return e[0], h[0]
 
 
@@ -223,7 +225,6 @@ def array_field(
     geometry: ArrayGeometry,
     weights: np.ndarray,
     points: np.ndarray,
-    ctx: WaveContext = DEFAULT_CONTEXT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Superposed array fields ``E = sum_n w_n E_n``, ``H = sum_n w_n H_n``.
 
@@ -242,41 +243,31 @@ def array_field(
         Complex field vectors, shape ``(..., 3)``.
     """
     e, h = _element_fields(
-        geometry.positions, geometry.orientations, np.asarray(points, dtype=float), ctx
+        geometry.positions, geometry.orientations, np.asarray(points, dtype=float)
     )
     # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
     w = np.asarray(weights, dtype=complex)[..., None, :]
     return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
 
 
-def ff_precoder(
-    geometry: ArrayGeometry,
-    direction: Direction,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-) -> np.ndarray:
+def ff_precoder(geometry: ArrayGeometry, direction: Direction) -> np.ndarray:
     """Beamsteering weights ``w_n = exp(-j k rhat . r_n)`` for a direction.
 
     Aligns the element phases so their far-zone contributions add
     coherently toward ``direction``; every weight has unit modulus.
     """
-    k = ctx.wavenumber
     rhat = unit_vector(direction)
-    return np.exp(-1j * k * (geometry.positions @ rhat))
+    return np.exp(-1j * WAVENUMBER * (geometry.positions @ rhat))
 
 
-def nf_precoder(
-    geometry: ArrayGeometry,
-    focus: np.ndarray,
-    ctx: WaveContext = DEFAULT_CONTEXT,
-) -> np.ndarray:
+def nf_precoder(geometry: ArrayGeometry, focus: np.ndarray) -> np.ndarray:
     """Beamfocusing weights ``w_n = exp(+j k |focus - r_n|)``, shape ``(..., N)``.
 
     Aligns the element phases at each cartesian focus point ``(..., 3)``;
     every weight has unit modulus.
     """
-    k = ctx.wavenumber
     p = np.asarray(focus, dtype=float)
     _, dist = _plane_offsets(p[..., None, :], geometry.positions)
-    if np.any(on_element(dist, ctx)):
+    if np.any(on_element(dist)):
         raise FieldSingularity("focus coincides with an element position")
-    return np.exp(1j * k * dist)
+    return np.exp(1j * WAVENUMBER * dist)

@@ -10,9 +10,10 @@ import filecmp
 import numpy as np
 
 from nff import (
-    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
     FRONT,
     SIDE,
+    WAVENUMBER,
     BoundarySpec,
     DipoleArrayScenario,
     Direction,
@@ -37,8 +38,8 @@ from nff import (
 from nff.cli import main
 from nff.sources import DipoleElement
 
-K = DEFAULT_CONTEXT.wavenumber
-Z0 = DEFAULT_CONTEXT.impedance
+K = WAVENUMBER
+Z0 = FREE_SPACE_IMPEDANCE
 
 
 def _check_boundaries(geometry, expected, rel_tol=0.02):

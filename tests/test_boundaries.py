@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 import nff.boundaries as boundaries
 from nff.core import _SCAN_PAIRS
 from nff import (
-    DEFAULT_CONTEXT,
     FRONT,
     SIDE,
+    WAVENUMBER,
     ArrayGeometry,
     BoundaryResult,
     BoundarySpec,
@@ -32,7 +32,7 @@ from nff import (
 )
 from nff.harness import MAX_ELEMENTS
 
-K = DEFAULT_CONTEXT.wavenumber
+K = WAVENUMBER
 N8 = uniform_linear_array(8, 0.5)
 N1 = uniform_linear_array(1, 0.5)
 #: 2x2 planar array, not collinear
@@ -490,7 +490,7 @@ def test_xi_scan_cache_is_bounded_lru():
     cache.cache_clear()
     size = cache.cache_info().maxsize
     geos = [uniform_linear_array(2, 0.1 * (i + 1)) for i in range(size + 2)]
-    scan = lambda geo: boundaries._xi_scan_samples(geo, DEFAULT_CONTEXT, (1.0, 10.0), 100)
+    scan = lambda geo: boundaries._xi_scan_samples(geo, (1.0, 10.0), 100)
     results = [scan(geo)[1] for geo in geos[:size]]
     assert scan(geos[0])[1] is results[0]  # a hit, now the most recently used entry
     assert cache.cache_info().hits == 1

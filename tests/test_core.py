@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nff import (
-    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
+    WAVENUMBER,
     Direction,
     SphericalPoint,
-    WaveContext,
     cartesian_to_spherical,
     stable_excess_path,
     unit_vector,
@@ -36,23 +36,9 @@ def _excess_decimal(r, rhat, r_n, digits=50):
     return float(dist - rd)
 
 
-def test_wave_context_defaults():
-    ctx = WaveContext()
-    assert ctx.wavelength == 1.0
-    assert math.isclose(ctx.wavenumber * ctx.wavelength, 2.0 * math.pi, rel_tol=1e-15)
-    assert ctx.impedance == pytest.approx(376.730313668)
-
-
-@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 3.0, 0.0306])
-def test_wavenumber_inverts_wavelength(lam):
-    ctx = WaveContext(wavelength=lam)
-    assert math.isclose(ctx.wavenumber * lam, 2.0 * math.pi, rel_tol=1e-15)
-
-
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
-def test_wave_context_rejects_bad_wavelength(lam):
-    with pytest.raises(ValueError):
-        WaveContext(wavelength=lam)
+def test_wave_constants_are_unit_wavelength_free_space():
+    assert WAVENUMBER == 2.0 * math.pi
+    assert FREE_SPACE_IMPEDANCE == 376.730313668
 
 
 def test_direction_validation():

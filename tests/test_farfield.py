@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nff import (
-    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
     FRONT,
+    WAVENUMBER,
     AngularFieldDistribution,
     Direction,
     InconsistentFarField,
@@ -22,8 +23,8 @@ from nff import (
     unit_vector,
 )
 
-Z0 = DEFAULT_CONTEXT.impedance
-K = DEFAULT_CONTEXT.wavenumber
+Z0 = FREE_SPACE_IMPEDANCE
+K = WAVENUMBER
 
 
 def test_analytic_f_vanishes_along_dipole_axis():

@@ -97,8 +97,11 @@ def _csv(sizes, number=NUMBER):
 
 
 def _far_field_line(number, sizes=(0,)):
+    ff_f = _csv([6 + d for d in sizes], number).map("# ff_f = ".__add__)
+    direction = _csv([2 + d for d in sizes], number).map("# direction = ".__add__)
     return st.one_of(
-        _csv([6 + d for d in sizes], number).map("# ff_f = ".__add__),
+        ff_f,
+        st.tuples(ff_f, direction).map("\n".join),
         _csv([13 + d for d in sizes], number).map("# ff_sample = ".__add__),
     )
 
@@ -167,6 +170,13 @@ def _sample_trace(sample: str) -> str:
     return f"# trace_version = 1\n# ff_sample = {sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12
 
 
+def _ff_f_trace(f: str, direction: str) -> str:
+    return (
+        f"# trace_version = 1\n# ff_f = {f}\n# direction = {direction}\n{TRACE_DATA_HEADER}\n1"
+        + ",0" * 12
+    )
+
+
 @FUZZ
 @given(text=TRACE_TEXT)
 # far-field samples whose E/H check met a NaN (E x H, |f_H| or k r overflows); they
@@ -174,6 +184,9 @@ def _sample_trace(sample: str) -> str:
 @example(text=_sample_trace("1,0,0,0,0,0,1e300,0,1e300,0,0,0,0"))
 @example(text=_sample_trace("1,0,0,0,0,0,1e-300,0,1e300,0,0,0,0"))
 @example(text=_sample_trace("1e308,1,0,0,0,0,0,0,0,1,0,0,0"))
+# a stated direction's transversality check overflowed the norm of a huge f
+@example(text=_ff_f_trace("0,0,0,0,0,1e300", "0,0"))
+@example(text=_ff_f_trace("0,0,0,0,1e308,1e308", "90,0"))
 def test_import_trace_fuzz(tmp_path_factory, text):
     path = _write(tmp_path_factory.getbasetemp(), "fuzz.csv", text)
     try:

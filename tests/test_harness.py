@@ -9,8 +9,8 @@ import pytest
 import nff
 import nff.boundaries as boundaries
 from nff import (
-    DEFAULT_CONTEXT,
     FRONT,
+    WAVENUMBER,
     BoundarySpec,
     ConfigError,
     DipoleArrayScenario,
@@ -22,6 +22,7 @@ from nff import (
     TraceFormatError,
     analytic_angular_distribution,
     array_field,
+    default_grid,
     error_sweep,
     export_table,
     export_trace,
@@ -40,7 +41,7 @@ from nff import (
 from nff.cli import main
 from nff.harness import MAX_ELEMENTS, TRACE_DATA_HEADER
 
-K = DEFAULT_CONTEXT.wavenumber
+K = WAVENUMBER
 
 
 def _write(tmp_path, name, text):
@@ -157,8 +158,7 @@ def test_parse_boundaries():
 def test_run_sweep_single_element_matches_direct_engine(tmp_path):
     cfg = ScenarioConfig(n=1, grid_lo=0.5, grid_hi=50.0, grid_ppd=10)
     curve = run_sweep(cfg)
-    # steering a single element degrades to uniform excitation
-    assert curve.excitation == "none"
+    # steering a single element is the uniform excitation: its one weight is 1
     scenario = DipoleArrayScenario(uniform_linear_array(1, 0.0))
     want = error_sweep(scenario, FRONT, curve.r)
     np.testing.assert_array_equal(curve.epsilon, want.epsilon)
@@ -214,6 +214,7 @@ def test_trace_round_trip_ff_f(tmp_path):
     np.testing.assert_array_equal(back.e, trace.e)
     np.testing.assert_array_equal(back.h, trace.h)
     np.testing.assert_array_equal(back.f, trace.f)
+    assert back.direction == trace.direction
 
     # epsilon from the imported trace equals the in-process sweep
     scenario = DipoleArrayScenario(uniform_linear_array(8, 0.5), "ff-bf", FRONT)
@@ -266,23 +267,24 @@ def test_trace_schema_violations(tmp_path):
     path = tmp_path / "t.csv"
     export_trace(trace, path)
     lines = path.read_text().splitlines()
+    assert lines[2] == "# direction = 90,0" and lines[3].startswith("r_lambda")
 
     # shuffled data rows break monotonicity
-    bad = lines[:3] + [lines[5], lines[4]] + lines[6:]
+    bad = lines[:4] + [lines[6], lines[5]] + lines[7:]
     p = _write(tmp_path, "bad1.csv", "\n".join(bad) + "\n")
     with pytest.raises(TraceFormatError, match="increasing"):
         import_trace(p)
 
     # non-finite field value
     bad = list(lines)
-    bad[3] = bad[3].replace(bad[3].split(",")[1], "nan", 1)
+    bad[4] = bad[4].replace(bad[4].split(",")[1], "nan", 1)
     p = _write(tmp_path, "bad2.csv", "\n".join(bad) + "\n")
     with pytest.raises(TraceFormatError, match="finite"):
         import_trace(p)
 
     # wrong column count
     bad = list(lines)
-    bad[3] = bad[3] + ",0"
+    bad[4] = bad[4] + ",0"
     p = _write(tmp_path, "bad3.csv", "\n".join(bad) + "\n")
     with pytest.raises(TraceFormatError, match="13"):
         import_trace(p)
@@ -310,6 +312,20 @@ def test_trace_schema_violations(tmp_path):
         with pytest.raises(TraceFormatError, match="finite"):
             import_trace(p)
 
+    # malformed direction records name their line; a direction the record's f
+    # is not transversal to is rejected too
+    for name, record, match in (
+        ("bad10.csv", "# direction = 90", r"bad10\.csv:3: direction: expected 2"),
+        ("bad11.csv", "# direction = 90,east", r"bad11\.csv:3: direction: non-numeric"),
+        ("bad12.csv", "# direction = 200,0", r"bad12\.csv:3: direction: theta"),
+        ("bad13.csv", "# direction = nan,0", r"bad13\.csv:3: direction: theta"),
+        ("bad14.csv", "# direction = 0,0", "not transversal"),
+    ):
+        bad = [record if l.startswith("# direction") else l for l in lines]
+        p = _write(tmp_path, name, "\n".join(bad) + "\n")
+        with pytest.raises(TraceFormatError, match=match):
+            import_trace(p)
+
     # unsupported version
     bad = ["# trace_version = 99"] + lines[1:]
     p = _write(tmp_path, "bad6.csv", "\n".join(bad) + "\n")
@@ -328,10 +344,7 @@ def test_trace_schema_violations(tmp_path):
 
 
 def test_export_table_curve(tmp_path):
-    curve = ErrorCurve(
-        np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.0625, 0.015625]),
-        FRONT, "none", "dipole-ula",
-    )
+    curve = ErrorCurve(np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.0625, 0.015625]), FRONT)
     path = tmp_path / "c.csv"
     export_table(curve, path)
     lines = path.read_text().splitlines()
@@ -339,7 +352,7 @@ def test_export_table_curve(tmp_path):
     assert len(lines) == 4
     assert lines[1] == "1,0.25"
 
-    empty = ErrorCurve(np.array([]), np.array([]), FRONT, "none", "dipole-ula")
+    empty = ErrorCurve(np.array([]), np.array([]), FRONT)
     export_table(empty, path)
     assert path.read_text() == "r_lambda,epsilon\n"
 
@@ -529,7 +542,8 @@ def test_cli_sweep_and_boundaries_each_do_one_job(tmp_path, capsys):
     # wc of a 1e5-wavelength pair fails its tail check, but sweep runs no search
     far = _write(tmp_path, "far.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = qr, wc\n")
     assert main(["sweep", "--config", str(far), "--out", str(tmp_path / "c.csv")]) == 0
-    # the default sweep grid meets an element at r = 0.1, but boundaries sweeps no curve
+    # the default sweep grid meets an element at r = 0.1: boundaries sweeps no curve,
+    # and sweep drops that one radius
     side = _write(
         tmp_path, "side.cfg",
         "n = 2\nspacing_lambda = 0.2\ndirection = side\nboundaries = qr, ar\n",
@@ -539,9 +553,12 @@ def test_cli_sweep_and_boundaries_each_do_one_job(tmp_path, capsys):
     assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
         ["qr", "", "found"], ["ar", str(np.pi / 8).rstrip("0"), "found"]
     ]
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(side), "--out", str(tmp_path / "c.csv")]) == 1
-    assert "sweep grid point r = 0.1 coincides" in capsys.readouterr().err
+    curve = tmp_path / "c.csv"
+    assert main(["sweep", "--config", str(side), "--out", str(curve)]) == 0
+    rows = [float(line.split(",")[0]) for line in curve.read_text().splitlines()[1:]]
+    grid = default_grid()
+    assert len(rows) == grid.size - 1 == 500
+    assert rows == [r for r in grid.tolist() if r != 0.1]
 
 
 def test_cli_validate_trace(tmp_path, capsys):
@@ -560,6 +577,22 @@ def test_cli_reproduce(tmp_path, capsys):
     out = tmp_path / "repro"
     assert main(["reproduce", "--figure", "fig5", "--out", str(out), "--grid-ppd", "5"]) == 0
     assert len(list(out.glob("*.csv"))) == 12
+
+
+def test_cli_reproduce_reads_an_exported_ff_f_trace(tmp_path, capsys):
+    # an ff_f trace carries its direction in a # direction record
+    trace = _make_trace(np.geomspace(1.0, 10.0, 5))
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    export_trace(trace, trace_dir / "sim_dipole.csv")
+    assert "# direction = 90,0" in (trace_dir / "sim_dipole.csv").read_text()
+    out = tmp_path / "repro"
+    argv = ["reproduce", "--figure", "fig5", "--out", str(out), "--grid-ppd", "5"]
+    assert main(argv + ["--traces", str(trace_dir)]) == 0
+    assert len(list(out.glob("*.csv"))) == 13
+    want = tmp_path / "want.csv"
+    export_table(trace_error_curve(trace, FRONT), want)
+    assert (out / "fig5_eps_trace_sim_dipole.csv").read_bytes() == want.read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from nff import (
-    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
     FRONT,
     SIDE,
+    WAVENUMBER,
     AngularFieldDistribution,
     DipoleArrayScenario,
     Direction,
@@ -24,8 +25,8 @@ from nff import (
 )
 from nff.metric import BLOCK_PAIRS, MAX_GRID_POINTS, grid_on_element
 
-Z0 = DEFAULT_CONTEXT.impedance
-K = DEFAULT_CONTEXT.wavenumber
+Z0 = FREE_SPACE_IMPEDANCE
+K = WAVENUMBER
 
 
 def _dipole_epsilon_oracle(r):
@@ -132,10 +133,6 @@ def test_focus_and_steer_converge_far_out():
 
 def test_perfect_far_field_scenario_has_zero_error():
     class _AuxScenario:
-        ctx = DEFAULT_CONTEXT
-        source_kind = "synthetic"
-        excitation = "none"
-
         def __init__(self, dist):
             self._dist = dist
 
@@ -158,16 +155,16 @@ def test_error_sweep_rejects_bad_grids():
     with pytest.raises(ValueError, match="positive"):
         error_sweep(scenario, FRONT, np.array([-1.0, 1.0]))
     # the side line passes through the elements of a y-axis array
-    with pytest.raises(ValueError, match="element"):
+    with pytest.raises(ValueError, match=r"point r = 0\.75 coincides with an element"):
         error_sweep(scenario, SIDE, np.array([0.5, 0.75, 1.0]))
 
 
 def test_error_curve_validation():
     with pytest.raises(ValueError, match="increasing"):
-        ErrorCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]), FRONT, "none", "x")
+        ErrorCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]), FRONT)
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        ErrorCurve(np.array([1.0, 2.0]), np.array([0.1, 1.5]), FRONT, "none", "x")
-    curve = ErrorCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]), FRONT, "none", "x")
+        ErrorCurve(np.array([1.0, 2.0]), np.array([0.1, 1.5]), FRONT)
+    curve = ErrorCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]), FRONT)
     assert len(curve) == 2
     with pytest.raises(ValueError):
         curve.r[0] = 5.0  # frozen storage
@@ -204,7 +201,7 @@ def test_grid_on_element_needs_no_full_temporaries():
     grid = np.sort(np.concatenate([default_grid(), [0.75, 100.25]]))
     tracemalloc.start()
     try:
-        mask = grid_on_element(geo, SIDE, grid, DEFAULT_CONTEXT)
+        mask = grid_on_element(geo, SIDE, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

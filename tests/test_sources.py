@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from nff import (
-    DEFAULT_CONTEXT,
+    FREE_SPACE_IMPEDANCE,
     FRONT,
     SIDE,
+    WAVENUMBER,
     ArrayGeometry,
     DipoleElement,
     Direction,
     FieldSingularity,
     SphericalPoint,
-    WaveContext,
     array_field,
     dipole_field,
     ff_precoder,
@@ -26,8 +26,8 @@ from nff import (
     upsilon_power,
 )
 
-Z0 = DEFAULT_CONTEXT.impedance
-K = DEFAULT_CONTEXT.wavenumber
+Z0 = FREE_SPACE_IMPEDANCE
+K = WAVENUMBER
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +260,20 @@ def test_array_field_singularity_at_element():
 
 def test_singular_radius_scales_with_wavelength():
     # the guard is 1e-9 wavelengths for the field kernel and the boundary
-    # criteria alike: 1.5e-9 from an element is inside it at wavelength 2
+    # criteria alike: 0.5e-9 from an element is inside it, 1.5e-9 outside
     geo = uniform_linear_array(8, 0.5)
-    point = SphericalPoint(0.75 + 1.5e-9, SIDE)
-    ctx = WaveContext(wavelength=2.0)
+    inside = SphericalPoint(0.75 + 0.5e-9, SIDE)
     with pytest.raises(FieldSingularity):
-        array_field(geo, np.ones(8), point.to_cartesian(), ctx)
+        array_field(geo, np.ones(8), inside.to_cartesian())
     with pytest.raises(ValueError, match="singular"):
-        upsilon_power(geo, point.r, point.direction, ctx)
+        upsilon_power(geo, inside.r, inside.direction)
     with pytest.raises(ValueError, match="singular"):
-        gamma_uniform_power(geo, point.r, point.direction, ctx)
-    assert upsilon_power(geo, point.r, point.direction) > 0.0  # outside it at wavelength 1
+        gamma_uniform_power(geo, inside.r, inside.direction)
+    outside = SphericalPoint(0.75 + 1.5e-9, SIDE)
+    e, h = array_field(geo, np.ones(8), outside.to_cartesian())
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(h))
+    assert upsilon_power(geo, outside.r, outside.direction) > 0.0
+    assert gamma_uniform_power(geo, outside.r, outside.direction) >= 0.0
 
 
 # ---------------------------------------------------------------------------

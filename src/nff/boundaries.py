@@ -545,7 +545,6 @@ def d_wc(
     threshold: float = DEFAULT_THRESHOLDS["wc"],
     *,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> BoundaryResult:
     """First radius past which the worst-case mismatch stays below threshold.
 
@@ -561,7 +560,7 @@ def d_wc(
     """
     if not threshold > 0.0:
         raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    grid, vals = _xi_scan_samples(geometry, bracket, points_per_decade)
+    grid, vals = _xi_scan_samples(geometry, bracket, DEFAULT_POINTS_PER_DECADE)
 
     tail = vals[grid >= grid[-1] / 10.0]
     slack = 1e-9 * np.maximum(tail[:-1], tail[1:])
@@ -599,7 +598,6 @@ def evaluate_boundary(
     direction: Direction,
     *,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
     if spec.kind == "qr":
@@ -608,12 +606,10 @@ def evaluate_boundary(
             STATUS_FOUND, value, (0.0, math.inf), 0, degenerate=geometry.span == 0.0
         )
     if spec.kind == "wc":
-        return d_wc(
-            geometry, spec.threshold, bracket=bracket, points_per_decade=points_per_decade
-        )
+        return d_wc(geometry, spec.threshold, bracket=bracket)
     criterion, mode = _SCANS[spec.kind]
 
     def scan(r):
         return criterion(geometry, r, direction)
 
-    return find_crossing(scan, spec.threshold, mode, bracket, points_per_decade)
+    return find_crossing(scan, spec.threshold, mode, bracket)

@@ -3,11 +3,15 @@
 Subcommands::
 
     nff sweep --config <file> --out <csv> [--grid-ppd N]
-    nff boundaries --config <file> --out <csv> [--grid-ppd N]
+    nff boundaries --config <file> --out <csv>
     nff reproduce --figure fig4|fig5 --out <dir> [--traces <dir>] [--grid-ppd N]
     nff validate-trace <file>
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+``--grid-ppd`` sets the density of the sweep grid only; boundary searches
+always scan 400 points per decade.
+
+Exit codes: 0 success (``--help`` included), 1 validation error (bad
+config, bad trace, bad arguments), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -52,9 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bnd.add_argument("--config", required=True, help="scenario file")
     bnd.add_argument("--out", required=True, help="output boundary CSV")
-    bnd.add_argument(
-        "--grid-ppd", type=int, default=None, help="override boundary search points per decade"
-    )
 
     rep = sub.add_parser("reproduce", help="emit the reference data tables for a figure")
     rep.add_argument("--figure", required=True, choices=("fig4", "fig5"))
@@ -80,7 +81,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
-    pairs = run_boundaries(load_scenario(args.config), search_points_per_decade=args.grid_ppd)
+    pairs = run_boundaries(load_scenario(args.config))
     export_table(pairs, args.out)
     print(f"wrote {len(pairs)} boundaries to {args.out}")
     return EXIT_OK
@@ -116,8 +117,10 @@ def _cmd_validate_trace(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     handlers = {
         "sweep": _cmd_sweep,
         "boundaries": _cmd_boundaries,

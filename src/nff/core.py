@@ -69,37 +69,13 @@ def unit_vector(direction: Direction) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
-@dataclass(frozen=True)
-class SphericalPoint:
-    """A point given by radial distance and direction from the origin."""
-
-    r: float
-    direction: Direction
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"radial distance must be >= 0 and finite, got {self.r!r}")
-
-    def to_cartesian(self) -> np.ndarray:
-        """Cartesian coordinates of the point, shape ``(3,)``."""
-        return self.r * unit_vector(self.direction)
-
-
-def cartesian_to_spherical(vec: np.ndarray) -> SphericalPoint:
-    """Convert a cartesian 3-vector to a :class:`SphericalPoint`.
-
-    The origin maps to ``r = 0`` with the canonical direction
-    ``theta = phi = 0``.
-    """
+def _direction_of(vec: np.ndarray) -> Direction:
+    """Direction of a nonzero, finite 3-vector; an azimuth that rounds up to 360 degrees is 0."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return SphericalPoint(0.0, Direction(0.0, 0.0))
     theta = math.degrees(math.acos(max(-1.0, min(1.0, v[2] / r))))
     phi = math.degrees(math.atan2(v[1], v[0])) % 360.0
-    return SphericalPoint(r, Direction(theta, phi))
+    return Direction(theta, 0.0 if phi == 360.0 else phi)
 
 
 #: Pairs (radius-element, element-element, or ``Xi`` grid points) per block of a

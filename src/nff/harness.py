@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import BoundaryResult, BoundarySpec, evaluate_boundary
-from .core import DIRECTION_PRESETS, Direction, cartesian_to_spherical, unit_vector
+from .core import DIRECTION_PRESETS, Direction, _direction_of, unit_vector
 from .farfield import (
     AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
 )
@@ -336,7 +336,7 @@ class FieldTrace:
         object.__setattr__(self, "f", f_e)
         object.__setattr__(self, "eh_discrepancy", discrepancy)
         if self.direction is None:
-            object.__setattr__(self, "direction", cartesian_to_spherical(rhat).direction)
+            object.__setattr__(self, "direction", _direction_of(rhat))
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
@@ -469,6 +469,12 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
 
     The captured fields are compared, row by row, with the spherical wave
     of the trace's own far-field record, fixed at capture time.
+
+    Raises
+    ------
+    TraceFormatError
+        When a field, the far-field record or a radius is so close to the
+        float limit that the metric overflows float64.
     """
     if direction is None:
         direction = trace.direction
@@ -476,9 +482,16 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
         raise ValueError(
             "trace carries no direction (ff_f record without # direction): pass one explicitly"
         )
-    dist = AngularFieldDistribution(direction, trace.f)
-    e_ff, h_ff = auxiliary_fields(dist, trace.r)
-    eps = field_mismatch(trace.e, trace.h, e_ff, h_ff)
+    try:
+        with np.errstate(over="raise"):
+            dist = AngularFieldDistribution(direction, trace.f)
+            e_ff, h_ff = auxiliary_fields(dist, trace.r)
+            eps = field_mismatch(trace.e, trace.h, e_ff, h_ff)
+    except FloatingPointError as exc:
+        raise TraceFormatError(
+            "the trace's error curve overflows float64: its fields, far-field "
+            "record or radii lie too close to the float limit"
+        ) from exc
     return ErrorCurve(trace.r, eps, direction)
 
 
@@ -502,19 +515,13 @@ def run_sweep(config: ScenarioConfig) -> ErrorCurve:
     return error_sweep(scenario, config.direction, grid)
 
 
-def run_boundaries(
-    config: ScenarioConfig, *, search_points_per_decade: int | None = None
-) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
+def run_boundaries(config: ScenarioConfig) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
     """The ``(spec, result)`` pairs of a config's boundary searches; no curve is swept."""
     if not config.boundaries:
         raise ConfigError("the scenario lists no boundaries")
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
-    kw = {}
-    if search_points_per_decade is not None:
-        kw["points_per_decade"] = search_points_per_decade
     return tuple(
-        (spec, evaluate_boundary(geometry, spec, config.direction, **kw))
-        for spec in config.boundaries
+        (spec, evaluate_boundary(geometry, spec, config.direction)) for spec in config.boundaries
     )
 
 

@@ -69,28 +69,6 @@ def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.n
 
 
 @dataclass(frozen=True, eq=False)
-class DipoleElement:
-    """A single infinitesimal dipole, the argument of :func:`dipole_field`.
-
-    Attributes
-    ----------
-    position : numpy.ndarray
-        Element location, wavelengths.
-    orientation : numpy.ndarray
-        Unit vector along the dipole axis (normalized at construction).
-    """
-
-    position: np.ndarray
-    orientation: np.ndarray = field(default_factory=lambda: _Z_HAT.copy())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _as_array(self.position, 1, "position"))
-        object.__setattr__(
-            self, "orientation", _as_array(self.orientation, 1, "orientation", unit=True)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """An antenna array: element positions and orientations plus a boresight normal.
 
@@ -206,19 +184,6 @@ def _element_fields(
         e_rad[..., None] * rhat + e_pol[..., None] * (cos_loc[..., None] * rhat - orientations)
     )
     return e, h
-
-
-def dipole_field(element: DipoleElement, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact fields of a single dipole at a cartesian point.
-
-    Returns
-    -------
-    (E, H) : tuple of numpy.ndarray
-        Complex 3-vectors of the electric and magnetic field phasors.
-    """
-    p = np.asarray(point, dtype=float).reshape(3)
-    e, h = _element_fields(element.position[None, :], element.orientation[None, :], p)
-    return e[0], h[0]
 
 
 def array_field(

@@ -14,6 +14,7 @@ from nff import (
     FRONT,
     SIDE,
     WAVENUMBER,
+    ArrayGeometry,
     BoundarySpec,
     DipoleArrayScenario,
     Direction,
@@ -21,7 +22,6 @@ from nff import (
     analytic_angular_distribution,
     array_field,
     default_grid,
-    dipole_field,
     error_sweep,
     evaluate_boundary,
     export_trace,
@@ -36,7 +36,6 @@ from nff import (
     xi_worst_mismatch,
 )
 from nff.cli import main
-from nff.sources import DipoleElement
 
 K = WAVENUMBER
 Z0 = FREE_SPACE_IMPEDANCE
@@ -179,13 +178,13 @@ def _finite_difference_maxwell(fields, points, step=1e-4):
 def test_criterion_6_maxwell_consistency():
     """Central-difference curls reproduce the source-free Maxwell pair."""
     rng = np.random.default_rng(606)
-    el = DipoleElement(np.zeros(3), np.array([0.2, -0.3, 1.1]))
+    lone = ArrayGeometry(np.zeros((1, 3)), [0.2, -0.3, 1.1])  # one dipole at the origin
     pts = []
     for _ in range(20):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         pts.append(u * rng.uniform(0.5, 50.0))
-    _finite_difference_maxwell(lambda p: dipole_field(el, p), pts)
+    _finite_difference_maxwell(lambda p: array_field(lone, [1.0], p), pts)
 
     geo = uniform_linear_array(8, 0.5)
     w = ff_precoder(geo, FRONT)

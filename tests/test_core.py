@@ -10,12 +10,10 @@ from nff import (
     FREE_SPACE_IMPEDANCE,
     WAVENUMBER,
     Direction,
-    SphericalPoint,
-    cartesian_to_spherical,
     stable_excess_path,
     unit_vector,
 )
-from nff.core import _plane_dot, _plane_offsets
+from nff.core import _direction_of, _plane_dot, _plane_offsets
 
 
 def _excess_decimal(r, rhat, r_n, digits=50):
@@ -65,32 +63,15 @@ def test_unit_vector_norm_property():
         assert abs(np.linalg.norm(unit_vector(d)) - 1.0) <= 1e-15
 
 
-def test_spherical_to_cartesian_examples():
-    np.testing.assert_allclose(
-        SphericalPoint(2, Direction(90, 0)).to_cartesian(), [2, 0, 0], atol=1e-14
-    )
-    np.testing.assert_allclose(
-        SphericalPoint(1, Direction(45, 45)).to_cartesian(),
-        [0.5, 0.5, math.sqrt(2) / 2],
-        atol=1e-15,
-    )
-    origin = cartesian_to_spherical(np.zeros(3))
-    assert origin.r == 0.0
-    assert origin.direction == Direction(0.0, 0.0)
-
-
 def test_spherical_round_trip_property():
     rng = np.random.default_rng(5)
     for _ in range(2_000):
         v = rng.normal(size=3) * 10 ** rng.uniform(-2, 4)
-        p = cartesian_to_spherical(v)
-        back = p.to_cartesian()
+        back = np.linalg.norm(v) * unit_vector(_direction_of(v))
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
-
-
-def test_spherical_point_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        SphericalPoint(-1.0, Direction(90, 0))
+    # a direction a hair below +x has an azimuth that rounds up to 360 degrees
+    assert math.degrees(math.atan2(-1e-17, 1.0)) % 360.0 == 360.0
+    assert _direction_of(np.array([1.0, -1e-17, 0.0])) == Direction(90.0, 0.0)
 
 
 def test_stable_excess_path_zero_offset():

@@ -24,6 +24,7 @@ from nff import (
     load_scenario,
     parse_boundaries,
     parse_direction,
+    trace_error_curve,
 )
 from nff.harness import TRACE_DATA_HEADER
 
@@ -170,10 +171,10 @@ def _sample_trace(sample: str) -> str:
     return f"# trace_version = 1\n# ff_sample = {sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12
 
 
-def _ff_f_trace(f: str, direction: str) -> str:
+def _ff_f_trace(f: str, direction: str, row: str = "1" + ",0" * 12) -> str:
     return (
-        f"# trace_version = 1\n# ff_f = {f}\n# direction = {direction}\n{TRACE_DATA_HEADER}\n1"
-        + ",0" * 12
+        f"# trace_version = 1\n# ff_f = {f}\n# direction = {direction}\n"
+        f"{TRACE_DATA_HEADER}\n{row}"
     )
 
 
@@ -187,6 +188,18 @@ def _ff_f_trace(f: str, direction: str) -> str:
 # a stated direction's transversality check overflowed the norm of a huge f
 @example(text=_ff_f_trace("0,0,0,0,0,1e300", "0,0"))
 @example(text=_ff_f_trace("0,0,0,0,1e308,1e308", "90,0"))
+# the power flow of this lone z-dipole's sample points a hair below +x: its azimuth
+# rounds up to 360 degrees, which is the direction phi = 0
+@example(
+    text=_sample_trace(
+        "1000000,0,0,0,0,-2.9895162918794866e-11,-0.00018836515683399522,5e-25,0,"
+        "7.9354280327811575e-14,4.9999999999999998e-07,0,0"
+    )
+)
+# the error metric overflowed on a huge far-field record or field row, and ended in
+# RuntimeWarnings and an unrelated "epsilon values must lie in [0, 1]"
+@example(text=_ff_f_trace("0,0,0,0,1e300,0", "90,0"))
+@example(text=_ff_f_trace("0,0,0,0,1,0", "90,0", "1,0,0,0,0,1e300,0,0,0,0,0,0,0"))
 def test_import_trace_fuzz(tmp_path_factory, text):
     path = _write(tmp_path_factory.getbasetemp(), "fuzz.csv", text)
     try:
@@ -196,3 +209,10 @@ def test_import_trace_fuzz(tmp_path_factory, text):
     assert isinstance(trace, FieldTrace)
     assert np.all(np.isfinite(trace.f)) and math.isfinite(trace.eh_discrepancy or 0.0)
     assert trace.direction is None or isinstance(trace.direction, Direction)
+    if trace.direction is not None:
+        try:
+            curve = trace_error_curve(trace)
+        except TraceFormatError as exc:
+            assert "overflow" in str(exc)
+        else:
+            assert curve.r.size == trace.r.size

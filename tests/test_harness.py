@@ -449,6 +449,10 @@ def _sample_trace_text(sample: str) -> str:
     return f"# trace_version = 1\n# ff_sample = {sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12 + "\n"
 
 
+def _ff_f_trace_text(f: str, row: str) -> str:
+    return f"# trace_version = 1\n# ff_f = {f}\n# direction = 90,0\n{TRACE_DATA_HEADER}\n{row}\n"
+
+
 @pytest.mark.parametrize(
     "name, text, command",
     [
@@ -471,6 +475,9 @@ def _sample_trace_text(sample: str) -> str:
         ("kr.csv", _sample_trace_text("1e308,1,0,0,0,0,0,0,0,1,0,0,0"), "validate-trace"),
         # E x conj(H) overflows
         ("eh.csv", _sample_trace_text("1,0,0,0,0,0,1e300,0,1e300,0,0,0,0"), "validate-trace"),
+        # the error metric overflows on a huge far-field record or field row
+        ("f.csv", _ff_f_trace_text("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7), "trace-sweep"),
+        ("row.csv", _ff_f_trace_text("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7), "trace-sweep"),
     ],
     ids=[
         "grid_hi_inf",
@@ -480,10 +487,15 @@ def _sample_trace_text(sample: str) -> str:
         "grid_ppd_huge",
         "ff_sample_kr_overflows",
         "ff_sample_power_overflows",
+        "ff_f_metric_overflows",
+        "data_row_metric_overflows",
     ],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     path = str(_write(tmp_path, name, text))
+    if command == "trace-sweep":
+        cfg = f"source = imported-trace\ntrace = {path}\nexcitation = none\n"
+        command, path = "sweep", str(_write(tmp_path, "t.cfg", cfg))
     if command == "sweep":
         argv = ["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]
     else:
@@ -491,8 +503,8 @@ def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     assert main(argv) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors
-    if name in ("kr.csv", "eh.csv"):
-        # the far-field check names the overflow instead of a NaN discrepancy
+    if name in ("kr.csv", "eh.csv", "f.csv", "row.csv"):
+        # the far-field check and the metric name the overflow, not a NaN or an epsilon
         assert "overflow" in errors[0] and "nan" not in errors[0]
 
 
@@ -502,10 +514,8 @@ def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
         # 5 decades x 200000 + 1 = MAX_GRID_POINTS + 1 sweep radii
         ["reproduce", "--figure", "fig4", "--grid-ppd", "200000"],
         ["sweep", "--grid-ppd", "200000"],
-        # 9 decades x 111112 + 1 search radii, just past the limit
-        ["boundaries", "--grid-ppd", "111112"],
     ],
-    ids=["reproduce", "sweep", "boundaries"],
+    ids=["reproduce", "sweep"],
 )
 def test_cli_rejects_grids_past_the_limit(tmp_path, capsys, argv):
     cfg = _write(tmp_path, "c.cfg", "n = 8\nspacing_lambda = 0.5\nboundaries = ar\n")
@@ -514,6 +524,27 @@ def test_cli_rejects_grids_past_the_limit(tmp_path, capsys, argv):
         where += ["--config", str(cfg)]
     assert main(argv + where) == 1
     assert "more than the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--config", "c.cfg", "--out", "x.csv", "--grid-ppd", "abc"],
+        ["bogus"],
+        ["reproduce", "--figure", "fig6", "--out", "out"],
+        # the search grid is fixed: --grid-ppd sets the sweep grid only
+        ["boundaries", "--config", "c.cfg", "--out", "x.csv", "--grid-ppd", "5"],
+    ],
+    ids=["grid_ppd_not_int", "unknown_command", "unknown_figure", "boundaries_grid_ppd"],
+)
+def test_cli_usage_errors_are_validation_errors(capsys, argv):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["boundaries", "--help"]) == 0
 
 
 def test_cli_boundaries(tmp_path, capsys):

@@ -12,12 +12,9 @@ from nff import (
     SIDE,
     WAVENUMBER,
     ArrayGeometry,
-    DipoleElement,
     Direction,
     FieldSingularity,
-    SphericalPoint,
     array_field,
-    dipole_field,
     ff_precoder,
     gamma_uniform_power,
     nf_precoder,
@@ -28,6 +25,12 @@ from nff import (
 
 Z0 = FREE_SPACE_IMPEDANCE
 K = WAVENUMBER
+
+
+def _lone_dipole(orientation=(0.0, 0.0, 1.0)):
+    """Field function of one dipole at the origin: a one-element array with weight 1."""
+    geo = ArrayGeometry(np.zeros((1, 3)), orientation)
+    return lambda p: array_field(geo, [1.0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +85,10 @@ def test_ula_validation():
 
 
 def test_element_orientation_normalized():
-    el = DipoleElement(np.zeros(3), np.array([0.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(el.orientation, [0.0, 0.0, 1.0])
+    geo = ArrayGeometry(np.zeros((1, 3)), np.array([0.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(geo.orientations, [[0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
-        DipoleElement(np.zeros(3), np.zeros(3))
+        ArrayGeometry(np.zeros((1, 3)), np.zeros(3))
 
 
 def test_geometry_must_be_centered():
@@ -101,8 +104,8 @@ def test_geometry_holds_validated_arrays():
     np.testing.assert_array_equal(geo.orientations, [[0.0, 0.0, 1.0]] * 2)
     assert not (geo.positions.flags.writeable or geo.orientations.flags.writeable)
     tilted = ArrayGeometry(geo.positions, [[0.0, 0.0, 2.0], [0.1, -0.4, 1.3]])
-    el = DipoleElement(np.zeros(3), np.array([0.1, -0.4, 1.3]))
-    np.testing.assert_array_equal(tilted.orientations[1], el.orientation)
+    lone = ArrayGeometry(np.zeros((1, 3)), [0.1, -0.4, 1.3])
+    np.testing.assert_array_equal(tilted.orientations[1], lone.orientations[0])
     for bad in ([0.0, 0.0, 0.0], np.zeros((0, 3)), [[0.0, 0.0, 1.0]]):  # shape, empty, off-center
         with pytest.raises(ValueError):
             ArrayGeometry(bad)
@@ -114,8 +117,6 @@ def test_geometry_holds_validated_arrays():
 def test_geometry_rejects_non_finite_positions(bad):
     with pytest.raises(ValueError, match="finite"):
         ArrayGeometry([[0.0, bad, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="finite"):
-        DipoleElement(np.array([bad, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,7 @@ def test_geometry_rejects_non_finite_positions(bad):
 def test_dipole_equatorial_field_is_transverse():
     # z-oriented dipole, observation on the x axis: the radial E term
     # carries a factor cos(local polar angle) = 0 exactly.
-    el = DipoleElement(np.zeros(3))
-    e, h = dipole_field(el, np.array([2.3, 0.0, 0.0]))
+    e, h = _lone_dipole()(np.array([2.3, 0.0, 0.0]))
     assert e[0] == 0.0
     assert e[1] == 0.0
     assert h[0] == h[2] == 0.0
@@ -135,10 +135,9 @@ def test_dipole_equatorial_field_is_transverse():
 
 def test_dipole_far_zone_impedance():
     # kR = 1e6: transverse E over H approaches the wave impedance as 1/(kR)
-    el = DipoleElement(np.zeros(3))
     r = 1e6 / K
     p = r * unit_vector(Direction(50.0, 20.0))
-    e, h = dipole_field(el, p)
+    e, h = _lone_dipole()(p)
     rhat = p / np.linalg.norm(p)
     e_t = e - (e @ rhat) * rhat
     ratio = np.linalg.norm(e_t) / np.linalg.norm(h)
@@ -146,9 +145,8 @@ def test_dipole_far_zone_impedance():
 
 
 def test_dipole_field_singularity():
-    el = DipoleElement(np.zeros(3))
     with pytest.raises(FieldSingularity):
-        dipole_field(el, np.zeros(3))
+        _lone_dipole()(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +190,13 @@ def _check_maxwell(fields, points):
 
 
 def test_dipole_fields_satisfy_maxwell():
-    el = DipoleElement(np.zeros(3), np.array([0.1, -0.4, 1.3]))
     rng = np.random.default_rng(42)
     points = []
     for _ in range(20):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         points.append(u * rng.uniform(0.5, 50.0))
-    _check_maxwell(lambda p: dipole_field(el, p), points)
+    _check_maxwell(_lone_dipole([0.1, -0.4, 1.3]), points)
 
 
 def test_array_fields_satisfy_maxwell():
@@ -220,12 +217,39 @@ def test_array_fields_satisfy_maxwell():
 
 
 def test_single_element_array_matches_dipole():
-    geo = uniform_linear_array(1, 0.5)
-    p = np.array([1.2, -0.7, 0.4])
-    e_a, h_a = array_field(geo, np.ones(1), p)
-    e_d, h_d = dipole_field(DipoleElement(geo.positions[0], geo.orientations[0]), p)
-    np.testing.assert_array_equal(e_a, e_d)
-    np.testing.assert_array_equal(h_a, h_d)
+    # the textbook z-dipole (Il = 1) in spherical components:
+    #   E_r   = Z0 cos(t) / (2 pi R^2) (1 + 1/(jkR)) exp(-jkR)
+    #   E_t   = j Z0 k sin(t) / (4 pi R) (1 + 1/(jkR) - 1/(kR)^2) exp(-jkR)
+    #   H_phi = j k sin(t) / (4 pi R) (1 + 1/(jkR)) exp(-jkR)
+    rng = np.random.default_rng(12)
+    big_r = 10.0 ** rng.uniform(-1.0, 4.0, 200)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 200))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 200)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    r_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+    t_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    p_hat = np.stack([-sp, cp, np.zeros(200)], axis=-1)
+    kr = K * big_r
+    near = 1.0 + 1.0 / (1j * kr)
+    phase = np.exp(-1j * kr)
+    want_e = np.stack(
+        [
+            Z0 * ct / (2.0 * math.pi * big_r**2) * near * phase,
+            1j * Z0 * K * st / (4.0 * math.pi * big_r) * (near - 1.0 / kr**2) * phase,
+            np.zeros(200),
+        ],
+        axis=-1,
+    )
+    want_h = np.zeros((200, 3), dtype=complex)
+    want_h[:, 2] = 1j * K * st / (4.0 * math.pi * big_r) * near * phase
+
+    e, h = array_field(uniform_linear_array(1, 0.5), np.ones(1), big_r[:, None] * r_hat)
+    frame = np.stack([r_hat, t_hat, p_hat], axis=-2)  # rows r, theta, phi
+    got_e = np.einsum("nij,nj->ni", frame, e)
+    got_h = np.einsum("nij,nj->ni", frame, h)
+    for got, want in ((got_e, want_e), (got_h, want_h)):
+        rel = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+        assert np.max(rel) <= 1e-10
 
 
 def test_array_field_linearity():
@@ -262,18 +286,18 @@ def test_singular_radius_scales_with_wavelength():
     # the guard is 1e-9 wavelengths for the field kernel and the boundary
     # criteria alike: 0.5e-9 from an element is inside it, 1.5e-9 outside
     geo = uniform_linear_array(8, 0.5)
-    inside = SphericalPoint(0.75 + 0.5e-9, SIDE)
+    inside = 0.75 + 0.5e-9
     with pytest.raises(FieldSingularity):
-        array_field(geo, np.ones(8), inside.to_cartesian())
+        array_field(geo, np.ones(8), inside * unit_vector(SIDE))
     with pytest.raises(ValueError, match="singular"):
-        upsilon_power(geo, inside.r, inside.direction)
+        upsilon_power(geo, inside, SIDE)
     with pytest.raises(ValueError, match="singular"):
-        gamma_uniform_power(geo, inside.r, inside.direction)
-    outside = SphericalPoint(0.75 + 1.5e-9, SIDE)
-    e, h = array_field(geo, np.ones(8), outside.to_cartesian())
+        gamma_uniform_power(geo, inside, SIDE)
+    outside = 0.75 + 1.5e-9
+    e, h = array_field(geo, np.ones(8), outside * unit_vector(SIDE))
     assert np.all(np.isfinite(e)) and np.all(np.isfinite(h))
-    assert upsilon_power(geo, outside.r, outside.direction) > 0.0
-    assert gamma_uniform_power(geo, outside.r, outside.direction) >= 0.0
+    assert upsilon_power(geo, outside, SIDE) > 0.0
+    assert gamma_uniform_power(geo, outside, SIDE) >= 0.0
 
 
 # ---------------------------------------------------------------------------

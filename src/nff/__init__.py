@@ -58,7 +58,6 @@ from .harness import (
 from .metric import (
     DipoleArrayScenario,
     ErrorCurve,
-    FieldScenario,
     default_grid,
     error_sweep,
     field_mismatch,
@@ -87,7 +86,6 @@ __all__ = [
     "ErrorCurve",
     "FREE_SPACE_IMPEDANCE",
     "FRONT",
-    "FieldScenario",
     "FieldSingularity",
     "FieldTrace",
     "InconsistentFarField",

@@ -35,17 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    _SCAN_PAIRS,
-    WAVENUMBER,
-    Direction,
-    _plane_dot,
-    _plane_offsets,
-    stable_excess_path,
-    unit_vector,
-)
+from .core import WAVENUMBER, Direction, _blockwise, _plane_dot, stable_excess_path, unit_vector
 from .metric import default_grid
-from .sources import ArrayGeometry, ff_precoder, on_element
+from .sources import ArrayGeometry, _point_offsets, ff_precoder
 
 #: Default search bracket (wavelengths) and log-grid density.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -144,38 +136,26 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
-def _in_blocks(criterion):
-    """Evaluate ``criterion(geometry, r, ...)`` on blocks of ``_SCAN_PAIRS // N`` radii.
+def _in_blocks(criterion, planes: int = 1):
+    """Evaluate ``criterion(geometry, r, ...)`` on blocks of ``_SCAN_PAIRS // (planes * N)`` radii.
 
     Every value is elementwise in ``r``, so a block gives each radius the same
     bits as the radius alone, and the ``(radii, N)`` temporaries stay bounded
-    whatever the size of ``r``.
+    whatever the size of ``r`` (:func:`nff.core._blockwise`).  ``planes`` counts the
+    float64 planes of the widest temporary: 2 for ``psi``'s complex ones, which at
+    8192 pairs made the boundary scans' heap top grow and shrink on every block.
     """
 
     @functools.wraps(criterion)
     def blocked(geometry: ArrayGeometry, r, *args, **kwargs):
-        step = max(1, _SCAN_PAIRS // geometry.n)
-        if np.size(r) <= step:
-            return criterion(geometry, r, *args, **kwargs)
-        r = np.asarray(r, dtype=float)
-        flat = r.ravel()
-        out = np.empty(flat.size)
-        for i in range(0, flat.size, step):
-            out[i : i + step] = criterion(geometry, flat[i : i + step], *args, **kwargs)
-        return out.reshape(r.shape)
+        return _blockwise(lambda b: criterion(geometry, b, *args, **kwargs), planes * geometry.n, r)
 
     return blocked
 
 
-def _element_offsets(
-    geometry: ArrayGeometry, r, direction: Direction, name: str
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _element_offsets(geometry: ArrayGeometry, r, direction: Direction):
     """Offsets ``r rhat - r_n`` as x, y, z planes ``(..., N)``, and their norms."""
-    point = np.multiply.outer(r, unit_vector(direction))[..., None, :]
-    planes, dist = _plane_offsets(point, geometry.positions)
-    if np.any(on_element(dist)):
-        raise ValueError(f"{name} is singular on an element position")
-    return planes, dist
+    return _point_offsets(np.multiply.outer(r, unit_vector(direction)), geometry.positions)
 
 
 @_in_blocks
@@ -217,7 +197,7 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    planes, dist = _element_offsets(geometry, r, direction, "gamma")
+    planes, dist = _element_offsets(geometry, r, direction)
     proj = _plane_dot(planes, geometry.boresight)
     tol = 1e-9 * np.maximum(1.0, r)[..., None]
     if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
@@ -231,7 +211,7 @@ def gamma_uniform_power(
     return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)[()]
 
 
-@_in_blocks
+@functools.partial(_in_blocks, planes=2)
 def psi_gain_ratio(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -246,7 +226,7 @@ def psi_gain_ratio(
     weights matched to ``steering``.  At least 1 by the triangle
     inequality (the focusing weights align every term).
     """
-    _, dist = _element_offsets(geometry, r, direction, "psi")
+    _, dist = _element_offsets(geometry, r, direction)
     h = np.exp(-1j * WAVENUMBER * dist) / dist
     den = np.abs(np.sum(h * ff_precoder(geometry, steering), axis=-1))
     with np.errstate(divide="ignore"):
@@ -264,7 +244,7 @@ def upsilon_power(
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    planes, _ = _element_offsets(geometry, r, direction, "upsilon")
+    planes, _ = _element_offsets(geometry, r, direction)
     return (np.square(r) / geometry.n * np.sum(1.0 / _plane_dot(planes, planes), axis=-1))[()]
 
 
@@ -298,17 +278,16 @@ def _xi_gap(
 
 def _xi_row_peaks(r: np.ndarray, a: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximum and its first index in each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
-    s = _XI_S_GRID
-    step = _SCAN_PAIRS // s.size
-    peak = np.empty(r.size)
-    arg = np.empty(r.size, dtype=int)
-    for i in range(0, r.size, step):
-        rows = slice(i, i + step)
-        ai = a[rows, None]
-        g = _xi_gap(r[rows, None], ai * s, ai * ai, k)
-        peak[rows] = np.max(g, axis=1)
-        arg[rows] = np.argmax(g, axis=1)
-    return peak, arg
+    # each block's grid stays allocated until the next is computed: freed with its block,
+    # it let glibc trim and regrow the heap top every block (fig4 wc: 2-6x the page faults)
+    g = None
+
+    def peaks(r, a):
+        nonlocal g
+        g = _xi_gap(r[:, None], a[:, None] * _XI_S_GRID, a[:, None] * a[:, None], k)
+        return np.max(g, axis=1), np.argmax(g, axis=1)
+
+    return _blockwise(peaks, _XI_S_GRID.size, r, a, dtypes=(float, int))
 
 
 def _xi_row_bound(r: np.ndarray, a: np.ndarray, k: float) -> np.ndarray:
@@ -338,19 +317,22 @@ def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
     neither hold the maximum nor enter the leading set, and is skipped.
 
     *Blocks.*  Radii are taken ``_SCAN_PAIRS // N`` at a time (``N`` counts
-    every offset), so no temporary grows with ``r``.  Within a block, rows are
+    every offset) by :func:`nff.core._blockwise`, which writes them into one
+    output, so no temporary grows with ``r``.  Within a block, rows are
     evaluated ``_SCAN_PAIRS // 2001`` (4) at a time, so every grid temporary
     stays below glibc's 128 KiB mmap threshold, and the re-gridding steps of
     all leading ``(radius, element)`` pairs run together; a pair stops once
     its cell is narrower than 1e-9, so it sees the same cells as it would
     alone.
     """
-    step = max(1, _SCAN_PAIRS // a.size)
-    if r.size > step:
-        return np.concatenate([_xi_offsets(a, r[i : i + step], k) for i in range(0, r.size, step)])
+    rows = np.unique(a)  # equal offsets have equal rows and refinements
+    return _blockwise(lambda rb: _xi_block(rows, rb, k), a.size, r)
+
+
+def _xi_block(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
+    """:func:`_xi_offsets` on one block of radii, from distinct sorted offsets ``a``."""
     s = _XI_S_GRID
     end = s.size - 1
-    a = np.unique(a)  # equal offsets have equal rows and refinements
     top = a.size - 1
     peak = np.full((r.size, a.size), -np.inf)
     arg = np.zeros(peak.shape, dtype=int)

@@ -29,6 +29,7 @@ from .harness import (
     reproduce_reference,
     run_boundaries,
     run_sweep,
+    trace_error_curve,
 )
 
 EXIT_OK = 0
@@ -101,6 +102,8 @@ def _cmd_reproduce(args) -> int:
 def _cmd_validate_trace(args) -> int:
     trace = import_trace(args.file)
     direction = trace.direction
+    if direction is not None:
+        trace_error_curve(trace)  # a trace that cannot be scored is not valid
     where = (
         f"theta={direction.theta_deg:g} deg, phi={direction.phi_deg:g} deg"
         if direction is not None

@@ -40,6 +40,7 @@ from .metric import (
     EXCITATION_FOCUS,
     EXCITATION_NONE,
     EXCITATION_STEER,
+    _EXCITATIONS,
     DipoleArrayScenario,
     ErrorCurve,
     default_grid,
@@ -61,11 +62,6 @@ BOUNDARY_HEADER = "kind,threshold,status,value_lambda,crossings"
 MAX_ELEMENTS = 4096
 
 _SOURCES = ("dipole-ula", "imported-trace")
-_EXCITATION_ALIASES = {
-    "ff-bf": EXCITATION_STEER,
-    "nf-bf": EXCITATION_FOCUS,
-    "none": EXCITATION_NONE,
-}
 
 
 class ConfigError(ValueError):
@@ -103,8 +99,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.source not in _SOURCES:
             raise ConfigError(f"unknown source {self.source!r}; expected one of {_SOURCES}")
-        if self.excitation not in _EXCITATION_ALIASES.values():
-            raise ConfigError(f"unknown excitation {self.excitation!r}")
+        if self.excitation not in _EXCITATIONS:
+            raise ConfigError(
+                f"unknown excitation {self.excitation!r}; expected one of {sorted(_EXCITATIONS)}"
+            )
         if self.source == "dipole-ula":
             if self.n is None:
                 raise ConfigError("dipole-ula scenarios need n")
@@ -225,13 +223,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if "direction" in raw:
             kwargs["direction"] = parse_direction(raw["direction"])
         if "excitation" in raw:
-            exc_name = raw["excitation"].lower()
-            if exc_name not in _EXCITATION_ALIASES:
-                raise ConfigError(
-                    f"unknown excitation {raw['excitation']!r}; expected one of "
-                    f"{sorted(_EXCITATION_ALIASES)}"
-                )
-            kwargs["excitation"] = _EXCITATION_ALIASES[exc_name]
+            kwargs["excitation"] = raw["excitation"].lower()
         if "grid_lo" in raw:
             kwargs["grid_lo"] = float(raw["grid_lo"])
         if "grid_hi" in raw:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
 
 import numpy as np
 
-from .core import FREE_SPACE_IMPEDANCE, Direction, _plane_offsets, unit_vector
+from .core import FREE_SPACE_IMPEDANCE, Direction, _blockwise, _plane_offsets, unit_vector
 from .farfield import AngularFieldDistribution, analytic_angular_distribution, auxiliary_fields
 from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
 
@@ -31,11 +30,6 @@ DEFAULT_GRID_PPD = 100
 
 #: Largest point count :func:`default_grid` builds.
 MAX_GRID_POINTS = 10**6
-
-#: Radius-element pairs per block of :func:`error_sweep` and :func:`grid_on_element`.
-#: It keeps a block's ``(pairs, 3)`` complex temporaries (96 KiB) under glibc's
-#: 128 KiB mmap threshold, which perfbench pins, so peak memory stays flat in N.
-BLOCK_PAIRS = 2048
 
 #: Excitation scheme labels.
 EXCITATION_STEER = "ff-bf"
@@ -76,23 +70,6 @@ def field_mismatch(e, h, e_ff, h_ff):
     if mu.ndim == 0:
         return float(mu)
     return mu
-
-
-class FieldScenario(Protocol):
-    """Anything that can produce true fields and an angular distribution.
-
-    ``fields`` returns the true ``(E, H)``, each ``(..., 3)``, at cartesian
-    points ``(..., 3)``; ``angular_distribution`` returns the far-field
-    ``f`` to compare against, given the evaluation direction and a radius
-    or an array of radii ``(...)`` (the radius matters for excitations
-    that re-focus at every evaluation point).
-    """
-
-    def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def angular_distribution(
-        self, direction: Direction, r: float | np.ndarray
-    ) -> AngularFieldDistribution: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +146,21 @@ class ErrorCurve:
 
 
 def error_sweep(
-    scenario: FieldScenario,
+    scenario: DipoleArrayScenario,
     direction: Direction,
     r_grid: np.ndarray,
 ) -> ErrorCurve:
     """Evaluate the approximation error along a radial grid.
 
-    Radii are evaluated in blocks of :data:`BLOCK_PAIRS` radius-element
-    pairs; each gets the same value, bit for bit, as when swept alone.
+    Radii are evaluated in blocks of 2048 radius-element pairs
+    (:func:`nff.core._blockwise`), each in one pass: the block's weights are
+    computed once and drive both the exact fields and the far-field ``f``.
+    Every radius gets the same value, bit for bit, as when swept alone.  A
+    radius on an element raises :class:`FieldSingularity`, which names it.
 
     Parameters
     ----------
-    scenario : FieldScenario
+    scenario : DipoleArrayScenario
     direction : Direction
         Test-line direction.
     r_grid : numpy.ndarray
@@ -197,34 +177,30 @@ def error_sweep(
         raise ValueError("sweep grid radii must be positive")
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweep grid must be strictly increasing")
-    geometry = getattr(scenario, "geometry", None)
-    if geometry is not None:
-        bad = np.nonzero(grid_on_element(geometry, direction, grid))[0]
-        if bad.size:
-            raise ValueError(
-                f"sweep grid point r = {float(grid[bad[0]])!r} coincides with an element position"
-            )
+    geometry = scenario.geometry
     rhat = unit_vector(direction)
-    step = max(1, BLOCK_PAIRS // (1 if geometry is None else geometry.n))
-    eps = np.empty(grid.size)
-    for i in range(0, grid.size, step):
-        r = grid[i : i + step]
-        e, h = scenario.fields(r[:, None] * rhat)
-        dist = scenario.angular_distribution(direction, r)
-        e_ff, h_ff = auxiliary_fields(dist, r)
-        eps[i : i + step] = field_mismatch(e, h, e_ff, h_ff)
-    return ErrorCurve(grid, eps, direction)
+
+    def block(r):
+        points = r[:, None] * rhat
+        w = scenario.weights(points)
+        e, h = array_field(geometry, w, points)
+        e_ff, h_ff = auxiliary_fields(analytic_angular_distribution(geometry, w, direction), r)
+        return field_mismatch(e, h, e_ff, h_ff)
+
+    # width 4N: a (pairs, 3) complex temporary is 48 bytes a pair, so 2048 pairs keep
+    # each under glibc's 128 KiB mmap threshold and peak memory flat in N
+    return ErrorCurve(grid, _blockwise(block, 4 * geometry.n, grid), direction)
 
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:
     """Mask of the radii on a test line that land on an element position."""
     rhat = unit_vector(direction)
-    step = max(1, BLOCK_PAIRS // geometry.n)
-    mask = np.empty(grid.size, dtype=bool)
-    for i in range(0, grid.size, step):
-        _, dists = _plane_offsets(grid[i : i + step, None, None] * rhat, geometry.positions)
-        mask[i : i + step] = np.any(on_element(dists), axis=1)
-    return mask
+
+    def block(r):
+        _, dists = _plane_offsets(r[:, None, None] * rhat, geometry.positions)
+        return np.any(on_element(dists), axis=1)
+
+    return _blockwise(block, geometry.n, grid, dtypes=(bool,))
 
 
 def default_grid(

@@ -24,10 +24,11 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    _SCAN_PAIRS,
     FREE_SPACE_IMPEDANCE,
     WAVENUMBER,
     Direction,
+    _blockwise,
+    _plane_dot,
     _plane_offsets,
     unit_vector,
 )
@@ -46,6 +47,21 @@ class FieldSingularity(ValueError):
 def on_element(dist: np.ndarray) -> np.ndarray:
     """True where a point-to-element distance is within SINGULARITY_RADIUS wavelengths."""
     return dist < SINGULARITY_RADIUS
+
+
+def _point_offsets(points: np.ndarray, positions: np.ndarray):
+    """Offsets ``p - r_n`` of points ``(..., 3)`` as x, y, z planes ``(..., N)``, and their norms.
+
+    A point on an element raises :class:`FieldSingularity`, which names its ``r = |p|``.
+    """
+    planes, dist = _plane_offsets(points[..., None, :], positions)
+    if np.any(on_element(dist)):
+        p = np.reshape(points, (-1, 3))[np.argmax(np.any(on_element(dist), axis=-1))]
+        raise FieldSingularity(
+            f"singular at r = {float(np.linalg.norm(p))!r}: the point lies within "
+            f"{SINGULARITY_RADIUS} wavelengths of an element position"
+        )
+    return planes, dist
 
 
 def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.ndarray:
@@ -110,16 +126,14 @@ class ArrayGeometry:
     def span(self) -> float:
         """Largest dimension: the maximum inter-element distance, computed on first read.
 
-        Rows of the pairwise distances are taken ``_SCAN_PAIRS // N`` at a time.
+        The pairwise distances are taken in blocks of rows (:func:`nff.core._blockwise`).
         """
         pos = self.positions
-        step = max(1, _SCAN_PAIRS // len(pos))
-        return float(
-            max(
-                np.max(_plane_offsets(pos[i : i + step, None, :], pos)[1])
-                for i in range(0, len(pos), step)
-            )
-        )
+
+        def row_max(i):
+            return np.max(_plane_offsets(pos[i, None, :], pos)[1], axis=-1)
+
+        return float(np.max(_blockwise(row_max, len(pos), np.arange(len(pos)))))
 
 
 def uniform_linear_array(
@@ -163,25 +177,23 @@ def _element_fields(
     """Per-element dipole fields at points ``(..., 3)``; shapes ``(..., N, 3)``."""
     k = WAVENUMBER
     z0 = FREE_SPACE_IMPEDANCE
-    rvec = points[..., None, :] - positions
-    dist = np.linalg.norm(rvec, axis=-1)
-    if np.any(on_element(dist)):
-        raise FieldSingularity(
-            f"field evaluation within {SINGULARITY_RADIUS} wavelengths of an element"
-        )
-    rhat = rvec / dist[..., None]
-    cos_loc = np.sum(orientations * rhat, axis=-1)
+    rvec, dist = _point_offsets(points, positions)
+    x, y, z = rhat = tuple(c / dist for c in rvec)
+    u = orientations.T
+    cos_loc = _plane_dot(u, rhat)
     kr = k * dist
     phase = np.exp(-1j * kr)
     near = 1.0 + 1.0 / (1j * kr)
 
+    # u x rhat, per axis, as np.cross forms it
     h_amp = phase * (1j * k / (4.0 * math.pi * dist)) * near
-    h = h_amp[..., None] * np.cross(orientations, rhat)
+    cross = (u[1] * z - u[2] * y, u[2] * x - u[0] * z, u[0] * y - u[1] * x)
+    h = np.stack([h_amp * c for c in cross], axis=-1)
 
     e_rad = z0 / (2.0 * math.pi * dist**2) * near * cos_loc
     e_pol = 1j * z0 * k / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
-    e = phase[..., None] * (
-        e_rad[..., None] * rhat + e_pol[..., None] * (cos_loc[..., None] * rhat - orientations)
+    e = np.stack(
+        [phase * (e_rad * c + e_pol * (cos_loc * c - ui)) for c, ui in zip(rhat, u)], axis=-1
     )
     return e, h
 
@@ -231,8 +243,5 @@ def nf_precoder(geometry: ArrayGeometry, focus: np.ndarray) -> np.ndarray:
     Aligns the element phases at each cartesian focus point ``(..., 3)``;
     every weight has unit modulus.
     """
-    p = np.asarray(focus, dtype=float)
-    _, dist = _plane_offsets(p[..., None, :], geometry.positions)
-    if np.any(on_element(dist)):
-        raise FieldSingularity("focus coincides with an element position")
+    _, dist = _point_offsets(np.asarray(focus, dtype=float), geometry.positions)
     return np.exp(1j * WAVENUMBER * dist)

@@ -478,6 +478,10 @@ def _ff_f_trace_text(f: str, row: str) -> str:
         # the error metric overflows on a huge far-field record or field row
         ("f.csv", _ff_f_trace_text("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7), "trace-sweep"),
         ("row.csv", _ff_f_trace_text("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7), "trace-sweep"),
+        # validate-trace scores a trace with a direction, so it rejects what sweep does
+        ("f.csv", _ff_f_trace_text("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7), "validate-trace"),
+        ("row.csv", _ff_f_trace_text("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7),
+         "validate-trace"),
     ],
     ids=[
         "grid_hi_inf",
@@ -489,6 +493,8 @@ def _ff_f_trace_text(f: str, row: str) -> str:
         "ff_sample_power_overflows",
         "ff_f_metric_overflows",
         "data_row_metric_overflows",
+        "ff_f_metric_overflows_on_validate",
+        "data_row_metric_overflows_on_validate",
     ],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):

@@ -1,5 +1,6 @@
 """Imports and names: every package module uses each name it imports, every private
-module-level name is read somewhere in the package, and nff needs only numpy."""
+module-level name is read somewhere in the package, block loops are written once, and
+nff needs only numpy."""
 
 import ast
 import subprocess
@@ -72,6 +73,45 @@ def test_unread_private_name_detector():
 def test_package_reads_every_private_name():
     package = sorted(Path(nff.__file__).parent.glob("*.py"))
     assert _unread_private_names([p.read_text(encoding="utf-8") for p in package]) == []
+
+
+def _stepped_range_callers(source: str) -> list[str]:
+    """Functions (``<module>`` outside any) that call ``range(start, stop, step)``."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "range"
+                and len(child.args) == 3
+            ):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_stepped_range_detector():
+    source = (
+        "def f(n):\n    for i in range(0, n, 4):\n        pass\n"
+        "def g(x):\n    return [x[i : i + 2] for i in range(0, len(x), 2)]\n"
+        "def h(n):\n    def inner():\n        return range(1, n, 3)\n    return range(n)\n"
+        "K = range(0, 9, 3)\n"
+    )
+    assert _stepped_range_callers(source) == ["<module>", "f", "g", "inner"]
+
+
+def test_block_loops_go_through_the_one_helper():
+    # every walk over blocks of a batch is core._blockwise; no module hand-writes one
+    package = sorted(Path(nff.__file__).parent.glob("*.py"))
+    callers = {p.name: _stepped_range_callers(p.read_text(encoding="utf-8")) for p in package}
+    assert {name: found for name, found in callers.items() if found} == {"core.py": ["_blockwise"]}
 
 
 def test_import_does_not_load_scipy():

@@ -15,15 +15,20 @@ from nff import (
     DipoleArrayScenario,
     Direction,
     ErrorCurve,
+    FieldTrace,
     array_field,
     auxiliary_fields,
     default_grid,
     error_sweep,
     field_mismatch,
+    nf_precoder,
+    trace_error_curve,
     uniform_linear_array,
     unit_vector,
 )
-from nff.metric import BLOCK_PAIRS, MAX_GRID_POINTS, grid_on_element
+from nff import metric
+from nff.core import _SCAN_PAIRS
+from nff.metric import MAX_GRID_POINTS, grid_on_element
 
 Z0 = FREE_SPACE_IMPEDANCE
 K = WAVENUMBER
@@ -132,31 +137,26 @@ def test_focus_and_steer_converge_far_out():
 
 
 def test_perfect_far_field_scenario_has_zero_error():
-    class _AuxScenario:
-        def __init__(self, dist):
-            self._dist = dist
-
-        def fields(self, points):
-            return auxiliary_fields(self._dist, np.linalg.norm(points, axis=-1))
-
-        def angular_distribution(self, direction, r):
-            return self._dist
-
+    # fields that are exactly the spherical wave of their own f score zero
     dist = AngularFieldDistribution(FRONT, np.array([0.0, 1.5 - 0.5j, 1.0j]))
-    scenario = _AuxScenario(dist)
-    curve = error_sweep(scenario, FRONT, default_grid(0.1, 1e3, 25))
+    grid = default_grid(0.1, 1e3, 25)
+    e, h = auxiliary_fields(dist, grid)
+    curve = trace_error_curve(FieldTrace(r=grid, e=e, h=h, f=dist.f, direction=FRONT))
     assert np.max(curve.epsilon) <= 1e-12
 
 
 def test_error_sweep_rejects_bad_grids():
-    scenario = DipoleArrayScenario(uniform_linear_array(8, 0.5))
+    geo = uniform_linear_array(8, 0.5)
+    scenario = DipoleArrayScenario(geo)
     with pytest.raises(ValueError, match="increasing"):
         error_sweep(scenario, FRONT, np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         error_sweep(scenario, FRONT, np.array([-1.0, 1.0]))
     # the side line passes through the elements of a y-axis array
-    with pytest.raises(ValueError, match=r"point r = 0\.75 coincides with an element"):
-        error_sweep(scenario, SIDE, np.array([0.5, 0.75, 1.0]))
+    for excitation in ("ff-bf", "nf-bf", "none"):
+        scenario = DipoleArrayScenario(geo, excitation, FRONT)
+        with pytest.raises(ValueError, match=r"singular at r = 0\.75\b"):
+            error_sweep(scenario, SIDE, np.array([0.5, 0.75, 1.0]))
 
 
 def test_error_curve_validation():
@@ -229,11 +229,28 @@ def test_error_sweep_blocks_match_single_radii(n, excitation):
     geo = uniform_linear_array(n, 0.5)
     direction = Direction(90.0, 30.0)
     scenario = DipoleArrayScenario(geo, excitation, direction)
-    block = max(1, BLOCK_PAIRS // n)
+    block = max(1, _SCAN_PAIRS // (4 * n))
     grid = np.geomspace(0.1, 1e4, 2 * block + 3)  # two full blocks and a partial one
     curve = error_sweep(scenario, direction, grid)
     single = [error_sweep(scenario, direction, grid[i : i + 1]).epsilon[0] for i in range(grid.size)]
     assert np.array_equal(curve.epsilon, single)
+
+
+def test_error_sweep_computes_focus_weights_once_per_block(monkeypatch):
+    # the block's weights drive both the exact fields and the far-field f
+    calls = []
+
+    def spy(geometry, focus):
+        calls.append(np.shape(focus))
+        return nf_precoder(geometry, focus)
+
+    monkeypatch.setattr(metric, "nf_precoder", spy)
+    geo = uniform_linear_array(64, 0.5)
+    block = _SCAN_PAIRS // (4 * 64)
+    grid = np.geomspace(0.1, 1e4, 2 * block + 3)
+    curve = error_sweep(DipoleArrayScenario(geo, "nf-bf"), FRONT, grid)
+    assert calls == [(block, 3), (block, 3), (3, 3)]
+    assert curve.epsilon.shape == grid.shape
 
 
 def test_error_sweep_memory_is_one_block():

@@ -1,5 +1,6 @@
 """Dipole element fields, array superposition, and precoders."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -250,6 +251,42 @@ def test_single_element_array_matches_dipole():
     for got, want in ((got_e, want_e), (got_h, want_h)):
         rel = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
         assert np.max(rel) <= 1e-10
+
+
+def _docstring_array_field(positions, orientations, weights, point):
+    """``sum_n w_n (E_n, H_n)`` from the ``nff.sources`` formulas, one element at a time."""
+    e_sum, h_sum = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
+    for r_n, u, w in zip(positions, orientations, weights):
+        offset = [point[i] - r_n[i] for i in range(3)]
+        big_r = math.sqrt(sum(c * c for c in offset))
+        r_hat = np.array(offset) / big_r
+        c = float(u @ r_hat)
+        kr = K * big_r
+        near = 1.0 + 1.0 / (1j * kr)
+        phase = cmath.exp(-1j * kr)
+        h = phase * (1j * K / (4.0 * math.pi * big_r)) * near * np.cross(u, r_hat)
+        e = phase * (
+            Z0 / (2.0 * math.pi * big_r**2) * near * c * r_hat
+            + 1j * Z0 * K / (4.0 * math.pi * big_r) * (near - 1.0 / kr**2) * (c * r_hat - u)
+        )
+        e_sum += w * e
+        h_sum += w * h
+    return e_sum, h_sum
+
+
+def test_array_field_matches_per_element_formula():
+    rng = np.random.default_rng(2718)
+    pos = rng.normal(size=(5, 3))
+    geo = ArrayGeometry(pos - pos.mean(axis=0), rng.normal(size=(5, 3)))
+    w = rng.normal(size=5) + 1j * rng.normal(size=5)
+    dirs = rng.normal(size=(60, 3))
+    radii = 10.0 ** rng.uniform(-1, 3, (60, 1))
+    points = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii
+    e, h = array_field(geo, w, points)
+    for i, p in enumerate(points):
+        want_e, want_h = _docstring_array_field(geo.positions, geo.orientations, w, p)
+        assert np.linalg.norm(e[i] - want_e) <= 1e-13 * np.linalg.norm(want_e)
+        assert np.linalg.norm(h[i] - want_h) <= 1e-13 * np.linalg.norm(want_h)
 
 
 def test_array_field_linearity():

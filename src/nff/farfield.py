@@ -81,8 +81,20 @@ def analytic_angular_distribution(
     -------
     AngularFieldDistribution
     """
-    k = WAVENUMBER
+    phases, f_elem = _element_terms(geometry, direction)
     w = np.asarray(weights, dtype=complex)
+    f = ((w * phases)[..., None, :] @ f_elem)[..., 0, :]
+    return AngularFieldDistribution(direction, f)
+
+
+def _element_terms(geometry: ArrayGeometry, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-free terms of :func:`analytic_angular_distribution`.
+
+    The array-factor phases ``exp(+j k rhat . r_n)``, shape ``(N,)``, and
+    the element patterns ``f_elem``, shape ``(N, 3)``; weights ``w`` give
+    ``f = (w * phases) @ f_elem``.
+    """
+    k = WAVENUMBER
     rhat = unit_vector(direction)
     u = geometry.orientations
     cos_loc = u @ rhat
@@ -90,8 +102,7 @@ def analytic_angular_distribution(
         math.sqrt(FREE_SPACE_IMPEDANCE) * 1j * k / (4.0 * math.pi)
     )
     phases = np.exp(1j * k * (geometry.positions @ rhat))
-    f = ((w * phases)[..., None, :] @ f_elem)[..., 0, :]
-    return AngularFieldDistribution(direction, f)
+    return phases, f_elem
 
 
 def far_field_from_sample(

@@ -447,12 +447,9 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
             d = trace.direction
             lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
     lines.append(TRACE_DATA_HEADER)
-    for i in range(trace.r.size):
-        fields = [_fmt(float(trace.r[i]))]
-        for vec in (trace.e[i], trace.h[i]):
-            for comp in vec:
-                fields.extend([_fmt(comp.real), _fmt(comp.imag)])
-        lines.append(",".join(fields))
+    fields = np.column_stack([trace.e, trace.h])
+    parts = np.stack([fields.real, fields.imag], axis=-1).reshape(trace.r.size, 12)
+    lines.extend(",".join(map(_fmt, row)) for row in np.column_stack([trace.r, parts]).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -518,10 +515,8 @@ def run_boundaries(config: ScenarioConfig) -> tuple[tuple[BoundarySpec, Boundary
 
 
 def _curve_lines(curve: ErrorCurve) -> list[str]:
-    lines = [CURVE_HEADER]
-    for r, eps in zip(curve.r, curve.epsilon):
-        lines.append(f"{_fmt(float(r))},{_fmt(float(eps))}")
-    return lines
+    rows = np.column_stack([curve.r, curve.epsilon]).tolist()
+    return [CURVE_HEADER] + [f"{_fmt(r)},{_fmt(eps)}" for r, eps in rows]
 
 
 def _boundary_lines(pairs) -> list[str]:

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import FREE_SPACE_IMPEDANCE, Direction, _blockwise, _plane_offsets, unit_vector
-from .farfield import AngularFieldDistribution, analytic_angular_distribution, auxiliary_fields
+from .core import (
+    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _plane_dot, _plane_offsets, unit_vector
+)
+from .farfield import (
+    AngularFieldDistribution, _element_terms, analytic_angular_distribution, auxiliary_fields
+)
 from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
 
 #: Default radial sweep grid: 10^-1 .. 10^4 wavelengths, 100 points/decade.
@@ -38,30 +42,39 @@ EXCITATION_NONE = "none"
 _EXCITATIONS = (EXCITATION_STEER, EXCITATION_FOCUS, EXCITATION_NONE)
 
 
-def _stacked_norm(e: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Norm of the impedance-normalized stacked 6-vector, broadcasting."""
-    ne2 = np.sum(np.abs(e) ** 2, axis=-1)
-    nh2 = np.sum(np.abs(h) ** 2, axis=-1)
-    return np.sqrt(ne2 / FREE_SPACE_IMPEDANCE + FREE_SPACE_IMPEDANCE * nh2)
+def _stacked_norm(ae: np.ndarray, ah: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Norm of the impedance-normalized stacked 6-vector from component magnitudes ``(..., 3)``.
+
+    Each row's magnitudes are multiplied by its power of two ``s`` before they are
+    squared, and each squared norm is summed x, y, z left to right, as ``np.sum`` does.
+    """
+    pe, ph = (np.moveaxis(a * s[..., None], -1, 0) for a in (ae, ah))
+    return np.sqrt(
+        _plane_dot(pe, pe) / FREE_SPACE_IMPEDANCE + FREE_SPACE_IMPEDANCE * _plane_dot(ph, ph)
+    )
 
 
 def field_mismatch(e, h, e_ff, h_ff):
     """Squared normalized distance between two field pairs.
 
     Accepts single complex 3-vectors or arrays of shape ``(..., 3)``
-    (broadcast over leading axes).
+    (broadcast over leading axes).  Each row is scaled by a power of two
+    before it is squared, so fields of any finite magnitude are scored.
 
     Returns
     -------
     float or numpy.ndarray
         ``mu`` in [0, 1]; 0 when both stacked vectors vanish.
     """
-    e = np.asarray(e, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    e_ff = np.asarray(e_ff, dtype=complex)
-    h_ff = np.asarray(h_ff, dtype=complex)
-    num = _stacked_norm(e - e_ff, h - h_ff)
-    den = _stacked_norm(e, h) + _stacked_norm(e_ff, h_ff)
+    e, h, e_ff, h_ff = (np.asarray(v, dtype=complex) for v in (e, h, e_ff, h_ff))
+    mags = [np.abs(v) for v in (e, h, e_ff, h_ff)]
+    # mu is invariant to one factor per row, and a power of two scales exactly: magnitudes
+    # scaled to a row maximum in [0.5, 1) neither overflow nor underflow when squared
+    big = reduce(np.maximum, [m[..., i] for m in mags for i in range(3)])
+    # a subnormal maximum keeps the scale finite: 2**1021, not up to 2**1074
+    s = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1021))
+    num = _stacked_norm(np.abs(e - e_ff), np.abs(h - h_ff), s)
+    den = _stacked_norm(*mags[:2], s) + _stacked_norm(*mags[2:], s)
     safe = np.where(den == 0.0, 1.0, den)
     ratio = num / safe
     # not ``** 2``, which on a scalar calls libm pow: a row alone would differ from a batch
@@ -132,7 +145,7 @@ class ErrorCurve:
         if r.size:
             if not np.all(r > 0.0):
                 raise ValueError("radii must be positive")
-            if not np.all(np.diff(r) > 0.0):
+            if not np.all(r[1:] > r[:-1]):
                 raise ValueError("radii must be strictly increasing")
             if not (np.all(eps >= 0.0) and np.all(eps <= 1.0)):
                 raise ValueError("epsilon values must lie in [0, 1]")
@@ -152,11 +165,14 @@ def error_sweep(
 ) -> ErrorCurve:
     """Evaluate the approximation error along a radial grid.
 
-    Radii are evaluated in blocks of 2048 radius-element pairs
-    (:func:`nff.core._blockwise`), each in one pass: the block's weights are
-    computed once and drive both the exact fields and the far-field ``f``.
-    Every radius gets the same value, bit for bit, as when swept alone.  A
-    radius on an element raises :class:`FieldSingularity`, which names it.
+    The sweep has two levels.  Field blocks of 2048 radius-element pairs
+    (:func:`nff.core._blockwise`) compute what varies per pair: the block's
+    weights, once, drive the exact fields and, for ``nf-bf``, the far-field
+    ``f`` rows.  Chunks of up to 512 radii then build the far fields and
+    score the mismatch; a direction's element terms, and the fixed ``f`` of
+    ``ff-bf`` and ``none``, are computed once per sweep.  Every radius gets
+    the same value, bit for bit, as when swept alone.  A radius on an
+    element raises :class:`FieldSingularity`, which names it.
 
     Parameters
     ----------
@@ -175,21 +191,40 @@ def error_sweep(
         return ErrorCurve(grid, grid.copy(), direction)
     if not np.all(grid > 0.0):
         raise ValueError("sweep grid radii must be positive")
-    if not np.all(np.diff(grid) > 0.0):
+    if not np.all(grid[1:] > grid[:-1]):
         raise ValueError("sweep grid must be strictly increasing")
     geometry = scenario.geometry
     rhat = unit_vector(direction)
+    focus = scenario.excitation == EXCITATION_FOCUS
+    if focus:
+        phases, f_elem = _element_terms(geometry, direction)
+    else:  # the weights, and so f, are the same at every radius
+        fixed = analytic_angular_distribution(geometry, scenario.weights(rhat), direction)
 
     def block(r):
         points = r[:, None] * rhat
         w = scenario.weights(points)
         e, h = array_field(geometry, w, points)
-        e_ff, h_ff = auxiliary_fields(analytic_angular_distribution(geometry, w, direction), r)
+        if not focus:
+            return (*e.T, *h.T)
+        f = ((w * phases)[:, None, :] @ f_elem)[:, 0, :]
+        return (*e.T, *h.T, *f.T)
+
+    def chunk(r):
+        # width 4N: a (pairs, 3) complex temporary is 48 bytes a pair, so 2048 pairs keep
+        # each under glibc's 128 KiB mmap threshold and peak memory flat in N
+        planes = _blockwise(block, 4 * geometry.n, r, dtypes=(complex,) * (9 if focus else 6))
+        dist = (
+            AngularFieldDistribution(direction, np.stack(planes[6:], axis=-1)) if focus else fixed
+        )
+        e_ff, h_ff = auxiliary_fields(dist, r)
+        e, h = np.stack(planes[:3], axis=-1), np.stack(planes[3:6], axis=-1)
+        del planes, dist  # so only the four (radii, 3) field arrays are held while scored
         return field_mismatch(e, h, e_ff, h_ff)
 
-    # width 4N: a (pairs, 3) complex temporary is 48 bytes a pair, so 2048 pairs keep
-    # each under glibc's 128 KiB mmap threshold and peak memory flat in N
-    return ErrorCurve(grid, _blockwise(block, 4 * geometry.n, grid), direction)
+    # width 16: chunks of 512 radii, so the default 501-radius grid is one chunk and each
+    # (radii, 3) complex temporary (24 KiB) stays under the mmap threshold too
+    return ErrorCurve(grid, _blockwise(chunk, 16, grid), direction)
 
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:

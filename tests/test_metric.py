@@ -63,6 +63,26 @@ def test_field_mismatch_examples():
     assert field_mismatch(0 * e, 0 * h, 0 * e, 0 * h) == 0.0
 
 
+def test_field_mismatch_holds_across_the_float_range():
+    # squared, rows scaled by 2**-540 underflowed to a perfect match and rows scaled by
+    # 2**520 overflowed to NaN; each row is now scaled by its own power of two first
+    e = np.array([1.0 + 1.0j, 0.5, -2.0j])
+    h = np.array([0.0, 1.0 - 0.5j, 0.25])
+    want = field_mismatch(e, h, 1.01 * e, h)
+    assert want == pytest.approx(8.39e-10, rel=1e-3)
+    scale = np.ldexp(1.0, np.arange(-1000, 1001))[:, None]
+    mu = field_mismatch(scale * e, scale * h, scale * (1.01 * e), scale * h)
+    assert np.max(np.abs(mu - want)) <= 1e-14 * want
+    for k in (-540, 520):
+        assert field_mismatch(2.0**k * e, 2.0**k * h, 2.0**k * (1.01 * e), 2.0**k * h) == (
+            pytest.approx(want, rel=1e-14)
+        )
+    # one field pair against three rows: each row keeps its own scale
+    rows = scale[[0, 1000, 2000]] * np.array([1.01 * e, 0.5 * e, -e])
+    mu = field_mismatch(e, h, rows, h)
+    assert np.array_equal(mu, [field_mismatch(e, h, row, h) for row in rows])
+
+
 def test_field_mismatch_range_and_scale_invariance():
     rng = np.random.default_rng(1234)
     for _ in range(10):
@@ -236,6 +256,47 @@ def test_error_sweep_blocks_match_single_radii(n, excitation):
     assert np.array_equal(curve.epsilon, single)
 
 
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("excitation", ["ff-bf", "nf-bf", "none"])
+def test_error_sweep_chunks_match_single_radii(n, excitation):
+    # far fields and the mismatch are taken a chunk of radii at a time: this grid spans
+    # several chunks and a partial one
+    geo = uniform_linear_array(n, 0.5)
+    direction = Direction(70.0, 20.0)
+    scenario = DipoleArrayScenario(geo, excitation, direction)
+    grid = np.geomspace(0.1, 1e4, 2 * 1024 + 3)
+    curve = error_sweep(scenario, direction, grid)
+    single = [error_sweep(scenario, direction, grid[i : i + 1]).epsilon[0] for i in range(grid.size)]
+    assert np.array_equal(curve.epsilon, single)
+
+
+@pytest.mark.parametrize("excitation", ["ff-bf", "nf-bf", "none"])
+def test_error_sweep_scores_the_default_grid_in_one_pass(monkeypatch, excitation):
+    # far fields and the mismatch once per sweep, not once per block of radius-element
+    # pairs (251 blocks at N = 1024); f of fixed weights once, from the (N,) weights
+    calls = {"analytic_angular_distribution": 0, "auxiliary_fields": 0, "field_mismatch": 0}
+
+    def spy(name):
+        real = getattr(metric, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(metric, name, spy(name))
+    scenario = DipoleArrayScenario(uniform_linear_array(1024, 0.5), excitation, FRONT)
+    curve = error_sweep(scenario, Direction(80.0, 10.0), default_grid())
+    assert len(curve) == 501
+    assert calls == {
+        "analytic_angular_distribution": 0 if excitation == "nf-bf" else 1,
+        "auxiliary_fields": 1,
+        "field_mismatch": 1,
+    }
+
+
 def test_error_sweep_computes_focus_weights_once_per_block(monkeypatch):
     # the block's weights drive both the exact fields and the far-field f
     calls = []
@@ -266,6 +327,21 @@ def test_error_sweep_memory_is_one_block():
     # one (501, 4096, 3) complex field array alone is 94 MiB, and one block
     # (a single radius at this N) peaks at about 1.6 MiB
     assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("excitation", ["ff-bf", "nf-bf", "none"])
+def test_error_sweep_memory_is_flat_in_grid_length(excitation):
+    scenario = DipoleArrayScenario(uniform_linear_array(1, 0.5), excitation, FRONT)
+    grid = np.geomspace(0.1, 1e4, 200_000)
+    error_sweep(scenario, FRONT, grid[:3])  # numpy's first-call set-up is not the sweep's
+    tracemalloc.start()
+    try:
+        error_sweep(scenario, FRONT, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the curve's epsilon is 1.5 MiB; one (200000, 3) complex field array alone is 9.2 MiB
+    assert peak < 2 * 2**20
 
 
 def test_single_point_calls_keep_their_shapes():

@@ -29,7 +29,6 @@ from .core import (
     SIDE,
     WAVENUMBER,
     Direction,
-    stable_excess_path,
     unit_vector,
 )
 from .farfield import (
@@ -120,7 +119,6 @@ __all__ = [
     "run_boundaries",
     "run_sweep",
     "sample_angular_distribution",
-    "stable_excess_path",
     "trace_error_curve",
     "uniform_linear_array",
     "unit_vector",

@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WAVENUMBER, Direction, _blockwise, _plane_dot, stable_excess_path, unit_vector
+from .core import WAVENUMBER, Direction, _blockwise, _line_constants, _line_excess, unit_vector
 from .metric import default_grid
-from .sources import ArrayGeometry, _point_offsets, ff_precoder
+from .sources import ArrayGeometry, _off_elements, ff_precoder
 
 #: Default search bracket (wavelengths) and log-grid density.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -153,9 +153,18 @@ def _in_blocks(criterion, planes: int = 1):
     return blocked
 
 
-def _element_offsets(geometry: ArrayGeometry, r, direction: Direction):
-    """Offsets ``r rhat - r_n`` as x, y, z planes ``(..., N)``, and their norms."""
-    return _point_offsets(np.multiply.outer(r, unit_vector(direction)), geometry.positions)
+def _line(geometry: ArrayGeometry, r, direction: Direction):
+    """Distances ``d`` and excess paths ``delta`` ``(..., N)`` from the points ``r rhat``.
+
+    A test line is one-dimensional: element ``n`` enters only through ``t_n`` and ``w_n``.
+    """
+    t, w = _line_constants(geometry.positions, unit_vector(direction))
+    return _line_excess(np.asarray(r)[..., None], t, w)
+
+
+def _distances(geometry: ArrayGeometry, r, direction: Direction) -> np.ndarray:
+    """Distances ``d`` of :func:`_line`; a point on an element raises ``FieldSingularity``."""
+    return _off_elements(_line(geometry, r, direction)[0], lambda i: np.ravel(r)[i])
 
 
 @_in_blocks
@@ -166,15 +175,14 @@ def phi_excess(
 ) -> float | np.ndarray:
     """Worst-case element phase excess, radians.
 
-    ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, evaluated through
-    :func:`nff.core.stable_excess_path` so large radii do not cancel.
-    Nonnegative by the triangle inequality.
+    ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, from the excess paths of
+    :func:`_line`, which do not cancel at large radii.  Nonnegative by the triangle
+    inequality.  A radius on an element is allowed: its excess is 0 there.
     """
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    rhat = unit_vector(direction)
-    excess = stable_excess_path(r, rhat, geometry.positions) + geometry.positions @ rhat
-    return np.maximum(np.max(excess, axis=-1) * WAVENUMBER, 0.0)[()]
+    _, delta = _line(geometry, r, direction)
+    return (np.max(delta, axis=-1) * WAVENUMBER)[()]
 
 
 @_in_blocks
@@ -197,8 +205,9 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    planes, dist = _element_offsets(geometry, r, direction)
-    proj = _plane_dot(planes, geometry.boresight)
+    dist = _distances(geometry, r, direction)
+    nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
+    proj = np.subtract.outer(r * (unit_vector(direction) @ nhat), geometry.positions @ nhat)
     tol = 1e-9 * np.maximum(1.0, r)[..., None]
     if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
         raise UndefinedProjection(
@@ -226,7 +235,7 @@ def psi_gain_ratio(
     weights matched to ``steering``.  At least 1 by the triangle
     inequality (the focusing weights align every term).
     """
-    _, dist = _element_offsets(geometry, r, direction)
+    dist = _distances(geometry, r, direction)
     h = np.exp(-1j * WAVENUMBER * dist) / dist
     den = np.abs(np.sum(h * ff_precoder(geometry, steering), axis=-1))
     with np.errstate(divide="ignore"):
@@ -244,8 +253,8 @@ def upsilon_power(
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    planes, _ = _element_offsets(geometry, r, direction)
-    return (np.square(r) / geometry.n * np.sum(1.0 / _plane_dot(planes, planes), axis=-1))[()]
+    dist = _distances(geometry, r, direction)
+    return (np.square(r) / geometry.n * np.sum(1.0 / (dist * dist), axis=-1))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +273,11 @@ def _xi_gap(
 ) -> np.ndarray:
     """``|exp(-jkd)/d - exp(-jk(r-t))/r|``, ``t = a.r_n``, ``n2 = |r_n|^2``, ``d = |ra - r_n|``.
 
-    Squared, it is ``((r-d)/(r d))^2 + 4 sin^2(k delta/2)/(r d)``, with ``r - d``
-    and ``delta = d - (r - t)`` in ratio forms that do not cancel at large ``r``;
-    their denominators stay positive because ``r > |r_n| >= |t|``.
+    Squared, it is ``((r-d)/(r d))^2 + 4 sin^2(k delta/2)/(r d)``, with ``d`` and ``delta =
+    d - (r - t)`` from :func:`nff.core._line_excess` and ``r - d`` in a ratio form, none of
+    which cancel at large ``r`` (``r > |r_n| >= |t|`` keeps the denominators positive).
     """
-    w = n2 - t * t
-    d = np.sqrt((r - t) ** 2 + w)
-    delta = w / (d + r - t)
+    d, delta = _line_excess(r, t, n2 - t * t)
     rd = r * d
     amplitude = (2.0 * r * t - n2) / ((r + d) * rd)
     return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)

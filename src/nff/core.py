@@ -129,40 +129,27 @@ def _plane_offsets(a: np.ndarray, b: np.ndarray):
     return planes, np.sqrt(_plane_dot(planes, planes))
 
 
-def stable_excess_path(
-    r: float | np.ndarray, rhat: np.ndarray, r_n: np.ndarray
-) -> float | np.ndarray:
-    """Excess path length ``|r*rhat - r_n| - r`` without cancellation.
+def _line_constants(positions: np.ndarray, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place ``t = rhat . r_n`` of elements ``(N, 3)`` along the line ``r rhat``, and ``w``.
 
-    Direct subtraction loses all significant digits once ``r`` exceeds
-    ``|r_n|`` by a few orders of magnitude; the algebraically equivalent
-    form ``(|r_n|^2 - 2 r rhat.r_n) / (|r*rhat - r_n| + r)`` stays accurate
-    for arbitrarily large ``r``.
-
-    Parameters
-    ----------
-    r : float or numpy.ndarray
-        Nonnegative radial distance(s) of the observation point.
-    rhat : numpy.ndarray
-        Unit direction of the observation point, shape ``(3,)``.
-    r_n : numpy.ndarray
-        Source offset(s), shape ``(3,)`` or ``(..., 3)``.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        The excess path, one value per radius and source offset, shape
-        ``np.shape(r) + r_n.shape[:-1]``.
+    ``w = |r_n|^2 - t^2`` (at least 0) is the squared distance off the line.  As a
+    difference of squares it is exactly 0 for an element on the line, even when the
+    float ``rhat`` is 6e-17 off it; ``|r_n x rhat|^2`` is not.
     """
-    rhat = np.asarray(rhat, dtype=float)
-    r_n = np.asarray(r_n, dtype=float)
-    n2 = np.sum(r_n * r_n, axis=-1)
-    t = r_n @ rhat
-    r = np.reshape(r, np.shape(r) + (1,) * (r_n.ndim - 1))
-    _, dist = _plane_offsets(r[..., None] * rhat, r_n)
-    denom = dist + r
-    safe = np.where(denom == 0.0, 1.0, denom)
-    out = np.where(denom == 0.0, 0.0, (n2 - 2.0 * r * t) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    t = positions @ rhat
+    return t, np.maximum(np.sum(positions * positions, axis=-1) - t * t, 0.0)
+
+
+def _line_excess(r, t, w) -> tuple[np.ndarray, np.ndarray]:
+    """Distance ``d = |r rhat - r_n|`` and excess path ``delta = d - r + t`` (broadcast).
+
+    With ``s = r - t``, ``d = sqrt(s^2 + w)`` and ``delta`` is ``w / (d + s)`` where
+    ``s > 0``, ``d - s`` elsewhere.  Neither branch cancels, so ``delta`` keeps its
+    relative precision at any radius; on the line it is exactly 0 past the element
+    and ``2 (t - r)`` before it.
+    """
+    s = r - t
+    d = np.sqrt(s * s + w)
+    delta = d - s
+    np.divide(w, d + s, out=delta, where=s > 0.0)
+    return d, delta

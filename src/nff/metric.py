@@ -20,7 +20,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _plane_dot, _plane_offsets, unit_vector
+    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _line_constants, _line_excess, _plane_dot,
+    unit_vector,
 )
 from .farfield import (
     AngularFieldDistribution, _element_terms, analytic_angular_distribution, auxiliary_fields
@@ -229,11 +230,10 @@ def error_sweep(
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:
     """Mask of the radii on a test line that land on an element position."""
-    rhat = unit_vector(direction)
+    t, w = _line_constants(geometry.positions, unit_vector(direction))
 
     def block(r):
-        _, dists = _plane_offsets(r[:, None, None] * rhat, geometry.positions)
-        return np.any(on_element(dists), axis=1)
+        return np.any(on_element(_line_excess(r[:, None], t, w)[0]), axis=1)
 
     return _blockwise(block, geometry.n, grid, dtypes=(bool,))
 

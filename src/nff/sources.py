@@ -49,19 +49,24 @@ def on_element(dist: np.ndarray) -> np.ndarray:
     return dist < SINGULARITY_RADIUS
 
 
+def _off_elements(dist: np.ndarray, radius) -> np.ndarray:
+    """``dist (..., N)``, unless point ``i`` is on an element: then raise, naming ``radius(i)``."""
+    near = on_element(dist)
+    if np.any(near):
+        raise FieldSingularity(
+            f"singular at r = {float(radius(np.argmax(np.any(near, axis=-1))))!r}: the point "
+            f"lies within {SINGULARITY_RADIUS} wavelengths of an element position"
+        )
+    return dist
+
+
 def _point_offsets(points: np.ndarray, positions: np.ndarray):
     """Offsets ``p - r_n`` of points ``(..., 3)`` as x, y, z planes ``(..., N)``, and their norms.
 
     A point on an element raises :class:`FieldSingularity`, which names its ``r = |p|``.
     """
     planes, dist = _plane_offsets(points[..., None, :], positions)
-    if np.any(on_element(dist)):
-        p = np.reshape(points, (-1, 3))[np.argmax(np.any(on_element(dist), axis=-1))]
-        raise FieldSingularity(
-            f"singular at r = {float(np.linalg.norm(p))!r}: the point lies within "
-            f"{SINGULARITY_RADIUS} wavelengths of an element position"
-        )
-    return planes, dist
+    return planes, _off_elements(dist, lambda i: np.linalg.norm(np.reshape(points, (-1, 3))[i]))
 
 
 def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.ndarray:

@@ -17,6 +17,7 @@ from nff import (
     BoundaryResult,
     BoundarySpec,
     Direction,
+    FieldSingularity,
     TailNotMonotone,
     UndefinedProjection,
     d_wc,
@@ -560,15 +561,15 @@ def test_find_last_above_oscillating_tail():
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
     # find_crossing hands the criterion the whole grid, which it evaluates in blocks
     # of _SCAN_PAIRS // N radii; the bisection evaluates single radii
-    offsets = boundaries._element_offsets
+    line = boundaries._line
     for n, bisected in ((1, False), (1024, True)):
         sizes = []
 
         def spy(geometry, r, *args):
             sizes.append(np.size(r))
-            return offsets(geometry, r, *args)
+            return line(geometry, r, *args)
 
-        monkeypatch.setattr(boundaries, "_element_offsets", spy)
+        monkeypatch.setattr(boundaries, "_line", spy)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
         assert res.status == "found" and res.degenerate != bisected
         block = min(_SCAN_PAIRS // n, 3601)
@@ -576,6 +577,18 @@ def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
         assert sizes[: calls - 1] == [block] * (calls - 1)
         assert sum(sizes[:calls]) == 3601
         assert (len(sizes) > calls) == bisected and set(sizes[calls:]) <= {1}
+
+
+def test_a_line_through_elements():
+    # on SIDE the test line runs along the array: Phi is 0 on an element and takes no
+    # guard, while the other criteria divide by element distances and name the radius
+    geo = uniform_linear_array(15, 0.5)
+    res = evaluate_boundary(geo, BoundarySpec("ar"), SIDE)
+    assert res.status == "found" and res.value == 3.468749054434873
+    assert phi_excess(geo, 1.0, SIDE) == 2.0 * (3.5 - 1.0) * K  # the element at 3.5 leads
+    for kind in ("up", "en", "ep"):
+        with pytest.raises(FieldSingularity, match=r"singular at r = 1\.0: "):
+            evaluate_boundary(geo, BoundarySpec(kind), SIDE)
 
 
 def test_find_crossing_statuses():

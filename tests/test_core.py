@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from nff import (
+    DIAGONAL,
     FREE_SPACE_IMPEDANCE,
+    FRONT,
+    SIDE,
     WAVENUMBER,
     Direction,
-    stable_excess_path,
+    uniform_linear_array,
     unit_vector,
 )
-from nff.core import _direction_of, _plane_dot, _plane_offsets
+from nff.core import _direction_of, _line_constants, _line_excess, _plane_dot, _plane_offsets
 
 
 def _excess_decimal(r, rhat, r_n, digits=50):
-    """Reference excess path |r*rhat - r_n| - r in high-precision decimal.
+    """Reference excess path |r*rhat - r_n| - r + rhat.r_n in high-precision decimal.
 
     The direction is renormalized in decimal arithmetic: the contract treats
     rhat as exactly unit, and its float64 representation is only accurate to
@@ -31,7 +34,13 @@ def _excess_decimal(r, rhat, r_n, digits=50):
     ud = [x / norm for x in ud]
     comps = [a * rd - Decimal(float(b)) for a, b in zip(ud, r_n)]
     dist = sum(c * c for c in comps).sqrt()
-    return float(dist - rd)
+    return float(dist - rd + sum(a * Decimal(float(b)) for a, b in zip(ud, r_n)))
+
+
+def _line(r, rhat, r_n):
+    """``(d, delta)`` of the line primitive, one row per radius and one column per offset."""
+    t, w = _line_constants(np.atleast_2d(r_n), np.asarray(rhat, dtype=float))
+    return _line_excess(np.atleast_1d(r)[:, None], t, w)
 
 
 def test_wave_constants_are_unit_wavelength_free_space():
@@ -74,39 +83,52 @@ def test_spherical_round_trip_property():
     assert _direction_of(np.array([1.0, -1e-17, 0.0])) == Direction(90.0, 0.0)
 
 
-def test_stable_excess_path_zero_offset():
-    assert stable_excess_path(3.0, np.array([1.0, 0, 0]), np.zeros(3)) == 0.0
+def test_line_excess_zero_offset():
+    d, delta = _line(3.0, [1.0, 0.0, 0.0], np.zeros(3))
+    assert d[0, 0] == 3.0 and delta[0, 0] == 0.0
 
 
-def test_stable_excess_path_collinear():
-    r_n = np.array([0.0, 2.5, 0.0])
-    got = stable_excess_path(100.0, np.array([0.0, 1.0, 0.0]), r_n)
-    assert got == pytest.approx(-2.5, rel=1e-12)
-
-
-def test_stable_excess_path_perpendicular_large_radius():
+def test_line_excess_perpendicular_large_radius():
     # rhat perpendicular to r_n, r = 1e6, |r_n| = 1 -> excess ~ 5e-7
     rhat = np.array([1.0, 0.0, 0.0])
     r_n = np.array([0.0, 1.0, 0.0])
-    got = stable_excess_path(1e6, rhat, r_n)
-    ref = _excess_decimal(1e6, rhat, r_n)
-    assert got == pytest.approx(5e-7, rel=1e-6)
-    assert abs(got - ref) <= 1e-12  # 1e-12 relative of |r_n| = 1
+    _, delta = _line(1e6, rhat, r_n)
+    assert delta[0, 0] == pytest.approx(_excess_decimal(1e6, rhat, r_n), rel=1e-15)
+    assert delta[0, 0] == pytest.approx(5e-7, rel=1e-6)
 
 
-def test_stable_excess_path_decimal_spot_checks():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        r_n = rng.normal(size=3) * 10 ** rng.uniform(-1, 1)
-        r = 10 ** rng.uniform(-2, 8)
-        got = stable_excess_path(r, u, r_n)
-        ref = _excess_decimal(r, u, r_n)
-        assert abs(got - ref) <= 1e-12 * max(np.linalg.norm(r_n), 1.0)
+@pytest.mark.parametrize("n", [8, 64])
+def test_line_excess_off_axis_matches_decimal(n):
+    # off the array axis the excess keeps full relative precision from 1e-3 to 1e6
+    # wavelengths, where it is about |r_n|^2 / 2r, ten or more orders below r
+    rng = np.random.default_rng(n)
+    randoms = [Direction(rng.uniform(0.0, 180.0), rng.uniform(0.0, 360.0)) for _ in range(3)]
+    r_n = uniform_linear_array(n, 0.5).positions
+    r = np.geomspace(1e-3, 1e6, 28)
+    for direction in [FRONT, DIAGONAL, *randoms]:
+        rhat = unit_vector(direction)
+        _, delta = _line(r, rhat, r_n)
+        want = np.array([[_excess_decimal(ri, rhat, p) for p in r_n] for ri in r])
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(delta - want) / want) <= 1e-15, direction
 
 
-def test_stable_excess_path_bulk_property():
+@pytest.mark.parametrize("n", [8, 64])
+def test_line_excess_is_exact_on_the_array_axis(n):
+    # on SIDE the float direction has a 6e-17 x-part, but the elements on the y axis still
+    # sit on the line exactly: past an element its excess is 0, before it 2 (t - r),
+    # as on the exact axis (0, 1, 0)
+    r_n = uniform_linear_array(n, 0.5).positions
+    y = r_n[:, 1]
+    on = y[y > 0.0]
+    r = np.concatenate([np.geomspace(1e-3, 1e6, 37), on, *(np.nextafter(on, x) for x in (0, 99))])
+    d, delta = _line(r, unit_vector(SIDE), r_n)
+    r = r[:, None]
+    assert np.array_equal(d, np.abs(r - y))
+    assert np.array_equal(delta, np.where(r >= y, 0.0, 2.0 * (y - r)))
+
+
+def test_line_excess_bulk_property():
     # 1e6 random draws against an extended-precision direct subtraction:
     # 1000 observation points, each evaluated against 1000 source offsets.
     rng = np.random.default_rng(101)
@@ -121,17 +143,19 @@ def test_stable_excess_path_bulk_property():
         u = u_ld.astype(float)
         r_n = rng.normal(size=(1000, 3)) * (10 ** rng.uniform(-1, 1, size=1000))[:, None]
 
-        got = stable_excess_path(r, u, r_n)
+        _, got = _line(r, u, r_n)
         delta = ld(r) * u_ld - r_n.astype(ld)
-        direct = np.sqrt(np.sum(delta * delta, axis=1)) - ld(r)
+        direct = np.sqrt(np.sum(delta * delta, axis=1)) - ld(r) + r_n.astype(ld) @ u_ld
         scale = np.maximum(np.linalg.norm(r_n, axis=1), 1.0)
-        worst = max(worst, float(np.max(np.abs(got - direct.astype(float)) / scale)))
+        worst = max(worst, float(np.max(np.abs(got[0] - direct.astype(float)) / scale)))
     assert worst <= 1e-10
 
-    # vectorized form matches the scalar form bit-for-bit
+    # an offset gets the same bits alone and next to others
     r_pair = rng.normal(size=3)
-    vec = stable_excess_path(2.5, np.array([0.0, 1.0, 0.0]), np.stack([r_pair, r_pair]))
-    assert vec[0] == vec[1] == stable_excess_path(2.5, np.array([0.0, 1.0, 0.0]), r_pair)
+    pair = _line(2.5, [0.0, 1.0, 0.0], np.stack([r_pair, r_pair]))
+    alone = _line(2.5, [0.0, 1.0, 0.0], r_pair)
+    for p, a in zip(pair, alone):
+        assert p[0, 0] == p[0, 1] == a[0, 0]
 
 
 def test_plane_offsets_match_the_length3_reductions():
@@ -153,10 +177,3 @@ def test_plane_offsets_match_the_length3_reductions():
         b = rng.normal(size=3)
         assert np.array_equal(_plane_dot(planes, b), np.sum(rvec * b, axis=-1))
 
-        # stable_excess_path as written with (radii, N, 3) offsets
-        rr = r[:, None]
-        denom = np.linalg.norm(rr[..., None] * rhat - r_n, axis=-1) + rr
-        safe = np.where(denom == 0.0, 1.0, denom)
-        numer = np.sum(r_n * r_n, axis=-1) - 2.0 * rr * (r_n @ rhat)
-        want = np.where(denom == 0.0, 0.0, numer / safe)
-        assert np.array_equal(stable_excess_path(r, rhat, r_n), want)

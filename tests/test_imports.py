@@ -1,6 +1,6 @@
 """Imports and names: every package module uses each name it imports, every private
-module-level name is read somewhere in the package, block loops are written once, and
-nff needs only numpy."""
+module-level name is read somewhere in the package, block loops are written once, the
+boundary criteria stay on the one line primitive, and nff needs only numpy."""
 
 import ast
 import subprocess
@@ -112,6 +112,16 @@ def test_block_loops_go_through_the_one_helper():
     package = sorted(Path(nff.__file__).parent.glob("*.py"))
     callers = {p.name: _stepped_range_callers(p.read_text(encoding="utf-8")) for p in package}
     assert {name: found for name, found in callers.items() if found} == {"core.py": ["_blockwise"]}
+
+
+def test_criteria_stay_on_the_line_primitive():
+    # a test line is one-dimensional: the boundary criteria read distances and excess
+    # paths from core._line_excess, not from per-axis offset planes
+    tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert names & {"_plane_offsets", "_point_offsets", "_plane_dot"} == set()
 
 
 def test_import_does_not_load_scipy():

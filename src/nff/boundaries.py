@@ -35,11 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WAVENUMBER, Direction, _blockwise, _line_constants, _line_excess, unit_vector
+from .core import (
+    WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
+)
 from .metric import default_grid
 from .sources import ArrayGeometry, _off_elements, ff_precoder
 
-#: Default search bracket (wavelengths) and log-grid density.
+#: Default search bracket (wavelengths) and the log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
 DEFAULT_POINTS_PER_DECADE = 400
 
@@ -154,17 +156,19 @@ def _in_blocks(criterion, planes: int = 1):
 
 
 def _line(geometry: ArrayGeometry, r, direction: Direction):
-    """Distances ``d`` and excess paths ``delta`` ``(..., N)`` from the points ``r rhat``.
+    """Radii ``(..., 1)`` and line constants ``t``, ``w`` ``(N,)`` of the points ``r rhat``.
 
-    A test line is one-dimensional: element ``n`` enters only through ``t_n`` and ``w_n``.
+    A test line is one-dimensional: element ``n`` enters only through ``t_n`` and ``w_n``,
+    which :func:`nff.core._line_excess` and :func:`nff.core._line_distance` read.
     """
     t, w = _line_constants(geometry.positions, unit_vector(direction))
-    return _line_excess(np.asarray(r)[..., None], t, w)
+    return np.asarray(r)[..., None], t, w
 
 
 def _distances(geometry: ArrayGeometry, r, direction: Direction) -> np.ndarray:
-    """Distances ``d`` of :func:`_line`; a point on an element raises ``FieldSingularity``."""
-    return _off_elements(_line(geometry, r, direction)[0], lambda i: np.ravel(r)[i])
+    """Distances ``d`` ``(..., N)``; a point on an element raises ``FieldSingularity``."""
+    radii, t, w = _line(geometry, r, direction)
+    return _off_elements(_line_distance(radii - t, w), lambda i: np.ravel(r)[i])
 
 
 @_in_blocks
@@ -176,12 +180,13 @@ def phi_excess(
     """Worst-case element phase excess, radians.
 
     ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, from the excess paths of
-    :func:`_line`, which do not cancel at large radii.  Nonnegative by the triangle
-    inequality.  A radius on an element is allowed: its excess is 0 there.
+    :func:`nff.core._line_excess`, which do not cancel at large radii.  Nonnegative
+    by the triangle inequality.  A radius on an element is allowed: its excess is 0
+    there.
     """
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    _, delta = _line(geometry, r, direction)
+    _, delta = _line_excess(*_line(geometry, r, direction))
     return (np.max(delta, axis=-1) * WAVENUMBER)[()]
 
 
@@ -409,8 +414,6 @@ def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float |
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
-    if points_per_decade < 100:
-        raise ValueError(f"grid density must be >= 100 points/decade, got {points_per_decade}")
     try:
         return default_grid(lo, hi, points_per_decade)
     except ValueError as exc:
@@ -478,9 +481,8 @@ def find_crossing(
     threshold: float,
     mode: str,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> BoundaryResult:
-    """Locate a threshold crossing of ``scan`` on a log grid.
+    """Locate a threshold crossing of ``scan`` on a log grid of the bracket.
 
     ``scan`` maps an array of radii to an array of values of the same
     shape; the grid pass calls it once on the whole grid and the bisection
@@ -491,9 +493,10 @@ def find_crossing(
     the target side (an infimum), ``"last-above"``/``"last-below"`` the
     last exit from it (a supremum).  A supremum still satisfied at the
     top of the bracket reports ``unbounded``; an empty target set reports
-    ``not-found``.  Found values are bisection-refined to 1e-6 relative.
+    ``not-found``.  The grid has :data:`DEFAULT_POINTS_PER_DECADE` points per
+    decade; found values are bisection-refined to 1e-6 relative.
     """
-    grid = _log_grid(bracket[0], bracket[1], points_per_decade)
+    grid = _log_grid(bracket[0], bracket[1], DEFAULT_POINTS_PER_DECADE)
     return _search_values(grid, scan(grid), scan, threshold, mode)
 
 
@@ -509,21 +512,19 @@ def quasi_rayleigh(span: float) -> float:
 
 
 def _xi_scan_samples(
-    geometry: ArrayGeometry, bracket: tuple[float, float], points_per_decade: int
+    geometry: ArrayGeometry, bracket: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw ``Xi`` samples on the search grid, read-only and cached per offset set."""
     offsets = np.sort(np.linalg.norm(geometry.positions, axis=1))
     lo = max(bracket[0], float(offsets[-1]) * (1.0 + 1e-6))
-    return _xi_grid_samples(offsets.tobytes(), lo, bracket[1], points_per_decade)
+    return _xi_grid_samples(offsets.tobytes(), lo, bracket[1])
 
 
 #: fig4 needs one entry per geometry, shared by its six ``wc`` specs.  The key is
 #: the sorted offsets ``|r_n|``, all that ``Xi`` depends on.
 @functools.lru_cache(maxsize=4)
-def _xi_grid_samples(
-    offsets: bytes, lo: float, hi: float, points_per_decade: int
-) -> tuple[np.ndarray, np.ndarray]:
-    grid = _log_grid(lo, hi, points_per_decade)
+def _xi_grid_samples(offsets: bytes, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    grid = _log_grid(lo, hi, DEFAULT_POINTS_PER_DECADE)
     vals = _xi_offsets(np.frombuffer(offsets), grid, WAVENUMBER)
     grid.flags.writeable = vals.flags.writeable = False
     return grid, vals
@@ -549,7 +550,7 @@ def d_wc(
     """
     if not threshold > 0.0:
         raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    grid, vals = _xi_scan_samples(geometry, bracket, DEFAULT_POINTS_PER_DECADE)
+    grid, vals = _xi_scan_samples(geometry, bracket)
 
     tail = vals[grid >= grid[-1] / 10.0]
     slack = 1e-9 * np.maximum(tail[:-1], tail[1:])

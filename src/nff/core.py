@@ -140,16 +140,21 @@ def _line_constants(positions: np.ndarray, rhat: np.ndarray) -> tuple[np.ndarray
     return t, np.maximum(np.sum(positions * positions, axis=-1) - t * t, 0.0)
 
 
+def _line_distance(s, w) -> np.ndarray:
+    """Distance ``d = |r rhat - r_n| = sqrt(s^2 + w)`` at ``s = r - t`` along the line."""
+    return np.sqrt(s * s + w)
+
+
 def _line_excess(r, t, w) -> tuple[np.ndarray, np.ndarray]:
     """Distance ``d = |r rhat - r_n|`` and excess path ``delta = d - r + t`` (broadcast).
 
-    With ``s = r - t``, ``d = sqrt(s^2 + w)`` and ``delta`` is ``w / (d + s)`` where
-    ``s > 0``, ``d - s`` elsewhere.  Neither branch cancels, so ``delta`` keeps its
-    relative precision at any radius; on the line it is exactly 0 past the element
+    With ``s = r - t``, ``d`` is :func:`_line_distance` and ``delta`` is ``w / (d + s)``
+    where ``s > 0``, ``d - s`` elsewhere.  Neither branch cancels, so ``delta`` keeps
+    its relative precision at any radius; on the line it is exactly 0 past the element
     and ``2 (t - r)`` before it.
     """
     s = r - t
-    d = np.sqrt(s * s + w)
+    d = _line_distance(s, w)
     delta = d - s
     np.divide(w, d + s, out=delta, where=s > 0.0)
     return d, delta

@@ -17,13 +17,13 @@ and one far-field record (either the angular distribution itself, with an
 optional ``# direction = theta,phi`` record in degrees, or a single
 far-zone field sample), followed by rows of radius and the six complex
 field components.  A trace is self-contained: importing one re-runs the
-far-field consistency cross-check.
+far-field consistency and transversality checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +175,21 @@ def parse_boundaries(text: str) -> tuple[BoundarySpec, ...]:
     return tuple(specs)
 
 
+#: Scenario-file keys in parse order, each with the config field it sets and its parser.
+_SCENARIO_KEYS = {
+    "source": ("source", str.lower),
+    "n": ("n", int),
+    "spacing_lambda": ("spacing", float),
+    "direction": ("direction", parse_direction),
+    "excitation": ("excitation", str.lower),
+    "grid_lo": ("grid_lo", float),
+    "grid_hi": ("grid_hi", float),
+    "grid_ppd": ("grid_ppd", int),
+    "boundaries": ("boundaries", parse_boundaries),
+    "trace": ("trace_path", str),
+}
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file.
 
@@ -195,45 +210,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip().lower()
         value = value.strip()
-        if key not in (
-            "source",
-            "n",
-            "spacing_lambda",
-            "direction",
-            "excitation",
-            "grid_lo",
-            "grid_hi",
-            "grid_ppd",
-            "boundaries",
-            "trace",
-        ):
+        if key not in _SCENARIO_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    kwargs: dict = {}
     try:
-        if "source" in raw:
-            kwargs["source"] = raw["source"].lower()
-        if "n" in raw:
-            kwargs["n"] = int(raw["n"])
-        if "spacing_lambda" in raw:
-            kwargs["spacing"] = float(raw["spacing_lambda"])
-        if "direction" in raw:
-            kwargs["direction"] = parse_direction(raw["direction"])
-        if "excitation" in raw:
-            kwargs["excitation"] = raw["excitation"].lower()
-        if "grid_lo" in raw:
-            kwargs["grid_lo"] = float(raw["grid_lo"])
-        if "grid_hi" in raw:
-            kwargs["grid_hi"] = float(raw["grid_hi"])
-        if "grid_ppd" in raw:
-            kwargs["grid_ppd"] = int(raw["grid_ppd"])
-        if "boundaries" in raw:
-            kwargs["boundaries"] = parse_boundaries(raw["boundaries"])
-        if "trace" in raw:
-            kwargs["trace_path"] = raw["trace"]
+        kwargs = {
+            field_name: parse(raw[key])
+            for key, (field_name, parse) in _SCENARIO_KEYS.items()
+            if key in raw
+        }
     except ConfigError:
         raise
     except ValueError as exc:
@@ -251,7 +239,9 @@ class FieldTrace:
 
     Exactly one far-field description is present: ``f`` directly, or a
     far-zone ``(E, H)`` sample at ``sample_r`` from which ``f`` and the
-    line direction are recovered (and cross-checked) on construction.
+    line direction are recovered (and cross-checked) on construction, with
+    the E/H residual in ``eh_discrepancy``.  ``f`` must be transversal to
+    the direction, stated or recovered, when the trace holds one.
     """
 
     r: np.ndarray
@@ -262,7 +252,7 @@ class FieldTrace:
     sample_e: np.ndarray | None = None
     sample_h: np.ndarray | None = None
     direction: Direction | None = None
-    eh_discrepancy: float | None = None
+    eh_discrepancy: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float).reshape(-1)
@@ -291,20 +281,13 @@ class FieldTrace:
         if self.sample_r is not None:
             self._resolve_sample()
         else:
-            f = np.asarray(self.f, dtype=complex).reshape(3)
+            f = np.array(self.f, dtype=complex).reshape(3)
             if not np.all(np.isfinite(f)):
                 raise TraceFormatError("far-field record values must be finite")
             f.flags.writeable = False
             object.__setattr__(self, "f", f)
-            # checked on f scaled to a largest part of 1, so values near the float
-            # limit cannot overflow the norm
-            scale = float(np.max(np.abs(f.view(float))))
-            if self.direction is not None and scale > 0.0:
-                g = f / scale
-                if abs(unit_vector(self.direction) @ g) > TRANSVERSALITY_TOL * np.linalg.norm(g):
-                    raise TraceFormatError(
-                        "far-field record is not transversal to the stated direction"
-                    )
+        if self.direction is not None:
+            _check_transversal(self.f, self.direction)
 
     def _resolve_sample(self) -> None:
         """Recover f, direction, and the E/H residual from the sample."""
@@ -329,6 +312,20 @@ class FieldTrace:
         object.__setattr__(self, "eh_discrepancy", discrepancy)
         if self.direction is None:
             object.__setattr__(self, "direction", _direction_of(rhat))
+
+
+def _check_transversal(f: np.ndarray, direction: Direction) -> None:
+    """Raise :class:`TraceFormatError` unless a far-field record is transversal to ``direction``.
+
+    Checked on ``f`` scaled to a largest part of 1, so a record near the float limit
+    cannot overflow the norm.
+    """
+    g = f / (float(np.max(np.abs(f.view(float)))) or 1.0)
+    if abs(unit_vector(direction) @ g) > TRANSVERSALITY_TOL * np.linalg.norm(g):
+        raise TraceFormatError(
+            "far-field record is not transversal to the direction "
+            f"theta={direction.theta_deg:g} deg, phi={direction.phi_deg:g} deg"
+        )
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
@@ -377,13 +374,9 @@ def import_trace(path: str | Path) -> FieldTrace:
                         f"{path}:{lineno}: unsupported trace version {value!r}"
                     )
             elif key == "ff_f":
-                vals = _parse_floats(value, 6, f"{path}:{lineno}: ff_f")
-                f_vec = np.array(
-                    [complex(vals[0], vals[1]), complex(vals[2], vals[3]), complex(vals[4], vals[5])]
-                )
+                f_vec = np.array(_parse_floats(value, 6, f"{path}:{lineno}: ff_f")).view(complex)
             elif key == "ff_sample":
-                vals = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
-                sample = vals
+                sample = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
             elif key == "direction":
                 where = f"{path}:{lineno}: direction"
                 theta, phi = _parse_floats(value, 2, where)
@@ -413,19 +406,15 @@ def import_trace(path: str | Path) -> FieldTrace:
 
     data = np.array(rows, dtype=float)
     r = data[:, 0]
-    e = data[:, 1:7:2] + 1j * data[:, 2:8:2]
-    h = data[:, 7:13:2] + 1j * data[:, 8:14:2]
+    # (re, im) pairs viewed as complex keep every bit; re + 1j * im loses a zero's sign
+    e, h = data[:, 1:7].view(complex), data[:, 7:13].view(complex)
     kwargs: dict = {}
     if f_vec is not None:
         kwargs["f"] = f_vec
     else:
         kwargs["sample_r"] = sample[0]
-        kwargs["sample_e"] = np.array(
-            [complex(sample[1], sample[2]), complex(sample[3], sample[4]), complex(sample[5], sample[6])]
-        )
-        kwargs["sample_h"] = np.array(
-            [complex(sample[7], sample[8]), complex(sample[9], sample[10]), complex(sample[11], sample[12])]
-        )
+        kwargs["sample_e"] = np.array(sample[1:7]).view(complex)
+        kwargs["sample_h"] = np.array(sample[7:13]).view(complex)
     return FieldTrace(r=r, e=e, h=h, direction=direction, **kwargs)
 
 
@@ -463,7 +452,8 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
     ------
     TraceFormatError
         When a field, the far-field record or a radius is so close to the
-        float limit that the metric overflows float64.
+        float limit that the metric overflows float64, or when the record is
+        not transversal to a ``direction`` other than the trace's own.
     """
     if direction is None:
         direction = trace.direction
@@ -471,6 +461,8 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
         raise ValueError(
             "trace carries no direction (ff_f record without # direction): pass one explicitly"
         )
+    if direction != trace.direction:
+        _check_transversal(trace.f, direction)
     try:
         with np.errstate(over="raise"):
             dist = AngularFieldDistribution(direction, trace.f)

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _line_constants, _line_excess, _plane_dot,
+    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _line_constants, _line_distance, _plane_dot,
     unit_vector,
 )
 from .farfield import (
@@ -233,7 +233,7 @@ def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndar
     t, w = _line_constants(geometry.positions, unit_vector(direction))
 
     def block(r):
-        return np.any(on_element(_line_excess(r[:, None], t, w)[0]), axis=1)
+        return np.any(on_element(_line_distance(r[:, None] - t, w)), axis=1)
 
     return _blockwise(block, geometry.n, grid, dtypes=(bool,))
 

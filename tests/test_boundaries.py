@@ -491,7 +491,7 @@ def test_xi_scan_cache_is_bounded_lru():
     cache.cache_clear()
     size = cache.cache_info().maxsize
     geos = [uniform_linear_array(2, 0.1 * (i + 1)) for i in range(size + 2)]
-    scan = lambda geo: boundaries._xi_scan_samples(geo, (1.0, 10.0), 100)
+    scan = lambda geo: boundaries._xi_scan_samples(geo, (1.0, 10.0))
     results = [scan(geo)[1] for geo in geos[:size]]
     assert scan(geos[0])[1] is results[0]  # a hit, now the most recently used entry
     assert cache.cache_info().hits == 1
@@ -602,8 +602,6 @@ def test_find_crossing_statuses():
         find_crossing(lambda r: r, 1.0, "sideways")
     with pytest.raises(ValueError, match="bracket"):
         find_crossing(lambda r: r, 1.0, "first-below", bracket=(1.0, 0.5))
-    with pytest.raises(ValueError, match="density"):
-        find_crossing(lambda r: r, 1.0, "first-below", points_per_decade=50)
 
 
 def test_found_boundaries_straddle_their_threshold():

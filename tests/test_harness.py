@@ -223,12 +223,48 @@ def test_trace_round_trip_ff_f(tmp_path):
     assert np.max(np.abs(got.epsilon - want.epsilon)) < 1e-9
 
 
+def test_trace_round_trip_keeps_signed_zeros(tmp_path):
+    # every complex value is read as a (re, im) pair, so -0 parts come back as written
+    text = (
+        "# trace_version = 1\n# ff_f = 0,-0,-0,1,1,-0\n# direction = 90,0\n"
+        f"{TRACE_DATA_HEADER}\n1,-0,1,0,-0,1,0,0,0,-0,-0,0,0\n"
+    )
+    export_trace(import_trace(_write(tmp_path, "zeros.csv", text)), tmp_path / "back.csv")
+    assert (tmp_path / "back.csv").read_text() == text
+
+
 def test_trace_ff_f_needs_direction():
     grid = np.geomspace(1.0, 10.0, 5)
     trace = _make_trace(grid)
     imported = FieldTrace(r=trace.r, e=trace.e, h=trace.h, f=trace.f)
     with pytest.raises(ValueError, match="direction"):
         trace_error_curve(imported)
+    # a direction passed in meets the record here, so it is checked here
+    with pytest.raises(TraceFormatError, match="not transversal"):
+        trace_error_curve(imported, Direction(0.0, 0.0))
+    assert trace_error_curve(imported, FRONT).epsilon.size == grid.size
+
+
+def test_trace_eh_discrepancy_is_an_output():
+    trace = _make_trace(np.geomspace(1.0, 10.0, 5))
+    assert trace.eh_discrepancy is None  # an ff_f record has no E/H check
+    with pytest.raises(TypeError, match="eh_discrepancy"):
+        FieldTrace(r=trace.r, e=trace.e, h=trace.h, f=trace.f, eh_discrepancy=0.5)
+
+
+def test_trace_sample_is_checked_against_a_stated_direction(tmp_path, capsys):
+    # a lone z-dipole sampled along +x: its power flow and f = z do not fit a stated +z
+    geo = uniform_linear_array(1, 0.5)
+    se, sh = array_field(geo, np.ones(1), np.array([1e6, 0.0, 0.0]))
+    sample = ",".join(f"{v:.17g}" for c in (*se, *sh) for v in (c.real, c.imag))
+    head = f"# trace_version = 1\n# ff_sample = 1000000,{sample}\n"
+    rows = f"{TRACE_DATA_HEADER}\n1" + ",0" * 12 + "\n"
+    assert import_trace(_write(tmp_path, "own.csv", head + rows)).direction == FRONT
+    path = _write(tmp_path, "z.csv", head + "# direction = 0,0\n" + rows)
+    with pytest.raises(TraceFormatError, match="not transversal"):
+        import_trace(path)
+    assert main(["validate-trace", str(path)]) == 1
+    assert "not transversal" in capsys.readouterr().err
 
 
 def test_trace_round_trip_ff_sample(tmp_path):
@@ -444,6 +480,27 @@ def test_reproduce_fig5_file_set_and_traces(tmp_path):
 # command-line interface
 
 
+@pytest.mark.parametrize(
+    "n, direction", [(64, "60,300"), (8, "15,75")], ids=["n64_60_300", "n8_15_75"]
+)
+def test_cli_sweeps_an_exact_array_factor_null(tmp_path, capsys, n, direction):
+    # N pi sin(theta) sin(phi) is a multiple of 2 pi: f is the rounding noise of a vanishing
+    # sum, transversal to within that rounding, not to within 1e-8 of its own norm
+    text = f"n = {n}\nspacing_lambda = 0.5\ndirection = {direction}\nexcitation = none\n"
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(_write(tmp_path, "c.cfg", text)), "--out", str(out)]) == 0
+    eps = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert eps.size == 501 and np.all((eps >= 0.0) & (eps <= 1.0))
+
+
+def test_cli_sweep_checks_a_config_direction_against_the_trace(tmp_path, capsys):
+    # an ff_f record without # direction takes the config's: f = x is not transversal to front
+    text = f"# trace_version = 1\n# ff_f = 1,0,0,0,0,0\n{TRACE_DATA_HEADER}\n1" + ",0" * 12 + "\n"
+    argv = _cli_argv(tmp_path, "x_pol.csv", text, "trace-sweep")
+    assert main(argv) == 1
+    assert "error: far-field record is not transversal" in capsys.readouterr().err
+
+
 def test_cli_sweep_and_override(tmp_path, capsys):
     cfg = _write(
         tmp_path, "s.cfg",
@@ -510,10 +567,6 @@ def _cli_argv(tmp_path, name, text, command):
         ("kr.csv", _sample_trace_text("1e308,1,0,0,0,0,0,0,0,1,0,0,0"), "validate-trace"),
         # E x conj(H) overflows
         ("eh.csv", _sample_trace_text("1,0,0,0,0,0,1e300,0,1e300,0,0,0,0"), "validate-trace"),
-        # the far-field record's norm overflows on a huge record
-        ("f.csv", _ff_f_trace_text("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7), "trace-sweep"),
-        # validate-trace scores a trace with a direction, so it rejects what sweep does
-        ("f.csv", _ff_f_trace_text("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7), "validate-trace"),
     ],
     ids=[
         "grid_hi_inf",
@@ -523,28 +576,37 @@ def _cli_argv(tmp_path, name, text, command):
         "grid_ppd_huge",
         "ff_sample_kr_overflows",
         "ff_sample_power_overflows",
-        "ff_f_metric_overflows",
-        "ff_f_metric_overflows_on_validate",
     ],
 )
 def test_cli_rejects_overflowing_input(tmp_path, capsys, name, text, command):
     assert main(_cli_argv(tmp_path, name, text, command)) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors
-    if name in ("kr.csv", "eh.csv", "f.csv"):
-        # the far-field check and the metric name the overflow, not a NaN or an epsilon
+    if name in ("kr.csv", "eh.csv"):
+        # the far-field check names the overflow, not a NaN
         assert "overflow" in errors[0] and "nan" not in errors[0]
 
 
 @pytest.mark.parametrize(
-    "command",
-    ["trace-sweep", "validate-trace"],
-    ids=["data_row_near_float_limit", "data_row_near_float_limit_on_validate"],
+    "f, row, command",
+    [
+        ("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7, "trace-sweep"),
+        ("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7, "validate-trace"),
+        ("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7, "trace-sweep"),
+        ("0,0,0,0,1e300,0", "1,0,0,0,0,1" + ",0" * 7, "validate-trace"),
+    ],
+    ids=[
+        "data_row_near_float_limit",
+        "data_row_near_float_limit_on_validate",
+        "ff_f_near_float_limit",
+        "ff_f_near_float_limit_on_validate",
+    ],
 )
-def test_cli_scores_a_field_row_near_the_float_limit(tmp_path, capsys, command):
-    # squared, a 1e300 field overflowed the metric; each row is scaled by a power of
-    # two first, so the row scores as a total mismatch with the small far field
-    text = _ff_f_trace_text("0,0,0,0,1,0", "1,0,0,0,0,1e300" + ",0" * 7)
+def test_cli_scores_a_field_row_near_the_float_limit(tmp_path, capsys, f, row, command):
+    # squared, a 1e300 field row or far-field record overflowed the metric or the
+    # record's norm; each row is scaled by a power of two first, and the transversality
+    # check scales the record, so the row scores as a total mismatch
+    text = _ff_f_trace_text(f, row)
     assert main(_cli_argv(tmp_path, "row.csv", text, command)) == 0
     assert "error:" not in capsys.readouterr().err
     if command == "trace-sweep":

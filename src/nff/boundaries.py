@@ -20,7 +20,9 @@ for most, a test-line direction) to a single radius in wavelengths:
     is at or below a threshold.
 ``wc``
     First radius beyond which the worst-case single-element mismatch
-    ``Xi`` stays below a threshold everywhere (suffix supremum).
+    ``Xi`` stays below a threshold everywhere (suffix supremum).  ``Xi``
+    depends only on the largest element offset and is one 1-D
+    maximization per radius.
 
 All searches share a log-grid bracketing pass plus geometric bisection,
 refined to 1e-6 relative.
@@ -266,130 +268,68 @@ def upsilon_power(
 # worst-case element mismatch
 
 
-#: Direction projections ``s = a.r_n / |r_n|`` scanned per element.  These are the
-#: values every ``Xi`` result is pinned to, so the grid keeps its construction from a
-#: half grid and its negation (``s[::-1] == -s`` bit for bit); any other way to
-#: make the same 2001 points rounds differently and moves results.
-_XI_S_GRID = np.concatenate([-np.linspace(0.0, 1.0, 1001)[:0:-1], np.linspace(0.0, 1.0, 1001)])
+def _xi(a: float, r: np.ndarray, k: float) -> np.ndarray:
+    """Worst-case mismatch at radii ``r > a`` of an array whose largest element offset is ``a``.
 
+    Element ``n`` sees a direction ``ahat`` only through ``t = ahat.r_n``, which covers
+    ``[-|r_n|, |r_n|]``, and ``gap^2 = (1/d - 1/r)^2 + 4 sin^2(k delta/2)/(r d)`` with
+    ``d = |r ahat - r_n|`` and the excess path ``delta = d - r + t``.  Along a row, ``t =
+    delta +- q`` and ``d = r -+ q`` with ``q = sqrt(|r_n|^2 - 2 r delta)``.  Three
+    comparisons, each at the same ``delta`` and so the same ``sin^2``, place the supremum:
 
-def _xi_gap(
-    r: float | np.ndarray, t: np.ndarray, n2: np.ndarray | float, k: float
-) -> np.ndarray:
-    """``|exp(-jkd)/d - exp(-jk(r-t))/r|``, ``t = a.r_n``, ``n2 = |r_n|^2``, ``d = |ra - r_n|``.
+    * the outer branch ``d = r - q`` has the smaller ``d``, and both terms grow as ``d``
+      falls;
+    * the widest row, ``|r_n| = a``, has the largest ``q``, so the smallest ``d``;
+    * ``sin^2(k delta/2)`` has period ``2 pi/k`` and is symmetric about ``pi/k``, and ``d``
+      grows with ``delta`` on the outer branch, so ``delta <= pi/k`` holds the supremum.
 
-    Squared, it is ``((r-d)/(r d))^2 + 4 sin^2(k delta/2)/(r d)``, with ``d`` and ``delta =
-    d - (r - t)`` from :func:`nff.core._line_excess` and ``r - d`` in a ratio form, none of
-    which cancel at large ``r`` (``r > |r_n| >= |t|`` keeps the denominators positive).
+    So ``Xi(r)`` is the maximum over ``q`` in ``[sqrt(max(a^2 - 2 pi r/k, 0)), a]`` of the
+    gap at ``d = r - q`` and ``delta = (a - q)(a + q)/(2r)``, where neither term cancels.
+    It is the largest sample of a 21-point cell regridded around its peak ten times; each
+    cell is at most a tenth of the last, so the final one is narrower than ``1e-9 a``.
+    Radii are taken ``_SCAN_PAIRS // 21`` at a time (:func:`nff.core._blockwise`), and
+    every radius takes the same steps, so a block and its radii one at a time agree bit
+    for bit.
     """
-    d, delta = _line_excess(r, t, n2 - t * t)
-    rd = r * d
-    amplitude = (2.0 * r * t - n2) / ((r + d) * rd)
-    return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)
+
+    def lobe(r):
+        lo = np.sqrt(np.maximum(a * a - 2.0 * math.pi * r / k, 0.0))
+        hi = np.full(r.shape, a)
+        best = np.zeros(r.shape)
+        at = np.arange(r.size)
+        r = r[:, None]
+        for _ in range(10):
+            q = np.linspace(lo, hi, 21, axis=1)
+            rd = r * (r - q)
+            g2 = (q / rd) ** 2 + 4.0 * np.sin(0.25 * k * (a - q) * (a + q) / r) ** 2 / rd
+            i = np.argmax(g2, axis=1)
+            best = np.maximum(best, g2[at, i])
+            lo, hi = q[at, np.maximum(i - 1, 0)], q[at, np.minimum(i + 1, 20)]
+        return np.sqrt(best)
+
+    return _blockwise(lobe, 21, r)
 
 
-def _xi_row_peaks(r: np.ndarray, a: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum and its first index in each grid row ``gap(r_i, a_i s)`` over ``_XI_S_GRID``."""
-    # each block's grid stays allocated until the next is computed: freed with its block,
-    # it let glibc trim and regrow the heap top every block (fig4 wc: 2-6x the page faults)
-    g = None
-
-    def peaks(r, a):
-        nonlocal g
-        g = _xi_gap(r[:, None], a[:, None] * _XI_S_GRID, a[:, None] * a[:, None], k)
-        return np.max(g, axis=1), np.argmax(g, axis=1)
-
-    return _blockwise(peaks, _XI_S_GRID.size, r, a, dtypes=(float, int))
-
-
-def _xi_row_bound(r: np.ndarray, a: np.ndarray, k: float) -> np.ndarray:
-    """Upper bound of ``gap(r, a s)`` over ``s`` in [-1, 1], for ``0 <= a < r``."""
-    m = r - a
-    rm = r * m
-    return np.sqrt((a / rm) ** 2 + 4.0 * np.minimum(1.0, (k * a * a / (4.0 * m)) ** 2) / rm)
-
-
-def _xi_offsets(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
-    """Worst-case mismatch over the sphere at each radius of ``r``, from offsets ``a >= 0``.
-
-    Element ``n`` at offset ``a = |r_n|`` sees a sphere direction only through
-    ``t = s a`` with ``s`` in [-1, 1], so the inner maximization is a pass
-    over the grid ``_XI_S_GRID``, then, for each leading element (grid peak
-    at least 0.999 of the best), repeated 21-point re-gridding of the cell
-    around its peak until the cell is narrower than 1e-9.  The result equals
-    that full pass over every element bit for bit; two things make it
-    cheaper.
-
-    *Row bound.*  Let ``m = r - a > 0``.  Then ``d >= m``,
-    ``|r - d| <= a`` and ``0 <= delta = (a^2 - t^2)/(d + r - t) <=
-    a^2/(2m)``, so ``gap^2 <= a^2/(r m)^2 + 4 min(1, (k a^2/(4m))^2)/(r m)``
-    (:func:`_xi_row_bound`).  The largest-``a`` row is evaluated at every
-    radius; any other row whose bound, widened by 1e-9 for rounding, stays
-    below 0.999 of that row's peak stays below 0.999 of the best, so it can
-    neither hold the maximum nor enter the leading set, and is skipped.
-
-    *Blocks.*  Radii are taken ``_SCAN_PAIRS // N`` at a time (``N`` counts
-    every offset) by :func:`nff.core._blockwise`, which writes them into one
-    output, so no temporary grows with ``r``.  Within a block, rows are
-    evaluated ``_SCAN_PAIRS // 2001`` (4) at a time, so every grid temporary
-    stays below glibc's 128 KiB mmap threshold, and the re-gridding steps of
-    all leading ``(radius, element)`` pairs run together; a pair stops once
-    its cell is narrower than 1e-9, so it sees the same cells as it would
-    alone.
-    """
-    rows = np.unique(a)  # equal offsets have equal rows and refinements
-    return _blockwise(lambda rb: _xi_block(rows, rb, k), a.size, r)
-
-
-def _xi_block(a: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
-    """:func:`_xi_offsets` on one block of radii, from distinct sorted offsets ``a``."""
-    s = _XI_S_GRID
-    end = s.size - 1
-    top = a.size - 1
-    peak = np.full((r.size, a.size), -np.inf)
-    arg = np.zeros(peak.shape, dtype=int)
-    # the widest row at every radius, then the rows whose bound can reach 0.999 of its peak
-    peak[:, top], arg[:, top] = _xi_row_peaks(r, np.full(r.size, a[top]), k)
-    keep = _xi_row_bound(r[:, None], a, k) * (1.0 + 1e-9) >= 0.999 * peak[:, top, None]
-    keep[:, top] = False
-    ib, ia = np.nonzero(keep)
-    peak[ib, ia], arg[ib, ia] = _xi_row_peaks(r[ib], a[ia], k)
-    best = np.max(peak, axis=1)
-
-    # leading (radius, element) pairs
-    ib, ia = np.nonzero((peak >= 0.999 * best[:, None]) & (best[:, None] > 0.0))
-    j = arg[ib, ia]
-    lo, hi = s[np.maximum(j - 1, 0)], s[np.minimum(j + 1, end)]
-    rp, ap = r[ib, None], a[ia, None]
-    live = np.nonzero(hi - lo >= 1e-9)[0]
-    while live.size:
-        cell = np.linspace(lo[live], hi[live], 21, axis=1)
-        gc = _xi_gap(rp[live], ap[live] * cell, ap[live] * ap[live], k)
-        i = np.argmax(gc, axis=1)
-        at = np.arange(live.size)
-        np.maximum.at(best, ib[live], gc[at, i])
-        lo[live], hi[live] = cell[at, np.maximum(i - 1, 0)], cell[at, np.minimum(i + 1, 20)]
-        live = live[hi[live] - lo[live] >= 1e-9]
-    return best
+def _max_offset(geometry: ArrayGeometry) -> float:
+    """The largest element offset ``max_n |r_n|``, all that ``Xi`` reads of a geometry."""
+    return float(np.max(np.linalg.norm(geometry.positions, axis=1)))
 
 
 def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float | np.ndarray:
     """Worst-case single-element spherical-wave mismatch at a radius, or an array of radii.
 
-    ``Xi(r) = max_n max_{|a|=1} | exp(-jk|ra - r_n|)/|ra - r_n|
-    - exp(-jk(r - a.r_n))/r |`` - the largest absolute error, over all
+    ``Xi(r) = max_n max_{|ahat|=1} | exp(-jk|r ahat - r_n|)/|r ahat - r_n|
+    - exp(-jk(r - ahat.r_n))/r |`` - the largest absolute error, over all
     observation directions and elements, of replacing an element's
     spherical wave by its far-field phase/amplitude approximation.
     Direction-independent by construction.  Units: one over length.  The
     result has the shape of ``r``; a block and its radii one at a time
-    agree bit for bit.  Like the criteria, it evaluates ``r`` in blocks of
-    ``_SCAN_PAIRS // N`` radii (:func:`_xi_offsets`), so its temporaries do
-    not grow with ``r``.
+    agree bit for bit, and the temporaries do not grow with ``r``.
 
-    The maximum is exact for every geometry: ``|ra - r_n|^2 = r^2 - 2r a.r_n
-    + |r_n|^2``, so element ``n``'s gap depends on ``a`` only through
-    ``t = a.r_n``, which covers exactly ``[-|r_n|, |r_n|]`` over the unit
-    sphere; ``Xi`` is a 1-D scan over the offsets ``|r_n|``.
+    The maximum is exact for every geometry and depends only on the
+    largest element offset ``a = max_n |r_n|``: it lies on the widest
+    row, on the near side of the sphere, within the first half period of
+    the phase error, where it is a 1-D maximization (:func:`_xi`).
 
     Raises
     ------
@@ -398,15 +338,14 @@ def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float |
         offset (the exact wave would be singular on the sphere of that radius).
     """
     r = np.asarray(r, dtype=float)
-    offsets = np.linalg.norm(geometry.positions, axis=1)
-    max_offset = float(np.max(offsets))
+    max_offset = _max_offset(geometry)
     ok = (r > max_offset) & np.isfinite(r)
     if not np.all(ok):
         raise ValueError(
             f"xi needs finite r > max element offset ({max_offset:.6g}), "
             f"got r = {float(r[~ok][0])!r}"
         )
-    return _xi_offsets(offsets, r.ravel(), WAVENUMBER).reshape(r.shape)[()]
+    return _xi(max_offset, r.ravel(), WAVENUMBER).reshape(r.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +453,17 @@ def quasi_rayleigh(span: float) -> float:
 def _xi_scan_samples(
     geometry: ArrayGeometry, bracket: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``Xi`` samples on the search grid, read-only and cached per offset set."""
-    offsets = np.sort(np.linalg.norm(geometry.positions, axis=1))
-    lo = max(bracket[0], float(offsets[-1]) * (1.0 + 1e-6))
-    return _xi_grid_samples(offsets.tobytes(), lo, bracket[1])
+    """Raw ``Xi`` samples on the search grid, read-only and cached per largest offset."""
+    a = _max_offset(geometry)
+    return _xi_grid_samples(a, max(bracket[0], a * (1.0 + 1e-6)), bracket[1])
 
 
 #: fig4 needs one entry per geometry, shared by its six ``wc`` specs.  The key is
-#: the sorted offsets ``|r_n|``, all that ``Xi`` depends on.
+#: the largest offset ``max_n |r_n|``, all that ``Xi`` depends on.
 @functools.lru_cache(maxsize=4)
-def _xi_grid_samples(offsets: bytes, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _xi_grid_samples(a: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     grid = _log_grid(lo, hi, DEFAULT_POINTS_PER_DECADE)
-    vals = _xi_offsets(np.frombuffer(offsets), grid, WAVENUMBER)
+    vals = _xi(a, grid, WAVENUMBER)
     grid.flags.writeable = vals.flags.writeable = False
     return grid, vals
 
@@ -541,7 +479,8 @@ def d_wc(
     The suffix supremum ``sup_{r' >= r} Xi(r')`` is formed over the
     search grid; truncating it at the top of the bracket is only valid
     when ``Xi`` is decaying there, so the final decade is checked for
-    monotone decrease first.  Direction-independent.
+    monotone decrease first.  Direction-independent: ``Xi`` reads only the
+    largest element offset, so the scan is cached per offset.
 
     Raises
     ------

@@ -78,34 +78,34 @@ def _direction_of(vec: np.ndarray) -> Direction:
     return Direction(theta, 0.0 if phi == 360.0 else phi)
 
 
-#: Pairs (radius-element, element-element, or ``Xi`` grid points) per block of
-#: :func:`_blockwise`; ``Xi`` grid rows count 2001 pairs each.  A float64 plane of
+#: Pairs (radius-element, element-element, or ``Xi`` cell points) per block of
+#: :func:`_blockwise`; an ``Xi`` cell counts 21 pairs.  A float64 plane of
 #: 8192 pairs is 64 KiB, below glibc's 128 KiB mmap threshold, so block temporaries
 #: come from the heap and are not mapped and faulted in again on every block; 2048
 #: or 16384 pairs were slower.
 _SCAN_PAIRS = 8192
 
 
-def _blockwise(fn, width: int, *arrays, dtypes=(float,)):
-    """``fn(*arrays)`` on blocks of ``max(1, _SCAN_PAIRS // width)`` items, ``width`` pairs each.
+def _blockwise(fn, width: int, items, dtypes=(float,)):
+    """``fn(items)`` on blocks of ``max(1, _SCAN_PAIRS // width)`` items, ``width`` pairs each.
 
-    A block holds consecutive items of each flattened array; ``fn`` returns one value per
+    A block holds consecutive items of the flattened array; ``fn`` returns one value per
     item for each entry of ``dtypes`` (a tuple of arrays if several).  An input of one block
-    or less goes to ``fn`` whole.  Outputs take ``arrays[0]``'s shape and are allocated
-    before the first block: allocated after it, they raised the page faults and CPU time
-    of the boundary scans (glibc trims and regrows the heap top).
+    or less goes to ``fn`` whole.  Outputs take ``items``' shape and are allocated before
+    the first block: allocated after it, they raised the page faults and CPU time of the
+    boundary scans (glibc trims and regrows the heap top).
     """
-    size = np.size(arrays[0])
+    size = np.size(items)
     step = max(1, _SCAN_PAIRS // width)
     if size <= step:
-        return fn(*arrays)
+        return fn(items)
     outs = tuple(np.empty(size, dtype) for dtype in dtypes)
-    flats = [np.ravel(x) for x in arrays]
+    flat = np.ravel(items)
     for i in range(0, size, step):
-        parts = fn(*(x[i : i + step] for x in flats))
+        parts = fn(flat[i : i + step])
         for out, part in zip(outs, parts if len(outs) > 1 else (parts,)):
             out[i : i + step] = part
-    outs = tuple(out.reshape(np.shape(arrays[0])) for out in outs)
+    outs = tuple(out.reshape(np.shape(items)) for out in outs)
     return outs if len(outs) > 1 else outs[0]
 
 

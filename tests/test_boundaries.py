@@ -3,12 +3,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import nff.boundaries as boundaries
-from nff.core import _SCAN_PAIRS
+from nff.core import _SCAN_PAIRS, _line_excess
 from nff import (
     FRONT,
     SIDE,
@@ -372,10 +373,23 @@ def test_xi_large_radius_asymptote(geo):
     assert xi_worst_mismatch(geo, r) == pytest.approx(K * n2 / (2.0 * r * r), rel=1e-8, abs=0.0)
 
 
+#: Direction projections ``s = ahat.r_n / |r_n|`` of the former full-grid ``Xi`` scan,
+#: kept as a reference: it samples every row, so it bounds ``Xi`` from below.
+_S_GRID = np.concatenate([-np.linspace(0.0, 1.0, 1001)[:0:-1], np.linspace(0.0, 1.0, 1001)])
+
+
+def _grid_gap(r, t, n2, k):
+    """``|exp(-jkd)/d - exp(-jk(r-t))/r|`` at ``t = ahat.r_n``, ``n2 = |r_n|^2``."""
+    d, delta = _line_excess(r, t, n2 - t * t)
+    rd = r * d
+    amplitude = (2.0 * r * t - n2) / ((r + d) * rd)
+    return np.sqrt(amplitude**2 + 4.0 * np.sin(0.5 * k * delta) ** 2 / rd)
+
+
 def _xi_full_grid(y, r, k):
     """Per-element full-grid Xi pass with per-element peak refinement, one radius."""
-    s = boundaries._XI_S_GRID
-    g = boundaries._xi_gap(r, np.outer(y, s), (y * y)[:, None], k)
+    s = _S_GRID
+    g = _grid_gap(r, np.outer(y, s), (y * y)[:, None], k)
     best = float(g.max())
     if best == 0.0:
         return best
@@ -385,20 +399,16 @@ def _xi_full_grid(y, r, k):
         lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
         while hi - lo >= 1e-9:
             cell = np.linspace(lo, hi, 21)
-            gc = boundaries._xi_gap(r, y[n] * cell, y[n] * y[n], k)
+            gc = _grid_gap(r, y[n] * cell, y[n] * y[n], k)
             i = int(np.argmax(gc))
             best = max(best, float(gc[i]))
             lo, hi = cell[max(i - 1, 0)], cell[min(i + 1, 20)]
     return best
 
 
-def test_xi_grid_is_antisymmetric():
-    s = boundaries._XI_S_GRID
-    assert s.size == 2001 and s[0] == -1.0 and s[1000] == 0.0 and s[-1] == 1.0
-    assert np.array_equal(s, -s[::-1])
-
-
 def test_xi_collinear_matches_full_grid_and_row_bound_holds():
+    # the grid samples every row, so it is a lower bound; the upper bound takes
+    # d >= m = r - a, |r - d| <= a and delta <= a^2 / (2m) on every row
     rng = np.random.default_rng(2026)
     for case in range(36):
         if case % 3 == 0:  # uniform linear arrays, N = 1..128
@@ -410,15 +420,111 @@ def test_xi_collinear_matches_full_grid_and_row_bound_holds():
             base = rng.uniform(0.0, 4.0, int(rng.integers(1, 10)))
             y = rng.permutation(np.concatenate([base, -base[: base.size // 2], base[:2], [0.0]]))
         k = rng.uniform(0.5, 20.0)
-        lo = max(float(np.max(np.abs(y))) * (1.0 + 1e-6), 1e-3)
+        a = float(np.max(np.abs(y)))
+        lo = max(a * (1.0 + 1e-6), 1e-3)
         r = np.exp(rng.uniform(math.log(lo), math.log(1e6), 6))
         r[0] = lo
-        got = boundaries._xi_offsets(np.abs(y), r, k)
-        assert np.array_equal(got, [_xi_full_grid(np.abs(y), float(x), k) for x in r]), case
-        a = np.unique(np.abs(y))
-        rr, aa = (m.ravel() for m in np.meshgrid(r, a))
-        peak, _ = boundaries._xi_row_peaks(rr, aa, k)
-        assert np.all(boundaries._xi_row_bound(rr, aa, k) >= peak), case
+        got = boundaries._xi(a, r, k)
+        grid = np.array([_xi_full_grid(np.abs(y), float(x), k) for x in r])
+        assert np.all(got >= grid * (1.0 - 1e-14)), case
+        m = r - a
+        bound = np.sqrt((a / (r * m)) ** 2 + 4.0 * np.minimum(1.0, (k * a * a / (4.0 * m)) ** 2) / (r * m))
+        assert np.all(got <= bound * (1.0 + 1e-14)), case
+
+
+def _xi_mp_oracle(a, r, dps=40):
+    """Largest gap of one element at offset ``a`` over ``t`` in [-a, a], to ``dps`` digits.
+
+    A float pass over ``t``, dense towards both ends where the lobes are narrowest,
+    picks the best few local maxima; golden-section search refines each in mpmath,
+    on the direct form of the gap.
+    """
+    ends = a * np.geomspace(1e-15, 2.0, 100001)
+    t = np.unique(np.concatenate([np.linspace(-a, a, 200001), a - ends, ends - a]))
+    t = t[(t >= -a) & (t <= a)]
+    g = _grid_gap(r, t, a * a, K)
+    peak = np.nonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))[0]
+    with mpmath.workdps(dps):
+        k, am, rm = mpmath.mpf(K), mpmath.mpf(a), mpmath.mpf(r)
+
+        def gap(x):
+            d = mpmath.sqrt(rm * rm - 2 * rm * x + am * am)
+            return abs(mpmath.expj(-k * d) / d - mpmath.expj(-k * (rm - x)) / rm)
+
+        best = mpmath.mpf(0)
+        for i in peak[np.argsort(g[peak])[::-1][:8]]:
+            lo, hi = mpmath.mpf(t[max(i - 1, 0)]), mpmath.mpf(t[min(i + 1, t.size - 1)])
+            best = max(best, gap(lo), gap(hi))
+            golden = (mpmath.sqrt(5) - 1) / 2
+            x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            f1, f2 = gap(x1), gap(x2)
+            for _ in range(80):
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + golden * (hi - lo)
+                    f2 = gap(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - golden * (hi - lo)
+                    f1 = gap(x1)
+            best = max(best, f1, f2)
+        return float(best)
+
+
+@pytest.mark.parametrize(
+    "a, r",
+    [
+        (1e-2, 1e-2 * (1.0 + 1e-6)),
+        (1e-2, 1.0),
+        (1e-2, 1e6),
+        (0.5, 0.5 * (1.0 + 1e-6)),
+        (0.5, 2.0),
+        (1.75, 1.75**2),
+        (3.5, 3.5**2 * 1.001),
+        (31.5, 31.5**2),
+        (31.5, 1e6),
+        (255.75, 314.63581602561504),
+        (255.75, 255.75**2),
+        (1023.75, 1122.5139556552888),
+        (1023.75, 1e6),
+        (4e3, 4e3 * (1.0 + 1e-6)),
+        (4e3, 4e3 * 1.5),
+        (4e3, 1e6),
+    ],
+)
+def test_xi_matches_mpmath_oracle(a, r):
+    # every row lies below the widest one, so one element at offset a has the whole Xi
+    got = float(boundaries._xi(a, np.array([r]), K)[0])
+    assert got == pytest.approx(_xi_mp_oracle(a, r), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, radii",
+    [(1024, [286.9535999771731, 314.63581602561504]), (4096, [1078.1840095792534, 1122.5139556552888])],
+)
+def test_xi_finds_the_first_lobe_on_wide_arrays(n, radii):
+    # at these radii the former 2001-point grid read Xi 7-14 % low: the first lobe
+    # next to t = a is narrower than its spacing
+    geo = uniform_linear_array(n, 0.5)
+    a = float(np.max(np.abs(geo.positions)))
+    t = a - a * np.linspace(0.0, 2.0, 500_001)
+    for r in radii:
+        d = np.sqrt((r - t) ** 2 + a * a - t * t)
+        brute = np.max(np.abs(np.exp(-1j * K * d) / d - np.exp(-1j * K * (r - t)) / r))
+        assert xi_worst_mismatch(geo, r) >= brute * (1.0 - 1e-12)
+
+
+def test_xi_reads_only_the_largest_offset():
+    a = 1.75
+    geos = [
+        N8,
+        ArrayGeometry([[0.0, a, 0.0], [0.0, -a, 0.0]]),
+        ArrayGeometry([[a, 0.0, 0.0], [-a, 0.0, 0.0], [0.0, 0.5, 0.3], [0.0, -0.5, -0.3]]),
+    ]
+    r = a * np.array([1.0 + 1e-6, 1.01, 1.2, 2.0, 10.0, 1e3, 1e6])
+    want = xi_worst_mismatch(geos[0], r)
+    for geo in geos[1:]:
+        assert np.array_equal(xi_worst_mismatch(geo, r), want)
 
 
 def test_xi_block_matches_single_radii():

@@ -665,17 +665,25 @@ def test_cli_boundaries(tmp_path, capsys):
     assert lines[1].startswith("qr,,found,24.5,")
 
 
-def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys):
-    # Xi of a 1e5-wavelength pair still oscillates over the final decade of the bracket
+def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys, monkeypatch):
+    # Xi of a 1e5-wavelength pair decays over the final decade of the bracket
     cfg = _write(tmp_path, "wc.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = wc\n")
-    assert main(["boundaries", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 1
+    out = tmp_path / "b.csv"
+    assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "wc,0.001,found,99210.599744878302,1"
+    # a tail with a bump inside the final decade fails the decay check
+    grid = np.geomspace(2.0, 1e6, 2000)
+    vals = 1.0 / grid
+    vals[-100] *= 10.0
+    monkeypatch.setattr(boundaries, "_xi_scan_samples", lambda *a, **k: (grid, vals))
+    assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: the worst-case mismatch is not decreasing"
     )
 
 
 def test_cli_sweep_and_boundaries_each_do_one_job(tmp_path, capsys):
-    # wc of a 1e5-wavelength pair fails its tail check, but sweep runs no search
+    # sweep runs no boundary search, so its configured wc is never evaluated
     far = _write(tmp_path, "far.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = qr, wc\n")
     assert main(["sweep", "--config", str(far), "--out", str(tmp_path / "c.csv")]) == 0
     # the default sweep grid meets an element at r = 0.1: boundaries sweeps no curve,

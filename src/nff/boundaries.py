@@ -24,8 +24,8 @@ for most, a test-line direction) to a single radius in wavelengths:
     depends only on the largest element offset and is one 1-D
     maximization per radius.
 
-All searches share a log-grid bracketing pass plus geometric bisection,
-refined to 1e-6 relative.
+All searches share a log-grid pass over one fixed bracket plus geometric
+bisection, refined to 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .core import (
     WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
 )
 from .metric import default_grid
-from .sources import ArrayGeometry, _off_elements, ff_precoder
+from .sources import ArrayGeometry, _off_elements
 
-#: Default search bracket (wavelengths) and the log-grid density of every search.
+#: Search bracket (wavelengths) and log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
 DEFAULT_POINTS_PER_DECADE = 400
 
@@ -140,40 +140,24 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
-def _in_blocks(criterion, planes: int = 1):
-    """Evaluate ``criterion(geometry, r, ...)`` on blocks of ``_SCAN_PAIRS // (planes * N)`` radii.
-
-    Every value is elementwise in ``r``, so a block gives each radius the same
-    bits as the radius alone, and the ``(radii, N)`` temporaries stay bounded
-    whatever the size of ``r`` (:func:`nff.core._blockwise`).  ``planes`` counts the
-    float64 planes of the widest temporary: 2 for ``psi``'s complex ones, which at
-    8192 pairs made the boundary scans' heap top grow and shrink on every block.
-    """
-
-    @functools.wraps(criterion)
-    def blocked(geometry: ArrayGeometry, r, *args, **kwargs):
-        return _blockwise(lambda b: criterion(geometry, b, *args, **kwargs), planes * geometry.n, r)
-
-    return blocked
-
-
-def _line(geometry: ArrayGeometry, r, direction: Direction):
-    """Radii ``(..., 1)`` and line constants ``t``, ``w`` ``(N,)`` of the points ``r rhat``.
+def _line(geometry: ArrayGeometry, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Line constants ``t``, ``w`` ``(N,)`` of the test line ``r rhat``.
 
     A test line is one-dimensional: element ``n`` enters only through ``t_n`` and ``w_n``,
-    which :func:`nff.core._line_excess` and :func:`nff.core._line_distance` read.
+    which :func:`nff.core._line_excess` and :func:`nff.core._line_distance` read.  A
+    criterion reads them once per call, then takes its radii ``_SCAN_PAIRS // N`` at a
+    time (:func:`nff.core._blockwise`): every value is elementwise in ``r``, so a block
+    gives each radius the same bits as the radius alone, and the ``(radii, N)``
+    temporaries stay bounded whatever the size of ``r``.
     """
-    t, w = _line_constants(geometry.positions, unit_vector(direction))
-    return np.asarray(r)[..., None], t, w
+    return _line_constants(geometry.positions, unit_vector(direction))
 
 
-def _distances(geometry: ArrayGeometry, r, direction: Direction) -> np.ndarray:
-    """Distances ``d`` ``(..., N)``; a point on an element raises ``FieldSingularity``."""
-    radii, t, w = _line(geometry, r, direction)
-    return _off_elements(_line_distance(radii - t, w), lambda i: np.ravel(r)[i])
+def _distances(r, t, w) -> np.ndarray:
+    """Distances ``d`` ``(..., N)`` at radii ``r``; ``FieldSingularity`` if one is on an element."""
+    return _off_elements(_line_distance(np.asarray(r)[..., None] - t, w), lambda i: np.ravel(r)[i])
 
 
-@_in_blocks
 def phi_excess(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -188,11 +172,15 @@ def phi_excess(
     """
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    _, delta = _line_excess(*_line(geometry, r, direction))
-    return (np.max(delta, axis=-1) * WAVENUMBER)[()]
+    t, w = _line(geometry, direction)
+
+    def block(r):
+        _, delta = _line_excess(np.asarray(r)[..., None], t, w)
+        return np.max(delta, axis=-1) * WAVENUMBER
+
+    return _blockwise(block, geometry.n, r)[()]
 
 
-@_in_blocks
 def gamma_uniform_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -212,44 +200,57 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    dist = _distances(geometry, r, direction)
+    t, w = _line(geometry, direction)
     nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
-    proj = np.subtract.outer(r * (unit_vector(direction) @ nhat), geometry.positions @ nhat)
-    tol = 1e-9 * np.maximum(1.0, r)[..., None]
-    if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
-        raise UndefinedProjection(
-            "boresight projections change sign along the element set; "
-            "the uniform-power ratio is undefined here"
-        )
-    flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
-    g = np.where(flat, 1.0, np.abs(proj)) / dist**3
-    top = np.max(g, axis=-1)
-    return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)[()]
+    along, offsets = unit_vector(direction) @ nhat, geometry.positions @ nhat
+
+    def block(r):
+        dist = _distances(r, t, w)
+        proj = np.subtract.outer(r * along, offsets)
+        tol = 1e-9 * np.maximum(1.0, r)[..., None]
+        if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
+            raise UndefinedProjection(
+                "boresight projections change sign along the element set; "
+                "the uniform-power ratio is undefined here"
+            )
+        flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
+        g = np.where(flat, 1.0, np.abs(proj)) / dist**3
+        top = np.max(g, axis=-1)
+        return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)
+
+    return _blockwise(block, geometry.n, r)[()]
 
 
-@functools.partial(_in_blocks, planes=2)
 def psi_gain_ratio(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
     direction: Direction,
-    steering: Direction,
 ) -> float | np.ndarray:
     """Focusing-over-steering array gain ratio at radii along ``direction``.
 
     ``Psi = |h . w_focus| / |h . w_steer|`` with channel entries
     ``h_n = exp(-j k |r - r_n|) / |r - r_n|``, focusing weights matched to
     the point (so the numerator is ``sum_n 1 / |r - r_n|``) and steering
-    weights matched to ``steering``.  At least 1 by the triangle
-    inequality (the focusing weights align every term).
+    weights ``exp(-j k rhat . r_n)`` toward the line's own direction.  With
+    the common ``exp(-j k r)`` factored out, the denominator is
+    ``|sum_n exp(-j k delta_n) / d_n|`` on the excess paths of
+    :func:`nff.core._line_excess`, so no phase is formed from a whole
+    distance.  At least 1 by the triangle inequality (the focusing weights
+    align every term); a rounding below it reads 1.
     """
-    dist = _distances(geometry, r, direction)
-    h = np.exp(-1j * WAVENUMBER * dist) / dist
-    den = np.abs(np.sum(h * ff_precoder(geometry, steering), axis=-1))
-    with np.errstate(divide="ignore"):
-        return (np.sum(1.0 / dist, axis=-1) / den)[()]
+    t, w = _line(geometry, direction)
+
+    def block(r):
+        d, delta = _line_excess(np.asarray(r)[..., None], t, w)
+        inv = 1.0 / _off_elements(d, lambda i: np.ravel(r)[i])
+        phase = WAVENUMBER * delta
+        den = np.hypot(np.sum(np.cos(phase) * inv, axis=-1), np.sum(np.sin(phase) * inv, axis=-1))
+        with np.errstate(divide="ignore"):
+            return np.maximum(np.sum(inv, axis=-1) / den, 1.0)
+
+    return _blockwise(block, geometry.n, r)[()]
 
 
-@_in_blocks
 def upsilon_power(
     geometry: ArrayGeometry,
     r: float | np.ndarray,
@@ -260,8 +261,13 @@ def upsilon_power(
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    dist = _distances(geometry, r, direction)
-    return (np.square(r) / geometry.n * np.sum(1.0 / (dist * dist), axis=-1))[()]
+    t, w = _line(geometry, direction)
+
+    def block(r):
+        dist = _distances(r, t, w)
+        return np.square(r) / geometry.n * np.sum(1.0 / (dist * dist), axis=-1)
+
+    return _blockwise(block, geometry.n, r)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +358,6 @@ def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float |
 # shared crossing search
 
 
-def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
-    try:
-        return default_grid(lo, hi, points_per_decade)
-    except ValueError as exc:
-        raise ValueError(f"bad search bracket ({lo!r}, {hi!r}): {exc}") from exc
-
-
 def _refine_crossing(
     scan: Callable[[float], float],
     lo: float,
@@ -419,9 +418,8 @@ def find_crossing(
     scan: Callable[[np.ndarray], np.ndarray],
     threshold: float,
     mode: str,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
 ) -> BoundaryResult:
-    """Locate a threshold crossing of ``scan`` on a log grid of the bracket.
+    """Locate a threshold crossing of ``scan`` on a log grid of :data:`DEFAULT_BRACKET`.
 
     ``scan`` maps an array of radii to an array of values of the same
     shape; the grid pass calls it once on the whole grid and the bisection
@@ -435,7 +433,7 @@ def find_crossing(
     ``not-found``.  The grid has :data:`DEFAULT_POINTS_PER_DECADE` points per
     decade; found values are bisection-refined to 1e-6 relative.
     """
-    grid = _log_grid(bracket[0], bracket[1], DEFAULT_POINTS_PER_DECADE)
+    grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
     return _search_values(grid, scan(grid), scan, threshold, mode)
 
 
@@ -450,19 +448,17 @@ def quasi_rayleigh(span: float) -> float:
     return 2.0 * span * span
 
 
-def _xi_scan_samples(
-    geometry: ArrayGeometry, bracket: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``Xi`` samples on the search grid, read-only and cached per largest offset."""
-    a = _max_offset(geometry)
-    return _xi_grid_samples(a, max(bracket[0], a * (1.0 + 1e-6)), bracket[1])
-
-
-#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.  The key is
-#: the largest offset ``max_n |r_n|``, all that ``Xi`` depends on.
+#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.
 @functools.lru_cache(maxsize=4)
-def _xi_grid_samples(a: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    grid = _log_grid(lo, hi, DEFAULT_POINTS_PER_DECADE)
+def _xi_grid_samples(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``Xi`` samples on the search grid past the largest element offset ``a``."""
+    lo, hi = max(DEFAULT_BRACKET[0], a * (1.0 + 1e-6)), DEFAULT_BRACKET[1]
+    if not lo < hi:
+        raise ValueError(
+            f"the largest element offset, {a!r} wavelengths, reaches past the top of the "
+            f"search bracket, {hi!r} wavelengths: wc has no radius to scan"
+        )
+    grid = default_grid(lo, hi, DEFAULT_POINTS_PER_DECADE)
     vals = _xi(a, grid, WAVENUMBER)
     grid.flags.writeable = vals.flags.writeable = False
     return grid, vals
@@ -471,8 +467,6 @@ def _xi_grid_samples(a: float, lo: float, hi: float) -> tuple[np.ndarray, np.nda
 def d_wc(
     geometry: ArrayGeometry,
     threshold: float = DEFAULT_THRESHOLDS["wc"],
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
 ) -> BoundaryResult:
     """First radius past which the worst-case mismatch stays below threshold.
 
@@ -489,7 +483,7 @@ def d_wc(
     """
     if not threshold > 0.0:
         raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    grid, vals = _xi_scan_samples(geometry, bracket)
+    grid, vals = _xi_grid_samples(_max_offset(geometry))
 
     tail = vals[grid >= grid[-1] / 10.0]
     slack = 1e-9 * np.maximum(tail[:-1], tail[1:])
@@ -516,7 +510,7 @@ def d_wc(
 _SCANS = {
     "ar": (phi_excess, "first-below"),
     "up": (gamma_uniform_power, "first-above"),
-    "en": (lambda geo, r, d: psi_gain_ratio(geo, r, d, d), "last-above"),
+    "en": (psi_gain_ratio, "last-above"),
     "ep": (upsilon_power, "last-below"),
 }
 
@@ -525,8 +519,6 @@ def evaluate_boundary(
     geometry: ArrayGeometry,
     spec: BoundarySpec,
     direction: Direction,
-    *,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
     if spec.kind == "qr":
@@ -535,10 +527,7 @@ def evaluate_boundary(
             STATUS_FOUND, value, (0.0, math.inf), 0, degenerate=geometry.span == 0.0
         )
     if spec.kind == "wc":
-        return d_wc(geometry, spec.threshold, bracket=bracket)
+        return d_wc(geometry, spec.threshold)
     criterion, mode = _SCANS[spec.kind]
-
-    def scan(r):
-        return criterion(geometry, r, direction)
-
-    return find_crossing(scan, spec.threshold, mode, bracket)
+    scan = functools.partial(criterion, geometry, direction=direction)
+    return find_crossing(scan, spec.threshold, mode)

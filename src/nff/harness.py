@@ -12,11 +12,11 @@ Scenario files are flat ``key = value`` text (``#`` starts a comment)::
     grid_ppd = 100
     boundaries = qr, ar, up:0.9, en:1.05, ep:0.99, wc:0.001
 
-Field traces are CSV with ``#`` header lines carrying the format version
-and one far-field record (either the angular distribution itself, with an
-optional ``# direction = theta,phi`` record in degrees, or a single
-far-zone field sample), followed by rows of radius and the six complex
-field components.  A trace is self-contained: importing one re-runs the
+Field traces are CSV with ``#`` header lines carrying the format version,
+one far-field record (either the angular distribution itself or a single
+far-zone field sample) and an optional ``# direction = theta,phi`` record
+in degrees, each at most once, followed by rows of radius and the six
+complex field components.  A trace is self-contained: importing one re-runs the
 far-field consistency and transversality checks.
 """
 
@@ -345,8 +345,8 @@ def import_trace(path: str | Path) -> FieldTrace:
     Raises
     ------
     TraceFormatError
-        For schema violations (missing headers, bad row shape,
-        non-monotone radii, non-finite values).
+        For schema violations (missing headers, a repeated record, bad
+        row shape, non-monotone radii, non-finite values).
     InconsistentFarField
         When the far-field record fails the E/H cross-check.
     """
@@ -354,6 +354,7 @@ def import_trace(path: str | Path) -> FieldTrace:
     sample = None
     direction = None
     data_header = None
+    seen: set[str] = set()
     rows: list[list[float]] = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -367,6 +368,10 @@ def import_trace(path: str | Path) -> FieldTrace:
                 continue  # plain comment
             key = key.strip().lower()
             value = value.strip()
+            if key in seen:
+                raise TraceFormatError(f"{path}:{lineno}: duplicate record {key!r}")
+            if key in ("trace_version", "ff_f", "ff_sample", "direction"):
+                seen.add(key)
             if key == "trace_version":
                 (version,) = _parse_floats(value, 1, f"{path}:{lineno}: trace_version")
                 if version != TRACE_VERSION:
@@ -432,9 +437,9 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
         for comp in trace.f:
             parts.extend([_fmt(comp.real), _fmt(comp.imag)])
         lines.append("# ff_f = " + ",".join(parts))
-        if trace.direction is not None:
-            d = trace.direction
-            lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
+    if trace.direction is not None:
+        d = trace.direction
+        lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
     lines.append(TRACE_DATA_HEADER)
     fields = np.column_stack([trace.e, trace.h])
     parts = np.stack([fields.real, fields.imag], axis=-1).reshape(trace.r.size, 12)
@@ -566,9 +571,11 @@ def reproduce_reference(
     array/direction panel.  ``fig5`` produces the equal-aperture
     comparison curves (N = 8, d = 0.5 against N = 15, d = 0.25).  Curves
     for externally simulated antennas are emitted only for trace files
-    supplied via ``traces_dir``.  Each curve is :func:`run_sweep` and each
-    boundary table :func:`run_boundaries` of one panel's config.  Output is
-    a pure function of the inputs: rerunning yields byte-identical files.
+    supplied via ``traces_dir``; a missing directory raises
+    ``FileNotFoundError`` before any file is written.  Each curve is
+    :func:`run_sweep` and each boundary table :func:`run_boundaries` of one
+    panel's config.  Output is a pure function of the inputs: rerunning
+    yields byte-identical files.
 
     Returns
     -------
@@ -577,6 +584,8 @@ def reproduce_reference(
     """
     if figure not in ("fig4", "fig5"):
         raise ValueError(f"unknown figure {figure!r}; expected 'fig4' or 'fig5'")
+    if traces_dir is not None and not Path(traces_dir).is_dir():
+        raise FileNotFoundError(f"no trace directory at {traces_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

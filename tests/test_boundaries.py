@@ -22,6 +22,7 @@ from nff import (
     TailNotMonotone,
     UndefinedProjection,
     d_wc,
+    default_grid,
     evaluate_boundary,
     find_crossing,
     gamma_uniform_power,
@@ -29,6 +30,7 @@ from nff import (
     psi_gain_ratio,
     quasi_rayleigh,
     uniform_linear_array,
+    unit_vector,
     upsilon_power,
     xi_worst_mismatch,
 )
@@ -183,8 +185,11 @@ def test_d_up_side_closed_form():
     assert res.value == pytest.approx(1.75 * (1 + c) / (1 - c), rel=5e-3)
 
 
-def test_d_up_not_found_in_small_bracket():
-    res = evaluate_boundary(N8, BoundarySpec("up", 0.99), FRONT, bracket=(1e-3, 10.0))
+def test_d_up_not_found_in_the_bracket():
+    # Gamma rises to about 1 - 1.8e-5 at r = 1e6 on the front line of this wide array
+    geo = uniform_linear_array(8, 1e3)
+    assert gamma_uniform_power(geo, 1e6, FRONT) < 0.99999
+    res = evaluate_boundary(geo, BoundarySpec("up", 0.99999), FRONT)
     assert res.status == "not-found"
     assert res.value is None
 
@@ -195,12 +200,12 @@ def test_d_up_not_found_in_small_bracket():
 
 def test_psi_single_element_is_unity():
     for r in (0.01, 1.0, 100.0):
-        psi = psi_gain_ratio(N1, r, FRONT, FRONT)
+        psi = psi_gain_ratio(N1, r, FRONT)
         assert abs(psi - 1.0) <= 1e-12
 
 
 def test_psi_converges_far_out():
-    psi = psi_gain_ratio(N8, 1e5, FRONT, FRONT)
+    psi = psi_gain_ratio(N8, 1e5, FRONT)
     assert abs(psi - 1.0) < 1e-3
 
 
@@ -211,10 +216,35 @@ def test_psi_at_least_one():
         d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
         r = 10 ** rng.uniform(-2, 3)
         try:
-            psi = psi_gain_ratio(geo, r, d, d)
+            psi = psi_gain_ratio(geo, r, d)
         except ValueError:
             continue  # point landed on an element
-        assert psi >= 1.0 - 1e-12
+        assert psi >= 1.0
+
+
+def _psi_mp_oracle(positions, r, rhat, dps=40):
+    """``sum 1/d_n / |sum exp(-jk(d_n + rhat.r_n)) / d_n|`` of float inputs, to ``dps`` digits."""
+    with mpmath.workdps(dps):
+        k = 2 * mpmath.pi
+        u = [mpmath.mpf(float(x)) for x in rhat]
+        num, den = mpmath.mpf(0), mpmath.mpc(0)
+        for p in positions:
+            p = [mpmath.mpf(float(x)) for x in p]
+            d = mpmath.sqrt(sum((mpmath.mpf(r) * ui - pi) ** 2 for ui, pi in zip(u, p)))
+            num += 1 / d
+            den += mpmath.expj(-k * (d + sum(ui * pi for ui, pi in zip(u, p)))) / d
+        return float(num / abs(den))
+
+
+@pytest.mark.parametrize("n", [2, 8, 15, 64])
+def test_psi_matches_mpmath_oracle(n):
+    # the steering phase is taken on the excess path, so no phase of 6e6 radians is rounded
+    geo = uniform_linear_array(n, 0.5)
+    radii = np.geomspace(1e2, 1e6, 9)
+    for d in (FRONT, Direction(90, 45), Direction(60, 30), Direction(135, 250)):
+        got = psi_gain_ratio(geo, radii, d)
+        want = [_psi_mp_oracle(geo.positions, float(r), unit_vector(d)) for r in radii]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.array(want)), (n, d)
 
 
 def test_d_en_not_found_for_single_element():
@@ -259,12 +289,11 @@ def test_criteria_on_a_block_match_single_radii():
     for n in (1, 1, 2, 3, 5, 8, 13, 64):
         geo = uniform_linear_array(n, rng.uniform(0.1, 1.0))
         d = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
-        steering = Direction(rng.uniform(0, 180), rng.uniform(0, 360))
         radii = np.sort(10 ** rng.uniform(-2, 6, size=int(rng.integers(1, 24))))
         for criterion in (
             lambda r: phi_excess(geo, r, d),
             lambda r: gamma_uniform_power(geo, r, d),
-            lambda r: psi_gain_ratio(geo, r, d, steering),
+            lambda r: psi_gain_ratio(geo, r, d),
             lambda r: upsilon_power(geo, r, d),
         ):
             block = criterion(radii)
@@ -273,12 +302,30 @@ def test_criteria_on_a_block_match_single_radii():
             assert np.array_equal(criterion(radii[None, :]), block[None, :])
 
 
+def test_criteria_read_their_line_once_per_call(monkeypatch):
+    geo = uniform_linear_array(1024, 0.5)
+    grid = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    assert grid.size == 3601 and grid.size > _SCAN_PAIRS // geo.n  # several blocks
+    line_constants = boundaries._line_constants
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return line_constants(*args)
+
+    monkeypatch.setattr(boundaries, "_line_constants", spy)
+    for criterion in (phi_excess, gamma_uniform_power, psi_gain_ratio, upsilon_power):
+        calls.clear()
+        assert criterion(geo, grid, FRONT).shape == grid.shape
+        assert len(calls) == 1, criterion.__name__
+
+
 def test_criteria_reject_a_block_that_touches_an_element():
     radii = np.array([0.5, 0.75, 1.0])  # the side line meets an element at 0.75
     with pytest.raises(ValueError, match="singular"):
         gamma_uniform_power(N8, radii, SIDE)
     with pytest.raises(ValueError, match="singular"):
-        psi_gain_ratio(N8, radii, SIDE, SIDE)
+        psi_gain_ratio(N8, radii, SIDE)
     with pytest.raises(ValueError, match="singular"):
         upsilon_power(N8, radii, SIDE)
     geo = ArrayGeometry([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
@@ -570,13 +617,13 @@ def test_criteria_memory_does_not_grow_with_the_grid():
     # at N = MAX_ELEMENTS one temporary over the whole search grid would be 118 MB;
     # blocks of _SCAN_PAIRS // N radii hold each to one 64 KiB plane
     geo = uniform_linear_array(MAX_ELEMENTS, 2e-7)  # inside 1e-3: Xi takes the whole grid too
-    grid = boundaries._log_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    grid = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
     assert grid.size == 3601
     plane = _SCAN_PAIRS * 8
     for scan in (
         lambda r: phi_excess(geo, r, FRONT),
         lambda r: gamma_uniform_power(geo, r, FRONT),
-        lambda r: psi_gain_ratio(geo, r, FRONT, FRONT),
+        lambda r: psi_gain_ratio(geo, r, FRONT),
         lambda r: upsilon_power(geo, r, FRONT),
         lambda r: xi_worst_mismatch(geo, r),
     ):
@@ -587,8 +634,8 @@ def test_criteria_memory_does_not_grow_with_the_grid():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # psi, the widest, holds about a dozen planes at once: three offsets, the
-        # distances and complex channel terms
+        # psi, the widest, holds about half a dozen planes at once: the distances,
+        # excess paths, phases and their cosines and sines
         assert peak < 16 * plane
 
 
@@ -596,16 +643,15 @@ def test_xi_scan_cache_is_bounded_lru():
     cache = boundaries._xi_grid_samples
     cache.cache_clear()
     size = cache.cache_info().maxsize
-    geos = [uniform_linear_array(2, 0.1 * (i + 1)) for i in range(size + 2)]
-    scan = lambda geo: boundaries._xi_scan_samples(geo, (1.0, 10.0))
-    results = [scan(geo)[1] for geo in geos[:size]]
-    assert scan(geos[0])[1] is results[0]  # a hit, now the most recently used entry
+    offsets = [0.05 * (i + 1) for i in range(size + 2)]
+    results = [cache(a)[1] for a in offsets[:size]]
+    assert cache(offsets[0])[1] is results[0]  # a hit, now the most recently used entry
     assert cache.cache_info().hits == 1
-    for geo in geos[size:]:
-        scan(geo)
+    for a in offsets[size:]:
+        cache(a)
     assert cache.cache_info().currsize == size
-    assert scan(geos[0])[1] is results[0]
-    assert scan(geos[1])[1] is not results[1]  # least recently used: evicted, scanned again
+    assert cache(offsets[0])[1] is results[0]
+    assert cache(offsets[1])[1] is not results[1]  # least recently used: evicted, scanned again
     assert not results[0].flags.writeable
 
 
@@ -633,7 +679,7 @@ def test_d_wc_rejects_non_monotone_tail(monkeypatch):
     grid = np.geomspace(2.0, 1e6, 2000)
     vals = 1.0 / grid
     vals[-100] *= 10.0  # a bump inside the final decade
-    monkeypatch.setattr(boundaries, "_xi_scan_samples", lambda *a, **k: (grid, vals))
+    monkeypatch.setattr(boundaries, "_xi_grid_samples", lambda a: (grid, vals))
     with pytest.raises(TailNotMonotone):
         d_wc(N8, threshold=0.001)
 
@@ -667,15 +713,15 @@ def test_find_last_above_oscillating_tail():
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
     # find_crossing hands the criterion the whole grid, which it evaluates in blocks
     # of _SCAN_PAIRS // N radii; the bisection evaluates single radii
-    line = boundaries._line
+    distances = boundaries._distances
     for n, bisected in ((1, False), (1024, True)):
         sizes = []
 
-        def spy(geometry, r, *args):
+        def spy(r, t, w):
             sizes.append(np.size(r))
-            return line(geometry, r, *args)
+            return distances(r, t, w)
 
-        monkeypatch.setattr(boundaries, "_line", spy)
+        monkeypatch.setattr(boundaries, "_distances", spy)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
         assert res.status == "found" and res.degenerate != bisected
         block = min(_SCAN_PAIRS // n, 3601)
@@ -706,8 +752,6 @@ def test_find_crossing_statuses():
     assert res.status == "found" and res.degenerate
     with pytest.raises(ValueError, match="mode"):
         find_crossing(lambda r: r, 1.0, "sideways")
-    with pytest.raises(ValueError, match="bracket"):
-        find_crossing(lambda r: r, 1.0, "first-below", bracket=(1.0, 0.5))
 
 
 def test_found_boundaries_straddle_their_threshold():
@@ -717,7 +761,7 @@ def test_found_boundaries_straddle_their_threshold():
         (evaluate_boundary(N8, BoundarySpec("up", 0.9), FRONT),
          lambda r: gamma_uniform_power(N8, r, FRONT), 0.9, "above"),
         (evaluate_boundary(N8, BoundarySpec("en", 1.05), FRONT),
-         lambda r: psi_gain_ratio(N8, r, FRONT, FRONT), 1.05, "above"),
+         lambda r: psi_gain_ratio(N8, r, FRONT), 1.05, "above"),
         (evaluate_boundary(N8, BoundarySpec("ep", 0.99), FRONT),
          lambda r: upsilon_power(N8, r, FRONT), 0.99, "below"),
     ]

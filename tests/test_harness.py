@@ -282,6 +282,15 @@ def test_trace_round_trip_ff_sample(tmp_path):
     got = trace_error_curve(back)
     assert np.max(np.abs(got.epsilon - want.epsilon)) < 1e-5
 
+    # a stated direction travels with the sample instead of being recovered again
+    stated = Direction(90.0000001, 0.0)
+    trace = FieldTrace(
+        r=trace.r, e=trace.e, h=trace.h, sample_r=trace.sample_r,
+        sample_e=trace.sample_e, sample_h=trace.sample_h, direction=stated,
+    )
+    export_trace(trace, path)
+    assert import_trace(path).direction == stated
+
 
 def test_trace_sample_cross_check_rejects_corruption(tmp_path):
     grid = np.geomspace(0.5, 10.0, 5)
@@ -373,6 +382,27 @@ def test_trace_schema_violations(tmp_path):
     p = _write(tmp_path, "bad7.csv", "\n".join(bad) + "\n")
     with pytest.raises(TraceFormatError, match="header"):
         import_trace(p)
+
+
+def test_trace_repeated_records_are_rejected(tmp_path, capsys):
+    # a second record would silently override the first; name its line instead
+    ff_f = "# ff_f = 0,0,0,0,1,0"
+    for name, record in (
+        ("f.csv", ff_f),
+        ("v.csv", "# trace_version = 1"),
+        ("d.csv", "# direction = 90,0"),
+    ):
+        head = f"# trace_version = 1\n{ff_f}\n# direction = 90,0\n{record}\n"
+        path = _write(tmp_path, name, head + f"{TRACE_DATA_HEADER}\n1" + ",0" * 12)
+        key = record[2:].split(" =")[0]
+        with pytest.raises(TraceFormatError, match=rf"{name}:4: duplicate record '{key}'"):
+            import_trace(path)
+        assert main(["validate-trace", str(path)]) == 1
+        assert "duplicate record" in capsys.readouterr().err
+    sample = "# ff_sample = 1000000" + ",0" * 8 + ",1,0,0,0"
+    path = _write(tmp_path, "s.csv", f"{sample}\n{sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12)
+    with pytest.raises(TraceFormatError, match=r"s\.csv:2: duplicate record 'ff_sample'"):
+        import_trace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +705,20 @@ def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys, monkeyp
     grid = np.geomspace(2.0, 1e6, 2000)
     vals = 1.0 / grid
     vals[-100] *= 10.0
-    monkeypatch.setattr(boundaries, "_xi_scan_samples", lambda *a, **k: (grid, vals))
+    monkeypatch.setattr(boundaries, "_xi_grid_samples", lambda a: (grid, vals))
     assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: the worst-case mismatch is not decreasing"
     )
+
+
+def test_cli_boundaries_rejects_an_array_wider_than_the_bracket(tmp_path, capsys):
+    # Xi needs radii past the largest element offset, here 1.25e6 > 1e6 wavelengths
+    cfg = _write(tmp_path, "wide.cfg", "n = 2\nspacing_lambda = 2.5e6\nboundaries = wc\n")
+    assert main(["boundaries", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "largest element offset, 1250000.0 wavelengths" in err
+    assert "search bracket, 1000000.0 wavelengths" in err
 
 
 def test_cli_sweep_and_boundaries_each_do_one_job(tmp_path, capsys):
@@ -737,6 +776,14 @@ def test_cli_reproduce_reads_an_exported_ff_f_trace(tmp_path, capsys):
     want = tmp_path / "want.csv"
     export_table(trace_error_curve(trace, FRONT), want)
     assert (out / "fig5_eps_trace_sim_dipole.csv").read_bytes() == want.read_bytes()
+
+
+def test_cli_reproduce_rejects_a_missing_trace_directory(tmp_path, capsys):
+    out = tmp_path / "repro"
+    argv = ["reproduce", "--figure", "fig5", "--out", str(out), "--grid-ppd", "5"]
+    assert main(argv + ["--traces", str(tmp_path / "absent")]) == 2
+    assert "no trace directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

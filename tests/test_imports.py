@@ -116,12 +116,13 @@ def test_block_loops_go_through_the_one_helper():
 
 def test_criteria_stay_on_the_line_primitive():
     # a test line is one-dimensional: the boundary criteria read distances and excess
-    # paths from core._line_excess, not from per-axis offset planes
+    # paths from core._line_excess, not from per-axis offset planes or whole-distance
+    # steering phases
     tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert names & {"_plane_offsets", "_point_offsets", "_plane_dot"} == set()
+    assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
 
 
 def test_import_does_not_load_scipy():

@@ -11,7 +11,6 @@ from .boundaries import (
     BoundarySpec,
     TailNotMonotone,
     UndefinedProjection,
-    d_wc,
     evaluate_boundary,
     find_crossing,
     gamma_uniform_power,
@@ -97,7 +96,6 @@ __all__ = [
     "analytic_angular_distribution",
     "array_field",
     "auxiliary_fields",
-    "d_wc",
     "default_grid",
     "error_sweep",
     "evaluate_boundary",

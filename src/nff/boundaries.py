@@ -25,7 +25,7 @@ for most, a test-line direction) to a single radius in wavelengths:
     maximization per radius.
 
 All searches share a log-grid pass over one fixed bracket plus geometric
-bisection, refined to 1e-6 relative.
+bisection, refined to 1e-6 relative; a table of thresholds scans each kind once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class BoundarySpec:
                 raise ValueError("the qr boundary takes no threshold")
             return
         if kind == "ar":
-            if th is None:
-                th = AR_THRESHOLD
-            elif not math.isclose(th, AR_THRESHOLD, rel_tol=1e-12):
+            if th is not None and not math.isclose(th, AR_THRESHOLD, rel_tol=1e-12):
                 raise ValueError("the ar boundary threshold is fixed at pi/8")
+            th = AR_THRESHOLD
         elif th is None:
             th = DEFAULT_THRESHOLDS[kind]
         th = float(th)
@@ -448,10 +447,28 @@ def quasi_rayleigh(span: float) -> float:
     return 2.0 * span * span
 
 
-#: fig4 needs one entry per geometry, shared by its six ``wc`` specs.
-@functools.lru_cache(maxsize=4)
-def _xi_grid_samples(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``Xi`` samples on the search grid past the largest element offset ``a``."""
+#: Crossing mode of each searched kind.
+_MODES = {"ar": "first-below", "up": "first-above", "en": "last-above", "ep": "last-below",
+          "wc": "first-below"}
+
+
+def _kind_scan(
+    geometry: ArrayGeometry, kind: str, direction: Direction
+) -> tuple[np.ndarray, np.ndarray, Callable[[float], float]]:
+    """Search grid of one searched kind, the values there, and the scan the bisection calls.
+
+    ``wc`` reads only the largest element offset ``a``: its grid starts just past ``a``,
+    and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at
+    the top of the bracket is only valid when ``Xi`` is decaying there, so the final
+    decade is checked for monotone decrease first (:class:`TailNotMonotone`).
+    """
+    if kind != "wc":
+        criterion = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
+                     "ep": upsilon_power}[kind]
+        scan = functools.partial(criterion, geometry, direction=direction)
+        grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
+        return grid, scan(grid), scan
+    a = _max_offset(geometry)
     lo, hi = max(DEFAULT_BRACKET[0], a * (1.0 + 1e-6)), DEFAULT_BRACKET[1]
     if not lo < hi:
         raise ValueError(
@@ -460,31 +477,6 @@ def _xi_grid_samples(a: float) -> tuple[np.ndarray, np.ndarray]:
         )
     grid = default_grid(lo, hi, DEFAULT_POINTS_PER_DECADE)
     vals = _xi(a, grid, WAVENUMBER)
-    grid.flags.writeable = vals.flags.writeable = False
-    return grid, vals
-
-
-def d_wc(
-    geometry: ArrayGeometry,
-    threshold: float = DEFAULT_THRESHOLDS["wc"],
-) -> BoundaryResult:
-    """First radius past which the worst-case mismatch stays below threshold.
-
-    The suffix supremum ``sup_{r' >= r} Xi(r')`` is formed over the
-    search grid; truncating it at the top of the bracket is only valid
-    when ``Xi`` is decaying there, so the final decade is checked for
-    monotone decrease first.  Direction-independent: ``Xi`` reads only the
-    largest element offset, so the scan is cached per offset.
-
-    Raises
-    ------
-    TailNotMonotone
-        If ``Xi`` is not decreasing over the final decade of the bracket.
-    """
-    if not threshold > 0.0:
-        raise ValueError(f"wc threshold must be positive, got {threshold!r}")
-    grid, vals = _xi_grid_samples(_max_offset(geometry))
-
     tail = vals[grid >= grid[-1] / 10.0]
     slack = 1e-9 * np.maximum(tail[:-1], tail[1:])
     if np.any(np.diff(tail) > slack):
@@ -492,27 +484,42 @@ def d_wc(
             "the worst-case mismatch is not decreasing over the final decade; "
             "the suffix supremum cannot be truncated at this bracket"
         )
-
     envelope = np.maximum.accumulate(vals[::-1])[::-1]
 
     def env_scan(r: float) -> float:
         # bisection stays inside one grid cell, whose upper edge holds the
         # supremum of every sample beyond r
-        return max(xi_worst_mismatch(geometry, r), float(envelope[np.searchsorted(grid, r)]))
+        return max(_xi(a, np.array([r]), WAVENUMBER)[0], envelope[np.searchsorted(grid, r)])
 
-    return _search_values(
-        grid, envelope, env_scan, threshold * WC_THRESHOLD_SCALE, "first-below"
-    )
+    return grid, envelope, env_scan
 
 
-#: Scanned criterion and crossing mode of each searched boundary kind; a
-#: criterion takes ``(geometry, r, direction)``.
-_SCANS = {
-    "ar": (phi_excess, "first-below"),
-    "up": (gamma_uniform_power, "first-above"),
-    "en": (psi_gain_ratio, "last-above"),
-    "ep": (upsilon_power, "last-below"),
-}
+def evaluate_boundaries(
+    geometry: ArrayGeometry,
+    specs: Sequence[BoundarySpec],
+    direction: Direction,
+) -> tuple[BoundaryResult, ...]:
+    """Evaluate each :class:`BoundarySpec` for a geometry and direction, in order.
+
+    Each searched kind is scanned once, on the first spec that asks for it, and every
+    threshold of that kind is searched on that scan, so a spec gets the result (or the
+    error) it would get alone.  ``wc`` thresholds are scaled by
+    :data:`WC_THRESHOLD_SCALE`.
+    """
+    scans: dict[str, tuple] = {}
+    results = []
+    for spec in specs:
+        if spec.kind == "qr":
+            span = geometry.span
+            results.append(
+                BoundaryResult(STATUS_FOUND, quasi_rayleigh(span), (0.0, math.inf), 0, span == 0.0)
+            )
+            continue
+        if spec.kind not in scans:
+            scans[spec.kind] = _kind_scan(geometry, spec.kind, direction)
+        threshold = spec.threshold * WC_THRESHOLD_SCALE if spec.kind == "wc" else spec.threshold
+        results.append(_search_values(*scans[spec.kind], threshold, _MODES[spec.kind]))
+    return tuple(results)
 
 
 def evaluate_boundary(
@@ -521,13 +528,4 @@ def evaluate_boundary(
     direction: Direction,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
-    if spec.kind == "qr":
-        value = quasi_rayleigh(geometry.span)
-        return BoundaryResult(
-            STATUS_FOUND, value, (0.0, math.inf), 0, degenerate=geometry.span == 0.0
-        )
-    if spec.kind == "wc":
-        return d_wc(geometry, spec.threshold)
-    criterion, mode = _SCANS[spec.kind]
-    scan = functools.partial(criterion, geometry, direction=direction)
-    return find_crossing(scan, spec.threshold, mode)
+    return evaluate_boundaries(geometry, (spec,), direction)[0]

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import BoundaryResult, BoundarySpec, evaluate_boundary
+from .boundaries import BoundaryResult, BoundarySpec, evaluate_boundaries
 from .core import DIRECTION_PRESETS, Direction, _direction_of, unit_vector
 from .farfield import (
     AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
@@ -104,6 +104,8 @@ class ScenarioConfig:
                 f"unknown excitation {self.excitation!r}; expected one of {sorted(_EXCITATIONS)}"
             )
         if self.source == "dipole-ula":
+            if self.trace_path is not None:
+                raise ConfigError("dipole-ula scenarios read no trace; set source = imported-trace")
             if self.n is None:
                 raise ConfigError("dipole-ula scenarios need n")
             if not 1 <= self.n <= MAX_ELEMENTS:
@@ -120,11 +122,12 @@ class ScenarioConfig:
                     "nf-bf is not valid for imported traces: their excitation "
                     "is fixed at capture time"
                 )
-            if self.boundaries:
-                raise ConfigError(
-                    "boundary evaluation needs element positions; imported "
-                    "traces do not carry a geometry"
-                )
+            given = {"n": self.n, "spacing_lambda": self.spacing, "boundaries": self.boundaries}
+            for key, value in given.items():
+                if value not in (None, ()):
+                    raise ConfigError(
+                        f"imported-trace scenarios read no {key}; a trace has no geometry"
+                    )
         if not (0.0 < self.grid_lo < self.grid_hi < math.inf):
             raise ConfigError(
                 f"need 0 < grid_lo < grid_hi < inf, got {self.grid_lo!r}, {self.grid_hi!r}"
@@ -506,9 +509,8 @@ def run_boundaries(config: ScenarioConfig) -> tuple[tuple[BoundarySpec, Boundary
     if not config.boundaries:
         raise ConfigError("the scenario lists no boundaries")
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
-    return tuple(
-        (spec, evaluate_boundary(geometry, spec, config.direction)) for spec in config.boundaries
-    )
+    results = evaluate_boundaries(geometry, config.boundaries, config.direction)
+    return tuple(zip(config.boundaries, results))
 
 
 def _curve_lines(curve: ErrorCurve) -> list[str]:

@@ -21,7 +21,6 @@ from nff import (
     FieldSingularity,
     TailNotMonotone,
     UndefinedProjection,
-    d_wc,
     default_grid,
     evaluate_boundary,
     find_crossing,
@@ -639,22 +638,6 @@ def test_criteria_memory_does_not_grow_with_the_grid():
         assert peak < 16 * plane
 
 
-def test_xi_scan_cache_is_bounded_lru():
-    cache = boundaries._xi_grid_samples
-    cache.cache_clear()
-    size = cache.cache_info().maxsize
-    offsets = [0.05 * (i + 1) for i in range(size + 2)]
-    results = [cache(a)[1] for a in offsets[:size]]
-    assert cache(offsets[0])[1] is results[0]  # a hit, now the most recently used entry
-    assert cache.cache_info().hits == 1
-    for a in offsets[size:]:
-        cache(a)
-    assert cache.cache_info().currsize == size
-    assert cache(offsets[0])[1] is results[0]
-    assert cache(offsets[1])[1] is not results[1]  # least recently used: evicted, scanned again
-    assert not results[0].flags.writeable
-
-
 def test_d_wc_is_direction_independent():
     a = evaluate_boundary(N8, BoundarySpec("wc", 0.01), FRONT)
     b = evaluate_boundary(N8, BoundarySpec("wc", 0.01), SIDE)
@@ -662,26 +645,28 @@ def test_d_wc_is_direction_independent():
 
 
 def test_d_wc_degenerate_for_huge_threshold():
-    res = d_wc(N8, threshold=1e9)
+    res = evaluate_boundary(N8, BoundarySpec("wc", 1e9), FRONT)
     assert res.status == "found"
     assert res.degenerate
     assert res.value == pytest.approx(1.75, rel=1e-5)
 
 
 def test_d_wc_not_found_for_tiny_threshold():
-    res = d_wc(N8, threshold=1e-15)
+    res = evaluate_boundary(N8, BoundarySpec("wc", 1e-15), FRONT)
     assert res.status == "not-found"
     with pytest.raises(ValueError):
-        d_wc(N8, threshold=-1.0)
+        BoundarySpec("wc", -1.0)
+
+
+def _bumpy_xi(a, r, k):
+    """``1/r`` with a bump inside the final decade of the bracket."""
+    return np.where((r > 4e5) & (r < 4.1e5), 10.0, 1.0) / r
 
 
 def test_d_wc_rejects_non_monotone_tail(monkeypatch):
-    grid = np.geomspace(2.0, 1e6, 2000)
-    vals = 1.0 / grid
-    vals[-100] *= 10.0  # a bump inside the final decade
-    monkeypatch.setattr(boundaries, "_xi_grid_samples", lambda a: (grid, vals))
+    monkeypatch.setattr(boundaries, "_xi", _bumpy_xi)
     with pytest.raises(TailNotMonotone):
-        d_wc(N8, threshold=0.001)
+        evaluate_boundary(N8, BoundarySpec("wc", 0.001), FRONT)
 
 
 # ---------------------------------------------------------------------------

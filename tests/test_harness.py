@@ -8,8 +8,11 @@ import pytest
 
 import nff
 import nff.boundaries as boundaries
+import nff.harness as harness
 from nff import (
+    DIAGONAL,
     FRONT,
+    SIDE,
     WAVENUMBER,
     BoundarySpec,
     ConfigError,
@@ -24,6 +27,7 @@ from nff import (
     array_field,
     default_grid,
     error_sweep,
+    evaluate_boundary,
     export_table,
     export_trace,
     ff_precoder,
@@ -116,6 +120,12 @@ def test_scenario_semantic_validation(tmp_path):
         )
     with pytest.raises(ConfigError, match="grid_lo"):
         ScenarioConfig(n=1, grid_lo=5.0, grid_hi=1.0)
+    # a key that the source never reads is named, not ignored
+    with pytest.raises(ConfigError, match="dipole-ula scenarios read no trace"):
+        ScenarioConfig(n=8, spacing=0.5, trace_path="t.csv")
+    for name, key in (("n", "n"), ("spacing", "spacing_lambda")):
+        with pytest.raises(ConfigError, match=f"imported-trace scenarios read no {key};"):
+            ScenarioConfig(source="imported-trace", trace_path="t.csv", **{name: 8})
 
 
 def test_scenario_size_limits(tmp_path):
@@ -183,6 +193,56 @@ def test_run_boundaries_evaluates_the_specs():
     pairs = dict((spec.kind, res) for spec, res in run_boundaries(cfg))
     assert pairs["qr"].value == 24.5
     assert pairs["ar"].status == "found"
+
+
+def test_run_boundaries_scans_each_kind_once(monkeypatch):
+    # a fig4 panel scores up, en, ep and wc at two thresholds each: every searched kind
+    # reads its criterion (Xi for wc) on its search grid once, the bisection single radii
+    sizes = {}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            sizes.setdefault(name, []).append(np.size(args[1]))
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("phi_excess", "gamma_uniform_power", "psi_gain_ratio", "upsilon_power", "_xi"):
+        monkeypatch.setattr(boundaries, name, spy(name, getattr(boundaries, name)))
+    cfg = ScenarioConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
+    assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
+    wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
+    grids = {"phi_excess": [3601], "gamma_uniform_power": [3601], "psi_gain_ratio": [3601],
+             "upsilon_power": [3601], "_xi": [wc_grid.size]}
+    assert {name: [n for n in got if n > 1] for name, got in sizes.items()} == grids
+    assert all(len(got) > 1 for got in sizes.values())
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_TABLE_SPECS = harness._FIG4_BOUNDARIES + (BoundarySpec("wc", 1e9), BoundarySpec("up", 0.99999))
+
+
+@pytest.mark.parametrize(
+    "n, spacing, direction",
+    [
+        (1, 0.5, FRONT),
+        (8, 0.5, DIAGONAL),
+        (15, 0.5, SIDE),  # up, en and ep meet an element
+        (2, 2.5e6, FRONT),  # wc has no radius to scan
+    ],
+)
+def test_run_boundaries_equals_one_spec_at_a_time(n, spacing, direction):
+    cfg = ScenarioConfig(n=n, spacing=spacing, direction=direction, boundaries=_TABLE_SPECS)
+    table = _outcome(lambda: [res for _, res in run_boundaries(cfg)])
+    geometry = uniform_linear_array(n, spacing)
+    alone = [_outcome(lambda: evaluate_boundary(geometry, s, direction)) for s in _TABLE_SPECS]
+    # a table stops at its first error, the one its spec raises alone
+    assert table == next((o for o in alone if isinstance(o, tuple)), alone)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +615,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["boundaries", "--config", str(no_bounds), "--out", str(out)]) == 1
     assert "no boundaries" in capsys.readouterr().err
 
+    stray = _write(tmp_path, "st.cfg", "n = 8\nspacing_lambda = 0.5\ntrace = t.csv\n")
+    assert main(["sweep", "--config", str(stray), "--out", str(out)]) == 1
+    assert "read no trace" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def _sample_trace_text(sample: str) -> str:
     return f"# trace_version = 1\n# ff_sample = {sample}\n{TRACE_DATA_HEADER}\n1" + ",0" * 12 + "\n"
@@ -695,6 +760,18 @@ def test_cli_boundaries(tmp_path, capsys):
     assert lines[1].startswith("qr,,found,24.5,")
 
 
+def test_cli_boundaries_fixes_the_ar_threshold(tmp_path, capsys):
+    # a stated ar threshold within 1e-12 of pi/8 is pi/8 itself
+    cfg = _write(
+        tmp_path, "ar.cfg", "n = 8\nspacing_lambda = 0.5\nboundaries = ar, ar:0.392699081698724\n"
+    )
+    out = tmp_path / "b.csv"
+    assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3 and lines[1] == lines[2]
+    assert lines[1].startswith(f"ar,{np.pi / 8!r},found,")
+
+
 def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys, monkeypatch):
     # Xi of a 1e5-wavelength pair decays over the final decade of the bracket
     cfg = _write(tmp_path, "wc.cfg", "n = 2\nspacing_lambda = 1e5\nboundaries = wc\n")
@@ -702,10 +779,9 @@ def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys, monkeyp
     assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "wc,0.001,found,99210.599744878302,1"
     # a tail with a bump inside the final decade fails the decay check
-    grid = np.geomspace(2.0, 1e6, 2000)
-    vals = 1.0 / grid
-    vals[-100] *= 10.0
-    monkeypatch.setattr(boundaries, "_xi_grid_samples", lambda a: (grid, vals))
+    monkeypatch.setattr(
+        boundaries, "_xi", lambda a, r, k: np.where((r > 4e5) & (r < 4.1e5), 10.0, 1.0) / r
+    )
     assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: the worst-case mismatch is not decreasing"
@@ -798,14 +874,13 @@ def test_module_entry_point(tmp_path):
 
 
 def test_reproduction_matches_a_fresh_process(tmp_path):
-    """fig4 from a fresh interpreter equals an in-process run with an empty Xi cache."""
+    """fig4 from a fresh interpreter equals an in-process run."""
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     proc = subprocess.Popen(
         [sys.executable, "-m", "nff", "reproduce", "--figure", "fig4", "--out", str(fresh)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
-        boundaries._xi_grid_samples.cache_clear()
         assert main(["reproduce", "--figure", "fig4", "--out", str(here)]) == 0
         _, err = proc.communicate(timeout=600)
     finally:

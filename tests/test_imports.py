@@ -125,6 +125,39 @@ def test_criteria_stay_on_the_line_primitive():
     assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
 
 
+def _cache_decorated(source: str) -> list[str]:
+    """Functions decorated with ``functools.lru_cache`` or ``functools.cache``, in any form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in ("lru_cache", "cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_cache_decorator_detector():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache, cached_property\n"
+        "@functools.lru_cache(maxsize=4)\ndef f(a):\n    return a\n"
+        "@lru_cache\ndef g(a):\n    return a\n"
+        "@cache\ndef h(a):\n    return a\n"
+        "class K:\n    @cached_property\n    def p(self):\n        return 1\n"
+    )
+    assert _cache_decorated(source) == ["f", "g", "h"]
+
+
+def test_package_keeps_no_process_wide_cache():
+    # a result may not depend on what already ran in the process; per-object
+    # cached_property stays allowed
+    package = sorted(Path(nff.__file__).parent.glob("*.py"))
+    assert {p.name: _cache_decorated(p.read_text(encoding="utf-8")) for p in package} == {
+        p.name: [] for p in package
+    }
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, nff; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

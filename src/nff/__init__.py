@@ -12,7 +12,6 @@ from .boundaries import (
     TailNotMonotone,
     UndefinedProjection,
     evaluate_boundary,
-    find_crossing,
     gamma_uniform_power,
     phi_excess,
     psi_gain_ratio,
@@ -35,7 +34,6 @@ from .farfield import (
     InconsistentFarField,
     analytic_angular_distribution,
     auxiliary_fields,
-    sample_angular_distribution,
 )
 from .harness import (
     ConfigError,
@@ -103,7 +101,6 @@ __all__ = [
     "export_trace",
     "ff_precoder",
     "field_mismatch",
-    "find_crossing",
     "gamma_uniform_power",
     "import_trace",
     "load_scenario",
@@ -116,7 +113,6 @@ __all__ = [
     "reproduce_reference",
     "run_boundaries",
     "run_sweep",
-    "sample_angular_distribution",
     "trace_error_curve",
     "uniform_linear_array",
     "unit_vector",

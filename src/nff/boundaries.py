@@ -357,25 +357,12 @@ def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float |
 # shared crossing search
 
 
-def _refine_crossing(
-    scan: Callable[[float], float],
-    lo: float,
-    hi: float,
-    threshold: float,
-    mode: str,
-) -> float:
-    below = mode.endswith("below")
-    ok_hi = mode.startswith("first")
-
-    def ok(radius: float) -> bool:
-        v = scan(radius)
-        return v <= threshold if below else v >= threshold
-
+def _refine_crossing(side: Callable[[float], bool], lo: float, hi: float, first: bool) -> float:
     for _ in range(200):
         if hi / lo - 1.0 <= REFINE_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
-        if ok(mid) == ok_hi:
+        if side(mid) == first:
             hi = mid
         else:
             lo = mid
@@ -387,53 +374,35 @@ def _search_values(
     vals: np.ndarray,
     scan: Callable[[float], float],
     threshold: float,
-    mode: str,
+    first: bool,
+    below: bool,
 ) -> BoundaryResult:
-    if mode in ("first-below", "last-below"):
-        ok = vals <= threshold
-    elif mode in ("first-above", "last-above"):
-        ok = vals >= threshold
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
+    """Where ``vals`` (``scan`` on ``grid``) first enters the side ``v <= threshold``
+    (``>=`` unless ``below``), or with ``first`` false last leaves it, bisected on single
+    radii of ``scan``; ``unbounded`` if that side holds at the top of the grid.
+    """
+
+    def side(v):
+        return v <= threshold if below else v >= threshold
+
+    ok = side(vals)
     bracket = (float(grid[0]), float(grid[-1]))
     crossings = int(np.count_nonzero(ok[1:] != ok[:-1]))
     hits = np.nonzero(ok)[0]
     if hits.size == 0:
         return BoundaryResult(STATUS_NOT_FOUND, None, bracket, crossings)
-    if mode.startswith("first"):
+    if first:
         i = int(hits[0])
         if i == 0:
             return BoundaryResult(STATUS_FOUND, bracket[0], bracket, crossings, degenerate=True)
-        value = _refine_crossing(scan, float(grid[i - 1]), float(grid[i]), threshold, mode)
-        return BoundaryResult(STATUS_FOUND, value, bracket, crossings)
-    i = int(hits[-1])
-    if i == grid.size - 1:
-        return BoundaryResult(STATUS_UNBOUNDED, None, bracket, crossings)
-    value = _refine_crossing(scan, float(grid[i]), float(grid[i + 1]), threshold, mode)
+        lo, hi = float(grid[i - 1]), float(grid[i])
+    else:
+        i = int(hits[-1])
+        if i == grid.size - 1:
+            return BoundaryResult(STATUS_UNBOUNDED, None, bracket, crossings)
+        lo, hi = float(grid[i]), float(grid[i + 1])
+    value = _refine_crossing(lambda r: side(scan(r)), lo, hi, first)
     return BoundaryResult(STATUS_FOUND, value, bracket, crossings)
-
-
-def find_crossing(
-    scan: Callable[[np.ndarray], np.ndarray],
-    threshold: float,
-    mode: str,
-) -> BoundaryResult:
-    """Locate a threshold crossing of ``scan`` on a log grid of :data:`DEFAULT_BRACKET`.
-
-    ``scan`` maps an array of radii to an array of values of the same
-    shape; the grid pass calls it once on the whole grid and the bisection
-    on single radii, so the two must agree.  The criteria bound their own
-    memory by evaluating large arrays in blocks.  ``mode`` selects which crossing
-    defines the boundary:
-    ``"first-below"``/``"first-above"`` return the first grid entry into
-    the target side (an infimum), ``"last-above"``/``"last-below"`` the
-    last exit from it (a supremum).  A supremum still satisfied at the
-    top of the bracket reports ``unbounded``; an empty target set reports
-    ``not-found``.  The grid has :data:`DEFAULT_POINTS_PER_DECADE` points per
-    decade; found values are bisection-refined to 1e-6 relative.
-    """
-    grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
-    return _search_values(grid, scan(grid), scan, threshold, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +416,9 @@ def quasi_rayleigh(span: float) -> float:
     return 2.0 * span * span
 
 
-#: Crossing mode of each searched kind.
-_MODES = {"ar": "first-below", "up": "first-above", "en": "last-above", "ep": "last-below",
-          "wc": "first-below"}
+#: The ``(first, below)`` crossing of each searched kind.
+_MODES = {"ar": (True, True), "up": (True, False), "en": (False, False), "ep": (False, True),
+          "wc": (True, True)}
 
 
 def _kind_scan(
@@ -518,7 +487,7 @@ def evaluate_boundaries(
         if spec.kind not in scans:
             scans[spec.kind] = _kind_scan(geometry, spec.kind, direction)
         threshold = spec.threshold * WC_THRESHOLD_SCALE if spec.kind == "wc" else spec.threshold
-        results.append(_search_values(*scans[spec.kind], threshold, _MODES[spec.kind]))
+        results.append(_search_values(*scans[spec.kind], threshold, *_MODES[spec.kind]))
     return tuple(results)
 
 

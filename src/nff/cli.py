@@ -2,13 +2,13 @@
 
 Subcommands::
 
-    nff sweep --config <file> --out <csv> [--grid-ppd N]
+    nff sweep --config <file> --out <csv>
     nff boundaries --config <file> --out <csv>
     nff reproduce --figure fig4|fig5 --out <dir> [--traces <dir>] [--grid-ppd N]
     nff validate-trace <file>
 
-``--grid-ppd`` sets the density of the sweep grid only; boundary searches
-always scan 400 points per decade.
+``--grid-ppd`` sets the density of reproduce's sweep grids only (a scenario file
+has ``grid_ppd``); boundary searches always scan 400 points per decade.
 
 Exit codes: 0 success (``--help`` included), 1 validation error (bad
 config, bad trace, bad arguments), 2 I/O error.
@@ -17,7 +17,6 @@ config, bad trace, bad arguments), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .harness import (
@@ -48,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run an error sweep and write the curve CSV")
     sweep.add_argument("--config", required=True, help="scenario file")
     sweep.add_argument("--out", required=True, help="output curve CSV")
-    sweep.add_argument(
-        "--grid-ppd", type=int, default=None, help="override sweep grid points per decade"
-    )
 
     bnd = sub.add_parser(
         "boundaries", help="evaluate the configured boundaries and write the table CSV"
@@ -72,10 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_scenario(args.config)
-    if args.grid_ppd is not None:
-        config = dataclasses.replace(config, grid_ppd=args.grid_ppd)
-    curve = run_sweep(config)
+    curve = run_sweep(load_scenario(args.config))
     export_table(curve, args.out)
     print(f"wrote {len(curve)} points to {args.out}")
     return EXIT_OK

@@ -7,25 +7,20 @@ spherical waves
     H_FF(r) = (1/sqrt(Z0)) * (rhat x f) * exp(-jkr) / r
 
 where ``f`` is the direction-dependent, radius-independent angular field
-distribution.  This module computes ``f`` either analytically (exact for
-coupling-free dipole arrays) or by sampling a field provider at a large
-radius, and evaluates the auxiliary fields at arbitrary radii.
+distribution.  This module computes ``f`` analytically (exact for
+coupling-free dipole arrays), recovers it from one far-zone field sample,
+and evaluates the auxiliary fields at arbitrary radii.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import FREE_SPACE_IMPEDANCE, WAVENUMBER, Direction, unit_vector
 from .sources import ArrayGeometry
-
-#: Default sampling radius, wavelengths: near-field residuals are
-#: O(1/(k*r)) ~ 1.6e-7 there, while phase is still resolved in doubles.
-DEFAULT_SAMPLING_RADIUS = 1e6
 
 #: Allowed radial leakage of a far-field record, relative to its norm.
 TRANSVERSALITY_TOL = 1e-8
@@ -41,16 +36,14 @@ class AngularFieldDistribution:
 
     ``f`` has shape ``(..., 3)``, one row per weight vector, and is taken as
     given: every row this package builds is transversal to the direction by
-    construction (analytic rows are sums of ``c * rhat - u``, sampled ones are
-    projected onto the transverse plane).  A far-field record read from a
-    trace is checked where it meets a direction, in :mod:`nff.harness`.
-    ``eh_discrepancy`` records the relative E/H cross-check residual when
-    the distribution was recovered from sampled fields.
+    construction (analytic rows are sums of ``c * rhat - u``, and
+    :func:`far_field_from_sample` projects onto the transverse plane).  A
+    far-field record read from a trace is checked where it meets a direction,
+    in :mod:`nff.harness`.
     """
 
     direction: Direction
     f: np.ndarray
-    eh_discrepancy: float | None = None
 
     def __post_init__(self) -> None:
         f = np.array(self.f, dtype=complex)
@@ -135,43 +128,6 @@ def far_field_from_sample(
             f"relative (tolerance {tol:.3e}); the sample is not a consistent far field"
         )
     return f_e, discrepancy
-
-
-def sample_angular_distribution(
-    field_provider: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    direction: Direction,
-    r_ff: float = DEFAULT_SAMPLING_RADIUS,
-) -> AngularFieldDistribution:
-    """Recover f by sampling fields at a single large radius.
-
-    The sample goes through :func:`far_field_from_sample`.
-
-    Parameters
-    ----------
-    field_provider : callable
-        Maps a cartesian point, shape ``(3,)``, to an ``(E, H)`` pair.
-    direction : Direction
-        Sampling direction.
-    r_ff : float, optional
-        Sampling radius in wavelengths; defaults to
-        :data:`DEFAULT_SAMPLING_RADIUS`.
-
-    Returns
-    -------
-    AngularFieldDistribution
-        E-based estimate, with the E/H residual in ``eh_discrepancy``.
-
-    Raises
-    ------
-    InconsistentFarField
-        If the E-based and H-based estimates disagree beyond tolerance.
-    """
-    if r_ff <= 0.0:
-        raise ValueError(f"sampling radius must be positive, got {r_ff!r}")
-    rhat = unit_vector(direction)
-    e, h = field_provider(r_ff * rhat)
-    f, discrepancy = far_field_from_sample(e, h, rhat, r_ff)
-    return AngularFieldDistribution(direction, f, eh_discrepancy=discrepancy)
 
 
 def auxiliary_fields(

@@ -192,6 +192,12 @@ _SCENARIO_KEYS = {
     "trace": ("trace_path", str),
 }
 
+#: The scenario-file keys each source reads; a file that states another is rejected.
+_SOURCE_KEYS = {
+    "dipole-ula": _SCENARIO_KEYS.keys() - {"trace"},
+    "imported-trace": {"source", "direction", "trace"},
+}
+
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file.
@@ -199,8 +205,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     Raises
     ------
     ConfigError
-        With the offending line number for parse errors, or a semantic
-        message for invalid combinations.
+        With the offending line number for parse errors, the key for a key
+        that the source never reads, or a semantic message otherwise.
     """
     raw: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -229,7 +235,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return ScenarioConfig(**kwargs)
+    config = ScenarioConfig(**kwargs)
+    for key in raw:
+        if key not in _SOURCE_KEYS[config.source]:
+            raise ConfigError(f"{path}: {config.source} scenarios read no {key}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +491,7 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
             "the trace's error curve overflows float64: its fields, far-field "
             "record or radii lie too close to the float limit"
         ) from exc
-    return ErrorCurve(trace.r, eps, direction)
+    return ErrorCurve(trace.r, eps)
 
 
 # ---------------------------------------------------------------------------

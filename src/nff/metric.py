@@ -136,7 +136,6 @@ class ErrorCurve:
 
     r: np.ndarray
     epsilon: np.ndarray
-    direction: Direction
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float).reshape(-1)
@@ -189,7 +188,7 @@ def error_sweep(
     """
     grid = np.asarray(r_grid, dtype=float).reshape(-1)
     if grid.size == 0:
-        return ErrorCurve(grid, grid.copy(), direction)
+        return ErrorCurve(grid, grid.copy())
     if not np.all(grid > 0.0):
         raise ValueError("sweep grid radii must be positive")
     if not np.all(grid[1:] > grid[:-1]):
@@ -225,7 +224,7 @@ def error_sweep(
 
     # width 16: chunks of 512 radii, so the default 501-radius grid is one chunk and each
     # (radii, 3) complex temporary (24 KiB) stays under the mmap threshold too
-    return ErrorCurve(grid, _blockwise(chunk, 16, grid), direction)
+    return ErrorCurve(grid, _blockwise(chunk, 16, grid))
 
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:

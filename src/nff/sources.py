@@ -141,16 +141,11 @@ class ArrayGeometry:
         return float(np.max(_blockwise(row_max, len(pos), np.arange(len(pos)))))
 
 
-def uniform_linear_array(
-    n: int,
-    spacing: float,
-    orientation: np.ndarray | None = None,
-) -> ArrayGeometry:
+def uniform_linear_array(n: int, spacing: float) -> ArrayGeometry:
     """Build a y-axis uniform linear array centered on the origin.
 
     Element ``m`` (1-based) sits at ``y = (m - (n+1)/2) * spacing``; the
-    boresight normal is +x and elements are z-oriented unless an explicit
-    orientation is given.
+    boresight normal is +x and elements are z-oriented.
 
     Parameters
     ----------
@@ -171,7 +166,7 @@ def uniform_linear_array(
         spacing = 0.0
     positions = np.zeros((n, 3))
     positions[:, 1] = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
-    return ArrayGeometry(positions, _Z_HAT if orientation is None else orientation)
+    return ArrayGeometry(positions)
 
 
 def _element_fields(

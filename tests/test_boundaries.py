@@ -23,7 +23,6 @@ from nff import (
     UndefinedProjection,
     default_grid,
     evaluate_boundary,
-    find_crossing,
     gamma_uniform_power,
     phi_excess,
     psi_gain_ratio,
@@ -672,9 +671,17 @@ def test_d_wc_rejects_non_monotone_tail(monkeypatch):
 # ---------------------------------------------------------------------------
 # crossing search
 
+#: The search grid of every kind but ``wc``.
+GRID = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+
+
+def _search(scan, threshold, first, below):
+    """The crossing search on the bracket grid, as :func:`evaluate_boundary` runs it."""
+    return boundaries._search_values(GRID, scan(GRID), scan, threshold, first, below)
+
 
 def test_find_first_below_reciprocal():
-    res = find_crossing(lambda r: 1.0 / r, 0.1, "first-below")
+    res = _search(lambda r: 1.0 / r, 0.1, True, True)
     assert res.status == "found"
     assert res.value == pytest.approx(10.0, rel=2e-6)
     assert res.crossings == 1
@@ -684,7 +691,7 @@ def test_find_first_below_reciprocal():
 def test_find_last_above_oscillating_tail():
     scan = lambda r: 1.0 + np.sin(r) / r
     th = 1.05
-    res = find_crossing(scan, th, "last-above")
+    res = _search(scan, th, False, False)
     assert res.status == "found"
     # oracle: dense linear scan plus local root polish
     xs = np.linspace(1e-3, 50.0, 1_000_000)
@@ -696,7 +703,7 @@ def test_find_last_above_oscillating_tail():
 
 
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
-    # find_crossing hands the criterion the whole grid, which it evaluates in blocks
+    # the search hands the criterion the whole grid, which it evaluates in blocks
     # of _SCAN_PAIRS // N radii; the bisection evaluates single radii
     distances = boundaries._distances
     for n, bisected in ((1, False), (1024, True)):
@@ -729,14 +736,17 @@ def test_a_line_through_elements():
 
 
 def test_find_crossing_statuses():
-    res = find_crossing(lambda r: np.full_like(r, 5.0), 1.0, "first-below")
+    res = _search(lambda r: np.full_like(r, 5.0), 1.0, True, True)
     assert res.status == "not-found"
-    res = find_crossing(lambda r: np.full_like(r, 5.0), 1.0, "last-above")
+    res = _search(lambda r: np.full_like(r, 5.0), 1.0, False, False)
     assert res.status == "unbounded"
-    res = find_crossing(lambda r: 1.0 / r, 1e6, "first-below")
+    res = _search(lambda r: 1.0 / r, 1e6, True, True)
     assert res.status == "found" and res.degenerate
-    with pytest.raises(ValueError, match="mode"):
-        find_crossing(lambda r: r, 1.0, "sideways")
+    # the first entry above and the last exit below, the pairs the tests above leave out
+    for first, below in ((True, False), (False, True)):
+        res = _search(lambda r: 0.01 * r, 0.1, first, below)
+        assert res.status == "found" and not res.degenerate and res.crossings == 1
+        assert res.value == pytest.approx(10.0, rel=2e-6)
 
 
 def test_found_boundaries_straddle_their_threshold():

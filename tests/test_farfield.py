@@ -17,13 +17,19 @@ from nff import (
     auxiliary_fields,
     ff_precoder,
     field_mismatch,
-    sample_angular_distribution,
     uniform_linear_array,
     unit_vector,
 )
+from nff.farfield import far_field_from_sample
 
 Z0 = FREE_SPACE_IMPEDANCE
 K = WAVENUMBER
+
+
+def _sampled(fields, d, r_ff=1e6):
+    """``(f, E/H residual)`` from one sample of ``fields(point)`` at ``r_ff`` along ``d``."""
+    rhat = unit_vector(d)
+    return far_field_from_sample(*fields(r_ff * rhat), rhat, r_ff)
 
 
 def test_analytic_f_vanishes_along_dipole_axis():
@@ -55,11 +61,10 @@ def test_sampled_f_matches_analytic():
     w = ff_precoder(geo, FRONT)
     for d in (FRONT, Direction(90, 45), Direction(60, 10)):
         exact = analytic_angular_distribution(geo, w, d)
-        sampled = sample_angular_distribution(lambda p: array_field(geo, w, p), d)
-        err = np.linalg.norm(sampled.f - exact.f) / np.linalg.norm(exact.f)
+        f, discrepancy = _sampled(lambda p: array_field(geo, w, p), d)
+        err = np.linalg.norm(f - exact.f) / np.linalg.norm(exact.f)
         assert err < 1e-5
-        assert sampled.eh_discrepancy is not None
-        assert sampled.eh_discrepancy < 10.0 / (K * 1e6)
+        assert discrepancy < 10.0 / (K * 1e6)
 
 
 def test_sampled_f_exact_for_pure_far_field():
@@ -75,9 +80,9 @@ def test_sampled_f_exact_for_pure_far_field():
         def provider(p, dist0=dist0):
             return auxiliary_fields(dist0, np.linalg.norm(p))
 
-        got = sample_angular_distribution(provider, d, r_ff=5e5)
+        got, _ = _sampled(provider, d, r_ff=5e5)
         # accuracy is phase-limited: k * r_ff * ulp ~ 3e-10
-        assert np.linalg.norm(got.f - dist0.f) <= 5e-9 * np.linalg.norm(dist0.f)
+        assert np.linalg.norm(got - dist0.f) <= 5e-9 * np.linalg.norm(dist0.f)
 
 
 def test_sampled_radial_component_is_small():
@@ -99,7 +104,7 @@ def test_sampled_f_detects_corrupted_h():
         return e, 2.0 * h
 
     with pytest.raises(InconsistentFarField):
-        sample_angular_distribution(corrupted, FRONT)
+        _sampled(corrupted, FRONT)
 
 
 def test_auxiliary_fields_structure():
@@ -140,17 +145,16 @@ def test_auxiliary_fields_reject_origin():
 def test_analytic_and_sampled_epsilon_agree():
     # The mismatch metric computed with analytic f and with sampled f must
     # agree to 1e-6 absolute at every radius up to 1e4 wavelengths once the
-    # sample sits beyond the array's own Fresnel zone.  At the default
-    # sampling radius of 1e6 the residual aperture-curvature phase
-    # k*y_max^2/(2*r_ff) ~ 1e-5 rad still moves epsilon by up to ~2e-6, so
-    # the strict bound is checked at r_ff = 1e8 and a 1e-5 bound at the
-    # default.
+    # sample sits beyond the array's own Fresnel zone.  At a sampling radius
+    # of 1e6 the residual aperture-curvature phase k*y_max^2/(2*r_ff) ~ 1e-5
+    # rad still moves epsilon by up to ~2e-6, so the strict bound is checked
+    # at r_ff = 1e8 and a 1e-5 bound at 1e6.
     geo = uniform_linear_array(8, 0.5)
     w = ff_precoder(geo, FRONT)
     exact = analytic_angular_distribution(geo, w, FRONT)
     provider = lambda p: array_field(geo, w, p)
-    far = sample_angular_distribution(provider, FRONT, r_ff=1e8)
-    default = sample_angular_distribution(provider, FRONT)
+    far = AngularFieldDistribution(FRONT, _sampled(provider, FRONT, r_ff=1e8)[0])
+    default = AngularFieldDistribution(FRONT, _sampled(provider, FRONT)[0])
     rhat = unit_vector(FRONT)
     for r in np.geomspace(0.1, 1e4, 41):
         e, h = array_field(geo, w, r * rhat)

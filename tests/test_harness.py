@@ -470,7 +470,7 @@ def test_trace_repeated_records_are_rejected(tmp_path, capsys):
 
 
 def test_export_table_curve(tmp_path):
-    curve = ErrorCurve(np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.0625, 0.015625]), FRONT)
+    curve = ErrorCurve(np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.0625, 0.015625]))
     path = tmp_path / "c.csv"
     export_table(curve, path)
     lines = path.read_text().splitlines()
@@ -478,7 +478,7 @@ def test_export_table_curve(tmp_path):
     assert len(lines) == 4
     assert lines[1] == "1,0.25"
 
-    empty = ErrorCurve(np.array([]), np.array([]), FRONT)
+    empty = ErrorCurve(np.array([]), np.array([]))
     export_table(empty, path)
     assert path.read_text() == "r_lambda,epsilon\n"
 
@@ -511,7 +511,7 @@ def test_exports_match_a_per_element_formatter(tmp_path):
     h = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3)) * 1e-310
     e[0, 0], h[1, 2] = -0.0, 1.7976931348623157e308
     trace = FieldTrace(r=r, e=e, h=h, f=np.array([0.0, 1.0 + 2.0j, 3.0j]), direction=FRONT)
-    curve = ErrorCurve(r, np.concatenate([[0.0, 5e-324, 1.0], rng.uniform(size=61)]), FRONT)
+    curve = ErrorCurve(r, np.concatenate([[0.0, 5e-324, 1.0], rng.uniform(size=61)]))
 
     want_trace = []
     for i in range(trace.r.size):
@@ -592,16 +592,19 @@ def test_cli_sweep_checks_a_config_direction_against_the_trace(tmp_path, capsys)
 
 
 def test_cli_sweep_and_override(tmp_path, capsys):
-    cfg = _write(
-        tmp_path, "s.cfg",
-        "n = 1\ngrid_lo = 1\ngrid_hi = 10\ngrid_ppd = 5\nexcitation = none\n",
-    )
+    # the file's grid_ppd sets the sweep density; sweep has no option to override it
     out = tmp_path / "curve.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[0] == "r_lambda,epsilon"
-    n_default = len(out.read_text().splitlines())
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--grid-ppd", "10"]) == 0
-    assert len(out.read_text().splitlines()) > n_default
+    lines = []
+    for ppd in (5, 10):
+        text = f"n = 1\ngrid_lo = 1\ngrid_hi = 10\ngrid_ppd = {ppd}\nexcitation = none\n"
+        cfg = _write(tmp_path, "s.cfg", text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines.append(out.read_text().splitlines())
+    assert lines[0][0] == lines[1][0] == "r_lambda,epsilon"
+    assert (len(lines[0]), len(lines[1])) == (7, 12)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--grid-ppd", "5"]) == 1
+    assert "unrecognized arguments: --grid-ppd" in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -633,11 +636,25 @@ def _cli_argv(tmp_path, name, text, command):
     """``main`` arguments that run ``command`` on a file ``name`` holding ``text``."""
     path = str(_write(tmp_path, name, text))
     if command == "trace-sweep":
-        cfg = f"source = imported-trace\ntrace = {path}\nexcitation = none\n"
+        cfg = f"source = imported-trace\ntrace = {path}\n"
         command, path = "sweep", str(_write(tmp_path, "t.cfg", cfg))
     if command == "sweep":
         return ["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]
     return ["validate-trace", path]
+
+
+@pytest.mark.parametrize(
+    "line", ["grid_lo = 100", "grid_hi = 200", "grid_ppd = 1", "excitation = none"]
+)
+def test_cli_trace_sweep_rejects_a_key_the_trace_never_reads(tmp_path, capsys, line):
+    # a trace is scored at its own radii, with the excitation it was captured with
+    trace = _write(tmp_path, "t.csv", _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12))
+    cfg = _write(tmp_path, "t.cfg", f"source = imported-trace\ntrace = {trace}\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    key = line.partition(" = ")[0]
+    assert capsys.readouterr().err == f"error: {cfg}: imported-trace scenarios read no {key}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -713,12 +730,12 @@ def test_cli_scores_a_field_row_near_the_float_limit(tmp_path, capsys, f, row, c
     [
         # 5 decades x 200000 + 1 = MAX_GRID_POINTS + 1 sweep radii
         ["reproduce", "--figure", "fig4", "--grid-ppd", "200000"],
-        ["sweep", "--grid-ppd", "200000"],
+        ["sweep"],
     ],
     ids=["reproduce", "sweep"],
 )
 def test_cli_rejects_grids_past_the_limit(tmp_path, capsys, argv):
-    cfg = _write(tmp_path, "c.cfg", "n = 8\nspacing_lambda = 0.5\nboundaries = ar\n")
+    cfg = _write(tmp_path, "c.cfg", "n = 8\nspacing_lambda = 0.5\ngrid_ppd = 200000\n")
     where = ["--out", str(tmp_path / "out")]
     if argv[0] != "reproduce":
         where += ["--config", str(cfg)]
@@ -729,7 +746,7 @@ def test_cli_rejects_grids_past_the_limit(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--config", "c.cfg", "--out", "x.csv", "--grid-ppd", "abc"],
+        ["reproduce", "--figure", "fig4", "--out", "out", "--grid-ppd", "abc"],
         ["bogus"],
         ["reproduce", "--figure", "fig6", "--out", "out"],
         # the search grid is fixed: --grid-ppd sets the sweep grid only

@@ -1,6 +1,7 @@
 """Imports and names: every package module uses each name it imports, every private
-module-level name is read somewhere in the package, block loops are written once, the
-boundary criteria stay on the one line primitive, and nff needs only numpy."""
+module-level name is read somewhere in the package, every export has a caller, block
+loops are written once, the boundary criteria stay on the one line primitive, and nff
+needs only numpy."""
 
 import ast
 import subprocess
@@ -14,6 +15,8 @@ import nff
 MODULES = sorted(
     p for p in Path(nff.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+#: The benchmark's files: the calls they make of nff are the traffic it serves.
+BENCHMARK = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -73,6 +76,40 @@ def test_unread_private_name_detector():
 def test_package_reads_every_private_name():
     package = sorted(Path(nff.__file__).parent.glob("*.py"))
     assert _unread_private_names([p.read_text(encoding="utf-8") for p in package]) == []
+
+
+def _unread_exports(exports: list[str], package: list[str], benchmark: list[str]) -> list[str]:
+    """``exports`` that no ``package`` module reads, nor a ``benchmark`` file as ``nff.<name>``."""
+    read = {
+        n.id
+        for source in package
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    read |= {
+        n.attr
+        for source in benchmark
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name) and n.value.id == "nff"
+    }
+    return sorted(set(exports) - read)
+
+
+def test_unread_export_detector():
+    package = ["from m import A, B, C\ndef f():\n    return A\nC = 1\n"]
+    benchmark = ["import nff\nnff.B()\nD = 2\nnff.E = D\n"]
+    exports = ["A", "B", "C", "D", "E", "F"]
+    assert _unread_exports(exports, package, benchmark) == ["C", "D", "E", "F"]
+
+
+def test_every_export_has_a_caller():
+    # a public name that neither the package nor the benchmark reaches is a second path
+    # that only its own tests exercise
+    read = [p.read_text(encoding="utf-8") for p in MODULES]
+    calls = [p.read_text(encoding="utf-8") for p in BENCHMARK]
+    assert BENCHMARK
+    assert _unread_exports(nff.__all__, read, calls) == []
 
 
 def _stepped_range_callers(source: str) -> list[str]:

@@ -181,10 +181,10 @@ def test_error_sweep_rejects_bad_grids():
 
 def test_error_curve_validation():
     with pytest.raises(ValueError, match="increasing"):
-        ErrorCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]), FRONT)
+        ErrorCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        ErrorCurve(np.array([1.0, 2.0]), np.array([0.1, 1.5]), FRONT)
-    curve = ErrorCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]), FRONT)
+        ErrorCurve(np.array([1.0, 2.0]), np.array([0.1, 1.5]))
+    curve = ErrorCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]))
     assert len(curve) == 2
     with pytest.raises(ValueError):
         curve.r[0] = 5.0  # frozen storage

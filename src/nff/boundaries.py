@@ -25,7 +25,10 @@ for most, a test-line direction) to a single radius in wavelengths:
     maximization per radius.
 
 All searches share a log-grid pass over one fixed bracket plus geometric
-bisection, refined to 1e-6 relative; a table of thresholds scans each kind once.
+bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
+next few levels in one call, so the path it takes sees the bits a walk one radius at
+a time would.  A table of thresholds scans each kind once per direction, and ``wc``,
+which reads no direction, once for all the directions of one call.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -357,29 +360,88 @@ def xi_worst_mismatch(geometry: ArrayGeometry, r: float | np.ndarray) -> float |
 # shared crossing search
 
 
-def _refine_crossing(side: Callable[[float], bool], lo: float, hi: float, first: bool) -> float:
-    for _ in range(200):
-        if hi / lo - 1.0 <= REFINE_REL_TOL:
-            break
-        mid = math.sqrt(lo * hi)
-        if side(mid) == first:
-            hi = mid
+#: Radius-element pairs one bisection call may evaluate (an ``Xi`` radius counts 21), and
+#: the most levels it may look ahead: per level, a call's cost at N = 1024 rises past two
+#: levels, while at N = 64 it keeps falling up to four.
+_REFINE_PAIRS = 2048
+_REFINE_LEVELS = 4
+
+
+def _levels(width: int) -> int:
+    """Bisection levels per scan call: the most, up to :data:`_REFINE_LEVELS`, whose
+    ``2^L - 1`` radii of ``width`` pairs each stay within :data:`_REFINE_PAIRS`; at least 1."""
+    levels = _REFINE_LEVELS
+    while levels > 1 and (2**levels - 1) * width > _REFINE_PAIRS:
+        levels -= 1
+    return levels
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """The ``2^levels - 1`` midpoints the next ``levels`` steps of a geometric bisection of
+    ``(lo, hi)`` can visit, in heap order: node ``i`` splits at ``sqrt(lo * hi)`` of its own
+    endpoints, and its children ``2i + 1`` and ``2i + 2`` bisect its lower and upper half.
+    """
+    brackets, mids = [(lo, hi)], []
+    for _ in range(levels):
+        halves = []
+        for a, b in brackets:
+            mids.append(math.sqrt(a * b))
+            halves += [(a, mids[-1]), (mids[-1], b)]
+        brackets = halves
+    return mids
+
+
+def _bisect(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, first: bool,
+            levels: int) -> float:
+    steps, mids, i = 0, [], 0
+    while steps < 200 and hi / lo - 1.0 > REFINE_REL_TOL:
+        if i >= len(mids):
+            left, ratio = 0, hi / lo  # the steps still to go: the last call looks no further
+            while ratio - 1.0 > REFINE_REL_TOL:
+                left, ratio = left + 1, math.sqrt(ratio)
+            mids = _midpoints(lo, hi, min(levels, left))
+            ok, i = side(np.array(mids)).tolist(), 0
+        if ok[i] == first:
+            hi, i = mids[i], 2 * i + 1
         else:
-            lo = mid
+            lo, i = mids[i], 2 * i + 2
+        steps += 1
     return math.sqrt(lo * hi)
+
+
+def _refine_crossing(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                     first: bool, levels: int) -> float:
+    """Geometric bisection of ``(lo, hi)`` to :data:`REFINE_REL_TOL`, ``levels`` steps per
+    call of ``side``.
+
+    Each step halves the bracket at ``sqrt(lo * hi)`` and keeps the lower half where
+    ``side(mid) == first``.  A call evaluates every midpoint the next ``levels`` steps can
+    visit (:func:`_midpoints`), each from the endpoints the step would hold, so the path
+    taken sees the bits that one radius at a time would.  A speculative midpoint may raise
+    where the path never goes (on an element, say); then the walk is rerun one radius at a
+    time, so it returns, or raises, what that walk does.
+    """
+    try:
+        return _bisect(side, lo, hi, first, levels)
+    except ValueError:
+        if levels == 1:
+            raise
+        return _bisect(side, lo, hi, first, 1)
 
 
 def _search_values(
     grid: np.ndarray,
     vals: np.ndarray,
-    scan: Callable[[float], float],
+    scan: Callable[[np.ndarray], np.ndarray],
+    levels: int,
     threshold: float,
     first: bool,
     below: bool,
 ) -> BoundaryResult:
     """Where ``vals`` (``scan`` on ``grid``) first enters the side ``v <= threshold``
-    (``>=`` unless ``below``), or with ``first`` false last leaves it, bisected on single
-    radii of ``scan``; ``unbounded`` if that side holds at the top of the grid.
+    (``>=`` unless ``below``), or with ``first`` false last leaves it, bisected with
+    ``levels`` levels per call of ``scan`` (:func:`_refine_crossing`); ``unbounded`` if that
+    side holds at the top of the grid.
     """
 
     def side(v):
@@ -401,7 +463,7 @@ def _search_values(
         if i == grid.size - 1:
             return BoundaryResult(STATUS_UNBOUNDED, None, bracket, crossings)
         lo, hi = float(grid[i]), float(grid[i + 1])
-    value = _refine_crossing(lambda r: side(scan(r)), lo, hi, first)
+    value = _refine_crossing(lambda r: side(scan(r)), lo, hi, first, levels)
     return BoundaryResult(STATUS_FOUND, value, bracket, crossings)
 
 
@@ -423,8 +485,9 @@ _MODES = {"ar": (True, True), "up": (True, False), "en": (False, False), "ep": (
 
 def _kind_scan(
     geometry: ArrayGeometry, kind: str, direction: Direction
-) -> tuple[np.ndarray, np.ndarray, Callable[[float], float]]:
-    """Search grid of one searched kind, the values there, and the scan the bisection calls.
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], int]:
+    """Search grid of one searched kind, the values there, the scan the bisection calls on
+    arrays of radii, and the levels it looks ahead per call (:func:`_levels`).
 
     ``wc`` reads only the largest element offset ``a``: its grid starts just past ``a``,
     and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at
@@ -436,7 +499,7 @@ def _kind_scan(
                      "ep": upsilon_power}[kind]
         scan = functools.partial(criterion, geometry, direction=direction)
         grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
-        return grid, scan(grid), scan
+        return grid, scan(grid), scan, _levels(geometry.n)
     a = _max_offset(geometry)
     lo, hi = max(DEFAULT_BRACKET[0], a * (1.0 + 1e-6)), DEFAULT_BRACKET[1]
     if not lo < hi:
@@ -455,40 +518,52 @@ def _kind_scan(
         )
     envelope = np.maximum.accumulate(vals[::-1])[::-1]
 
-    def env_scan(r: float) -> float:
+    def env_scan(r: np.ndarray) -> np.ndarray:
         # bisection stays inside one grid cell, whose upper edge holds the
         # supremum of every sample beyond r
-        return max(_xi(a, np.array([r]), WAVENUMBER)[0], envelope[np.searchsorted(grid, r)])
+        return np.maximum(_xi(a, r, WAVENUMBER), envelope[np.searchsorted(grid, r)])
 
-    return grid, envelope, env_scan
+    return grid, envelope, env_scan, _levels(21)
 
 
 def evaluate_boundaries(
     geometry: ArrayGeometry,
     specs: Sequence[BoundarySpec],
-    direction: Direction,
-) -> tuple[BoundaryResult, ...]:
-    """Evaluate each :class:`BoundarySpec` for a geometry and direction, in order.
+    directions: Iterable[Direction],
+) -> tuple[tuple[BoundaryResult, ...], ...]:
+    """One table per direction: each :class:`BoundarySpec`'s result for the geometry and
+    that direction, in order.
 
-    Each searched kind is scanned once, on the first spec that asks for it, and every
-    threshold of that kind is searched on that scan, so a spec gets the result (or the
-    error) it would get alone.  ``wc`` thresholds are scaled by
-    :data:`WC_THRESHOLD_SCALE`.
+    Each searched kind is scanned once per direction, on the first spec that asks for it,
+    and every threshold of that kind is searched on that scan.  ``wc`` reads no direction,
+    so it is scanned and each of its thresholds searched once per call, on the first
+    direction.  A spec gets the result (or the error) it would get alone; the first error
+    ends the call.  ``wc`` thresholds are scaled by :data:`WC_THRESHOLD_SCALE`.
     """
-    scans: dict[str, tuple] = {}
-    results = []
-    for spec in specs:
-        if spec.kind == "qr":
-            span = geometry.span
-            results.append(
-                BoundaryResult(STATUS_FOUND, quasi_rayleigh(span), (0.0, math.inf), 0, span == 0.0)
-            )
-            continue
-        if spec.kind not in scans:
-            scans[spec.kind] = _kind_scan(geometry, spec.kind, direction)
-        threshold = spec.threshold * WC_THRESHOLD_SCALE if spec.kind == "wc" else spec.threshold
-        results.append(_search_values(*scans[spec.kind], threshold, *_MODES[spec.kind]))
-    return tuple(results)
+    shared: dict[BoundarySpec, BoundaryResult] = {}  # wc results, the same in every table
+    tables = []
+    for direction in directions:
+        scans: dict[str, tuple] = {}
+        results = []
+        for spec in specs:
+            if spec.kind == "qr":
+                span = geometry.span
+                result = BoundaryResult(
+                    STATUS_FOUND, quasi_rayleigh(span), (0.0, math.inf), 0, span == 0.0
+                )
+            elif spec in shared:
+                result = shared[spec]
+            else:
+                if spec.kind not in scans:
+                    scans[spec.kind] = _kind_scan(geometry, spec.kind, direction)
+                wc = spec.kind == "wc"
+                threshold = spec.threshold * WC_THRESHOLD_SCALE if wc else spec.threshold
+                result = _search_values(*scans[spec.kind], threshold, *_MODES[spec.kind])
+                if wc:
+                    shared[spec] = result
+            results.append(result)
+        tables.append(tuple(results))
+    return tuple(tables)
 
 
 def evaluate_boundary(
@@ -497,4 +572,4 @@ def evaluate_boundary(
     direction: Direction,
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
-    return evaluate_boundaries(geometry, (spec,), direction)[0]
+    return evaluate_boundaries(geometry, (spec,), (direction,))[0][0]

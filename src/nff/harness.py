@@ -83,12 +83,18 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated sweep scenario."""
+    """A fully validated sweep scenario.
+
+    ``direction`` is the test line, ``None`` where none is stated.  A dipole-ula
+    scenario that states none takes ``front``.  A trace is scored along its own
+    direction, which a stated one must equal; a trace without one takes the stated
+    direction, or ``front``.
+    """
 
     source: str = "dipole-ula"
     n: int | None = None
     spacing: float | None = None
-    direction: Direction = DIRECTION_PRESETS["front"]
+    direction: Direction | None = None
     excitation: str = EXCITATION_STEER
     grid_lo: float = DEFAULT_GRID_LO
     grid_hi: float = DEFAULT_GRID_HI
@@ -114,6 +120,8 @@ class ScenarioConfig:
                 raise ConfigError(f"spacing_lambda must be finite, got {self.spacing!r}")
             if self.n > 1 and (self.spacing is None or self.spacing <= 0.0):
                 raise ConfigError("dipole-ula scenarios with n > 1 need spacing_lambda > 0")
+            if self.direction is None:
+                object.__setattr__(self, "direction", DIRECTION_PRESETS["front"])
         else:
             if self.trace_path is None:
                 raise ConfigError("imported-trace scenarios need trace = <path>")
@@ -502,11 +510,19 @@ def run_sweep(config: ScenarioConfig) -> ErrorCurve:
     """The error curve described by a config; no boundary is searched.
 
     Grid radii that land on an element (a test line through the array) are
-    singular and are dropped from the curve.
+    singular and are dropped from the curve.  A trace is scored along its own
+    direction; a config that states another one is a :class:`ConfigError`.
     """
     if config.source == "imported-trace":
         trace = import_trace(config.trace_path)
-        return trace_error_curve(trace, trace.direction or config.direction)
+        stated, own = config.direction, trace.direction
+        if None not in (stated, own) and stated != own:
+            raise ConfigError(
+                f"the scenario states direction = {_fmt(stated.theta_deg)},"
+                f"{_fmt(stated.phi_deg)}, but the trace {config.trace_path} records "
+                f"direction = {_fmt(own.theta_deg)},{_fmt(own.phi_deg)}"
+            )
+        return trace_error_curve(trace, own or stated or DIRECTION_PRESETS["front"])
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
     grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
     grid = grid[~grid_on_element(geometry, config.direction, grid)]
@@ -519,7 +535,7 @@ def run_boundaries(config: ScenarioConfig) -> tuple[tuple[BoundarySpec, Boundary
     if not config.boundaries:
         raise ConfigError("the scenario lists no boundaries")
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
-    results = evaluate_boundaries(geometry, config.boundaries, config.direction)
+    (results,) = evaluate_boundaries(geometry, config.boundaries, (config.direction,))
     return tuple(zip(config.boundaries, results))
 
 
@@ -585,9 +601,10 @@ def reproduce_reference(
     for externally simulated antennas are emitted only for trace files
     supplied via ``traces_dir``; a missing directory raises
     ``FileNotFoundError`` before any file is written.  Each curve is
-    :func:`run_sweep` and each boundary table :func:`run_boundaries` of one
-    panel's config.  Output is a pure function of the inputs: rerunning
-    yields byte-identical files.
+    :func:`run_sweep` of one panel's config, and each array's three boundary
+    tables are one :func:`nff.boundaries.evaluate_boundaries` call, which
+    searches the direction-free ``wc`` once for all three.  Output is a pure
+    function of the inputs: rerunning yields byte-identical files.
 
     Returns
     -------
@@ -622,11 +639,12 @@ def reproduce_reference(
         emit("fig4_eps_n1_front.csv", run_sweep(single))
         curves(_FIG4_ARRAYS)
         for n, spacing, label in _FIG4_ARRAYS:
-            for dir_label, direction in DIRECTION_PRESETS.items():
-                config = ScenarioConfig(
-                    n=n, spacing=spacing, direction=direction, boundaries=_FIG4_BOUNDARIES
-                )
-                emit(f"fig4_boundaries_{label}_{dir_label}.csv", run_boundaries(config))
+            tables = evaluate_boundaries(
+                uniform_linear_array(n, spacing), _FIG4_BOUNDARIES, DIRECTION_PRESETS.values()
+            )
+            for dir_label, results in zip(DIRECTION_PRESETS, tables):
+                pairs = tuple(zip(_FIG4_BOUNDARIES, results))
+                emit(f"fig4_boundaries_{label}_{dir_label}.csv", pairs)
     else:
         curves(_FIG5_ARRAYS)
 

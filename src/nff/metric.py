@@ -26,7 +26,9 @@ from .core import (
 from .farfield import (
     AngularFieldDistribution, _element_terms, analytic_angular_distribution, auxiliary_fields
 )
-from .sources import ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
+from .sources import (
+    SINGULARITY_RADIUS, ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
+)
 
 #: Default radial sweep grid: 10^-1 .. 10^4 wavelengths, 100 points/decade.
 DEFAULT_GRID_LO = 0.1
@@ -228,13 +230,26 @@ def error_sweep(
 
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:
-    """Mask of the radii on a test line that land on an element position."""
+    """Mask of the increasing radii ``grid`` on a test line that land on an element position.
+
+    A radius ``r`` is within :data:`~nff.sources.SINGULARITY_RADIUS` of element ``n`` only
+    if the element is that close to the line (``w_n`` below its square) and ``r`` is that
+    close to ``t_n``.  So only the grid radii within twice that radius of each near element's
+    ``t_n``, found by bisection, are tested, with the distance each would get in a full
+    ``(grid, N)`` pass: O(N log grid) work and the same mask.
+    """
+    grid = np.asarray(grid, dtype=float)
     t, w = _line_constants(geometry.positions, unit_vector(direction))
-
-    def block(r):
-        return np.any(on_element(_line_distance(r[:, None] - t, w)), axis=1)
-
-    return _blockwise(block, geometry.n, grid, dtypes=(bool,))
+    reach = 2.0 * SINGULARITY_RADIUS
+    near = w < reach * reach
+    t, w = t[near], w[near]
+    start = np.searchsorted(grid, t - reach, "left")
+    count = np.searchsorted(grid, t + reach, "right") - start
+    elem = np.repeat(np.arange(t.size), count)  # one entry per candidate (element, radius)
+    idx = start[elem] + np.arange(elem.size) - (np.cumsum(count) - count)[elem]
+    mask = np.zeros(grid.shape, bool)
+    mask[idx[on_element(_line_distance(grid[idx] - t[elem], w[elem]))]] = True
+    return mask
 
 
 def default_grid(

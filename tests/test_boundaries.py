@@ -677,7 +677,8 @@ GRID = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_D
 
 def _search(scan, threshold, first, below):
     """The crossing search on the bracket grid, as :func:`evaluate_boundary` runs it."""
-    return boundaries._search_values(GRID, scan(GRID), scan, threshold, first, below)
+    levels = boundaries._REFINE_LEVELS
+    return boundaries._search_values(GRID, scan(GRID), scan, levels, threshold, first, below)
 
 
 def test_find_first_below_reciprocal():
@@ -703,10 +704,12 @@ def test_find_last_above_oscillating_tail():
 
 
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
-    # the search hands the criterion the whole grid, which it evaluates in blocks
-    # of _SCAN_PAIRS // N radii; the bisection evaluates single radii
+    # the search hands the criterion the whole grid, which it evaluates in blocks of
+    # _SCAN_PAIRS // N radii; the bisection then evaluates the 2^L - 1 midpoints its next
+    # L levels can visit in one call (L = 4 at N = 64, 1 at N = 1024, where 3 radii would
+    # pass 2048 pairs), and its last call looks no further than the levels left
     distances = boundaries._distances
-    for n, bisected in ((1, False), (1024, True)):
+    for n, bisection in ((1, []), (64, [15, 15, 15, 1]), (1024, [1] * 13)):
         sizes = []
 
         def spy(r, t, w):
@@ -715,12 +718,83 @@ def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
 
         monkeypatch.setattr(boundaries, "_distances", spy)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
-        assert res.status == "found" and res.degenerate != bisected
+        assert res.status == "found" and res.degenerate == (not bisection)
         block = min(_SCAN_PAIRS // n, 3601)
         calls = -(-3601 // block)
         assert sizes[: calls - 1] == [block] * (calls - 1)
         assert sum(sizes[:calls]) == 3601
-        assert (len(sizes) > calls) == bisected and set(sizes[calls:]) <= {1}
+        assert sizes[calls:] == bisection
+
+
+def _reference_refine(side, lo, hi, first):
+    """Geometric bisection one radius at a time: the walk the batched one must reproduce."""
+    for _ in range(200):
+        if hi / lo - 1.0 <= boundaries.REFINE_REL_TOL:
+            break
+        mid = math.sqrt(lo * hi)
+        if side(mid) == first:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi)
+
+
+def _path(side, lo, hi, first):
+    """The midpoints the one-radius walk visits."""
+    seen = []
+    _reference_refine(lambda r: seen.append(r) or side(r), lo, hi, first)
+    return seen
+
+
+@pytest.mark.parametrize("first, below", [(True, True), (True, False), (False, False),
+                                          (False, True)])
+def test_batched_refinement_matches_one_radius_at_a_time(first, below):
+    # random brackets and thresholds on monotone and oscillating values, at every level
+    # count: the batched walk takes the same steps on the same bits
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        lo = 10.0 ** rng.uniform(-3.0, 5.5)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-5.5, 0.5))
+        th = rng.uniform(0.0, 1.0)
+        wiggle = rng.uniform(0.0, 50.0)
+        scan = lambda r: (np.log(r / lo) / np.log(hi / lo) + 0.2 * np.sin(wiggle * r / lo)) / 1.2
+
+        def side(r):
+            v = scan(r)
+            return v <= th if below else v >= th
+
+        want = _reference_refine(side, lo, hi, first)
+        for levels in (1, 2, 3, 4):
+            got = boundaries._refine_crossing(side, lo, hi, first, levels)
+            assert got == want and lo <= got <= hi
+
+
+def test_batched_refinement_raises_only_on_its_path():
+    lo, hi = 3.0, 3.0 * 10 ** (1 / 400)
+    side = lambda r: np.asarray(r) >= 3.01
+
+    def raising_at(bad):
+        def guarded(r):
+            if np.any(np.asarray(r) == bad):
+                raise FieldSingularity(f"singular at r = {bad!r}")
+            return side(r)
+        return guarded
+
+    want = _reference_refine(side, lo, hi, True)
+    path = _path(side, lo, hi, True)
+    spec = [m for m in boundaries._midpoints(lo, hi, 4) if m not in path]
+    assert len(spec) == 11  # one batch: 15 midpoints, 4 of them on the path
+    # a midpoint the walk never visits raises in the batch: the walk is rerun one
+    # radius at a time and returns the reference value
+    for bad in spec:
+        assert boundaries._refine_crossing(raising_at(bad), lo, hi, True, 4) == want
+    # a midpoint on the path raises the reference walk's error
+    for bad in (path[0], path[5], path[-1]):
+        with pytest.raises(FieldSingularity) as ref:
+            _reference_refine(raising_at(bad), lo, hi, True)
+        with pytest.raises(FieldSingularity) as got:
+            boundaries._refine_crossing(raising_at(bad), lo, hi, True, 4)
+        assert str(got.value) == str(ref.value)
 
 
 def test_a_line_through_elements():

@@ -195,9 +195,11 @@ def test_run_boundaries_evaluates_the_specs():
     assert pairs["ar"].status == "found"
 
 
-def test_run_boundaries_scans_each_kind_once(monkeypatch):
-    # a fig4 panel scores up, en, ep and wc at two thresholds each: every searched kind
-    # reads its criterion (Xi for wc) on its search grid once, the bisection single radii
+_CRITERIA = ("phi_excess", "gamma_uniform_power", "psi_gain_ratio", "upsilon_power", "_xi")
+
+
+def _spy_criteria(monkeypatch):
+    """Radii per call of each criterion and of ``Xi``, by name, as the searches call them."""
     sizes = {}
 
     def spy(name, fn):
@@ -206,15 +208,37 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("phi_excess", "gamma_uniform_power", "psi_gain_ratio", "upsilon_power", "_xi"):
+    for name in _CRITERIA:
         monkeypatch.setattr(boundaries, name, spy(name, getattr(boundaries, name)))
+    return sizes
+
+
+def test_run_boundaries_scans_each_kind_once(monkeypatch):
+    # a fig4 panel scores up, en, ep and wc at two thresholds each: every searched kind
+    # reads its criterion (Xi for wc) on its search grid once, then the bisection reads
+    # the 2^L - 1 midpoints of its next L levels per call (L = 4 at N = 8), the last call
+    # of a crossing fewer
+    sizes = _spy_criteria(monkeypatch)
     cfg = ScenarioConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
-    grids = {"phi_excess": [3601], "gamma_uniform_power": [3601], "psi_gain_ratio": [3601],
-             "upsilon_power": [3601], "_xi": [wc_grid.size]}
-    assert {name: [n for n in got if n > 1] for name, got in sizes.items()} == grids
-    assert all(len(got) > 1 for got in sizes.values())
+    grids = {"phi_excess": 3601, "gamma_uniform_power": 3601, "psi_gain_ratio": 3601,
+             "upsilon_power": 3601, "_xi": wc_grid.size}
+    assert {name: got[0] for name, got in sizes.items()} == grids
+    for got in sizes.values():
+        assert got.count(15) > len(got) // 2 and set(got[1:]) <= {1, 3, 7, 15}
+
+
+def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_path):
+    # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi),
+    # and one Xi grid pass per table made 6
+    sizes = _spy_criteria(monkeypatch)
+    reproduce_reference("fig4", tmp_path)
+    grid_passes = {name: sum(n > 15 for n in got) for name, got in sizes.items()}
+    refinement = sum(n <= 15 for got in sizes.values() for n in got)
+    assert grid_passes == {"phi_excess": 6, "gamma_uniform_power": 6, "psi_gain_ratio": 6,
+                           "upsilon_power": 6, "_xi": 2}
+    assert 3 * refinement <= 624
 
 
 def _outcome(call):
@@ -243,6 +267,19 @@ def test_run_boundaries_equals_one_spec_at_a_time(n, spacing, direction):
     alone = [_outcome(lambda: evaluate_boundary(geometry, s, direction)) for s in _TABLE_SPECS]
     # a table stops at its first error, the one its spec raises alone
     assert table == next((o for o in alone if isinstance(o, tuple)), alone)
+
+
+@pytest.mark.parametrize("n, spacing", [(8, 0.5), (15, 0.5), (2, 2.5e6)])
+def test_one_table_per_direction_equals_one_call_per_direction(n, spacing):
+    # wc is searched once for all directions; each table is the one-direction table, and
+    # an error is the first one the directions meet in order
+    geometry = uniform_linear_array(n, spacing)
+    directions = (FRONT, DIAGONAL, SIDE, Direction(73.3, 211.7))
+    tables = _outcome(lambda: boundaries.evaluate_boundaries(geometry, _TABLE_SPECS, directions))
+    alone = [_outcome(lambda: boundaries.evaluate_boundaries(geometry, _TABLE_SPECS, (d,))[0])
+             for d in directions]
+    errors = [o for o in alone if isinstance(o[0], type)]
+    assert tables == (errors[0] if errors else tuple(alone))
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +678,26 @@ def _cli_argv(tmp_path, name, text, command):
     if command == "sweep":
         return ["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]
     return ["validate-trace", path]
+
+
+@pytest.mark.parametrize("line, code", [("", 0), ("direction = front", 0),
+                                        ("direction = 90,0", 0), ("direction = 30,200", 1)])
+def test_cli_trace_sweep_rejects_a_direction_the_trace_does_not_record(
+    tmp_path, capsys, line, code
+):
+    # the trace records # direction = 90,0; a file may state that direction or none
+    trace = _write(tmp_path, "t.csv", _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12))
+    cfg = _write(tmp_path, "t.cfg", f"source = imported-trace\ntrace = {trace}\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == code
+    if code == 0:
+        assert out.read_text() == "r_lambda,epsilon\n1,1\n"
+    else:
+        assert capsys.readouterr().err == (
+            f"error: the scenario states direction = 30,200, but the trace {trace} "
+            "records direction = 90,0\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from nff import (
     SIDE,
     WAVENUMBER,
     AngularFieldDistribution,
+    ArrayGeometry,
     DipoleArrayScenario,
     Direction,
     ErrorCurve,
@@ -27,8 +28,9 @@ from nff import (
     unit_vector,
 )
 from nff import metric
-from nff.core import _SCAN_PAIRS
+from nff.core import _SCAN_PAIRS, _line_constants, _line_distance
 from nff.metric import MAX_GRID_POINTS, grid_on_element
+from nff.sources import on_element
 
 Z0 = FREE_SPACE_IMPEDANCE
 K = WAVENUMBER
@@ -229,6 +231,45 @@ def test_grid_on_element_needs_no_full_temporaries():
     dists = np.linalg.norm(grid[:, None, None] * unit_vector(SIDE) - geo.positions, axis=-1)
     assert np.array_equal(mask, np.any(dists < 1e-9, axis=1))
     assert np.count_nonzero(mask) == 2
+
+
+def _grid_on_element_reference(geometry, direction, grid):
+    """Every radius against every element: the O(grid x N) form the closed form replaced."""
+    t, w = _line_constants(geometry.positions, unit_vector(direction))
+    return np.any(on_element(_line_distance(grid[:, None] - t, w)), axis=1)
+
+
+def test_grid_on_element_matches_the_full_pass():
+    # SIDE lines run through their elements: the grid holds each element's place, radii a
+    # fraction or a few SINGULARITY_RADIUS off it, and lines a hair off the array's axis
+    cases = [(uniform_linear_array(n, spacing), direction)
+             for n in (1, 2, 3, 8, 15, 64, 1024) for spacing in (0.1, 0.5, 1.7)
+             for direction in (SIDE, Direction(90.0, 90.0 - 1e-8), Direction(90.0, 270.0))]
+    offsets = np.array([0.0, 3e-10, -3e-10, 9.99e-10, -9.99e-10, 1.01e-9, 2.5e-9, -4e-9])
+    tiny = [1e-12, 5e-10, 9.99e-10, 1.01e-9, 3e-9]  # the element an odd array has at 0
+    hits = 0
+    for geometry, direction in cases:
+        t = geometry.positions @ unit_vector(direction)
+        ends = t[t > 0.0]
+        grid = np.unique(np.concatenate(
+            [default_grid(), np.add.outer(ends, offsets).ravel(), tiny]
+        ))
+        grid = grid[grid > 0.0]
+        mask = grid_on_element(geometry, direction, grid)
+        want = _grid_on_element_reference(geometry, direction, grid)
+        assert np.array_equal(mask, want)
+        hits += np.count_nonzero(want)
+    assert hits > 1000
+    # elements just off the line, by less and by more than SINGULARITY_RADIUS; near the
+    # origin, where w = |r_n|^2 - t_n^2 resolves offsets that small
+    geometry = ArrayGeometry([[0.0, s * y, s * z] for s in (1.0, -1.0)
+                              for y, z in ((0.002, 5e-10), (0.003, 1.5e-9), (0.004, 0.0))])
+    grid = np.array([0.001, 0.002, 0.002 + 5e-10, 0.003, 0.004 - 1e-9, 0.004, 0.004 + 9e-10, 0.005])
+    assert np.array_equal(grid_on_element(geometry, SIDE, grid),
+                          _grid_on_element_reference(geometry, SIDE, grid))
+    assert grid_on_element(geometry, SIDE, grid).tolist() == [
+        False, True, True, False, False, True, True, False
+    ]
 
 
 def test_field_mismatch_batch_matches_rows():

@@ -89,11 +89,11 @@ _SCAN_PAIRS = 8192
 def _blockwise(fn, width: int, items, dtypes=(float,)):
     """``fn(items)`` on blocks of ``max(1, _SCAN_PAIRS // width)`` items, ``width`` pairs each.
 
-    A block holds consecutive items of the flattened array; ``fn`` returns one value per
-    item for each entry of ``dtypes`` (a tuple of arrays if several).  An input of one block
-    or less goes to ``fn`` whole.  Outputs take ``items``' shape and are allocated before
-    the first block: allocated after it, they raised the page faults and CPU time of the
-    boundary scans (glibc trims and regrows the heap top).
+    A block holds consecutive items of the flattened array; ``fn`` returns one value per item
+    (a row, for a dtype like ``(complex, 3)``) for each entry of ``dtypes`` (a tuple of arrays
+    if several).  An input of one block or less goes to ``fn`` whole.  Outputs, shaped as
+    ``items``, are allocated before the first block: allocated after it, they raised the page
+    faults and CPU time of the boundary scans (glibc trims and regrows the heap top).
     """
     size = np.size(items)
     step = max(1, _SCAN_PAIRS // width)
@@ -105,7 +105,7 @@ def _blockwise(fn, width: int, items, dtypes=(float,)):
         parts = fn(flat[i : i + step])
         for out, part in zip(outs, parts if len(outs) > 1 else (parts,)):
             out[i : i + step] = part
-    outs = tuple(out.reshape(np.shape(items)) for out in outs)
+    outs = tuple(out.reshape(np.shape(items) + out.shape[1:]) for out in outs)
     return outs if len(outs) > 1 else outs[0]
 
 

@@ -40,6 +40,7 @@ from .metric import (
     EXCITATION_FOCUS,
     EXCITATION_NONE,
     EXCITATION_STEER,
+    MAX_GRID_POINTS,
     _EXCITATIONS,
     DipoleArrayScenario,
     ErrorCurve,
@@ -377,49 +378,51 @@ def import_trace(path: str | Path) -> FieldTrace:
     data_header = None
     seen: set[str] = set()
     rows: list[list[float]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition("=")
-            if not sep:
-                continue  # plain comment
-            key = key.strip().lower()
-            value = value.strip()
-            if key in seen:
-                raise TraceFormatError(f"{path}:{lineno}: duplicate record {key!r}")
-            if key in ("trace_version", "ff_f", "ff_sample", "direction"):
-                seen.add(key)
-            if key == "trace_version":
-                (version,) = _parse_floats(value, 1, f"{path}:{lineno}: trace_version")
-                if version != TRACE_VERSION:
+    with open(path, encoding="utf-8") as lines:  # streamed, so the row cap bounds memory
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                key, sep, value = body.partition("=")
+                if not sep:
+                    continue  # plain comment
+                key = key.strip().lower()
+                value = value.strip()
+                if key in seen:
+                    raise TraceFormatError(f"{path}:{lineno}: duplicate record {key!r}")
+                if key in ("trace_version", "ff_f", "ff_sample", "direction"):
+                    seen.add(key)
+                if key == "trace_version":
+                    (version,) = _parse_floats(value, 1, f"{path}:{lineno}: trace_version")
+                    if version != TRACE_VERSION:
+                        raise TraceFormatError(
+                            f"{path}:{lineno}: unsupported trace version {value!r}"
+                        )
+                elif key == "ff_f":
+                    f_vec = _parse_floats(value, 6, f"{path}:{lineno}: ff_f")
+                elif key == "ff_sample":
+                    sample = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
+                elif key == "direction":
+                    where = f"{path}:{lineno}: direction"
+                    theta, phi = _parse_floats(value, 2, where)
+                    try:
+                        direction = Direction(theta, phi)
+                    except ValueError as exc:
+                        raise TraceFormatError(f"{where}: {exc}") from exc
+                # other commented records are ignored
+                continue
+            if data_header is None:
+                if line.replace(" ", "") != TRACE_DATA_HEADER:
                     raise TraceFormatError(
-                        f"{path}:{lineno}: unsupported trace version {value!r}"
+                        f"{path}:{lineno}: expected data header {TRACE_DATA_HEADER!r}"
                     )
-            elif key == "ff_f":
-                f_vec = np.array(_parse_floats(value, 6, f"{path}:{lineno}: ff_f")).view(complex)
-            elif key == "ff_sample":
-                sample = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
-            elif key == "direction":
-                where = f"{path}:{lineno}: direction"
-                theta, phi = _parse_floats(value, 2, where)
-                try:
-                    direction = Direction(theta, phi)
-                except ValueError as exc:
-                    raise TraceFormatError(f"{where}: {exc}") from exc
-            # other commented records are ignored
-            continue
-        if data_header is None:
-            if line.replace(" ", "") != TRACE_DATA_HEADER:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected data header {TRACE_DATA_HEADER!r}"
-                )
-            data_header = line
-            continue
-        rows.append(_parse_floats(line, 13, f"{path}:{lineno}: data row"))
+                data_header = line
+                continue
+            if len(rows) == MAX_GRID_POINTS:
+                raise TraceFormatError(f"{path}:{lineno}: more than {MAX_GRID_POINTS} data rows")
+            rows.append(_parse_floats(line, 13, f"{path}:{lineno}: data row"))
 
     if data_header is None:
         raise TraceFormatError(f"{path}: missing data header")
@@ -436,7 +439,7 @@ def import_trace(path: str | Path) -> FieldTrace:
     e, h = data[:, 1:7].view(complex), data[:, 7:13].view(complex)
     kwargs: dict = {}
     if f_vec is not None:
-        kwargs["f"] = f_vec
+        kwargs["f"] = np.array(f_vec).view(complex)
     else:
         kwargs["sample_r"] = sample[0]
         kwargs["sample_e"] = np.array(sample[1:7]).view(complex)

@@ -20,14 +20,15 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .core import (
-    FREE_SPACE_IMPEDANCE, Direction, _blockwise, _line_constants, _line_distance, _plane_dot,
-    unit_vector,
+    FREE_SPACE_IMPEDANCE, WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance,
+    _plane_dot, unit_vector,
 )
 from .farfield import (
     AngularFieldDistribution, _element_terms, analytic_angular_distribution, auxiliary_fields
 )
 from .sources import (
-    SINGULARITY_RADIUS, ArrayGeometry, array_field, ff_precoder, nf_precoder, on_element
+    SINGULARITY_RADIUS, ArrayGeometry, _line_fields, array_field, ff_precoder, nf_precoder,
+    on_element,
 )
 
 #: Default radial sweep grid: 10^-1 .. 10^4 wavelengths, 100 points/decade.
@@ -168,13 +169,13 @@ def error_sweep(
     """Evaluate the approximation error along a radial grid.
 
     The sweep has two levels.  Field blocks of 2048 radius-element pairs
-    (:func:`nff.core._blockwise`) compute what varies per pair: the block's
-    weights, once, drive the exact fields and, for ``nf-bf``, the far-field
-    ``f`` rows.  Chunks of up to 512 radii then build the far fields and
-    score the mismatch; a direction's element terms, and the fixed ``f`` of
-    ``ff-bf`` and ``none``, are computed once per sweep.  Every radius gets
-    the same value, bit for bit, as when swept alone.  A radius on an
-    element raises :class:`FieldSingularity`, which names it.
+    (:func:`nff.core._blockwise`) form the exact fields on the line
+    (:func:`nff.sources._line_fields`), one ``exp`` per pair: the phase, or for
+    ``nf-bf`` (weight times phase is 1) the weight in the far-field ``f``.  Chunks
+    of up to 512 radii then build the far fields and score the mismatch; the
+    line's constants, a direction's element terms and the fixed ``f`` of ``ff-bf``
+    and ``none`` are computed once per sweep.  Every radius gets its value, bit for
+    bit, as swept alone; one on an element raises :class:`FieldSingularity`.
 
     Parameters
     ----------
@@ -197,31 +198,28 @@ def error_sweep(
         raise ValueError("sweep grid must be strictly increasing")
     geometry = scenario.geometry
     rhat = unit_vector(direction)
+    fields = _line_fields(geometry, rhat)
     focus = scenario.excitation == EXCITATION_FOCUS
+    weights = None if focus else scenario.weights(rhat)
     if focus:
         phases, f_elem = _element_terms(geometry, direction)
     else:  # the weights, and so f, are the same at every radius
-        fixed = analytic_angular_distribution(geometry, scenario.weights(rhat), direction)
+        fixed = analytic_angular_distribution(geometry, weights, direction)
 
     def block(r):
-        points = r[:, None] * rhat
-        w = scenario.weights(points)
-        e, h = array_field(geometry, w, points)
+        dist, e, h = fields(r, weights)
         if not focus:
-            return (*e.T, *h.T)
-        f = ((w * phases)[:, None, :] @ f_elem)[:, 0, :]
-        return (*e.T, *h.T, *f.T)
+            return e, h
+        # f of the focusing weights exp(+jk dist) that nf_precoder gives these points
+        return e, h, ((np.exp(1j * WAVENUMBER * dist) * phases)[:, None, :] @ f_elem)[:, 0, :]
 
     def chunk(r):
-        # width 4N: a (pairs, 3) complex temporary is 48 bytes a pair, so 2048 pairs keep
-        # each under glibc's 128 KiB mmap threshold and peak memory flat in N
-        planes = _blockwise(block, 4 * geometry.n, r, dtypes=(complex,) * (9 if focus else 6))
-        dist = (
-            AngularFieldDistribution(direction, np.stack(planes[6:], axis=-1)) if focus else fixed
-        )
+        # width 4N: 2048 pairs, each (radii, N) complex temporary 32 KiB, under glibc's 128 KiB
+        # mmap threshold; 1024 or 4096 pairs swept perfbench's sweeps curves 26-35 % slower
+        e, h, *f = _blockwise(block, 4 * geometry.n, r, dtypes=((complex, 3),) * (2 + focus))
+        dist = AngularFieldDistribution(direction, f.pop()) if focus else fixed
         e_ff, h_ff = auxiliary_fields(dist, r)
-        e, h = np.stack(planes[:3], axis=-1), np.stack(planes[3:6], axis=-1)
-        del planes, dist  # so only the four (radii, 3) field arrays are held while scored
+        del dist  # so only the four (radii, 3) field arrays are held while scored
         return field_mismatch(e, h, e_ff, h_ff)
 
     # width 16: chunks of 512 radii, so the default 501-radius grid is one chunk and each

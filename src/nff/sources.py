@@ -169,33 +169,17 @@ def uniform_linear_array(n: int, spacing: float) -> ArrayGeometry:
     return ArrayGeometry(positions)
 
 
-def _element_fields(
-    positions: np.ndarray,
-    orientations: np.ndarray,
-    points: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element dipole fields at points ``(..., 3)``; shapes ``(..., N, 3)``."""
-    k = WAVENUMBER
-    z0 = FREE_SPACE_IMPEDANCE
-    rvec, dist = _point_offsets(points, positions)
-    x, y, z = rhat = tuple(c / dist for c in rvec)
-    u = orientations.T
-    cos_loc = _plane_dot(u, rhat)
+def _dipole_terms(dist: np.ndarray):
+    """``kr``, ``near = 1 + 1/(jkR)`` and the bracketed factors of the module docstring.
+
+    ``h``, ``e_rad`` (before its ``c``) and ``e_pol``, without the phase; both kernels use them.
+    """
+    k, z0 = WAVENUMBER, FREE_SPACE_IMPEDANCE
     kr = k * dist
-    phase = np.exp(-1j * kr)
     near = 1.0 + 1.0 / (1j * kr)
-
-    # u x rhat, per axis, as np.cross forms it
-    h_amp = phase * (1j * k / (4.0 * math.pi * dist)) * near
-    cross = (u[1] * z - u[2] * y, u[2] * x - u[0] * z, u[0] * y - u[1] * x)
-    h = np.stack([h_amp * c for c in cross], axis=-1)
-
-    e_rad = z0 / (2.0 * math.pi * dist**2) * near * cos_loc
+    e_rad = z0 / (2.0 * math.pi * dist**2) * near
     e_pol = 1j * z0 * k / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
-    e = np.stack(
-        [phase * (e_rad * c + e_pol * (cos_loc * c - ui)) for c, ui in zip(rhat, u)], axis=-1
-    )
-    return e, h
+    return kr, near, 1j * k / (4.0 * math.pi * dist), e_rad, e_pol
 
 
 def array_field(
@@ -219,12 +203,57 @@ def array_field(
     (E, H) : tuple of numpy.ndarray
         Complex field vectors, shape ``(..., 3)``.
     """
-    e, h = _element_fields(
-        geometry.positions, geometry.orientations, np.asarray(points, dtype=float)
+    rvec, dist = _point_offsets(np.asarray(points, dtype=float), geometry.positions)
+    x, y, z = rhat = tuple(c / dist for c in rvec)
+    u = geometry.orientations.T
+    cos_loc = _plane_dot(u, rhat)
+    kr, near, h_amp, e_rad, e_pol = _dipole_terms(dist)
+    phase = np.exp(-1j * kr)
+
+    # per-element (..., N, 3) vectors; u x rhat, per axis, as np.cross forms it
+    h_amp = phase * h_amp * near
+    cross = (u[1] * z - u[2] * y, u[2] * x - u[0] * z, u[0] * y - u[1] * x)
+    h = np.stack([h_amp * c for c in cross], axis=-1)
+    e_rad = e_rad * cos_loc
+    e = np.stack(
+        [phase * (e_rad * c + e_pol * (cos_loc * c - ui)) for c, ui in zip(rhat, u)], axis=-1
     )
     # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
     w = np.asarray(weights, dtype=complex)[..., None, :]
     return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
+
+
+def _line_fields(geometry: ArrayGeometry, rhat: np.ndarray):
+    """:func:`array_field` on the line ``r rhat``, as ``fields(r, weights) -> (dist, E, H)``.
+
+    With ``s = r - t_n`` and ``p_n = r_n - t_n rhat`` normal to ``rhat``, a pair forms scalars
+    alpha, beta, gamma: ``E = rhat sum(alpha s) - sum(alpha p_n) - sum(beta u_n)`` and ``H =
+    sum(gamma s) (u_n x rhat) - sum(gamma (u_n x p_n))``, each sum a ``(1, N) @ (N, 3)``
+    product per radius, so a radius gets the same bits in any block.  ``dist`` comes from
+    :func:`array_field`'s :func:`_point_offsets` call, so ``exp(-jk dist)`` has its bits.
+    ``weights`` None are focusing weights, whose product with the phase is 1.
+    """
+    pos, u = geometry.positions, geometry.orientations
+    t = pos @ rhat
+    p = pos - t[:, None] * rhat
+    u_t, u_p = u @ rhat, np.sum(u * p, axis=-1)
+    vecs = (np.broadcast_to(rhat, pos.shape), -p, -u, np.cross(u, rhat), -np.cross(u, p))
+    vecs = [np.asarray(v, complex) for v in vecs]
+
+    def fields(r, weights):
+        _, dist = _point_offsets(r[:, None] * rhat, pos)
+        s = r[:, None] - t
+        kr, near, h, e_rad, beta = _dipole_terms(dist)
+        if weights is not None:
+            phase = weights * np.exp(-1j * kr)
+            e_rad, beta, h = e_rad * phase, beta * phase, h * phase
+        alpha = (e_rad + beta) * ((s * u_t - u_p) / dist**2)
+        gamma = h * near / dist
+        terms = (alpha * s, alpha, beta, gamma * s, gamma)
+        e, ep, eu, h, hp = ((a[:, None, :] @ v)[:, 0, :] for a, v in zip(terms, vecs))
+        return dist, e + ep + eu, h + hp
+
+    return fields
 
 
 def ff_precoder(geometry: ArrayGeometry, direction: Direction) -> np.ndarray:

@@ -502,6 +502,22 @@ def test_trace_repeated_records_are_rejected(tmp_path, capsys):
         import_trace(path)
 
 
+
+def test_trace_rows_are_capped_while_streamed(tmp_path, monkeypatch, capsys):
+    # a trace holds at most the grid limit of rows; the file is read line by line, so a
+    # longer one stops at its first row past the cap, before bytes that do not even decode
+    monkeypatch.setattr(harness, "MAX_GRID_POINTS", 3)
+    head = f"# trace_version = 1\n# ff_f = 0,0,0,0,1,0\n# direction = 90,0\n{TRACE_DATA_HEADER}\n"
+    rows = "".join(f"{r}" + ",0" * 12 + "\n" for r in range(1, 1000))
+    ok = _write(tmp_path, "ok.csv", head + rows[: rows.index("4,")])
+    assert len(import_trace(ok).r) == 3
+    path = tmp_path / "long.csv"
+    path.write_bytes((head + rows).encode() + b"\xff\xfe")
+    with pytest.raises(TraceFormatError, match=r"long\.csv:8: more than 3 data rows"):
+        import_trace(path)
+    assert main(["validate-trace", str(path)]) == 1
+    assert "more than 3 data rows" in capsys.readouterr().err
+
 # ---------------------------------------------------------------------------
 # export tables
 

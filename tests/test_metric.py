@@ -17,17 +17,19 @@ from nff import (
     Direction,
     ErrorCurve,
     FieldTrace,
+    analytic_angular_distribution,
     array_field,
     auxiliary_fields,
     default_grid,
     error_sweep,
+    export_trace,
     field_mismatch,
-    nf_precoder,
+    import_trace,
     trace_error_curve,
     uniform_linear_array,
     unit_vector,
 )
-from nff import metric
+from nff import metric, sources
 from nff.core import _SCAN_PAIRS, _line_constants, _line_distance
 from nff.metric import MAX_GRID_POINTS, grid_on_element
 from nff.sources import on_element
@@ -284,17 +286,72 @@ def test_field_mismatch_batch_matches_rows():
     assert np.array_equal(batch, rows)
 
 
-@pytest.mark.parametrize("n", [1, 8, 64, 1024])
+def _tilted_array(n, seed):
+    """A seeded cloud of ``n`` elements about the origin with tilted dipole axes."""
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(scale=2.0, size=(n, 3))
+    return ArrayGeometry(positions - positions.mean(axis=0), rng.normal(size=(n, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 1024, "tilted"])
 @pytest.mark.parametrize("excitation", ["ff-bf", "nf-bf", "none"])
 def test_error_sweep_blocks_match_single_radii(n, excitation):
-    geo = uniform_linear_array(n, 0.5)
+    # on a z-dipole ULA several line constants vanish or coincide; the tilted cloud has none
+    geo = _tilted_array(24, 5) if n == "tilted" else uniform_linear_array(n, 0.5)
     direction = Direction(90.0, 30.0)
     scenario = DipoleArrayScenario(geo, excitation, direction)
-    block = max(1, _SCAN_PAIRS // (4 * n))
+    block = max(1, _SCAN_PAIRS // (4 * geo.n))
     grid = np.geomspace(0.1, 1e4, 2 * block + 3)  # two full blocks and a partial one
     curve = error_sweep(scenario, direction, grid)
     single = [error_sweep(scenario, direction, grid[i : i + 1]).epsilon[0] for i in range(grid.size)]
     assert np.array_equal(curve.epsilon, single)
+
+
+def _reference_sweep(scenario, direction, grid):
+    """epsilon from array_field's Cartesian fields and the analytic far field, all at once."""
+    points = grid[:, None] * unit_vector(direction)
+    w = scenario.weights(points)
+    e, h = array_field(scenario.geometry, w, points)
+    dist = analytic_angular_distribution(scenario.geometry, w, direction)
+    return field_mismatch(e, h, *auxiliary_fields(dist, grid))
+
+
+def test_error_sweep_matches_the_cartesian_reference():
+    # the line kernel reorders the sums of array_field, so they agree to rounding only;
+    # seeded clouds with tilted dipoles leave no line constant trivial
+    rng = np.random.default_rng(26)
+    grid = np.geomspace(0.1, 1e4, 61)
+    worst = 0.0
+    for seed in range(36):
+        geo = _tilted_array(int(rng.integers(1, 65)), seed)
+        direction = Direction(float(rng.uniform(0.0, 180.0)), float(rng.uniform(0.0, 360.0)))
+        steering = Direction(float(rng.uniform(0.0, 180.0)), float(rng.uniform(0.0, 360.0)))
+        for excitation in ("ff-bf", "nf-bf", "none"):
+            scenario = DipoleArrayScenario(geo, excitation, steering)
+            eps = error_sweep(scenario, direction, grid).epsilon
+            want = _reference_sweep(scenario, direction, grid)
+            worst = max(worst, float(np.max(np.abs(eps - want) / want)))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 1024])
+@pytest.mark.parametrize("excitation", ["ff-bf", "none"])
+def test_error_sweep_matches_its_captured_trace(tmp_path, n, excitation):
+    # a line captured one radius at a time through scenario.fields, as an external solver
+    # would, and read back as a trace scores the sweep's own curve: both take the phase
+    # exp(-jkd) from the same point-element distances
+    geo = uniform_linear_array(n, 0.5)
+    grid = default_grid()
+    path = tmp_path / "trace.csv"
+    for direction in (FRONT, SIDE, Direction(63.0, 211.0)):
+        scenario = DipoleArrayScenario(geo, excitation, direction)
+        rhat = unit_vector(direction)
+        e, h = zip(*(scenario.fields(r * rhat) for r in grid))
+        f = scenario.angular_distribution(direction, float(grid[-1])).f
+        export_trace(FieldTrace(r=grid, e=e, h=h, f=f, direction=direction), path)
+        trace_eps = trace_error_curve(import_trace(path), direction).epsilon
+        sweep_eps = error_sweep(scenario, direction, grid).epsilon
+        assert np.max(np.abs(trace_eps - sweep_eps)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 64])
@@ -338,19 +395,27 @@ def test_error_sweep_scores_the_default_grid_in_one_pass(monkeypatch, excitation
     }
 
 
-def test_error_sweep_computes_focus_weights_once_per_block(monkeypatch):
-    # the block's weights drive both the exact fields and the far-field f
+@pytest.mark.parametrize("excitation", ["ff-bf", "nf-bf", "none"])
+def test_error_sweep_takes_distances_once_per_block(monkeypatch, excitation):
+    # each field block reads its point-element distances from one _point_offsets call and
+    # forms the fields on the line: no precoder and no Cartesian array_field pass
+    real = sources._point_offsets
     calls = []
 
-    def spy(geometry, focus):
-        calls.append(np.shape(focus))
-        return nf_precoder(geometry, focus)
+    def counted(points, positions):
+        calls.append(np.shape(points))
+        return real(points, positions)
 
-    monkeypatch.setattr(metric, "nf_precoder", spy)
+    def refused(*args):
+        raise AssertionError("the sweep called a Cartesian field or weight kernel")
+
+    monkeypatch.setattr(sources, "_point_offsets", counted)
+    monkeypatch.setattr(metric, "nf_precoder", refused)
+    monkeypatch.setattr(metric, "array_field", refused)
     geo = uniform_linear_array(64, 0.5)
     block = _SCAN_PAIRS // (4 * 64)
     grid = np.geomspace(0.1, 1e4, 2 * block + 3)
-    curve = error_sweep(DipoleArrayScenario(geo, "nf-bf"), FRONT, grid)
+    curve = error_sweep(DipoleArrayScenario(geo, excitation, FRONT), FRONT, grid)
     assert calls == [(block, 3), (block, 3), (3, 3)]
     assert curve.epsilon.shape == grid.shape
 

@@ -38,8 +38,9 @@ from .farfield import (
 from .harness import (
     ConfigError,
     FieldTrace,
-    ScenarioConfig,
+    TraceConfig,
     TraceFormatError,
+    UlaConfig,
     export_table,
     export_trace,
     import_trace,
@@ -86,9 +87,10 @@ __all__ = [
     "FieldTrace",
     "InconsistentFarField",
     "SIDE",
-    "ScenarioConfig",
     "TailNotMonotone",
+    "TraceConfig",
     "TraceFormatError",
+    "UlaConfig",
     "UndefinedProjection",
     "WAVENUMBER",
     "analytic_angular_distribution",

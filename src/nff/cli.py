@@ -30,6 +30,7 @@ from .harness import (
     run_sweep,
     trace_error_curve,
 )
+from .metric import DEFAULT_GRID_PPD
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", required=True, help="output directory")
     rep.add_argument("--traces", default=None, help="directory of trace CSVs to include")
     rep.add_argument(
-        "--grid-ppd", type=int, default=None, help="override sweep grid points per decade"
+        "--grid-ppd", type=int, default=DEFAULT_GRID_PPD, help="sweep grid points per decade"
     )
 
     val = sub.add_parser("validate-trace", help="check a trace file and report its summary")
@@ -75,17 +76,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
-    pairs = run_boundaries(load_scenario(args.config))
+    config = load_scenario(args.config)
+    try:
+        pairs = run_boundaries(config)
+    except ConfigError as exc:  # a valid scenario with nothing to search
+        raise ConfigError(f"{args.config}: {exc}") from exc
     export_table(pairs, args.out)
     print(f"wrote {len(pairs)} boundaries to {args.out}")
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
-    kwargs = {}
-    if args.grid_ppd is not None:
-        kwargs["grid_ppd"] = args.grid_ppd
-    files = reproduce_reference(args.figure, args.out, traces_dir=args.traces, **kwargs)
+    files = reproduce_reference(args.figure, args.out, args.traces, args.grid_ppd)
     for path in files:
         print(path)
     print(f"wrote {len(files)} files to {args.out}")

@@ -2,7 +2,7 @@
 
 Scenario files are flat ``key = value`` text (``#`` starts a comment)::
 
-    source = dipole-ula        # or imported-trace (needs trace = <path>)
+    source = dipole-ula        # or imported-trace: reads only trace = <path> and direction
     n = 8
     spacing_lambda = 0.5
     direction = front          # preset name or "theta,phi" in degrees
@@ -23,13 +23,13 @@ far-field consistency and transversality checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .boundaries import BoundaryResult, BoundarySpec, evaluate_boundaries
-from .core import DIRECTION_PRESETS, Direction, _direction_of, unit_vector
+from .core import DIRECTION_PRESETS, FRONT, Direction, _direction_of, unit_vector
 from .farfield import (
     AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
 )
@@ -62,8 +62,6 @@ BOUNDARY_HEADER = "kind,threshold,status,value_lambda,crossings"
 #: Largest element count a scenario may ask for.
 MAX_ELEMENTS = 4096
 
-_SOURCES = ("dipole-ula", "imported-trace")
-
 
 class ConfigError(ValueError):
     """A scenario file failed to parse or validate."""
@@ -83,66 +81,47 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """A fully validated sweep scenario.
+class UlaConfig:
+    """A validated dipole-array sweep scenario: a uniform linear array on a test line."""
 
-    ``direction`` is the test line, ``None`` where none is stated.  A dipole-ula
-    scenario that states none takes ``front``.  A trace is scored along its own
-    direction, which a stated one must equal; a trace without one takes the stated
-    direction, or ``front``.
-    """
-
-    source: str = "dipole-ula"
-    n: int | None = None
+    n: int
     spacing: float | None = None
-    direction: Direction | None = None
+    direction: Direction = FRONT
     excitation: str = EXCITATION_STEER
     grid_lo: float = DEFAULT_GRID_LO
     grid_hi: float = DEFAULT_GRID_HI
     grid_ppd: int = DEFAULT_GRID_PPD
     boundaries: tuple[BoundarySpec, ...] = ()
-    trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.source not in _SOURCES:
-            raise ConfigError(f"unknown source {self.source!r}; expected one of {_SOURCES}")
         if self.excitation not in _EXCITATIONS:
             raise ConfigError(
                 f"unknown excitation {self.excitation!r}; expected one of {sorted(_EXCITATIONS)}"
             )
-        if self.source == "dipole-ula":
-            if self.trace_path is not None:
-                raise ConfigError("dipole-ula scenarios read no trace; set source = imported-trace")
-            if self.n is None:
-                raise ConfigError("dipole-ula scenarios need n")
-            if not 1 <= self.n <= MAX_ELEMENTS:
-                raise ConfigError(f"n must lie in 1..{MAX_ELEMENTS}, got {self.n}")
-            if self.spacing is not None and not math.isfinite(self.spacing):
-                raise ConfigError(f"spacing_lambda must be finite, got {self.spacing!r}")
-            if self.n > 1 and (self.spacing is None or self.spacing <= 0.0):
-                raise ConfigError("dipole-ula scenarios with n > 1 need spacing_lambda > 0")
-            if self.direction is None:
-                object.__setattr__(self, "direction", DIRECTION_PRESETS["front"])
-        else:
-            if self.trace_path is None:
-                raise ConfigError("imported-trace scenarios need trace = <path>")
-            if self.excitation == EXCITATION_FOCUS:
-                raise ConfigError(
-                    "nf-bf is not valid for imported traces: their excitation "
-                    "is fixed at capture time"
-                )
-            given = {"n": self.n, "spacing_lambda": self.spacing, "boundaries": self.boundaries}
-            for key, value in given.items():
-                if value not in (None, ()):
-                    raise ConfigError(
-                        f"imported-trace scenarios read no {key}; a trace has no geometry"
-                    )
+        if not 1 <= self.n <= MAX_ELEMENTS:
+            raise ConfigError(f"n must lie in 1..{MAX_ELEMENTS}, got {self.n}")
+        if self.spacing is not None and not math.isfinite(self.spacing):
+            raise ConfigError(f"spacing_lambda must be finite, got {self.spacing!r}")
+        if self.n > 1 and (self.spacing is None or self.spacing <= 0.0):
+            raise ConfigError("dipole-ula scenarios with n > 1 need spacing_lambda > 0")
         if not (0.0 < self.grid_lo < self.grid_hi < math.inf):
             raise ConfigError(
                 f"need 0 < grid_lo < grid_hi < inf, got {self.grid_lo!r}, {self.grid_hi!r}"
             )
         if self.grid_ppd < 1:
             raise ConfigError(f"grid_ppd must be >= 1, got {self.grid_ppd}")
+
+
+@dataclass(frozen=True)
+class TraceConfig:
+    """An imported-trace sweep scenario: a captured trace, scored at its own radii.
+
+    A trace is scored along its own direction, which a stated ``direction`` must
+    equal; a trace without one takes the stated direction, or ``front``.
+    """
+
+    trace_path: str
+    direction: Direction | None = None
 
 
 def parse_direction(text: str) -> Direction:
@@ -153,13 +132,13 @@ def parse_direction(text: str) -> Direction:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ConfigError(
-            f"direction must be one of {sorted(DIRECTION_PRESETS)} or 'theta,phi' "
-            f"in degrees, got {text!r}"
+            f"expected one of {sorted(DIRECTION_PRESETS)} or 'theta,phi' in degrees, "
+            f"got {text!r}"
         )
     try:
         theta, phi = float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"direction angles must be numeric, got {text!r}") from exc
+        raise ConfigError(f"angles must be numeric, got {text!r}") from exc
     try:
         return Direction(theta, phi)
     except ValueError as exc:
@@ -187,9 +166,8 @@ def parse_boundaries(text: str) -> tuple[BoundarySpec, ...]:
     return tuple(specs)
 
 
-#: Scenario-file keys in parse order, each with the config field it sets and its parser.
+#: Scenario-file keys other than ``source``, each with the config field it sets and its parser.
 _SCENARIO_KEYS = {
-    "source": ("source", str.lower),
     "n": ("n", int),
     "spacing_lambda": ("spacing", float),
     "direction": ("direction", parse_direction),
@@ -201,23 +179,21 @@ _SCENARIO_KEYS = {
     "trace": ("trace_path", str),
 }
 
-#: The scenario-file keys each source reads; a file that states another is rejected.
-_SOURCE_KEYS = {
-    "dipole-ula": _SCENARIO_KEYS.keys() - {"trace"},
-    "imported-trace": {"source", "direction", "trace"},
-}
+#: Each scenario source and its config type; a file reads the keys of that type's fields.
+_SOURCES = {"dipole-ula": UlaConfig, "imported-trace": TraceConfig}
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def load_scenario(path: str | Path) -> UlaConfig | TraceConfig:
     """Read and validate a scenario file.
 
     Raises
     ------
     ConfigError
-        With the offending line number for parse errors, the key for a key
-        that the source never reads, or a semantic message otherwise.
+        Naming the file, and the line of a bad line, a key that the source never
+        reads or a value that does not parse; a missing key or a config
+        invariant names the file only.
     """
-    raw: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -227,28 +203,36 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in _SCENARIO_KEYS:
+        if key != "source" and key not in _SCENARIO_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
+        entries[key] = (lineno, value.strip())
 
+    lineno, source = entries.pop("source", (None, "dipole-ula"))
+    source = source.lower()
+    if source not in _SOURCES:
+        raise ConfigError(
+            f"{path}:{lineno}: source: expected one of {sorted(_SOURCES)}, got {source!r}"
+        )
+    config_type = _SOURCES[source]
+    defaults = {f.name: f.default for f in fields(config_type)}
+    kwargs = {}
+    for key, (lineno, value) in entries.items():
+        name, parse = _SCENARIO_KEYS[key]
+        if name not in defaults:
+            raise ConfigError(f"{path}:{lineno}: {source} scenarios read no {key}")
+        try:
+            kwargs[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+    for key, (name, _) in _SCENARIO_KEYS.items():
+        if defaults.get(name) is MISSING and name not in kwargs:
+            raise ConfigError(f"{path}: {source} scenarios need {key}")
     try:
-        kwargs = {
-            field_name: parse(raw[key])
-            for key, (field_name, parse) in _SCENARIO_KEYS.items()
-            if key in raw
-        }
-    except ConfigError:
-        raise
-    except ValueError as exc:
+        return config_type(**kwargs)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    config = ScenarioConfig(**kwargs)
-    for key in raw:
-        if key not in _SOURCE_KEYS[config.source]:
-            raise ConfigError(f"{path}: {config.source} scenarios read no {key}")
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +493,14 @@ def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> 
 # sweeps and tables
 
 
-def run_sweep(config: ScenarioConfig) -> ErrorCurve:
+def run_sweep(config: UlaConfig | TraceConfig) -> ErrorCurve:
     """The error curve described by a config; no boundary is searched.
 
     Grid radii that land on an element (a test line through the array) are
     singular and are dropped from the curve.  A trace is scored along its own
     direction; a config that states another one is a :class:`ConfigError`.
     """
-    if config.source == "imported-trace":
+    if isinstance(config, TraceConfig):
         trace = import_trace(config.trace_path)
         stated, own = config.direction, trace.direction
         if None not in (stated, own) and stated != own:
@@ -525,7 +509,7 @@ def run_sweep(config: ScenarioConfig) -> ErrorCurve:
                 f"{_fmt(stated.phi_deg)}, but the trace {config.trace_path} records "
                 f"direction = {_fmt(own.theta_deg)},{_fmt(own.phi_deg)}"
             )
-        return trace_error_curve(trace, own or stated or DIRECTION_PRESETS["front"])
+        return trace_error_curve(trace, own or stated or FRONT)
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
     grid = default_grid(config.grid_lo, config.grid_hi, config.grid_ppd)
     grid = grid[~grid_on_element(geometry, config.direction, grid)]
@@ -533,8 +517,12 @@ def run_sweep(config: ScenarioConfig) -> ErrorCurve:
     return error_sweep(scenario, config.direction, grid)
 
 
-def run_boundaries(config: ScenarioConfig) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
+def run_boundaries(
+    config: UlaConfig | TraceConfig,
+) -> tuple[tuple[BoundarySpec, BoundaryResult], ...]:
     """The ``(spec, result)`` pairs of a config's boundary searches; no curve is swept."""
+    if isinstance(config, TraceConfig):
+        raise ConfigError("imported-trace scenarios have no boundaries; a trace has no geometry")
     if not config.boundaries:
         raise ConfigError("the scenario lists no boundaries")
     geometry = uniform_linear_array(config.n, config.spacing or 0.0)
@@ -631,14 +619,14 @@ def reproduce_reference(
         for n, spacing, label in arrays:
             for dir_label, direction in DIRECTION_PRESETS.items():
                 for exc_label, excitation in _FIGURE_EXCITATIONS:
-                    config = ScenarioConfig(
+                    config = UlaConfig(
                         n=n, spacing=spacing, direction=direction,
                         excitation=excitation, grid_ppd=grid_ppd,
                     )
                     emit(f"{figure}_eps_{label}_{dir_label}_{exc_label}.csv", run_sweep(config))
 
     if figure == "fig4":
-        single = ScenarioConfig(n=1, excitation=EXCITATION_NONE, grid_ppd=grid_ppd)
+        single = UlaConfig(n=1, excitation=EXCITATION_NONE, grid_ppd=grid_ppd)
         emit("fig4_eps_n1_front.csv", run_sweep(single))
         curves(_FIG4_ARRAYS)
         for n, spacing, label in _FIG4_ARRAYS:

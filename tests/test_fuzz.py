@@ -18,8 +18,9 @@ from nff import (
     Direction,
     FieldTrace,
     InconsistentFarField,
-    ScenarioConfig,
+    TraceConfig,
     TraceFormatError,
+    UlaConfig,
     import_trace,
     load_scenario,
     parse_boundaries,
@@ -156,15 +157,29 @@ def test_parse_boundaries_fuzz(text):
     assert all(isinstance(spec, BoundarySpec) for spec in specs)
 
 
+def _stated_source(text: str) -> str:
+    """The ``source`` a scenario text states, or the default."""
+    for line in text.splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        if key.strip().lower() == "source":
+            return value.strip().lower()
+    return "dipole-ula"
+
+
 @FUZZ
 @given(text=st.lists(SCENARIO_LINE, max_size=10).map("\n".join) | TEXT)
+# invariant and value errors named no file
+@example(text="n = 0")
+@example(text="n = 8\nspacing_lambda = 0.5\ndirection = sideways")
 def test_load_scenario_fuzz(tmp_path_factory, text):
     path = _write(tmp_path_factory.getbasetemp(), "fuzz.cfg", text)
     try:
         config = load_scenario(path)
-    except ConfigError:
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:")
         return
-    assert isinstance(config, ScenarioConfig)
+    want = {"dipole-ula": UlaConfig, "imported-trace": TraceConfig}[_stated_source(text)]
+    assert type(config) is want
 
 
 def _sample_trace(sample: str) -> str:

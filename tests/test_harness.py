@@ -21,8 +21,9 @@ from nff import (
     ErrorCurve,
     FieldTrace,
     InconsistentFarField,
-    ScenarioConfig,
+    TraceConfig,
     TraceFormatError,
+    UlaConfig,
     analytic_angular_distribution,
     array_field,
     default_grid,
@@ -103,29 +104,23 @@ def test_load_scenario_reports_offending_line(tmp_path):
 
 
 def test_scenario_semantic_validation(tmp_path):
-    with pytest.raises(ConfigError, match="need n"):
-        ScenarioConfig(source="dipole-ula")
     with pytest.raises(ConfigError, match="spacing_lambda"):
-        ScenarioConfig(n=8)
-    with pytest.raises(ConfigError, match="trace"):
-        ScenarioConfig(source="imported-trace")
-    with pytest.raises(ConfigError, match="nf-bf"):
-        ScenarioConfig(source="imported-trace", trace_path="t.csv", excitation="nf-bf")
-    with pytest.raises(ConfigError, match="geometry"):
-        ScenarioConfig(
-            source="imported-trace",
-            trace_path="t.csv",
-            excitation="none",
-            boundaries=(BoundarySpec("qr"),),
-        )
+        UlaConfig(n=8)
     with pytest.raises(ConfigError, match="grid_lo"):
-        ScenarioConfig(n=1, grid_lo=5.0, grid_hi=1.0)
-    # a key that the source never reads is named, not ignored
-    with pytest.raises(ConfigError, match="dipole-ula scenarios read no trace"):
-        ScenarioConfig(n=8, spacing=0.5, trace_path="t.csv")
-    for name, key in (("n", "n"), ("spacing", "spacing_lambda")):
-        with pytest.raises(ConfigError, match=f"imported-trace scenarios read no {key};"):
-            ScenarioConfig(source="imported-trace", trace_path="t.csv", **{name: 8})
+        UlaConfig(n=1, grid_lo=5.0, grid_hi=1.0)
+    with pytest.raises(ConfigError, match="unknown excitation 'zf'"):
+        UlaConfig(n=1, excitation="zf")
+    assert UlaConfig(n=1).direction == FRONT
+    assert TraceConfig("t.csv").direction is None
+    # a file that lacks the key its source needs names the file and the key
+    for text, message in [
+        ("spacing_lambda = 0.5\n", "dipole-ula scenarios need n"),
+        ("source = imported-trace\n", "imported-trace scenarios need trace"),
+    ]:
+        path = _write(tmp_path, "s.cfg", text)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_scenario_size_limits(tmp_path):
@@ -166,7 +161,7 @@ def test_parse_boundaries():
 
 
 def test_run_sweep_single_element_matches_direct_engine(tmp_path):
-    cfg = ScenarioConfig(n=1, grid_lo=0.5, grid_hi=50.0, grid_ppd=10)
+    cfg = UlaConfig(n=1, grid_lo=0.5, grid_hi=50.0, grid_ppd=10)
     curve = run_sweep(cfg)
     # steering a single element is the uniform excitation: its one weight is 1
     scenario = DipoleArrayScenario(uniform_linear_array(1, 0.0))
@@ -175,7 +170,7 @@ def test_run_sweep_single_element_matches_direct_engine(tmp_path):
 
 
 def test_run_sweep_is_deterministic(tmp_path):
-    cfg = ScenarioConfig(
+    cfg = UlaConfig(
         n=8, spacing=0.5, grid_lo=0.5, grid_hi=100.0, grid_ppd=10,
         boundaries=(BoundarySpec("qr"), BoundarySpec("ar")),
     )
@@ -186,7 +181,7 @@ def test_run_sweep_is_deterministic(tmp_path):
 
 
 def test_run_boundaries_evaluates_the_specs():
-    cfg = ScenarioConfig(
+    cfg = UlaConfig(
         n=8, spacing=0.5, grid_lo=1.0, grid_hi=10.0, grid_ppd=5,
         boundaries=(BoundarySpec("qr"), BoundarySpec("ar")),
     )
@@ -219,7 +214,7 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
     # the 2^L - 1 midpoints of its next L levels per call (L = 4 at N = 8), the last call
     # of a crossing fewer
     sizes = _spy_criteria(monkeypatch)
-    cfg = ScenarioConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
+    cfg = UlaConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
     grids = {"phi_excess": 3601, "gamma_uniform_power": 3601, "psi_gain_ratio": 3601,
@@ -261,7 +256,7 @@ _TABLE_SPECS = harness._FIG4_BOUNDARIES + (BoundarySpec("wc", 1e9), BoundarySpec
     ],
 )
 def test_run_boundaries_equals_one_spec_at_a_time(n, spacing, direction):
-    cfg = ScenarioConfig(n=n, spacing=spacing, direction=direction, boundaries=_TABLE_SPECS)
+    cfg = UlaConfig(n=n, spacing=spacing, direction=direction, boundaries=_TABLE_SPECS)
     table = _outcome(lambda: [res for _, res in run_boundaries(cfg)])
     geometry = uniform_linear_array(n, spacing)
     alone = [_outcome(lambda: evaluate_boundary(geometry, s, direction)) for s in _TABLE_SPECS]
@@ -667,10 +662,6 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]) == 2
 
-    no_bounds = _write(tmp_path, "nb.cfg", "n = 1\n")
-    assert main(["boundaries", "--config", str(no_bounds), "--out", str(out)]) == 1
-    assert "no boundaries" in capsys.readouterr().err
-
     stray = _write(tmp_path, "st.cfg", "n = 8\nspacing_lambda = 0.5\ntrace = t.csv\n")
     assert main(["sweep", "--config", str(stray), "--out", str(out)]) == 1
     assert "read no trace" in capsys.readouterr().err
@@ -717,17 +708,40 @@ def test_cli_trace_sweep_rejects_a_direction_the_trace_does_not_record(
 
 
 @pytest.mark.parametrize(
-    "line", ["grid_lo = 100", "grid_hi = 200", "grid_ppd = 1", "excitation = none"]
+    "line",
+    [
+        "grid_lo = 100", "grid_hi = 200", "grid_ppd = 1", "excitation = none",
+        "n = 8", "spacing_lambda = 0.5", "boundaries = qr", "excitation = nf-bf",
+        # a value the trace never reads is not parsed, nor checked against the others
+        "excitation = zf", "grid_lo = 5\ngrid_hi = 1",
+    ],
 )
 def test_cli_trace_sweep_rejects_a_key_the_trace_never_reads(tmp_path, capsys, line):
-    # a trace is scored at its own radii, with the excitation it was captured with
+    # a trace has no geometry, and is scored at its own radii with the excitation it
+    # was captured with
     trace = _write(tmp_path, "t.csv", _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12))
     cfg = _write(tmp_path, "t.cfg", f"source = imported-trace\ntrace = {trace}\n{line}\n")
     out = tmp_path / "x.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     key = line.partition(" = ")[0]
-    assert capsys.readouterr().err == f"error: {cfg}: imported-trace scenarios read no {key}\n"
+    assert capsys.readouterr().err == f"error: {cfg}:3: imported-trace scenarios read no {key}\n"
     assert not out.exists()
+
+
+def test_cli_boundaries_needs_an_array(tmp_path, capsys):
+    trace = _write(tmp_path, "t.csv", _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12))
+    out = tmp_path / "b.csv"
+    for name, text, message in [
+        (
+            "t.cfg", f"source = imported-trace\ntrace = {trace}\n",
+            "imported-trace scenarios have no boundaries; a trace has no geometry",
+        ),
+        ("u.cfg", "n = 8\nspacing_lambda = 0.5\n", "the scenario lists no boundaries"),
+    ]:
+        cfg = _write(tmp_path, name, text)
+        assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}: {message}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -942,6 +956,13 @@ def test_cli_reproduce_reads_an_exported_ff_f_trace(tmp_path, capsys):
     want = tmp_path / "want.csv"
     export_table(trace_error_curve(trace, FRONT), want)
     assert (out / "fig5_eps_trace_sim_dipole.csv").read_bytes() == want.read_bytes()
+
+
+def test_cli_reproduce_rejects_a_grid_without_points(tmp_path, capsys):
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--figure", "fig4", "--out", str(out), "--grid-ppd", "0"]) == 1
+    assert capsys.readouterr().err == "error: grid_ppd must be >= 1, got 0\n"
+    assert list(out.glob("*.csv")) == []
 
 
 def test_cli_reproduce_rejects_a_missing_trace_directory(tmp_path, capsys):

@@ -76,6 +76,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: A trace data row: radius and the six complex field components, each rendered as :func:`_fmt`.
+_TRACE_ROW = ",".join(["{:.17g}"] * 13)
+
+
 # ---------------------------------------------------------------------------
 # scenario configuration
 
@@ -274,7 +278,7 @@ class FieldTrace:
             raise TraceFormatError("trace field values must be finite")
         if not np.all(r > 0.0):
             raise TraceFormatError("trace radii must be positive")
-        if not np.all(np.diff(r) > 0.0):
+        if not np.all(r[1:] > r[:-1]):
             raise TraceFormatError("trace radii must be strictly increasing")
         for name, arr in (("r", r), ("e", e), ("h", h)):
             arr.flags.writeable = False
@@ -335,14 +339,13 @@ def _check_transversal(f: np.ndarray, direction: Direction) -> None:
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")  # float() strips the whitespace around each value
     if len(parts) != expected:
         raise TraceFormatError(f"{what}: expected {expected} comma-separated values")
     try:
-        values = [float(p) for p in parts]
+        return list(map(float, parts))
     except ValueError as exc:
         raise TraceFormatError(f"{what}: non-numeric value") from exc
-    return values
 
 
 def import_trace(path: str | Path) -> FieldTrace:
@@ -451,7 +454,7 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
     lines.append(TRACE_DATA_HEADER)
     fields = np.column_stack([trace.e, trace.h])
     parts = np.stack([fields.real, fields.imag], axis=-1).reshape(trace.r.size, 12)
-    lines.extend(",".join(map(_fmt, row)) for row in np.column_stack([trace.r, parts]).tolist())
+    lines.extend(_TRACE_ROW.format(*row) for row in np.column_stack([trace.r, parts]).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -590,8 +593,9 @@ def reproduce_reference(
     array/direction panel.  ``fig5`` produces the equal-aperture
     comparison curves (N = 8, d = 0.5 against N = 15, d = 0.25).  Curves
     for externally simulated antennas are emitted only for trace files
-    supplied via ``traces_dir``; a missing directory raises
-    ``FileNotFoundError`` before any file is written.  Each curve is
+    supplied via ``traces_dir``.  An argument error (a missing trace
+    directory, a ``grid_ppd`` below 1 or past the grid's point limit) is
+    raised before ``out_dir`` is created.  Each curve is
     :func:`run_sweep` of one panel's config, and each array's three boundary
     tables are one :func:`nff.boundaries.evaluate_boundaries` call, which
     searches the direction-free ``wc`` once for all three.  Output is a pure
@@ -606,6 +610,20 @@ def reproduce_reference(
         raise ValueError(f"unknown figure {figure!r}; expected 'fig4' or 'fig5'")
     if traces_dir is not None and not Path(traces_dir).is_dir():
         raise FileNotFoundError(f"no trace directory at {traces_dir}")
+    # every config is built, and so validated, before out_dir is created
+    configs = []
+    if figure == "fig4":
+        single = UlaConfig(n=1, excitation=EXCITATION_NONE, grid_ppd=grid_ppd)
+        configs.append(("fig4_eps_n1_front.csv", single))
+    for n, spacing, label in _FIG4_ARRAYS if figure == "fig4" else _FIG5_ARRAYS:
+        for dir_label, direction in DIRECTION_PRESETS.items():
+            for exc_label, excitation in _FIGURE_EXCITATIONS:
+                config = UlaConfig(
+                    n=n, spacing=spacing, direction=direction,
+                    excitation=excitation, grid_ppd=grid_ppd,
+                )
+                configs.append((f"{figure}_eps_{label}_{dir_label}_{exc_label}.csv", config))
+    default_grid(points_per_decade=grid_ppd)  # and a grid past the point limit fails here too
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -615,20 +633,9 @@ def reproduce_reference(
         export_table(payload, target)
         written.append(target)
 
-    def curves(arrays) -> None:
-        for n, spacing, label in arrays:
-            for dir_label, direction in DIRECTION_PRESETS.items():
-                for exc_label, excitation in _FIGURE_EXCITATIONS:
-                    config = UlaConfig(
-                        n=n, spacing=spacing, direction=direction,
-                        excitation=excitation, grid_ppd=grid_ppd,
-                    )
-                    emit(f"{figure}_eps_{label}_{dir_label}_{exc_label}.csv", run_sweep(config))
-
+    for name, config in configs:
+        emit(name, run_sweep(config))
     if figure == "fig4":
-        single = UlaConfig(n=1, excitation=EXCITATION_NONE, grid_ppd=grid_ppd)
-        emit("fig4_eps_n1_front.csv", run_sweep(single))
-        curves(_FIG4_ARRAYS)
         for n, spacing, label in _FIG4_ARRAYS:
             tables = evaluate_boundaries(
                 uniform_linear_array(n, spacing), _FIG4_BOUNDARIES, DIRECTION_PRESETS.values()
@@ -636,8 +643,6 @@ def reproduce_reference(
             for dir_label, results in zip(DIRECTION_PRESETS, tables):
                 pairs = tuple(zip(_FIG4_BOUNDARIES, results))
                 emit(f"fig4_boundaries_{label}_{dir_label}.csv", pairs)
-    else:
-        curves(_FIG5_ARRAYS)
 
     if traces_dir is not None:
         for trace_file in sorted(Path(traces_dir).glob("*.csv")):

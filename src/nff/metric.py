@@ -112,19 +112,27 @@ class DipoleArrayScenario:
             raise ValueError("ff-bf excitation needs a steering direction")
 
     @cached_property
-    def _steer_weights(self) -> np.ndarray:
-        return ff_precoder(self.geometry, self.steering)
+    def _fixed_weights(self) -> np.ndarray:
+        """The ``(N,)`` weights of ``ff-bf`` or ``none``, the same at every point."""
+        if self.excitation == EXCITATION_STEER:
+            w = ff_precoder(self.geometry, self.steering)
+        else:
+            w = np.ones(self.geometry.n, dtype=complex)
+        w.flags.writeable = False
+        return w
 
     def weights(self, points: np.ndarray) -> np.ndarray:
         """Excitation weights ``(..., N)`` used at cartesian points ``(..., 3)``."""
         if self.excitation == EXCITATION_FOCUS:
             return nf_precoder(self.geometry, points)
-        steer = self.excitation == EXCITATION_STEER
-        w = self._steer_weights if steer else np.ones(self.geometry.n, dtype=complex)
+        w = self._fixed_weights
         return np.broadcast_to(w, np.shape(points)[:-1] + w.shape)
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return array_field(self.geometry, self.weights(points), points)
+        # fixed weights go in as the (N,) row, which broadcasts against every point
+        focus = self.excitation == EXCITATION_FOCUS
+        w = nf_precoder(self.geometry, points) if focus else self._fixed_weights
+        return array_field(self.geometry, w, points)
 
     def angular_distribution(
         self, direction: Direction, r: float | np.ndarray

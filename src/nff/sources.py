@@ -28,7 +28,6 @@ from .core import (
     WAVENUMBER,
     Direction,
     _blockwise,
-    _plane_dot,
     _plane_offsets,
     unit_vector,
 )
@@ -52,7 +51,7 @@ def on_element(dist: np.ndarray) -> np.ndarray:
 def _off_elements(dist: np.ndarray, radius) -> np.ndarray:
     """``dist (..., N)``, unless point ``i`` is on an element: then raise, naming ``radius(i)``."""
     near = on_element(dist)
-    if np.any(near):
+    if near.any():
         raise FieldSingularity(
             f"singular at r = {float(radius(np.argmax(np.any(near, axis=-1))))!r}: the point "
             f"lies within {SINGULARITY_RADIUS} wavelengths of an element position"
@@ -60,12 +59,25 @@ def _off_elements(dist: np.ndarray, radius) -> np.ndarray:
     return dist
 
 
+def _axes_first(a: np.ndarray) -> np.ndarray:
+    """A view of ``a (..., 3)`` with its last axis first, ``(3, ...)``: its x, y, z planes."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
 def _point_offsets(points: np.ndarray, positions: np.ndarray):
     """Offsets ``p - r_n`` of points ``(..., 3)`` as x, y, z planes ``(..., N)``, and their norms.
 
+    Each norm sums x^2 + y^2 + z^2 left to right, as ``np.linalg.norm(..., axis=-1)`` does.
     A point on an element raises :class:`FieldSingularity`, which names its ``r = |p|``.
     """
-    planes, dist = _plane_offsets(points[..., None, :], positions)
+    # three (..., N) planes, not one (3, ..., N) block, and the norms summed in place: the
+    # larger chunks made glibc trim and regrow the heap top, and perfbench's sweeps worker
+    # fault in about 2.5 times the pages, in most heap layouts tried
+    planes = [points[..., None, i] - positions[:, i] for i in range(3)]
+    dist = planes[0] * planes[0]
+    dist += planes[1] * planes[1]
+    dist += planes[2] * planes[2]
+    np.sqrt(dist, out=dist)
     return planes, _off_elements(dist, lambda i: np.linalg.norm(np.reshape(points, (-1, 3))[i]))
 
 
@@ -178,8 +190,14 @@ def _dipole_terms(dist: np.ndarray):
     kr = k * dist
     near = 1.0 + 1.0 / (1j * kr)
     e_rad = z0 / (2.0 * math.pi * dist**2) * near
-    e_pol = 1j * z0 * k / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
-    return kr, near, 1j * k / (4.0 * math.pi * dist), e_rad, e_pol
+    four_pi_r = 4.0 * math.pi * dist
+    e_pol = 1j * z0 * k / four_pi_r * (near - 1.0 / kr**2)
+    return kr, near, 1j * k / four_pi_r, e_rad, e_pol
+
+
+#: Axes x, y, z, x, y: rows ``i + 1`` and ``i + 2`` of a vector so extended are the axes of
+#: ``(u x v)_i = u_i+1 v_i+2 - u_i+2 v_i+1``, the products ``np.cross`` forms.
+_CYCLE = [0, 1, 2, 0, 1]
 
 
 def array_field(
@@ -203,21 +221,38 @@ def array_field(
     (E, H) : tuple of numpy.ndarray
         Complex field vectors, shape ``(..., 3)``.
     """
-    rvec, dist = _point_offsets(np.asarray(points, dtype=float), geometry.positions)
-    x, y, z = rhat = tuple(c / dist for c in rvec)
-    u = geometry.orientations.T
-    cos_loc = _plane_dot(u, rhat)
+    offsets, dist = _point_offsets(np.asarray(points, dtype=float), geometry.positions)
+    # Vectors are x, y, z planes (3, ..., N), against which each per-element factor (..., N)
+    # broadcasts, so every product is one ufunc call, per element in the order of the
+    # per-axis formulas.  rhat and u get their x and y planes again: the axes i + 1 and
+    # i + 2 of u x rhat are then slices.
+    u = geometry.orientations.T[_CYCLE].reshape((5,) + (1,) * (dist.ndim - 1) + (-1,))
+    planes = np.empty((5,) + dist.shape)
+    for i in range(3):
+        np.divide(offsets[i], dist, out=planes[i])
+    rhat = planes[:3]
+    planes[3:] = rhat[:2]
+    c = rhat * u[:3]
+    cos_loc = c[0] + c[1] + c[2]  # u . rhat, x, y, z left to right
     kr, near, h_amp, e_rad, e_pol = _dipole_terms(dist)
     phase = np.exp(-1j * kr)
-
-    # per-element (..., N, 3) vectors; u x rhat, per axis, as np.cross forms it
+    # complex products go into new arrays: numpy's in-place product of a one-element
+    # complex array can differ from it in the last bit
     h_amp = phase * h_amp * near
-    cross = (u[1] * z - u[2] * y, u[2] * x - u[0] * z, u[0] * y - u[1] * x)
-    h = np.stack([h_amp * c for c in cross], axis=-1)
-    e_rad = e_rad * cos_loc
-    e = np.stack(
-        [phase * (e_rad * c + e_pol * (cos_loc * c - ui)) for c, ui in zip(rhat, u)], axis=-1
-    )
+    cross = u[1:4] * planes[2:]
+    cross -= u[2:] * planes[1:4]  # u x rhat
+    pol = cos_loc * rhat
+    pol -= u[:3]
+    pol = e_pol * pol
+    pol += e_rad * cos_loc * rhat  # b + a: the bits of a + b
+    # E and H per element are written plane by plane into C-ordered (..., N, 3) arrays: a
+    # transposed (3, ..., N) array would send ``w @ e`` down another BLAS path, with other
+    # bits.  The phase stays the first operand at any size (numpy turns ``a * (b + c)`` into
+    # an in-place product with swapped operands from 256 KiB on, and a complex product's
+    # imaginary part depends on the order), so a point gets the same bits in any batch
+    e, h = np.empty(dist.shape + (3,), complex), np.empty(dist.shape + (3,), complex)
+    np.multiply(phase, pol, out=_axes_first(e))
+    np.multiply(h_amp, cross, out=_axes_first(h))
     # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
     w = np.asarray(weights, dtype=complex)[..., None, :]
     return (w @ e)[..., 0, :], (w @ h)[..., 0, :]

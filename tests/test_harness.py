@@ -476,6 +476,31 @@ def test_trace_schema_violations(tmp_path):
         import_trace(p)
 
 
+def test_trace_data_rows_parse_and_fail_by_line(tmp_path):
+    # float() strips the whitespace around each value, so padded values read as they are;
+    # a row with an empty or non-numeric value, or 12 or 14 values, names its file and line
+    path = tmp_path / "t.csv"
+    export_trace(_make_trace(np.geomspace(1.0, 10.0, 6)), path)
+    lines = path.read_text().splitlines()
+    values = lines[4].split(",")
+    padded = lines[:4] + [" " + " ,".join(values) + "\t"] + lines[5:]
+    trace = import_trace(_write(tmp_path, "padded.csv", "\n".join(padded) + "\n"))
+    want = import_trace(path)
+    for name in ("r", "e", "h", "f"):
+        assert getattr(trace, name).tobytes() == getattr(want, name).tobytes()
+    for name, row, message in (
+        ("empty.csv", ",".join(values[:3] + [""] + values[4:]), "non-numeric value"),
+        ("blank.csv", ",".join(values[:3] + ["  "] + values[4:]), "non-numeric value"),
+        ("twelve.csv", ",".join(values[:12]), "expected 13 comma-separated values"),
+        ("fourteen.csv", ",".join(values + ["0"]), "expected 13 comma-separated values"),
+        ("abc.csv", ",".join(values[:5] + ["abc"] + values[6:]), "non-numeric value"),
+    ):
+        bad = _write(tmp_path, name, "\n".join(lines[:4] + [row] + lines[5:]) + "\n")
+        with pytest.raises(TraceFormatError) as info:
+            import_trace(bad)
+        assert str(info.value) == f"{bad}:5: data row: {message}"
+
+
 def test_trace_repeated_records_are_rejected(tmp_path, capsys):
     # a second record would silently override the first; name its line instead
     ff_f = "# ff_f = 0,0,0,0,1,0"
@@ -963,6 +988,22 @@ def test_cli_reproduce_rejects_a_grid_without_points(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig4", "--out", str(out), "--grid-ppd", "0"]) == 1
     assert capsys.readouterr().err == "error: grid_ppd must be >= 1, got 0\n"
     assert list(out.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "ppd, message",
+    [
+        ("0", "grid_ppd must be >= 1, got 0"),
+        ("200000", "the grid would have 1000001 points, more than the limit 1000000"),
+    ],
+    ids=["no_points", "past_the_limit"],
+)
+def test_cli_reproduce_argument_errors_create_no_directory(tmp_path, capsys, ppd, message):
+    # the figure's configs and grid are checked before --out is created
+    out = tmp_path / "new" / "dir"
+    assert main(["reproduce", "--figure", "fig4", "--out", str(out), "--grid-ppd", ppd]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_cli_reproduce_rejects_a_missing_trace_directory(tmp_path, capsys):

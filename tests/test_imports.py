@@ -1,7 +1,7 @@
 """Imports and names: every package module uses each name it imports, every private
 module-level name is read somewhere in the package, every export has a caller, block
-loops are written once, the boundary criteria stay on the one line primitive, and nff
-needs only numpy."""
+loops are written once, the boundary criteria stay on the one line primitive, the field
+kernels share one distance source, and nff needs only numpy."""
 
 import ast
 import subprocess
@@ -160,6 +160,25 @@ def test_criteria_stay_on_the_line_primitive():
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
+
+
+def test_field_kernels_take_distances_from_point_offsets():
+    # array_field, the line kernel and the focusing weights share sources._point_offsets'
+    # distances: the phase exp(-jk dist) of a captured trace then has the sweep's bits, and a
+    # second distance formula (a phase from sqrt(s^2 + w) missed the 1e-12 round trip by up
+    # to 5.7e-10) has no place in them
+    tree = ast.parse((Path(nff.__file__).parent / "sources.py").read_text(encoding="utf-8"))
+    kernels = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("array_field", "_line_fields", "nf_precoder"):
+        nodes = list(ast.walk(kernels[name]))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert "_point_offsets" in names, name
+        assert names & {
+            "sqrt", "norm", "hypot", "_line_distance", "_line_excess", "_plane_offsets"
+        } == set(), name
+        roots = [n for n in nodes if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+        assert all(isinstance(n.right, ast.Constant) and n.right.value == 2 for n in roots), name
 
 
 def _cache_decorated(source: str) -> list[str]:

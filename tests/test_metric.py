@@ -1,5 +1,6 @@
 """Field-mismatch metric and radial error sweeps."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -451,11 +452,11 @@ def test_error_sweep_memory_is_flat_in_grid_length(excitation):
 
 
 def test_single_point_calls_keep_their_shapes():
-    geo = uniform_linear_array(8, 0.5)
     direction = Direction(70.0, 20.0)
     rhat = unit_vector(direction)
     radii = np.array([0.7, 3.0, 40.0])
-    for excitation in ("ff-bf", "nf-bf", "none"):
+    for n, excitation in itertools.product((1, 8, 64, 1024), ("ff-bf", "nf-bf", "none")):
+        geo = uniform_linear_array(n, 0.5)
         scenario = DipoleArrayScenario(geo, excitation, direction)
         e, h = scenario.fields(radii[:, None] * rhat)
         f = scenario.angular_distribution(direction, radii).f
@@ -467,6 +468,6 @@ def test_single_point_calls_keep_their_shapes():
             assert np.array_equal(e1, e[i]) and np.array_equal(h1, h[i])
             assert np.array_equal(f1, f[i])
             w = scenario.weights(r * rhat)
-            assert w.shape == (8,)
+            assert w.shape == (n,)
             e2, h2 = array_field(geo, w, r * rhat)
             assert np.array_equal(e2, e1) and np.array_equal(h2, h1)

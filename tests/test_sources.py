@@ -289,6 +289,83 @@ def test_array_field_matches_per_element_formula():
         assert np.linalg.norm(h[i] - want_h) <= 1e-13 * np.linalg.norm(want_h)
 
 
+def _per_plane_array_field(geometry, weights, points):
+    """A frozen copy of the per-plane ``array_field`` kernel, the bit reference of the one pass.
+
+    Offsets and unit vectors as x, y, z planes ``(..., N)``, ``u x rhat`` per axis, E and H
+    stacked to ``(..., N, 3)``, then one ``(1, N) @ (N, 3)`` product per point.
+    """
+    points = np.asarray(points, dtype=float)
+    pos = geometry.positions
+    rvec = tuple(points[..., None, i] - pos[..., i] for i in range(3))
+    dist = np.sqrt(rvec[0] * rvec[0] + rvec[1] * rvec[1] + rvec[2] * rvec[2])
+    x, y, z = rhat = tuple(c / dist for c in rvec)
+    u = geometry.orientations.T
+    cos_loc = u[0] * x + u[1] * y + u[2] * z
+    kr = K * dist
+    near = 1.0 + 1.0 / (1j * kr)
+    e_rad = Z0 / (2.0 * math.pi * dist**2) * near
+    e_pol = 1j * Z0 * K / (4.0 * math.pi * dist) * (near - 1.0 / kr**2)
+    h_amp = 1j * K / (4.0 * math.pi * dist)
+    phase = np.exp(-1j * kr)
+    h_amp = phase * h_amp * near
+    cross = (u[1] * z - u[2] * y, u[2] * x - u[0] * z, u[0] * y - u[1] * x)
+    h = np.stack([h_amp * c for c in cross], axis=-1)
+    e_rad = e_rad * cos_loc
+    e = np.stack(
+        [phase * (e_rad * c + e_pol * (cos_loc * c - ui)) for c, ui in zip(rhat, u)], axis=-1
+    )
+    w = np.asarray(weights, dtype=complex)[..., None, :]
+    return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: ``np.array_equal``, and signed zeros too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 1024])
+def test_array_field_keeps_the_per_plane_bits(n):
+    # seeded clouds with tilted dipoles, and a z-dipole line whose equatorial fields have
+    # exact zeros; twenty single points (a one-element product can take another path
+    # through numpy), batches and grids of points; (N,), broadcast and per-point weights.
+    # Batches stay below 16384 point-element pairs: from there numpy elides the per-plane
+    # kernel's 256 KiB temporaries and forms E's last product as (...) * phase, whose
+    # imaginary part differs in the last bit (see the next test)
+    rng = np.random.default_rng(n)
+    pos = rng.normal(scale=2.0, size=(n, 3))
+    cloud = ArrayGeometry(pos - pos.mean(axis=0), rng.normal(size=(n, 3)))
+    for geo in (cloud, uniform_linear_array(n, 0.5)):
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for shape in ((),) * 20 + ((5,), (3, 4)):
+            points = rng.normal(size=shape + (3,)) * 10.0 ** rng.uniform(-1, 4, shape + (1,))
+            if geo is not cloud and shape:
+                points[..., 2] = 0.0
+            per_point = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+            for weights in (w, np.broadcast_to(w, shape + (n,)), per_point):
+                e, h = array_field(geo, weights, points)
+                want_e, want_h = _per_plane_array_field(geo, weights, points)
+                assert e.shape == h.shape == shape + (3,)
+                assert np.array_equal(e, want_e) and np.array_equal(h, want_h)
+                assert _same_bits(e, want_e) and _same_bits(h, want_h)
+
+
+@pytest.mark.parametrize("n, batch", [(64, 300), (1024, 20)])
+def test_array_field_gives_a_point_its_bits_in_any_batch(n, batch):
+    # a point's fields do not depend on the batch it comes in; in the per-plane kernel they
+    # did from 16384 point-element pairs on, where E's last product changed operand order
+    rng = np.random.default_rng(n)
+    pos = rng.normal(scale=2.0, size=(n, 3))
+    geo = ArrayGeometry(pos - pos.mean(axis=0), rng.normal(size=(n, 3)))
+    w = rng.normal(size=n) + 1j * rng.normal(size=n)
+    points = rng.normal(size=(batch, 3)) * 10.0 ** rng.uniform(-1, 4, (batch, 1))
+    e, h = array_field(geo, w, points)
+    for i, p in enumerate(points):
+        e1, h1 = array_field(geo, w, p)
+        assert _same_bits(e[i], e1) and _same_bits(h[i], h1)
+
+
 def test_array_field_linearity():
     geo = uniform_linear_array(5, 0.4)
     rng = np.random.default_rng(3)

@@ -124,9 +124,13 @@ def _plane_offsets(a: np.ndarray, b: np.ndarray):
 
     ``a`` and ``b`` broadcast as ``a[..., i] - b[..., i]`` does, so a batch of points
     ``(..., 1, 3)`` against element positions ``(N, 3)`` gives planes ``(..., N)``.
+    The norm is :func:`_plane_dot` of the planes with themselves, summed in place.
     """
-    planes = tuple(a[..., i] - b[..., i] for i in range(3))
-    return planes, np.sqrt(_plane_dot(planes, planes))
+    x, y, z = planes = tuple(a[..., i] - b[..., i] for i in range(3))
+    dist = x * x
+    dist += y * y
+    dist += z * z
+    return planes, np.sqrt(dist, out=dist)
 
 
 def _line_constants(positions: np.ndarray, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

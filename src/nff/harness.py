@@ -71,13 +71,12 @@ class TraceFormatError(ValueError):
     """A trace file does not conform to the trace format."""
 
 
-def _fmt(x: float) -> str:
-    """Full-precision decimal rendering (17 significant digits)."""
-    return f"{x:.17g}"
+#: Full-precision decimal rendering (17 significant digits) of one number.
+_FMT = "{:.17g}"
+_fmt = _FMT.format
 
-
-#: A trace data row: radius and the six complex field components, each rendered as :func:`_fmt`.
-_TRACE_ROW = ",".join(["{:.17g}"] * 13)
+#: A trace data row: radius and the six complex field components, each rendered as ``_FMT``.
+_TRACE_ROW = ",".join([_FMT] * 13)
 
 
 # ---------------------------------------------------------------------------

@@ -121,18 +121,20 @@ class DipoleArrayScenario:
         w.flags.writeable = False
         return w
 
-    def weights(self, points: np.ndarray) -> np.ndarray:
-        """Excitation weights ``(..., N)`` used at cartesian points ``(..., 3)``."""
+    def _weights_at(self, points: np.ndarray) -> np.ndarray:
+        """Per-point ``(..., N)`` weights of ``nf-bf``; the fixed ``(N,)`` row otherwise."""
         if self.excitation == EXCITATION_FOCUS:
             return nf_precoder(self.geometry, points)
-        w = self._fixed_weights
-        return np.broadcast_to(w, np.shape(points)[:-1] + w.shape)
+        return self._fixed_weights
+
+    def weights(self, points: np.ndarray) -> np.ndarray:
+        """Excitation weights ``(..., N)`` used at cartesian points ``(..., 3)``."""
+        w = self._weights_at(points)
+        return np.broadcast_to(w, np.shape(points)[:-1] + w.shape[-1:])
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # fixed weights go in as the (N,) row, which broadcasts against every point
-        focus = self.excitation == EXCITATION_FOCUS
-        w = nf_precoder(self.geometry, points) if focus else self._fixed_weights
-        return array_field(self.geometry, w, points)
+        # a fixed (N,) row broadcasts against every point inside array_field
+        return array_field(self.geometry, self._weights_at(points), points)
 
     def angular_distribution(
         self, direction: Direction, r: float | np.ndarray

@@ -67,17 +67,9 @@ def _axes_first(a: np.ndarray) -> np.ndarray:
 def _point_offsets(points: np.ndarray, positions: np.ndarray):
     """Offsets ``p - r_n`` of points ``(..., 3)`` as x, y, z planes ``(..., N)``, and their norms.
 
-    Each norm sums x^2 + y^2 + z^2 left to right, as ``np.linalg.norm(..., axis=-1)`` does.
     A point on an element raises :class:`FieldSingularity`, which names its ``r = |p|``.
     """
-    # three (..., N) planes, not one (3, ..., N) block, and the norms summed in place: the
-    # larger chunks made glibc trim and regrow the heap top, and perfbench's sweeps worker
-    # fault in about 2.5 times the pages, in most heap layouts tried
-    planes = [points[..., None, i] - positions[:, i] for i in range(3)]
-    dist = planes[0] * planes[0]
-    dist += planes[1] * planes[1]
-    dist += planes[2] * planes[2]
-    np.sqrt(dist, out=dist)
+    planes, dist = _plane_offsets(points[..., None, :], positions)
     return planes, _off_elements(dist, lambda i: np.linalg.norm(np.reshape(points, (-1, 3))[i]))
 
 

@@ -27,8 +27,8 @@ for most, a test-line direction) to a single radius in wavelengths:
 All searches share a log-grid pass over one fixed bracket plus geometric
 bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
 next few levels in one call, so the path it takes sees the bits a walk one radius at
-a time would.  A table of thresholds scans each kind once per direction, and ``wc``,
-which reads no direction, once for all the directions of one call.
+a time would.  A table's grid pass is one walk over the line per direction for all of
+``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .core import (
     WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
 )
 from .metric import default_grid
-from .sources import ArrayGeometry, _off_elements
+from .sources import ArrayGeometry, FieldSingularity, _off_elements
 
 #: Search bracket (wavelengths) and log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -142,28 +142,79 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
-def _line(geometry: ArrayGeometry, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Line constants ``t``, ``w`` ``(N,)`` of the test line ``r rhat``.
+def _line_walk(
+    geometry: ArrayGeometry, direction: Direction, kinds: Sequence[str], r
+) -> dict[str, np.ndarray | ValueError]:
+    """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on the line
+    ``r rhat``, in one walk: element ``n`` enters only through ``t_n`` and ``w_n``, read once.
 
-    A test line is one-dimensional: element ``n`` enters only through ``t_n`` and ``w_n``,
-    which :func:`nff.core._line_excess` and :func:`nff.core._line_distance` read.  A
-    criterion reads them once per call, then takes its radii ``_SCAN_PAIRS // N`` at a
-    time (:func:`nff.core._blockwise`): every value is elementwise in ``r``, so a block
-    gives each radius the same bits as the radius alone, and the ``(radii, N)``
-    temporaries stay bounded whatever the size of ``r``.
+    Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d`` once,
+    and ``delta`` only for ``ar`` or ``en``.  Values are elementwise in ``r``, so a radius gets
+    the bits it gets alone, whichever kinds share the walk.  A kind whose criterion raises
+    (``FieldSingularity``, ``ar`` aside; :class:`UndefinedProjection`) holds that error in
+    place of its values, and is not evaluated on later blocks.
     """
-    return _line_constants(geometry.positions, unit_vector(direction))
+    rhat = unit_vector(direction)
+    t, w = _line_constants(geometry.positions, rhat)
+    if "up" in kinds:
+        nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
+        along, offsets = rhat @ nhat, geometry.positions @ nhat
+    excess = "ar" in kinds or "en" in kinds
+    held: dict[str, ValueError] = {}
+
+    def block(r):
+        radii = np.asarray(r)[..., None]
+        d, delta = _line_excess(radii, t, w) if excess else (_line_distance(radii - t, w), None)
+        if live := [kind for kind in kinds if kind != "ar" and kind not in held]:  # ar takes any r
+            try:
+                _off_elements(d, lambda i: np.ravel(r)[i])
+            except FieldSingularity as exc:
+                held.update(dict.fromkeys(live, exc))
+        vals = []
+        for kind in kinds:
+            v = 0.0  # the values of a held kind are never read
+            if kind in held:
+                pass
+            elif kind == "ar":
+                v = np.max(delta, axis=-1) * WAVENUMBER
+            elif kind == "up":
+                proj = np.subtract.outer(r * along, offsets)
+                tol = 1e-9 * np.maximum(1.0, r)[..., None]
+                if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
+                    held[kind] = UndefinedProjection("boresight projections change sign along "
+                                                     "the element set; the uniform-power ratio "
+                                                     "is undefined here")
+                else:
+                    flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
+                    g = np.where(flat, 1.0, np.abs(proj)) / d**3
+                    top = np.max(g, axis=-1)
+                    v = np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top),
+                                  where=top != 0.0)
+            elif kind == "en":
+                inv, phase = 1.0 / d, WAVENUMBER * delta
+                den = np.hypot(np.sum(np.cos(phase) * inv, axis=-1),
+                               np.sum(np.sin(phase) * inv, axis=-1))
+                with np.errstate(divide="ignore"):
+                    v = np.maximum(np.sum(inv, axis=-1) / den, 1.0)
+            else:
+                v = np.square(r) / geometry.n * np.sum(1.0 / (d * d), axis=-1)
+            vals.append(v)
+        return tuple(vals) if len(vals) > 1 else vals[0]
+
+    vals = _blockwise(block, geometry.n, r, (float,) * len(kinds))
+    return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals)) | held
 
 
-def _distances(r, t, w) -> np.ndarray:
-    """Distances ``d`` ``(..., N)`` at radii ``r``; ``FieldSingularity`` if one is on an element."""
-    return _off_elements(_line_distance(np.asarray(r)[..., None] - t, w), lambda i: np.ravel(r)[i])
+def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction):
+    """One criterion at ``r``, the one-kind :func:`_line_walk`; a held error is raised."""
+    vals = _line_walk(geometry, direction, (kind,), r)[kind]
+    if isinstance(vals, ValueError):
+        raise vals
+    return vals[()]
 
 
 def phi_excess(
-    geometry: ArrayGeometry,
-    r: float | np.ndarray,
-    direction: Direction,
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
 ) -> float | np.ndarray:
     """Worst-case element phase excess, radians.
 
@@ -174,19 +225,11 @@ def phi_excess(
     """
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    t, w = _line(geometry, direction)
-
-    def block(r):
-        _, delta = _line_excess(np.asarray(r)[..., None], t, w)
-        return np.max(delta, axis=-1) * WAVENUMBER
-
-    return _blockwise(block, geometry.n, r)[()]
+    return _criterion("ar", geometry, r, direction)
 
 
 def gamma_uniform_power(
-    geometry: ArrayGeometry,
-    r: float | np.ndarray,
-    direction: Direction,
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
 ) -> float | np.ndarray:
     """Uniformity ratio of per-element projected power factors.
 
@@ -202,31 +245,11 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    t, w = _line(geometry, direction)
-    nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
-    along, offsets = unit_vector(direction) @ nhat, geometry.positions @ nhat
-
-    def block(r):
-        dist = _distances(r, t, w)
-        proj = np.subtract.outer(r * along, offsets)
-        tol = 1e-9 * np.maximum(1.0, r)[..., None]
-        if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
-            raise UndefinedProjection(
-                "boresight projections change sign along the element set; "
-                "the uniform-power ratio is undefined here"
-            )
-        flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
-        g = np.where(flat, 1.0, np.abs(proj)) / dist**3
-        top = np.max(g, axis=-1)
-        return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)
-
-    return _blockwise(block, geometry.n, r)[()]
+    return _criterion("up", geometry, r, direction)
 
 
 def psi_gain_ratio(
-    geometry: ArrayGeometry,
-    r: float | np.ndarray,
-    direction: Direction,
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
 ) -> float | np.ndarray:
     """Focusing-over-steering array gain ratio at radii along ``direction``.
 
@@ -240,36 +263,18 @@ def psi_gain_ratio(
     distance.  At least 1 by the triangle inequality (the focusing weights
     align every term); a rounding below it reads 1.
     """
-    t, w = _line(geometry, direction)
-
-    def block(r):
-        d, delta = _line_excess(np.asarray(r)[..., None], t, w)
-        inv = 1.0 / _off_elements(d, lambda i: np.ravel(r)[i])
-        phase = WAVENUMBER * delta
-        den = np.hypot(np.sum(np.cos(phase) * inv, axis=-1), np.sum(np.sin(phase) * inv, axis=-1))
-        with np.errstate(divide="ignore"):
-            return np.maximum(np.sum(inv, axis=-1) / den, 1.0)
-
-    return _blockwise(block, geometry.n, r)[()]
+    return _criterion("en", geometry, r, direction)
 
 
 def upsilon_power(
-    geometry: ArrayGeometry,
-    r: float | np.ndarray,
-    direction: Direction,
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
 ) -> float | np.ndarray:
     """Mean inverse-square element distance, normalized by ``1/r^2``.
 
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    t, w = _line(geometry, direction)
-
-    def block(r):
-        dist = _distances(r, t, w)
-        return np.square(r) / geometry.n * np.sum(1.0 / (dist * dist), axis=-1)
-
-    return _blockwise(block, geometry.n, r)[()]
+    return _criterion("ep", geometry, r, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +434,8 @@ def _refine_crossing(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
         return _bisect(side, lo, hi, first, 1)
 
 
-def _search_values(
-    grid: np.ndarray,
-    vals: np.ndarray,
-    scan: Callable[[np.ndarray], np.ndarray],
-    levels: int,
-    threshold: float,
-    first: bool,
-    below: bool,
-) -> BoundaryResult:
+def _search_values(grid: np.ndarray, vals: np.ndarray, scan: Callable[[np.ndarray], np.ndarray],
+                   levels: int, threshold: float, first: bool, below: bool) -> BoundaryResult:
     """Where ``vals`` (``scan`` on ``grid``) first enters the side ``v <= threshold``
     (``>=`` unless ``below``), or with ``first`` false last leaves it, bisected with
     ``levels`` levels per call of ``scan`` (:func:`_refine_crossing`); ``unbounded`` if that
@@ -482,24 +480,32 @@ def quasi_rayleigh(span: float) -> float:
 _MODES = {"ar": (True, True), "up": (True, False), "en": (False, False), "ep": (False, True),
           "wc": (True, True)}
 
+#: The criterion of each kind on a test line, the scan its bisection calls.
+_CRITERIA = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
+             "ep": upsilon_power}
 
-def _kind_scan(
-    geometry: ArrayGeometry, kind: str, direction: Direction
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], int]:
-    """Search grid of one searched kind, the values there, the scan the bisection calls on
-    arrays of radii, and the levels it looks ahead per call (:func:`_levels`).
 
-    ``wc`` reads only the largest element offset ``a``: its grid starts just past ``a``,
-    and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at
-    the top of the bracket is only valid when ``Xi`` is decaying there, so the final
-    decade is checked for monotone decrease first (:class:`TailNotMonotone`).
+def _kind_scans(
+    geometry: ArrayGeometry, kinds: Sequence[str], direction: Direction
+) -> dict[str, tuple | ValueError]:
+    """Of each searched kind in ``kinds``, the search grid, the values there, the scan the
+    bisection calls on arrays of radii and the levels it looks ahead per call
+    (:func:`_levels`); or the error its grid pass holds.
+
+    The line kinds share one :func:`_line_walk` over the grid.  ``wc``, scanned alone,
+    reads only the largest element offset ``a``: its grid starts just past ``a``, and its
+    values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at the top of
+    the bracket is only valid when ``Xi`` is decaying there, so the final decade is checked
+    for monotone decrease first (:class:`TailNotMonotone`, raised).
     """
-    if kind != "wc":
-        criterion = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
-                     "ep": upsilon_power}[kind]
-        scan = functools.partial(criterion, geometry, direction=direction)
+    if kinds != ("wc",):
         grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
-        return grid, scan(grid), scan, _levels(geometry.n)
+        scans = _line_walk(geometry, direction, kinds, grid)
+        for kind, vals in scans.items():
+            if not isinstance(vals, ValueError):
+                scan = functools.partial(_CRITERIA[kind], geometry, direction=direction)
+                scans[kind] = grid, vals, scan, _levels(geometry.n)
+        return scans
     a = _max_offset(geometry)
     lo, hi = max(DEFAULT_BRACKET[0], a * (1.0 + 1e-6)), DEFAULT_BRACKET[1]
     if not lo < hi:
@@ -523,27 +529,27 @@ def _kind_scan(
         # supremum of every sample beyond r
         return np.maximum(_xi(a, r, WAVENUMBER), envelope[np.searchsorted(grid, r)])
 
-    return grid, envelope, env_scan, _levels(21)
+    return {"wc": (grid, envelope, env_scan, _levels(21))}
 
 
 def evaluate_boundaries(
-    geometry: ArrayGeometry,
-    specs: Sequence[BoundarySpec],
-    directions: Iterable[Direction],
+    geometry: ArrayGeometry, specs: Sequence[BoundarySpec], directions: Iterable[Direction]
 ) -> tuple[tuple[BoundaryResult, ...], ...]:
     """One table per direction: each :class:`BoundarySpec`'s result for the geometry and
     that direction, in order.
 
-    Each searched kind is scanned once per direction, on the first spec that asks for it,
-    and every threshold of that kind is searched on that scan.  ``wc`` reads no direction,
-    so it is scanned and each of its thresholds searched once per call, on the first
-    direction.  A spec gets the result (or the error) it would get alone; the first error
-    ends the call.  ``wc`` thresholds are scaled by :data:`WC_THRESHOLD_SCALE`.
+    The first spec of a line kind walks every line kind of the table over the grid, once per
+    direction (:func:`_line_walk`), and every threshold of a kind is searched on its scan.
+    ``wc`` reads no direction, so it is scanned and each of its thresholds searched once per
+    call.  A kind's scan error is raised at its first spec, so a spec gets the result (or the
+    error) it gets alone; the first error ends the call.  ``wc`` thresholds are scaled by
+    :data:`WC_THRESHOLD_SCALE`.
     """
+    line_kinds = tuple(kind for kind in _CRITERIA if any(spec.kind == kind for spec in specs))
     shared: dict[BoundarySpec, BoundaryResult] = {}  # wc results, the same in every table
     tables = []
     for direction in directions:
-        scans: dict[str, tuple] = {}
+        scans: dict[str, tuple | ValueError] = {}
         results = []
         for spec in specs:
             if spec.kind == "qr":
@@ -554,9 +560,11 @@ def evaluate_boundaries(
             elif spec in shared:
                 result = shared[spec]
             else:
-                if spec.kind not in scans:
-                    scans[spec.kind] = _kind_scan(geometry, spec.kind, direction)
                 wc = spec.kind == "wc"
+                if spec.kind not in scans:
+                    scans.update(_kind_scans(geometry, ("wc",) if wc else line_kinds, direction))
+                if isinstance(scans[spec.kind], ValueError):
+                    raise scans[spec.kind]
                 threshold = spec.threshold * WC_THRESHOLD_SCALE if wc else spec.threshold
                 result = _search_values(*scans[spec.kind], threshold, *_MODES[spec.kind])
                 if wc:
@@ -567,9 +575,7 @@ def evaluate_boundaries(
 
 
 def evaluate_boundary(
-    geometry: ArrayGeometry,
-    spec: BoundarySpec,
-    direction: Direction,
+    geometry: ArrayGeometry, spec: BoundarySpec, direction: Direction
 ) -> BoundaryResult:
     """Evaluate one :class:`BoundarySpec` for a geometry and direction."""
     return evaluate_boundaries(geometry, (spec,), (direction,))[0][0]

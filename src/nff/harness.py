@@ -34,20 +34,9 @@ from .farfield import (
     AngularFieldDistribution, TRANSVERSALITY_TOL, auxiliary_fields, far_field_from_sample
 )
 from .metric import (
-    DEFAULT_GRID_HI,
-    DEFAULT_GRID_LO,
-    DEFAULT_GRID_PPD,
-    EXCITATION_FOCUS,
-    EXCITATION_NONE,
-    EXCITATION_STEER,
-    MAX_GRID_POINTS,
-    _EXCITATIONS,
-    DipoleArrayScenario,
-    ErrorCurve,
-    default_grid,
-    error_sweep,
-    field_mismatch,
-    grid_on_element,
+    DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_PPD, EXCITATION_FOCUS, EXCITATION_NONE,
+    EXCITATION_STEER, MAX_GRID_POINTS, _EXCITATIONS, DipoleArrayScenario, ErrorCurve,
+    default_grid, error_sweep, field_mismatch, grid_on_element,
 )
 from .sources import uniform_linear_array
 
@@ -193,11 +182,14 @@ def load_scenario(path: str | Path) -> UlaConfig | TraceConfig:
     ------
     ConfigError
         Naming the file, and the line of a bad line, a key that the source never
-        reads or a value that does not parse; a missing key or a config
-        invariant names the file only.
+        reads or a value that does not parse; a missing key, a config invariant
+        or bytes that are not UTF-8 name the file only.
     """
     entries: dict[str, tuple[int, str]] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -337,14 +329,15 @@ def _check_transversal(f: np.ndarray, direction: Direction) -> None:
         )
 
 
-def _parse_floats(text: str, expected: int, what: str) -> list[float]:
+def _parse_floats(text: str, count: int, path, lineno: int, what: str) -> list[float]:
+    """The ``count`` comma-separated numbers of ``text``, the ``what`` of line ``lineno``."""
     parts = text.split(",")  # float() strips the whitespace around each value
-    if len(parts) != expected:
-        raise TraceFormatError(f"{what}: expected {expected} comma-separated values")
+    if len(parts) != count:
+        raise TraceFormatError(f"{path}:{lineno}: {what}: expected {count} comma-separated values")
     try:
         return list(map(float, parts))
     except ValueError as exc:
-        raise TraceFormatError(f"{what}: non-numeric value") from exc
+        raise TraceFormatError(f"{path}:{lineno}: {what}: non-numeric value") from exc
 
 
 def import_trace(path: str | Path) -> FieldTrace:
@@ -353,8 +346,8 @@ def import_trace(path: str | Path) -> FieldTrace:
     Raises
     ------
     TraceFormatError
-        For schema violations (missing headers, a repeated record, bad
-        row shape, non-monotone radii, non-finite values).
+        For schema violations (a line that is not UTF-8, missing headers, a
+        repeated record, bad row shape, non-monotone radii, non-finite values).
     InconsistentFarField
         When the far-field record fails the E/H cross-check.
     """
@@ -364,8 +357,14 @@ def import_trace(path: str | Path) -> FieldTrace:
     data_header = None
     seen: set[str] = set()
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as lines:  # streamed, so the row cap bounds memory
+    # streamed, so the row cap bounds memory; a byte that is not UTF-8 reads as a surrogate
+    with open(path, encoding="utf-8", errors="surrogateescape") as lines:
         for lineno, line in enumerate(lines, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise TraceFormatError(f"{path}:{lineno}: not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue
@@ -381,22 +380,21 @@ def import_trace(path: str | Path) -> FieldTrace:
                 if key in ("trace_version", "ff_f", "ff_sample", "direction"):
                     seen.add(key)
                 if key == "trace_version":
-                    (version,) = _parse_floats(value, 1, f"{path}:{lineno}: trace_version")
+                    (version,) = _parse_floats(value, 1, path, lineno, "trace_version")
                     if version != TRACE_VERSION:
                         raise TraceFormatError(
                             f"{path}:{lineno}: unsupported trace version {value!r}"
                         )
                 elif key == "ff_f":
-                    f_vec = _parse_floats(value, 6, f"{path}:{lineno}: ff_f")
+                    f_vec = _parse_floats(value, 6, path, lineno, "ff_f")
                 elif key == "ff_sample":
-                    sample = _parse_floats(value, 13, f"{path}:{lineno}: ff_sample")
+                    sample = _parse_floats(value, 13, path, lineno, "ff_sample")
                 elif key == "direction":
-                    where = f"{path}:{lineno}: direction"
-                    theta, phi = _parse_floats(value, 2, where)
+                    theta, phi = _parse_floats(value, 2, path, lineno, "direction")
                     try:
                         direction = Direction(theta, phi)
                     except ValueError as exc:
-                        raise TraceFormatError(f"{where}: {exc}") from exc
+                        raise TraceFormatError(f"{path}:{lineno}: direction: {exc}") from exc
                 # other commented records are ignored
                 continue
             if data_header is None:
@@ -408,7 +406,7 @@ def import_trace(path: str | Path) -> FieldTrace:
                 continue
             if len(rows) == MAX_GRID_POINTS:
                 raise TraceFormatError(f"{path}:{lineno}: more than {MAX_GRID_POINTS} data rows")
-            rows.append(_parse_floats(line, 13, f"{path}:{lineno}: data row"))
+            rows.append(_parse_floats(line, 13, path, lineno, "data row"))
 
     if data_header is None:
         raise TraceFormatError(f"{path}: missing data header")
@@ -442,17 +440,13 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
             for comp in np.asarray(vec, dtype=complex).reshape(3):
                 parts.extend([_fmt(comp.real), _fmt(comp.imag)])
         lines.append("# ff_sample = " + ",".join(parts))
-    else:
-        parts = []
-        for comp in trace.f:
-            parts.extend([_fmt(comp.real), _fmt(comp.imag)])
-        lines.append("# ff_f = " + ",".join(parts))
+    else:  # a complex array viewed as float is its (re, im) pairs
+        lines.append("# ff_f = " + ",".join(map(_fmt, trace.f.view(float))))
     if trace.direction is not None:
         d = trace.direction
         lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
     lines.append(TRACE_DATA_HEADER)
-    fields = np.column_stack([trace.e, trace.h])
-    parts = np.stack([fields.real, fields.imag], axis=-1).reshape(trace.r.size, 12)
+    parts = np.column_stack([trace.e, trace.h]).view(float)
     lines.extend(_TRACE_ROW.format(*row) for row in np.column_stack([trace.r, parts]).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -708,15 +708,15 @@ def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
     # _SCAN_PAIRS // N radii; the bisection then evaluates the 2^L - 1 midpoints its next
     # L levels can visit in one call (L = 4 at N = 64, 1 at N = 1024, where 3 radii would
     # pass 2048 pairs), and its last call looks no further than the levels left
-    distances = boundaries._distances
+    line_distance = boundaries._line_distance
     for n, bisection in ((1, []), (64, [15, 15, 15, 1]), (1024, [1] * 13)):
         sizes = []
 
-        def spy(r, t, w):
-            sizes.append(np.size(r))
-            return distances(r, t, w)
+        def spy(s, w):  # s = r - t, one row of N per radius
+            sizes.append(np.size(s) // np.size(w))
+            return line_distance(s, w)
 
-        monkeypatch.setattr(boundaries, "_distances", spy)
+        monkeypatch.setattr(boundaries, "_line_distance", spy)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
         assert res.status == "found" and res.degenerate == (not bisection)
         block = min(_SCAN_PAIRS // n, 3601)

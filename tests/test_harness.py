@@ -14,6 +14,7 @@ from nff import (
     FRONT,
     SIDE,
     WAVENUMBER,
+    ArrayGeometry,
     BoundarySpec,
     ConfigError,
     DipoleArrayScenario,
@@ -190,49 +191,53 @@ def test_run_boundaries_evaluates_the_specs():
     assert pairs["ar"].status == "found"
 
 
-_CRITERIA = ("phi_excess", "gamma_uniform_power", "psi_gain_ratio", "upsilon_power", "_xi")
-
-
-def _spy_criteria(monkeypatch):
-    """Radii per call of each criterion and of ``Xi``, by name, as the searches call them."""
+def _spy_walks(monkeypatch):
+    """Radii per call of the line walk, keyed by the kinds it reads, and of ``Xi``, as the
+    searches make them: a grid pass walks every line kind of a table, and a bisection call
+    walks its own kind through its criterion."""
     sizes = {}
+    walk, xi = boundaries._line_walk, boundaries._xi
 
-    def spy(name, fn):
-        def counted(*args, **kwargs):
-            sizes.setdefault(name, []).append(np.size(args[1]))
-            return fn(*args, **kwargs)
-        return counted
+    def line_walk(geometry, direction, kinds, r):
+        sizes.setdefault(tuple(kinds), []).append(np.size(r))
+        return walk(geometry, direction, kinds, r)
 
-    for name in _CRITERIA:
-        monkeypatch.setattr(boundaries, name, spy(name, getattr(boundaries, name)))
+    def counted_xi(a, r, k):
+        sizes.setdefault("_xi", []).append(np.size(r))
+        return xi(a, r, k)
+
+    monkeypatch.setattr(boundaries, "_line_walk", line_walk)
+    monkeypatch.setattr(boundaries, "_xi", counted_xi)
     return sizes
 
 
 def test_run_boundaries_scans_each_kind_once(monkeypatch):
-    # a fig4 panel scores up, en, ep and wc at two thresholds each: every searched kind
-    # reads its criterion (Xi for wc) on its search grid once, then the bisection reads
-    # the 2^L - 1 midpoints of its next L levels per call (L = 4 at N = 8), the last call
-    # of a crossing fewer
-    sizes = _spy_criteria(monkeypatch)
+    # a fig4 panel scores qr, ar, and up, en, ep and wc at two thresholds each: one line
+    # walk reads ar, up, en and ep on the search grid and Xi is read there once, then the
+    # bisection reads the 2^L - 1 midpoints of its next L levels per call (L = 4 at N = 8),
+    # the last call of a crossing fewer
+    sizes = _spy_walks(monkeypatch)
     cfg = UlaConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
-    grids = {"phi_excess": 3601, "gamma_uniform_power": 3601, "psi_gain_ratio": 3601,
-             "upsilon_power": 3601, "_xi": wc_grid.size}
-    assert {name: got[0] for name, got in sizes.items()} == grids
+    assert sizes.pop(("ar", "up", "en", "ep")) == [3601]
+    assert sizes["_xi"].pop(0) == wc_grid.size
+    assert set(sizes) == {("ar",), ("up",), ("en",), ("ep",), "_xi"}
     for got in sizes.values():
-        assert got.count(15) > len(got) // 2 and set(got[1:]) <= {1, 3, 7, 15}
+        assert got.count(15) > len(got) // 2 and set(got) <= {1, 3, 7, 15}
 
 
 def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_path):
-    # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi),
-    # and one Xi grid pass per table made 6
-    sizes = _spy_criteria(monkeypatch)
+    # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi), one
+    # Xi grid pass per table made 6, and one grid pass per line kind made 24 where one line
+    # walk per table makes 6
+    sizes = _spy_walks(monkeypatch)
     reproduce_reference("fig4", tmp_path)
-    grid_passes = {name: sum(n > 15 for n in got) for name, got in sizes.items()}
+    grid_passes = {key: sum(n > 15 for n in got) for key, got in sizes.items()}
     refinement = sum(n <= 15 for got in sizes.values() for n in got)
-    assert grid_passes == {"phi_excess": 6, "gamma_uniform_power": 6, "psi_gain_ratio": 6,
-                           "upsilon_power": 6, "_xi": 2}
+    assert {key: n for key, n in grid_passes.items() if n} == {
+        ("ar", "up", "en", "ep"): 6, "_xi": 2
+    }
     assert 3 * refinement <= 624
 
 
@@ -264,17 +269,48 @@ def test_run_boundaries_equals_one_spec_at_a_time(n, spacing, direction):
     assert table == next((o for o in alone if isinstance(o, tuple)), alone)
 
 
-@pytest.mark.parametrize("n, spacing", [(8, 0.5), (15, 0.5), (2, 2.5e6)])
-def test_one_table_per_direction_equals_one_call_per_direction(n, spacing):
+def _x_axis_array(n):
+    """``n`` elements 2 wavelengths apart on the x axis, boresight x: the front line runs
+    through them, and their projections on it change sign short of the outermost one."""
+    x = (np.arange(n) - (n - 1) / 2.0) * 2.0
+    return ArrayGeometry(np.column_stack([x, np.zeros(n), np.zeros(n)]), boresight=[1, 0, 0])
+
+
+_EN_UP = (BoundarySpec("en"), BoundarySpec("up"))
+
+
+@pytest.mark.parametrize(
+    "geometry, specs, error",
+    [
+        pytest.param(uniform_linear_array(8, 0.5), _TABLE_SPECS, None, id="8-0.5"),
+        # the side line meets an element; wc has no radius to scan
+        pytest.param(uniform_linear_array(15, 0.5), _TABLE_SPECS, "FieldSingularity", id="15-0.5"),
+        pytest.param(uniform_linear_array(2, 2.5e6), _TABLE_SPECS, "ValueError", id="2-2500000.0"),
+        # en meets the element at r = 1 in the second block of the front line's grid, after
+        # up meets mixed projections in the first, so the spec order picks the error; at
+        # N = 4 the first block holds r = 1, where up too meets the element first
+        pytest.param(_x_axis_array(8), _EN_UP, "FieldSingularity", id="x8-en-up"),
+        pytest.param(_x_axis_array(8), _EN_UP[::-1], "UndefinedProjection", id="x8-up-en"),
+        pytest.param(_x_axis_array(4), _EN_UP, "FieldSingularity", id="x4-en-up"),
+        pytest.param(_x_axis_array(4), _EN_UP[::-1], "FieldSingularity", id="x4-up-en"),
+    ],
+)
+def test_one_table_per_direction_equals_one_call_per_direction(geometry, specs, error):
     # wc is searched once for all directions; each table is the one-direction table, and
-    # an error is the first one the directions meet in order
-    geometry = uniform_linear_array(n, spacing)
+    # an error is the first one the directions meet in order.  A one-direction table is
+    # each spec alone, up to the first error: the line walk it shares holds an error until
+    # the spec of that kind is reached
     directions = (FRONT, DIAGONAL, SIDE, Direction(73.3, 211.7))
-    tables = _outcome(lambda: boundaries.evaluate_boundaries(geometry, _TABLE_SPECS, directions))
-    alone = [_outcome(lambda: boundaries.evaluate_boundaries(geometry, _TABLE_SPECS, (d,))[0])
-             for d in directions]
+    tables = _outcome(lambda: boundaries.evaluate_boundaries(geometry, specs, directions))
+    alone = []
+    for d in directions:
+        table = _outcome(lambda: boundaries.evaluate_boundaries(geometry, specs, (d,))[0])
+        each = [_outcome(lambda: evaluate_boundary(geometry, spec, d)) for spec in specs]
+        assert table == next((o for o in each if isinstance(o, tuple)), tuple(each))
+        alone.append(table)
     errors = [o for o in alone if isinstance(o[0], type)]
     assert tables == (errors[0] if errors else tuple(alone))
+    assert (errors[0][0].__name__ if errors else None) == error
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +746,38 @@ def _cli_argv(tmp_path, name, text, command):
     if command == "sweep":
         return ["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]
     return ["validate-trace", path]
+
+
+@pytest.mark.parametrize("command", ["sweep", "trace-sweep", "validate-trace", "reproduce"])
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    # bytes that do not decode end in a ConfigError naming the scenario file, or a
+    # TraceFormatError naming the trace file and line, not in the codec's own message
+    trace = tmp_path / "traces" / "t.csv"
+    trace.parent.mkdir()
+    text = _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12)
+    trace.write_bytes(text.replace("\n", "\n# note \xff\xfe\n", 1).encode("latin-1"))
+    cfg = tmp_path / "s.cfg"
+    if command == "sweep":
+        cfg.write_bytes(b"n = 8\nspacing_lambda\xff = 0.5\n")
+    else:
+        cfg.write_text(f"source = imported-trace\ntrace = {trace}\n", encoding="utf-8")
+    sweep = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+    argv = {
+        "sweep": sweep,
+        "trace-sweep": sweep,
+        "validate-trace": ["validate-trace", str(trace)],
+        "reproduce": ["reproduce", "--figure", "fig5", "--out", str(tmp_path / "out"),
+                      "--traces", str(trace.parent)],
+    }[command]
+    assert main(argv) == 1
+    if command == "sweep":
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (byte 20)\n"
+        with pytest.raises(ConfigError):
+            load_scenario(cfg)
+    else:
+        assert capsys.readouterr().err == f"error: {trace}:2: not UTF-8 text\n"
+        with pytest.raises(TraceFormatError):
+            import_trace(trace)
 
 
 @pytest.mark.parametrize("line, code", [("", 0), ("direction = front", 0),

@@ -160,6 +160,16 @@ def test_criteria_stay_on_the_line_primitive():
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
+    # and one walk reads the line for all of them: a criterion that forms its own distances
+    # again is a second walk over the same radius-element pairs
+    readers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id in {"_line_constants", "_line_excess", "_line_distance"}
+    }
+    assert readers == {"_line_walk"}
 
 
 def test_field_kernels_take_distances_from_point_offsets():

@@ -149,16 +149,19 @@ def _line_walk(
     ``r rhat``, in one walk: element ``n`` enters only through ``t_n`` and ``w_n``, read once.
 
     Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d`` once,
-    and ``delta`` only for ``ar`` or ``en``.  Values are elementwise in ``r``, so a radius gets
-    the bits it gets alone, whichever kinds share the walk.  A kind whose criterion raises
-    (``FieldSingularity``, ``ar`` aside; :class:`UndefinedProjection`) holds that error in
-    place of its values, and is not evaluated on later blocks.
+    and ``delta`` only for ``ar`` or ``en``; ``up`` reads its projections ``x - o_n`` at their
+    extremes only, and ``d`` too when every element has one offset ``o``.  Values are
+    elementwise in ``r``, so a radius gets the bits it gets alone, whichever kinds share the
+    walk.  A kind whose criterion raises (``FieldSingularity``, ``ar`` aside;
+    :class:`UndefinedProjection`) holds that error in place of its values, and is not
+    evaluated on later blocks.
     """
     rhat = unit_vector(direction)
     t, w = _line_constants(geometry.positions, rhat)
     if "up" in kinds:
         nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
         along, offsets = rhat @ nhat, geometry.positions @ nhat
+        o_lo, o_hi = offsets.min(), offsets.max()
     excess = "ar" in kinds or "en" in kinds
     held: dict[str, ValueError] = {}
 
@@ -178,18 +181,25 @@ def _line_walk(
             elif kind == "ar":
                 v = np.max(delta, axis=-1) * WAVENUMBER
             elif kind == "up":
-                proj = np.subtract.outer(r * along, offsets)
-                tol = 1e-9 * np.maximum(1.0, r)[..., None]
-                if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
+                # rounding is monotone: x - o_lo and x - o_hi are the extremes of x - offsets
+                x = r * along
+                top, low = x - o_lo, x - o_hi
+                tol = 1e-9 * np.maximum(1.0, r)
+                if np.any((top > tol) & (low < -tol)):
                     held[kind] = UndefinedProjection("boresight projections change sign along "
                                                      "the element set; the uniform-power ratio "
                                                      "is undefined here")
                 else:
-                    flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
-                    g = np.where(flat, 1.0, np.abs(proj)) / d**3
-                    top = np.max(g, axis=-1)
-                    v = np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top),
-                                  where=top != 0.0)
+                    flat = np.maximum(top, -low) <= tol
+                    if o_lo == o_hi:  # one numerator per radius, so g's extremes are at d's
+                        # stacked, as a numpy scalar's ** is libm's pow, not the array's
+                        ext = np.stack([np.min(d, axis=-1), np.max(d, axis=-1)]) ** 3
+                        g_max, g_min = np.where(flat, 1.0, np.abs(top)) / ext
+                    else:
+                        g = np.where(flat[..., None], 1.0,
+                                     np.abs(np.subtract.outer(x, offsets))) / d**3
+                        g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
+                    v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
             elif kind == "en":
                 inv, phase = 1.0 / d, WAVENUMBER * delta
                 den = np.hypot(np.sum(np.cos(phase) * inv, axis=-1),
@@ -237,7 +247,10 @@ def gamma_uniform_power(
     ``g_n = (r - r_n) . nhat / |r - r_n|^3``.  When the projection onto
     the boresight vanishes identically (a test line inside the array
     plane), the common projection factor cancels and the ratio is
-    evaluated with ``g_n = 1 / |r - r_n|^3``.
+    evaluated with ``g_n = 1 / |r - r_n|^3``.  When every element has the
+    same offset along ``nhat`` (a planar array whose boresight is its
+    normal), ``g_n`` shares its numerator, so the ratio is taken from the
+    nearest and farthest element alone, with the bits of the full form.
 
     Raises
     ------

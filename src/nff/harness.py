@@ -293,8 +293,11 @@ class FieldTrace:
     def _resolve_sample(self) -> None:
         """Recover f, direction, and the E/H residual from the sample."""
         r_ff = float(self.sample_r)
-        e = np.asarray(self.sample_e, dtype=complex).reshape(3)
-        h = np.asarray(self.sample_h, dtype=complex).reshape(3)
+        e = np.array(self.sample_e, dtype=complex).reshape(3)
+        h = np.array(self.sample_h, dtype=complex).reshape(3)
+        for name, arr in (("sample_e", e), ("sample_h", h)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if not (math.isfinite(r_ff) and np.all(np.isfinite(e)) and np.all(np.isfinite(h))):
             raise TraceFormatError("far-field sample values must be finite")
         if r_ff <= 0.0:
@@ -435,11 +438,8 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
     """Write a trace file that :func:`import_trace` reads back unchanged."""
     lines = [f"# trace_version = {TRACE_VERSION}"]
     if trace.sample_r is not None:
-        parts = [_fmt(trace.sample_r)]
-        for vec in (trace.sample_e, trace.sample_h):
-            for comp in np.asarray(vec, dtype=complex).reshape(3):
-                parts.extend([_fmt(comp.real), _fmt(comp.imag)])
-        lines.append("# ff_sample = " + ",".join(parts))
+        parts = np.concatenate([trace.sample_e, trace.sample_h]).view(float)
+        lines.append("# ff_sample = " + ",".join(map(_fmt, [trace.sample_r, *parts])))
     else:  # a complex array viewed as float is its (re, im) pairs
         lines.append("# ff_f = " + ",".join(map(_fmt, trace.f.view(float))))
     if trace.direction is not None:
@@ -587,8 +587,9 @@ def reproduce_reference(
     comparison curves (N = 8, d = 0.5 against N = 15, d = 0.25).  Curves
     for externally simulated antennas are emitted only for trace files
     supplied via ``traces_dir``.  An argument error (a missing trace
-    directory, a ``grid_ppd`` below 1 or past the grid's point limit) is
-    raised before ``out_dir`` is created.  Each curve is
+    directory, a ``grid_ppd`` below 1 or past the grid's point limit) or a
+    trace that cannot be imported or scored is raised before ``out_dir`` is
+    created.  Each curve is
     :func:`run_sweep` of one panel's config, and each array's three boundary
     tables are one :func:`nff.boundaries.evaluate_boundaries` call, which
     searches the direction-free ``wc`` once for all three.  Output is a pure
@@ -617,6 +618,9 @@ def reproduce_reference(
                 )
                 configs.append((f"{figure}_eps_{label}_{dir_label}_{exc_label}.csv", config))
     default_grid(points_per_decade=grid_ppd)  # and a grid past the point limit fails here too
+    traces = sorted(Path(traces_dir).glob("*.csv")) if traces_dir is not None else []
+    curves = [(f"{figure}_eps_trace_{p.stem}.csv", trace_error_curve(import_trace(p)))
+              for p in traces]  # scored before out_dir exists: a bad trace writes nothing
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -636,10 +640,6 @@ def reproduce_reference(
             for dir_label, results in zip(DIRECTION_PRESETS, tables):
                 pairs = tuple(zip(_FIG4_BOUNDARIES, results))
                 emit(f"fig4_boundaries_{label}_{dir_label}.csv", pairs)
-
-    if traces_dir is not None:
-        for trace_file in sorted(Path(traces_dir).glob("*.csv")):
-            trace = import_trace(trace_file)
-            curve = trace_error_curve(trace)
-            emit(f"{figure}_eps_trace_{trace_file.stem}.csv", curve)
+    for name, curve in curves:
+        emit(name, curve)
     return written

@@ -9,8 +9,9 @@ import pytest
 from scipy.optimize import brentq
 
 import nff.boundaries as boundaries
-from nff.core import _SCAN_PAIRS, _line_excess
+from nff.core import _SCAN_PAIRS, _line_constants, _line_distance, _line_excess
 from nff import (
+    DIAGONAL,
     FRONT,
     SIDE,
     WAVENUMBER,
@@ -172,6 +173,95 @@ def test_gamma_mixed_projections_rejected():
     geo = ArrayGeometry([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     with pytest.raises(UndefinedProjection):
         gamma_uniform_power(geo, 0.2, FRONT)
+    # a block with one mixed radius raises the per-element form's message
+    for radii in ([0.2], [5.0, 0.2, 7.0], [5.0, 7.0]):
+        _assert_up_keeps_its_bits(geo, np.array(radii), FRONT)
+
+
+def _per_element_gamma(geometry, r, direction):
+    """A frozen copy of the per-element ``up`` reduction, the bit reference of the extremes path.
+
+    Every projection ``x - o_n`` and every ``g_n`` is formed: ``(..., N)`` planes for the sign
+    and flat tests, ``d**3`` per pair, then ``min_n g / max_n g``.
+    """
+    rhat = unit_vector(direction)
+    t, w = _line_constants(geometry.positions, rhat)
+    along, offsets = rhat @ geometry.boresight, geometry.positions @ geometry.boresight
+    d = _line_distance(np.asarray(r)[..., None] - t, w)
+    proj = np.subtract.outer(r * along, offsets)
+    tol = 1e-9 * np.maximum(1.0, r)[..., None]
+    if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
+        raise UndefinedProjection("boresight projections change sign along the element set; "
+                                  "the uniform-power ratio is undefined here")
+    flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
+    g = np.where(flat, 1.0, np.abs(proj)) / d**3
+    top = np.max(g, axis=-1)
+    return np.divide(np.min(g, axis=-1), top, out=np.zeros_like(top), where=top != 0.0)[()]
+
+
+def _assert_up_keeps_its_bits(geometry, radii, direction):
+    """``gamma_uniform_power`` on a block and at single radii: the reference's bits or error."""
+    for r in (radii, radii[None, :], *map(float, radii[:: max(1, radii.size // 5)])):
+        try:
+            want = _per_element_gamma(geometry, r, direction)
+        except UndefinedProjection as exc:
+            with pytest.raises(UndefinedProjection) as got:
+                gamma_uniform_power(geometry, r, direction)
+            assert str(got.value) == str(exc)
+            continue
+        got = gamma_uniform_power(geometry, r, direction)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (direction, r)
+
+
+def _seeded_directions(seed, k=2):
+    rng = np.random.default_rng(seed)
+    return [Direction(rng.uniform(0, 180), rng.uniform(0, 360)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 1024])
+def test_gamma_on_a_ula_keeps_the_per_element_bits(n):
+    # every element has one boresight offset, so the extremes of d carry the ratio;
+    # (0, 0) and side lie in the array's plane, where every row is flat; from N = 8 the
+    # radii span several blocks
+    radii = GRID[:: max(1, n // 256)]
+    geo = uniform_linear_array(n, 0.5)
+    for direction in (FRONT, DIAGONAL, SIDE, Direction(0.0, 0.0), *_seeded_directions(n)):
+        _assert_up_keeps_its_bits(geo, radii, direction)
+
+
+def _tilted_plane():
+    pos = np.array([[0.0, y, z] for y in (-1.5, -0.5, 0.5, 1.5) for z in (-0.5, 0.5)])
+    return ArrayGeometry(pos, boresight=[1.0, 0.3, -0.2])
+
+
+def _cloud(seed):
+    pos = np.random.default_rng(seed).normal(size=(12, 3))
+    return ArrayGeometry(pos - pos.mean(axis=0))
+
+
+@pytest.mark.parametrize("geo", [_tilted_plane(), _cloud(1), _cloud(2), _cloud(3), SQUARE],
+                         ids=["tilted_plane", "cloud1", "cloud2", "cloud3", "square"])
+def test_gamma_with_several_offsets_keeps_the_per_element_bits(geo):
+    # offsets differ along the boresight: g is formed per element; near the array the
+    # projections mix signs and both forms raise, past it they give the ratio
+    offsets = geo.positions @ geo.boresight
+    assert offsets.min() < offsets.max()
+    for direction in (FRONT, DIAGONAL, SIDE, Direction(30.0, 10.0), *_seeded_directions(7)):
+        for radii in (GRID, GRID[GRID > 10.0]):
+            _assert_up_keeps_its_bits(geo, radii, direction)
+
+
+def test_array_cube_does_not_decrease():
+    # up's extremes path takes max_n g = c / (min_n d)**3 and min_n g = c / (max_n d)**3 on
+    # a stacked array: numpy's array pow must not decrease between adjacent floats
+    x = 10.0 ** np.random.default_rng(31).uniform(-3.0, 7.0, 2_000_000)
+    y = np.nextafter(x, np.inf)
+    bad = np.flatnonzero(y**3 < x**3)
+    assert bad.size == 0, (
+        f"numpy's array x**3 decreases between adjacent floats at {bad.size} of {x.size} "
+        f"pairs (first x = {x[bad[0]]!r}); the uniform-power ratio's extremes path is unsafe"
+    )
 
 
 def test_d_up_side_closed_form():

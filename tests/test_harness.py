@@ -420,6 +420,29 @@ def test_trace_round_trip_ff_sample(tmp_path):
     assert import_trace(path).direction == stated
 
 
+def test_trace_sample_is_stored_as_read_only_vectors(tmp_path):
+    # a list and a (1, 3) array are kept as complex (3,) arrays, as r, e, h and f are,
+    # and the export reads them as they are, with the bytes of one value at a time
+    trace = _make_trace(np.geomspace(1.0, 10.0, 5), with_sample=True)
+    sample_e, sample_h = list(trace.sample_e), np.array(trace.sample_h)[None, :]
+    got = FieldTrace(r=trace.r, e=trace.e, h=trace.h, sample_r=trace.sample_r,
+                     sample_e=sample_e, sample_h=sample_h)
+    for vec, given in ((got.sample_e, trace.sample_e), (got.sample_h, trace.sample_h)):
+        assert type(vec) is np.ndarray and vec.dtype == complex and vec.shape == (3,)
+        assert not vec.flags.writeable and vec.tobytes() == given.tobytes()
+    assert sample_h.flags.writeable  # the caller's array is copied, not frozen
+    path = tmp_path / "t.csv"
+    export_trace(got, path)
+    parts = [trace.sample_r]
+    for comp in (*sample_e, *sample_h[0]):
+        parts += [comp.real, comp.imag]
+    want_line = "# ff_sample = " + ",".join(f"{x:.17g}" for x in parts)
+    assert path.read_text().splitlines()[1] == want_line
+    want = tmp_path / "want.csv"
+    export_trace(trace, want)
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_trace_sample_cross_check_rejects_corruption(tmp_path):
     grid = np.geomspace(0.5, 10.0, 5)
     geo = uniform_linear_array(8, 0.5)
@@ -1080,6 +1103,40 @@ def test_cli_reproduce_rejects_a_missing_trace_directory(tmp_path, capsys):
     assert main(argv + ["--traces", str(tmp_path / "absent")]) == 2
     assert "no trace directory" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["not_utf8", "data_row", "no_direction"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_cli_reproduce_with_a_bad_trace_writes_nothing(tmp_path, capsys, bad, existing):
+    # every trace is imported and scored before --out is created, so a trace that fails
+    # either step leaves --out absent, or as it was
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    export_trace(_make_trace(np.geomspace(1.0, 10.0, 5)), trace_dir / "a_good.csv")
+    path = trace_dir / "b_bad.csv"
+    text = _ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 12)
+    if bad == "not_utf8":
+        path.write_bytes(text.replace("\n", "\n# note \xff\xfe\n", 1).encode("latin-1"))
+        message = f"{path}:2: not UTF-8 text"
+    elif bad == "data_row":
+        path.write_text(_ff_f_trace_text("0,0,0,0,1,0", "1" + ",0" * 11), encoding="utf-8")
+        message = f"{path}:5: data row: expected 13 comma-separated values"
+    else:
+        path.write_text(text.replace("# direction = 90,0\n", ""), encoding="utf-8")
+        message = ("trace carries no direction (ff_f record without # direction): "
+                   "pass one explicitly")
+    out = tmp_path / "repro"
+    if existing:
+        out.mkdir()
+        (out / "fig5_eps_n8_front_ff.csv").write_bytes(b"kept\n")
+    argv = ["reproduce", "--figure", "fig5", "--out", str(out), "--grid-ppd", "5"]
+    assert main(argv + ["--traces", str(trace_dir)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["fig5_eps_n8_front_ff.csv"]
+        assert (out / "fig5_eps_n8_front_ff.csv").read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

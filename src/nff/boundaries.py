@@ -28,7 +28,12 @@ All searches share a log-grid pass over one fixed bracket plus geometric
 bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
 next few levels in one call, so the path it takes sees the bits a walk one radius at
 a time would.  A table's grid pass is one walk over the line per direction for all of
-``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.
+``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.  Its ``en``
+values are screened: taken with float32 ``cos`` and ``sin`` of the exactly reduced phase,
+whose error is proven below ``E = 1e-5`` of ``sum_n 1/d_n``, and recomputed in float64 at
+every radius that could then lie on either side of one of the table's ``en`` thresholds.
+So they are exact on those sides only, which is all a search reads of them; crossing
+counts, statuses and the bisected values are those of the float64 walk.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,11 +147,68 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
+#: Error bound of :func:`_screened_steering`, relative to ``sum_n 1/d_n``.
+_PSI_SCREEN_ERROR = 1e-5
+
+
+def _steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``Psi``'s denominator ``|sum_n exp(-j k delta_n) / d_n|`` per row of ``inv = 1/d`` and
+    the excess paths ``delta``, in float64."""
+    phase = WAVENUMBER * delta
+    return np.hypot(np.sum(np.cos(phase) * inv, axis=-1), np.sum(np.sin(phase) * inv, axis=-1))
+
+
+def _screened_steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """:func:`_steering` within ``E S``, ``E = _PSI_SCREEN_ERROR`` and ``S = sum_n inv_n``, on a
+    line whose largest element offset ``a`` is at most 1e6 wavelengths and whose ``N`` is at
+    most 1e8.
+
+    The phase is reduced exactly: ``m = delta - rint(delta)`` is exact, and ``k = 2 pi`` per
+    wavelength, so ``k m`` in ``[-pi, pi]`` is ``k delta`` less whole turns.  Its ``cos`` and
+    ``sin`` are taken in float32 and summed against ``inv`` in float64.  Per term and unit of
+    ``inv``, the float32 rounding of ``k m`` costs at most ``2^-23`` (``|k m| < 4``), and
+    float32 ``cos`` and ``sin`` within 4 ulp on ``[-pi, pi]`` (numpy's SIMD loops stay within
+    1.5, glibc's within 1) at most ``2^-21``; over the modulus that is ``sqrt(2) (2^-23 +
+    2^-21) S``, 8.5e-7 S.  On the float64 side, the rounding of ``k delta`` and the whole
+    turns times the rounding of ``k`` cost at most ``2 pi 2^-52 (2 a + 1)``, as ``0 <= delta
+    <= 2 a``, and the sums and ``hypot`` at most ``2 (N + 2) 2^-52``: 5e-8 together.  So
+    ``E`` = 1e-5 bounds the error more than tenfold.
+    """
+    turns = np.rint(delta)
+    x = np.multiply(np.subtract(delta, turns, out=turns), WAVENUMBER, out=turns)
+    x = x.astype(np.float32)
+    return np.hypot(np.einsum("...n,...n->...", np.cos(x), inv),
+                    np.einsum("...n,...n->...", np.sin(x), inv))
+
+
+class _Line(NamedTuple):
+    """A geometry's test line along a direction, read once for every walk over it: ``t_n``
+    and ``w_n`` (:func:`nff.core._line_constants`), the boresight projection ``along`` of
+    ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes."""
+
+    geometry: ArrayGeometry
+    t: np.ndarray
+    w: np.ndarray
+    along: float
+    offsets: np.ndarray
+    o_lo: float
+    o_hi: float
+
+
+def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
+    """The :class:`_Line` of ``geometry`` along ``direction``."""
+    rhat = unit_vector(direction)
+    t, w = _line_constants(geometry.positions, rhat)
+    nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
+    offsets = geometry.positions @ nhat
+    return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max())
+
+
 def _line_walk(
-    geometry: ArrayGeometry, direction: Direction, kinds: Sequence[str], r
+    line: _Line, kinds: Sequence[str], r, en_thresholds: Sequence[float] = ()
 ) -> dict[str, np.ndarray | ValueError]:
-    """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on the line
-    ``r rhat``, in one walk: element ``n`` enters only through ``t_n`` and ``w_n``, read once.
+    """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on ``line``,
+    in one walk: element ``n`` enters only through ``t_n`` and ``w_n``.
 
     Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d`` once,
     and ``delta`` only for ``ar`` or ``en``; ``up`` reads its projections ``x - o_n`` at their
@@ -155,13 +217,16 @@ def _line_walk(
     walk.  A kind whose criterion raises (``FieldSingularity``, ``ar`` aside;
     :class:`UndefinedProjection`) holds that error in place of its values, and is not
     evaluated on later blocks.
+
+    Given ``en_thresholds``, ``en``'s values are exact on the side of each of them only, and
+    a search reads nothing else of a grid pass.  With ``Psi = S / den``, ``S = sum_n 1/d_n``,
+    a row's ``den~`` (:func:`_screened_steering`) is within ``E S`` of ``den``, ``E`` being
+    :data:`_PSI_SCREEN_ERROR`, so a row with ``|S - tau den~| > tau E S`` for every threshold
+    ``tau`` lies on the side of each that ``S / den~`` does; any other row is recomputed in
+    float64 (:func:`_steering`), as without thresholds.
     """
-    rhat = unit_vector(direction)
-    t, w = _line_constants(geometry.positions, rhat)
-    if "up" in kinds:
-        nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
-        along, offsets = rhat @ nhat, geometry.positions @ nhat
-        o_lo, o_hi = offsets.min(), offsets.max()
+    geometry, t, w, along, offsets, o_lo, o_hi = line
+    screen = np.asarray(en_thresholds, float)[:, None]
     excess = "ar" in kinds or "en" in kinds
     held: dict[str, ValueError] = {}
 
@@ -201,11 +266,17 @@ def _line_walk(
                         g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
                     v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
             elif kind == "en":
-                inv, phase = 1.0 / d, WAVENUMBER * delta
-                den = np.hypot(np.sum(np.cos(phase) * inv, axis=-1),
-                               np.sum(np.sin(phase) * inv, axis=-1))
+                inv = 1.0 / d
+                total = np.sum(inv, axis=-1)
+                if screen.size:
+                    den = _screened_steering(inv, delta)
+                    near = np.abs(total - screen * den) <= screen * _PSI_SCREEN_ERROR * total
+                    if (rows := np.any(near, axis=0)).any():
+                        den[rows] = _steering(inv[rows], delta[rows])
+                else:
+                    den = _steering(inv, delta)
                 with np.errstate(divide="ignore"):
-                    v = np.maximum(np.sum(inv, axis=-1) / den, 1.0)
+                    v = np.maximum(total / den, 1.0)
             else:
                 v = np.square(r) / geometry.n * np.sum(1.0 / (d * d), axis=-1)
             vals.append(v)
@@ -215,16 +286,18 @@ def _line_walk(
     return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals)) | held
 
 
-def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction):
-    """One criterion at ``r``, the one-kind :func:`_line_walk`; a held error is raised."""
-    vals = _line_walk(geometry, direction, (kind,), r)[kind]
+def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction, line: _Line | None):
+    """One criterion at ``r``, the one-kind :func:`_line_walk` on ``line``, or on the line of
+    ``geometry`` along ``direction`` if it is ``None``; a held error is raised."""
+    line = _test_line(geometry, direction) if line is None else line
+    vals = _line_walk(line, (kind,), r)[kind]
     if isinstance(vals, ValueError):
         raise vals
     return vals[()]
 
 
 def phi_excess(
-    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction, *, _line=None
 ) -> float | np.ndarray:
     """Worst-case element phase excess, radians.
 
@@ -235,11 +308,11 @@ def phi_excess(
     """
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("phase excess is undefined at r = 0")
-    return _criterion("ar", geometry, r, direction)
+    return _criterion("ar", geometry, r, direction, _line)
 
 
 def gamma_uniform_power(
-    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction, *, _line=None
 ) -> float | np.ndarray:
     """Uniformity ratio of per-element projected power factors.
 
@@ -258,11 +331,11 @@ def gamma_uniform_power(
         If the projections carry mixed signs, where the ratio loses
         meaning.
     """
-    return _criterion("up", geometry, r, direction)
+    return _criterion("up", geometry, r, direction, _line)
 
 
 def psi_gain_ratio(
-    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction, *, _line=None
 ) -> float | np.ndarray:
     """Focusing-over-steering array gain ratio at radii along ``direction``.
 
@@ -274,20 +347,21 @@ def psi_gain_ratio(
     ``|sum_n exp(-j k delta_n) / d_n|`` on the excess paths of
     :func:`nff.core._line_excess`, so no phase is formed from a whole
     distance.  At least 1 by the triangle inequality (the focusing weights
-    align every term); a rounding below it reads 1.
+    align every term); a rounding below it reads 1.  Always float64: only a table's grid
+    pass screens ``Psi`` in float32 (:func:`_line_walk`).
     """
-    return _criterion("en", geometry, r, direction)
+    return _criterion("en", geometry, r, direction, _line)
 
 
 def upsilon_power(
-    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction
+    geometry: ArrayGeometry, r: float | np.ndarray, direction: Direction, *, _line=None
 ) -> float | np.ndarray:
     """Mean inverse-square element distance, normalized by ``1/r^2``.
 
     ``Upsilon = (r^2 / N) * sum_n 1 / |r - r_n|^2``; equals 1 when every
     element sits at the reference point.
     """
-    return _criterion("ep", geometry, r, direction)
+    return _criterion("ep", geometry, r, direction, _line)
 
 
 # ---------------------------------------------------------------------------
@@ -493,30 +567,38 @@ def quasi_rayleigh(span: float) -> float:
 _MODES = {"ar": (True, True), "up": (True, False), "en": (False, False), "ep": (False, True),
           "wc": (True, True)}
 
-#: The criterion of each kind on a test line, the scan its bisection calls.
+#: The criterion of each kind on a test line, the scan its bisection calls; given ``_line``,
+#: the :class:`_Line` of its geometry and direction, a criterion does not place it again.
 _CRITERIA = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
              "ep": upsilon_power}
 
 
 def _kind_scans(
-    geometry: ArrayGeometry, kinds: Sequence[str], direction: Direction
+    geometry: ArrayGeometry, kinds: Sequence[str], direction: Direction,
+    en_thresholds: Sequence[float],
 ) -> dict[str, tuple | ValueError]:
     """Of each searched kind in ``kinds``, the search grid, the values there, the scan the
     bisection calls on arrays of radii and the levels it looks ahead per call
     (:func:`_levels`); or the error its grid pass holds.
 
-    The line kinds share one :func:`_line_walk` over the grid.  ``wc``, scanned alone,
-    reads only the largest element offset ``a``: its grid starts just past ``a``, and its
-    values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at the top of
-    the bracket is only valid when ``Xi`` is decaying there, so the final decade is checked
-    for monotone decrease first (:class:`TailNotMonotone`, raised).
+    The line kinds share one :func:`_test_line` and one :func:`_line_walk` over the grid, whose
+    ``en`` values are exact on the side of each of ``en_thresholds`` only, unless the line is
+    past the bounds of :func:`_screened_steering`; their bisection scans are exact.  ``wc``,
+    scanned alone, reads only the largest element offset ``a``: its grid starts just past
+    ``a``, and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that
+    at the top of the bracket is only valid when ``Xi`` is decaying there, so the final
+    decade is checked for monotone decrease first (:class:`TailNotMonotone`, raised).
     """
     if kinds != ("wc",):
         grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
-        scans = _line_walk(geometry, direction, kinds, grid)
+        line = _test_line(geometry, direction)
+        if geometry.n > 10**8 or _max_offset(geometry) > DEFAULT_BRACKET[1]:
+            en_thresholds = ()  # past these, the screen's error bound is not proven
+        scans = _line_walk(line, kinds, grid, en_thresholds)
         for kind, vals in scans.items():
             if not isinstance(vals, ValueError):
-                scan = functools.partial(_CRITERIA[kind], geometry, direction=direction)
+                scan = functools.partial(_CRITERIA[kind], geometry, direction=direction,
+                                         _line=line)
                 scans[kind] = grid, vals, scan, _levels(geometry.n)
         return scans
     a = _max_offset(geometry)
@@ -559,6 +641,7 @@ def evaluate_boundaries(
     :data:`WC_THRESHOLD_SCALE`.
     """
     line_kinds = tuple(kind for kind in _CRITERIA if any(spec.kind == kind for spec in specs))
+    en_thresholds = tuple(spec.threshold for spec in specs if spec.kind == "en")
     shared: dict[BoundarySpec, BoundaryResult] = {}  # wc results, the same in every table
     tables = []
     for direction in directions:
@@ -575,7 +658,8 @@ def evaluate_boundaries(
             else:
                 wc = spec.kind == "wc"
                 if spec.kind not in scans:
-                    scans.update(_kind_scans(geometry, ("wc",) if wc else line_kinds, direction))
+                    scans.update(_kind_scans(geometry, ("wc",) if wc else line_kinds, direction,
+                                             en_thresholds))
                 if isinstance(scans[spec.kind], ValueError):
                     raise scans[spec.kind]
                 threshold = spec.threshold * WC_THRESHOLD_SCALE if wc else spec.threshold

@@ -23,6 +23,8 @@ far-field consistency and transversality checks.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -60,12 +62,56 @@ class TraceFormatError(ValueError):
     """A trace file does not conform to the trace format."""
 
 
-#: Full-precision decimal rendering (17 significant digits) of one number.
-_FMT = "{:.17g}"
-_fmt = _FMT.format
+#: Full-precision decimal rendering (17 significant digits) of one number; ``%`` gives the
+#: bytes of ``"{:.17g}".format`` in a little over half its time.
+_FMT = "%.17g"
+_fmt = _FMT.__mod__
 
 #: A trace data row: radius and the six complex field components, each rendered as ``_FMT``.
 _TRACE_ROW = ",".join([_FMT] * 13)
+
+#: A curve row: radius and epsilon.
+_CURVE_ROW = f"{_FMT},{_FMT}"
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write ``lines``, each ended by a newline, to ``path``; a regular file whole or not at all.
+
+    An absent or regular file (a symlink's, which stays a link) is written as a new file
+    beside it that then replaces it (``os.replace``), so a failed or killed write leaves the
+    previous file as it was and no partial file behind.  Any other target, such as a
+    directory, ``/dev/stdout`` or a FIFO, and a file whose directory takes no new file, is
+    written in place.  An ``OSError`` names ``path``, as a write in place would.
+    """
+    text = "\n".join(lines) + "\n"
+    try:
+        replace = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    except OSError:
+        replace = False
+    if replace:
+        real = Path(os.path.realpath(path))
+        temp = real.with_name(f".{real.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            fh = open(temp, "x", encoding="utf-8")
+        except PermissionError:
+            replace = False
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+    if not replace:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(temp, real)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +493,8 @@ def export_trace(trace: FieldTrace, path: str | Path) -> None:
         lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
     lines.append(TRACE_DATA_HEADER)
     parts = np.column_stack([trace.e, trace.h]).view(float)
-    lines.extend(_TRACE_ROW.format(*row) for row in np.column_stack([trace.r, parts]).tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(_TRACE_ROW % tuple(row) for row in np.column_stack([trace.r, parts]).tolist())
+    _write_lines(path, lines)
 
 
 def trace_error_curve(trace: FieldTrace, direction: Direction | None = None) -> ErrorCurve:
@@ -528,7 +574,7 @@ def run_boundaries(
 
 def _curve_lines(curve: ErrorCurve) -> list[str]:
     rows = np.column_stack([curve.r, curve.epsilon]).tolist()
-    return [CURVE_HEADER] + [f"{_fmt(r)},{_fmt(eps)}" for r, eps in rows]
+    return [CURVE_HEADER] + [_CURVE_ROW % (r, eps) for r, eps in rows]
 
 
 def _boundary_lines(pairs) -> list[str]:
@@ -548,7 +594,7 @@ def export_table(result, path: str | Path) -> None:
     significant digits so re-imports are bit-faithful.
     """
     lines = _curve_lines(result) if isinstance(result, ErrorCurve) else _boundary_lines(result)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

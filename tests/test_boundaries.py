@@ -943,3 +943,83 @@ def test_evaluate_boundary_dispatch():
     assert res.degenerate and res.value == 0.0
     res = evaluate_boundary(N8, BoundarySpec("ar"), FRONT)
     assert res.status == "found" and res.value > 20.0
+
+
+# ---------------------------------------------------------------------------
+# the en screen of a grid pass
+
+
+def _screen_cases(n, seed):
+    """A ULA and a centered seeded cloud of ``n`` elements, each with the three presets and a
+    seeded direction."""
+    pos = np.random.default_rng(seed).normal(size=(n, 3)) * 3.0
+    geometries = (uniform_linear_array(n, 0.5), ArrayGeometry(pos - pos.mean(axis=0)))
+    directions = (FRONT, DIAGONAL, SIDE, *_seeded_directions(seed, 1))
+    return [(geo, direction) for geo in geometries for direction in directions]
+
+
+def test_psi_screen_error_is_a_tenth_of_its_bound():
+    # |den~ - den| <= E S per row, with a tenfold margin, on every grid row of each line
+    rows, worst = 0, 0.0
+    for n in (1, 8, 64, 1024):
+        for geo, direction in _screen_cases(n, n):
+            t, w = _line_constants(geo.positions, unit_vector(direction))
+            for r in np.array_split(GRID, max(1, n // 16)):
+                d, delta = _line_excess(r[:, None], t, w)
+                inv = 1.0 / d
+                err = np.abs(boundaries._screened_steering(inv, delta)
+                             - boundaries._steering(inv, delta))
+                worst = max(worst, float(np.max(err / np.sum(inv, axis=-1))))
+                rows += r.size
+    assert rows >= 100_000
+    assert worst <= boundaries._PSI_SCREEN_ERROR / 10.0
+
+
+@pytest.mark.parametrize("n, direction", [(8, DIAGONAL), (64, FRONT), (1024, DIAGONAL)])
+def test_psi_screen_keeps_sides_at_a_threshold_on_a_grid_value(n, direction):
+    # a threshold on an exact grid value, or one ulp either side of it, lies within E of
+    # that row's screened value: the row is recomputed in float64, and every side is exact
+    line = boundaries._test_line(uniform_linear_array(n, 0.5), direction)
+    exact = boundaries._line_walk(line, ("en",), GRID)["en"]
+    i = int(np.argmin(np.abs(exact - 1.05)))
+    for threshold in (np.nextafter(exact[i], 0.0), exact[i], np.nextafter(exact[i], np.inf)):
+        got = boundaries._line_walk(line, ("en",), GRID, (float(threshold),))["en"]
+        assert np.array_equal(got >= threshold, exact >= threshold)
+        assert got[i] == exact[i]
+        assert np.count_nonzero(got == exact) < GRID.size  # the other rows stay screened
+
+
+def test_evaluate_boundaries_equals_the_unscreened_walk(monkeypatch):
+    specs = [BoundarySpec("en", t) for t in (1.0001, 1.001, 1.01, 1.05, 1.2, 2.0, 10.0)]
+    specs += [BoundarySpec("ar"), BoundarySpec("ep", 0.99)]  # up is undefined on a cloud
+    cases = [case for n in (1, 8, 64, 1024) for case in _screen_cases(n, 7 * n)]
+    screened = [boundaries.evaluate_boundaries(geo, specs, (d,)) for geo, d in cases]
+    walk = boundaries._line_walk
+    monkeypatch.setattr(boundaries, "_line_walk", lambda line, kinds, r, *_: walk(line, kinds, r))
+    for (geo, d), tables in zip(cases, screened):
+        want = boundaries.evaluate_boundaries(geo, specs, (d,))
+        assert _hex_table(tables[0]) == _hex_table(want[0]), (geo.n, d)
+
+
+def _hex_table(table):
+    """A boundary table with its values in hex: equal only bit for bit."""
+    return [(r.status, r.value if r.value is None else r.value.hex(), r.crossings, r.degenerate)
+            for r in table]
+
+
+@pytest.mark.parametrize("offset, screened", [(0.5 * boundaries.DEFAULT_BRACKET[1], True),
+                                              (2.0 * boundaries.DEFAULT_BRACKET[1], False)])
+def test_psi_screen_is_off_past_its_proven_range(monkeypatch, offset, screened):
+    # the screen's error bound holds for element offsets up to the top of the bracket; past
+    # it the grid pass walks en exactly, with no thresholds to screen against
+    got = []
+    walk = boundaries._line_walk
+
+    def spy(line, kinds, r, en_thresholds=()):
+        got.append(tuple(en_thresholds))
+        return walk(line, kinds, r, en_thresholds)
+
+    monkeypatch.setattr(boundaries, "_line_walk", spy)
+    geo = ArrayGeometry([[-offset, 0.0, 0.0], [offset, 0.0, 0.0]])
+    boundaries.evaluate_boundaries(geo, [BoundarySpec("en", 1.05)], (FRONT,))
+    assert got[0] == ((1.05,) if screened else ())

@@ -1,5 +1,7 @@
 """Scenario files, traces, export tables, reproduction, and the CLI."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -194,13 +196,15 @@ def test_run_boundaries_evaluates_the_specs():
 def _spy_walks(monkeypatch):
     """Radii per call of the line walk, keyed by the kinds it reads, and of ``Xi``, as the
     searches make them: a grid pass walks every line kind of a table, and a bisection call
-    walks its own kind through its criterion."""
+    walks its own kind through its criterion.  The ``en`` thresholds each walk screens
+    against go under ``"en_thresholds"``."""
     sizes = {}
     walk, xi = boundaries._line_walk, boundaries._xi
 
-    def line_walk(geometry, direction, kinds, r):
+    def line_walk(line, kinds, r, en_thresholds=()):
         sizes.setdefault(tuple(kinds), []).append(np.size(r))
-        return walk(geometry, direction, kinds, r)
+        sizes.setdefault("en_thresholds", []).append(tuple(en_thresholds))
+        return walk(line, kinds, r, en_thresholds)
 
     def counted_xi(a, r, k):
         sizes.setdefault("_xi", []).append(np.size(r))
@@ -221,6 +225,9 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
     assert sizes.pop(("ar", "up", "en", "ep")) == [3601]
+    # the grid pass screens en against the table's en thresholds; a bisection call is exact
+    screened = sizes.pop("en_thresholds")
+    assert screened[0] == (1.01, 1.05) and set(screened[1:]) == {()}
     assert sizes["_xi"].pop(0) == wc_grid.size
     assert set(sizes) == {("ar",), ("up",), ("en",), ("ep",), "_xi"}
     for got in sizes.values():
@@ -233,12 +240,13 @@ def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_pa
     # walk per table makes 6
     sizes = _spy_walks(monkeypatch)
     reproduce_reference("fig4", tmp_path)
+    sizes.pop("en_thresholds")
     grid_passes = {key: sum(n > 15 for n in got) for key, got in sizes.items()}
     refinement = sum(n <= 15 for got in sizes.values() for n in got)
     assert {key: n for key, n in grid_passes.items() if n} == {
         ("ar", "up", "en", "ep"): 6, "_xi": 2
     }
-    assert 3 * refinement <= 624
+    assert refinement == 160  # a quarter of 624, less the last calls of each crossing
 
 
 def _outcome(call):
@@ -654,6 +662,146 @@ def test_exports_match_a_per_element_formatter(tmp_path):
     export_table(curve, tmp_path / "c.csv")
     assert (tmp_path / "t.csv").read_text().splitlines()[4:] == want_trace
     assert (tmp_path / "c.csv").read_text() == "\n".join(["r_lambda,epsilon"] + want_curve) + "\n"
+
+
+def test_number_format_has_the_bytes_of_str_format():
+    # rows are rendered with % formatting; it must write what "{:.17g}".format writes, on
+    # floats across the whole range, signed zeros, subnormals, infinities and nan, on numpy
+    # scalars and on ints (a Direction's angles may be ints)
+    rng = np.random.default_rng(32)
+    mags = 10.0 ** rng.uniform(-320, 308, 200_000)
+    values = (mags * rng.choice([-1.0, 1.0], mags.size)).tolist()
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               float("inf"), float("-inf"), float("nan"), 1.0, 0.1, 1e16, 123456789.0]
+    assert [harness._fmt(x) for x in values] == ["{:.17g}".format(x) for x in values]
+    for x in (np.float64(-0.0), np.float64(1e-310), 90, -7):
+        assert harness._fmt(x) == "{:.17g}".format(x)
+    rows = np.reshape(values[: 13 * 1000], (1000, 13)).tolist()
+    assert [harness._TRACE_ROW % tuple(row) for row in rows] == [
+        ",".join(["{:.17g}"] * 13).format(*row) for row in rows
+    ]
+    pairs = np.reshape(values[-2000:], (1000, 2)).tolist()
+    assert [harness._CURVE_ROW % (a, b) for a, b in pairs] == [
+        "{:.17g},{:.17g}".format(a, b) for a, b in pairs
+    ]
+
+
+def _failing_open(monkeypatch, error):
+    """Make the harness's writes fail with ``error`` halfway through the text."""
+    real_open = open
+
+    class Half:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise error
+
+    monkeypatch.setattr(harness, "open", lambda *a, **k: Half(real_open(*a, **k)), raising=False)
+
+
+@pytest.mark.parametrize("export", ["table", "trace"])
+def test_a_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, export):
+    # the text goes to a new file that replaces the target only once written whole
+    target = tmp_path / "out.csv"
+    target.write_text("previous\n", encoding="utf-8")
+    _failing_open(monkeypatch, OSError(28, "No space left on device"))
+    with pytest.raises(OSError) as got:
+        if export == "table":
+            export_table(ErrorCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25])), target)
+        else:
+            export_trace(_make_trace(np.geomspace(1.0, 10.0, 5)), target)
+    assert str(got.value) == f"[Errno 28] No space left on device: '{target}'"
+    assert target.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_a_write_follows_a_symlink_and_keeps_it(tmp_path):
+    # the file the link names is replaced whole; the link itself stays
+    (tmp_path / "real").mkdir()
+    real, link = tmp_path / "real" / "out.csv", tmp_path / "out.csv"
+    real.write_text("previous\n", encoding="utf-8")
+    link.symlink_to(real)
+    export_table(ErrorCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25])), link)
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == "r_lambda,epsilon\n1,0.5\n2,0.25\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "real"]
+    assert [p.name for p in real.parent.iterdir()] == ["out.csv"]
+
+
+def test_a_write_to_a_fifo_goes_in_place(tmp_path):
+    # a target that is not a regular file (a FIFO here, a device such as /dev/null alike) is
+    # written, not replaced; the read end is open first, so the write does not wait
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        export_table(ErrorCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25])), fifo)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == b"r_lambda,epsilon\n1,0.5\n2,0.25\n"
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_cli_writes_a_table_through_a_link_to_its_stdout(tmp_path):
+    # --out /dev/stdout is a link to the process's own stdout, here a pipe, written in place;
+    # a link of that kind in tmp_path stands in for it
+    cfg = _write(tmp_path, "s.cfg", "n = 2\nspacing_lambda = 0.5\nboundaries = qr\n")
+    out = tmp_path / "stdout"
+    out.symlink_to("/proc/self/fd/1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nff", "boundaries", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{harness.BOUNDARY_HEADER}\nqr,,found,0.5,0\n")
+    assert out.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg", "stdout"]
+
+
+def test_a_directory_that_takes_no_new_file_is_written_in_place(tmp_path, monkeypatch):
+    # a writable file whose directory refuses the new file is written in place, as before
+    target = tmp_path / "out.csv"
+    target.write_text("previous\n", encoding="utf-8")
+    real_open = open
+
+    def no_new_file(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", no_new_file, raising=False)
+    export_table(ErrorCurve(np.array([1.0]), np.array([0.5])), target)
+    assert target.read_text(encoding="utf-8") == "r_lambda,epsilon\n1,0.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_cli_reports_a_failed_write_as_before(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "s.cfg", "n = 2\nspacing_lambda = 0.5\nboundaries = qr\n")
+    out = tmp_path / "b.csv"
+    out.write_text("previous\n", encoding="utf-8")
+    with monkeypatch.context() as m:
+        _failing_open(m, OSError(28, "No space left on device"))
+        assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{out}'\n"
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "s.cfg"]
+    # a missing directory and a directory in the target's place read as a write in place did
+    for target, message in [
+        (tmp_path / "absent" / "b.csv", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ]:
+        assert main(["boundaries", "--config", str(cfg), "--out", str(target)]) == 2
+        assert capsys.readouterr().err.endswith(f"{message}: '{target}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "s.cfg"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,24 @@ All searches share a log-grid pass over one fixed bracket plus geometric
 bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
 next few levels in one call, so the path it takes sees the bits a walk one radius at
 a time would.  A table's grid pass is one walk over the line per direction for all of
-``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.  Its ``en``
-values are screened: taken with float32 ``cos`` and ``sin`` of the exactly reduced phase,
-whose error is proven below ``E = 1e-5`` of ``sum_n 1/d_n``, and recomputed in float64 at
-every radius that could then lie on either side of one of the table's ``en`` thresholds.
-So they are exact on those sides only, which is all a search reads of them; crossing
-counts, statuses and the bisected values are those of the float64 walk.
+``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.  A search
+reads nothing of a grid pass but the side of each of its thresholds at each radius, so
+the line kinds' grid values are screened and exact on those sides only:
+
+* each radius first gets, per kind, an interval that provably holds the walk's value,
+  from the line's extreme elements at O(1) cost (:func:`_row_bounds`); where every
+  threshold of a kind lies outside it, the radius takes its lower end.  This decides all
+  but a few radii around each crossing for ``ar`` and ``up``, ``ep``'s far field and
+  ``en``'s far zone;
+* the radii left open are walked once, and there the ``en`` values are taken with
+  float32 ``cos`` and ``sin`` of the exactly reduced phase, whose error is proven below
+  ``E = 1e-5`` of ``sum_n 1/d_n``, and recomputed in float64 at every radius that could
+  then lie on either side of one of the table's ``en`` thresholds.
+
+So crossing counts, statuses, degenerate flags and the bisected values (the bisection
+stays exact) are those of the float64 walk, and a table that the walk could fail on (an
+element at a grid radius, ``up``'s mixed projections) walks its whole grid, so it fails
+with the walk's error.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from .core import (
     WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
 )
 from .metric import default_grid
-from .sources import ArrayGeometry, FieldSingularity, _off_elements
+from .sources import SINGULARITY_RADIUS, ArrayGeometry, FieldSingularity, _off_elements
 
 #: Search bracket (wavelengths) and log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -184,7 +196,9 @@ def _screened_steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
 class _Line(NamedTuple):
     """A geometry's test line along a direction, read once for every walk over it: ``t_n``
     and ``w_n`` (:func:`nff.core._line_constants`), the boresight projection ``along`` of
-    ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes."""
+    ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes; and for the
+    row bounds of a grid pass (:func:`_row_bounds`), the extents of ``t`` and ``w`` and the
+    ``witnesses``, the elements where ``t`` or ``w`` is least or greatest."""
 
     geometry: ArrayGeometry
     t: np.ndarray
@@ -193,6 +207,11 @@ class _Line(NamedTuple):
     offsets: np.ndarray
     o_lo: float
     o_hi: float
+    t_lo: float
+    t_hi: float
+    w_lo: float
+    w_hi: float
+    witnesses: list[int]
 
 
 def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
@@ -201,7 +220,9 @@ def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
     t, w = _line_constants(geometry.positions, rhat)
     nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
     offsets = geometry.positions @ nhat
-    return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max())
+    witnesses = sorted({int(i) for i in (np.argmin(t), np.argmax(t), np.argmin(w), np.argmax(w))})
+    return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max(),
+                 t.min(), t.max(), w.min(), w.max(), witnesses)
 
 
 def _line_walk(
@@ -225,7 +246,7 @@ def _line_walk(
     ``tau`` lies on the side of each that ``S / den~`` does; any other row is recomputed in
     float64 (:func:`_steering`), as without thresholds.
     """
-    geometry, t, w, along, offsets, o_lo, o_hi = line
+    geometry, t, w, along, offsets, o_lo, o_hi = line[:7]  # the fields the walk reads
     screen = np.asarray(en_thresholds, float)[:, None]
     excess = "ar" in kinds or "en" in kinds
     held: dict[str, ValueError] = {}
@@ -284,6 +305,141 @@ def _line_walk(
 
     vals = _blockwise(block, geometry.n, r, (float,) * len(kinds))
     return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals)) | held
+
+
+#: Relative widening of every row bound (:func:`_row_bounds`), per element of the line plus 64.
+_ROW_SLACK = 2.0**-50
+
+
+def _walk_may_raise(line: _Line, kinds: Sequence[str], r: np.ndarray) -> bool:
+    """Whether :func:`_line_walk` of ``kinds`` on the ascending grid ``r`` could hold an error.
+
+    ``d_n = sqrt(s_n^2 + w_n)`` is at least ``|s_n|`` (``s_n = r - t_n``) and ``sqrt(w_n)``,
+    also as rounded, so a kind other than ``ar`` may raise (``d_n < SINGULARITY_RADIUS``) only
+    where both lie below ``2 SINGULARITY_RADIUS``: at an element that near the line, at a
+    radius that near its ``t_n``.  ``up`` raises where its projections change sign, tested as
+    the walk tests them.
+    """
+    if set(kinds) - {"ar"}:
+        on = line.t[(line.w < (2.0 * SINGULARITY_RADIUS) ** 2) & (line.t > r[0] / 2.0)]
+        if on.size:
+            j = np.minimum(np.searchsorted(r, on), r.size - 1)
+            gap = np.minimum(np.abs(r[j] - on), np.abs(r[np.maximum(j - 1, 0)] - on))
+            if np.any(gap < 2.0 * SINGULARITY_RADIUS):
+                return True
+    if "up" in kinds:
+        x, tol = r * line.along, 1e-9 * np.maximum(1.0, r)
+        return bool(np.any((x - line.o_lo > tol) & (x - line.o_hi < -tol)))
+    return False
+
+
+def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, tuple]:
+    """Of each of ``kinds``, an interval ``(lo, hi)`` per radius of ``r`` that holds the value
+    :func:`_line_walk` gives there, from the line's extents and witnesses at O(1) per radius,
+    where that walk holds no error (:func:`_walk_may_raise`).
+
+    Let ``s_n = r - t_n``, the walk's float, and ``s_min = r - t_hi``, its least.  ``near``
+    bounds every ``|s_n|`` from below (``s_min`` past ``t_hi``, ``t_lo - r`` short of
+    ``t_lo``, else 0), ``far`` is the greatest, and ``D_lo^2 = near^2 + w_lo <= d_n^2 <=
+    far^2 + w_hi = D_hi^2``.  Where ``s_min > 0``, ``d_n >= s_n`` gives ``0 <= delta_n = w_n /
+    (d_n + s_n) <= w_hi / (2 s_min)``.  So:
+
+    * ``ar``: ``Phi = k max_n delta_n`` is at least the witnesses' own ``k delta`` and, where
+      ``s_min > 0``, at most ``k w_hi / (2 s_min)``.
+    * ``up``: ``Gamma = min_n g_n / max_n g_n`` is at most the witnesses' own ratio.  The
+      numerators ``|x - o_n|`` lie between the walk's projection extremes ``P_lo`` and
+      ``P_hi`` (``P_lo`` is 0 where they straddle 0, and both are 1 on an in-plane row), so
+      ``Gamma >= (P_lo / P_hi) (D_lo / D_hi)^3``.
+    * ``ep``: ``Upsilon``, the mean of ``r^2 / d_n^2``, lies in ``[r^2 / D_hi^2, r^2 /
+      D_lo^2]``.
+    * ``en``: every phase ``k delta_n`` lies in ``[0, T]``, ``T = k w_hi / (2 s_min)``, so
+      the steering sum, turned by ``T / 2``, has a real part of at least ``cos(T / 2) S``:
+      ``1 <= Psi <= 1 / cos(T / 2)`` where ``T / 2 < pi / 2``.  The walk's ``S`` and
+      denominator are within ``E S`` of these, ``E`` being :data:`_PSI_SCREEN_ERROR` (the
+      float64 error is below 5e-8 S on a line that :func:`_kind_scans` screens), so ``hi =
+      (1 + E) / (cos(T / 2) - E)``, and only where ``cos(T / 2) > 2 E``.
+
+    These hold for the walk's float inputs ``r``, ``t_n`` and ``w_n``; the walk forms each
+    value in a few roundings per element and a sum of ``N`` terms (``ep``, ``en``), at most
+    ``(N + 16) 2^-52`` relative with numpy's ``pow`` within 4 ulp, and the bounds are formed
+    in fewer.  Every interval is widened by ``(N + 64)`` :data:`_ROW_SLACK`, at least four
+    times the two together.
+    """
+    s_min = r - line.t_hi
+    ahead = s_min > 0.0
+    if "up" in kinds or "ep" in kinds:
+        d_lo2 = np.square(np.maximum(np.maximum(s_min, line.t_lo - r), 0.0)) + line.w_lo
+        d_hi2 = np.square(np.maximum(np.abs(r - line.t_lo), np.abs(s_min))) + line.w_hi
+    slack = (line.geometry.n + 64) * _ROW_SLACK
+    bounds = {}
+    for kind in kinds:  # the witnesses' planes are formed one at a time, to keep memory small
+        if kind == "ar":
+            deltas = (_line_excess(r, line.t[i], line.w[i])[1] for i in line.witnesses)
+            lo = functools.reduce(np.maximum, deltas) * WAVENUMBER
+            hi = np.divide(line.w_hi * WAVENUMBER, 2.0 * s_min, out=np.full(r.shape, np.inf),
+                           where=ahead)
+        elif kind == "up":
+            dists = (_line_distance(r - line.t[i], line.w[i]) for i in line.witnesses)
+            lo, hi = _gamma_bounds(line, r, dists, d_lo2 / d_hi2)
+        elif kind == "en":
+            half = np.divide(line.w_hi * WAVENUMBER, 4.0 * s_min, out=np.full(r.shape, np.inf),
+                             where=ahead)
+            cos = np.cos(np.minimum(half, 0.5 * math.pi, out=half), out=half)
+            lo = np.ones(r.shape)
+            hi = np.divide(1.0 + _PSI_SCREEN_ERROR, cos - _PSI_SCREEN_ERROR,
+                           out=np.full(r.shape, np.inf), where=cos > 2.0 * _PSI_SCREEN_ERROR)
+        else:
+            r2 = r * r
+            with np.errstate(divide="ignore"):
+                lo, hi = r2 / d_hi2, r2 / d_lo2
+        bounds[kind] = lo * (1.0 - slack), hi * (1.0 + slack)
+    return bounds
+
+
+def _gamma_bounds(line: _Line, r: np.ndarray, dists: Iterable, ratio: np.ndarray) -> tuple:
+    """``up``'s interval of :func:`_row_bounds`, from the witnesses' distances ``dists`` and
+    ``ratio = D_lo^2 / D_hi^2``."""
+    x = r * line.along
+    top, low = x - line.o_lo, x - line.o_hi
+    flat = np.maximum(top, -low) <= 1e-9 * np.maximum(1.0, r)
+    g = (np.where(flat, 1.0, np.abs(x - line.offsets[i])) / d**3
+         for i, d in zip(line.witnesses, dists))
+    g_lo = next(g)
+    g_hi = g_lo.copy()
+    for g_i in g:
+        np.minimum(g_lo, g_i, out=g_lo)
+        np.maximum(g_hi, g_i, out=g_hi)
+    hi = np.divide(g_lo, g_hi, out=np.ones(r.shape), where=g_hi > 0.0)
+    p_lo = np.where(flat, 1.0, np.where(low >= 0.0, low, np.maximum(-top, 0.0)))
+    p_hi = np.where(flat, 1.0, np.maximum(top, -low))
+    return p_lo / p_hi * (ratio * np.sqrt(ratio)), hi
+
+
+def _grid_pass(line: _Line, kinds: Sequence[str], r: np.ndarray,
+               thresholds: dict[str, Sequence[float]]) -> dict[str, np.ndarray | ValueError]:
+    """:func:`_line_walk` of ``kinds`` on the grid ``r``, exact on the side of each of a kind's
+    ``thresholds`` only, which is all a search reads of it.
+
+    A radius where every threshold of a kind lies outside its :func:`_row_bounds` interval
+    takes the interval's ``lo``, on the side of each threshold that the walk's value is on.
+    The radii left open for any kind are walked once, in grid order, and ``en``'s values
+    there screened in float32 as :func:`_line_walk` does.  The whole grid is walked where
+    there are no thresholds (past the screens' proven range) or the walk could hold an error
+    (:func:`_walk_may_raise`), so held errors are the walk's.
+    """
+    en = thresholds.get("en", ())
+    if not thresholds or _walk_may_raise(line, kinds, r):
+        return _line_walk(line, kinds, r, en)
+
+    vals, rows = {}, np.zeros(r.shape, bool)
+    for kind, (lo, hi) in _row_bounds(line, kinds, r).items():
+        taus = np.asarray(thresholds[kind])[:, None]
+        rows |= np.any((lo <= taus) & (taus <= hi), axis=0)
+        vals[kind] = lo
+    if rows.any():
+        for kind, walked in _line_walk(line, kinds, r[rows], en).items():
+            vals[kind][rows] = walked
+    return vals
 
 
 def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction, line: _Line | None):
@@ -575,26 +731,26 @@ _CRITERIA = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
 
 def _kind_scans(
     geometry: ArrayGeometry, kinds: Sequence[str], direction: Direction,
-    en_thresholds: Sequence[float],
+    thresholds: dict[str, Sequence[float]],
 ) -> dict[str, tuple | ValueError]:
     """Of each searched kind in ``kinds``, the search grid, the values there, the scan the
     bisection calls on arrays of radii and the levels it looks ahead per call
     (:func:`_levels`); or the error its grid pass holds.
 
-    The line kinds share one :func:`_test_line` and one :func:`_line_walk` over the grid, whose
-    ``en`` values are exact on the side of each of ``en_thresholds`` only, unless the line is
-    past the bounds of :func:`_screened_steering`; their bisection scans are exact.  ``wc``,
-    scanned alone, reads only the largest element offset ``a``: its grid starts just past
-    ``a``, and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that
-    at the top of the bracket is only valid when ``Xi`` is decaying there, so the final
+    The line kinds share one :func:`_test_line` and one :func:`_grid_pass` over the grid,
+    whose values are exact on the side of each of the kind's ``thresholds`` only, unless the
+    line is past the bounds of :func:`_screened_steering`; their bisection scans are exact.
+    ``wc``, scanned alone, reads only the largest element offset ``a``: its grid starts just
+    past ``a``, and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating
+    that at the top of the bracket is only valid when ``Xi`` is decaying there, so the final
     decade is checked for monotone decrease first (:class:`TailNotMonotone`, raised).
     """
     if kinds != ("wc",):
         grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
         line = _test_line(geometry, direction)
         if geometry.n > 10**8 or _max_offset(geometry) > DEFAULT_BRACKET[1]:
-            en_thresholds = ()  # past these, the screen's error bound is not proven
-        scans = _line_walk(line, kinds, grid, en_thresholds)
+            thresholds = {}  # past these, the screens' error bounds are not proven
+        scans = _grid_pass(line, kinds, grid, thresholds)
         for kind, vals in scans.items():
             if not isinstance(vals, ValueError):
                 scan = functools.partial(_CRITERIA[kind], geometry, direction=direction,
@@ -633,15 +789,16 @@ def evaluate_boundaries(
     """One table per direction: each :class:`BoundarySpec`'s result for the geometry and
     that direction, in order.
 
-    The first spec of a line kind walks every line kind of the table over the grid, once per
-    direction (:func:`_line_walk`), and every threshold of a kind is searched on its scan.
+    The first spec of a line kind takes every line kind of the table over the grid, once per
+    direction (:func:`_grid_pass`), and every threshold of a kind is searched on its scan.
     ``wc`` reads no direction, so it is scanned and each of its thresholds searched once per
     call.  A kind's scan error is raised at its first spec, so a spec gets the result (or the
     error) it gets alone; the first error ends the call.  ``wc`` thresholds are scaled by
     :data:`WC_THRESHOLD_SCALE`.
     """
     line_kinds = tuple(kind for kind in _CRITERIA if any(spec.kind == kind for spec in specs))
-    en_thresholds = tuple(spec.threshold for spec in specs if spec.kind == "en")
+    thresholds = {kind: tuple(spec.threshold for spec in specs if spec.kind == kind)
+                  for kind in line_kinds}
     shared: dict[BoundarySpec, BoundaryResult] = {}  # wc results, the same in every table
     tables = []
     for direction in directions:
@@ -659,7 +816,7 @@ def evaluate_boundaries(
                 wc = spec.kind == "wc"
                 if spec.kind not in scans:
                     scans.update(_kind_scans(geometry, ("wc",) if wc else line_kinds, direction,
-                                             en_thresholds))
+                                             thresholds))
                 if isinstance(scans[spec.kind], ValueError):
                     raise scans[spec.kind]
                 threshold = spec.threshold * WC_THRESHOLD_SCALE if wc else spec.threshold

@@ -10,6 +10,9 @@ Subcommands::
 ``--grid-ppd`` sets the density of reproduce's sweep grids only (a scenario file
 has ``grid_ppd``); boundary searches always scan 400 points per decade.
 
+``sweep`` and ``boundaries`` report what they wrote on stderr, so ``--out /dev/stdout``
+pipes the CSV alone; ``reproduce`` lists its files on stdout.
+
 Exit codes: 0 success (``--help`` included), 1 validation error (bad
 config, bad trace, bad arguments), 2 I/O error.
 """
@@ -71,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     curve = run_sweep(load_scenario(args.config))
     export_table(curve, args.out)
-    print(f"wrote {len(curve)} points to {args.out}")
+    print(f"wrote {len(curve)} points to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -82,7 +85,7 @@ def _cmd_boundaries(args) -> int:
     except ConfigError as exc:  # a valid scenario with nothing to search
         raise ConfigError(f"{args.config}: {exc}") from exc
     export_table(pairs, args.out)
-    print(f"wrote {len(pairs)} boundaries to {args.out}")
+    print(f"wrote {len(pairs)} boundaries to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -155,10 +155,14 @@ def _line_excess(r, t, w) -> tuple[np.ndarray, np.ndarray]:
     With ``s = r - t``, ``d`` is :func:`_line_distance` and ``delta`` is ``w / (d + s)``
     where ``s > 0``, ``d - s`` elsewhere.  Neither branch cancels, so ``delta`` keeps
     its relative precision at any radius; on the line it is exactly 0 past the element
-    and ``2 (t - r)`` before it.
+    and ``2 (t - r)`` before it.  A float difference is 0 only between equal floats, so
+    every ``s > 0`` when every ``r > max t``; the quotient then needs no mask, which costs
+    about as much again, and has the same bits.
     """
     s = r - t
     d = _line_distance(s, w)
+    if not np.any(r <= np.max(t)):
+        return d, w / (d + s)
     delta = d - s
     np.divide(w, d + s, out=delta, where=s > 0.0)
     return d, delta

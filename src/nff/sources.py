@@ -135,14 +135,20 @@ class ArrayGeometry:
     def span(self) -> float:
         """Largest dimension: the maximum inter-element distance, computed on first read.
 
-        The pairwise distances are taken in blocks of rows (:func:`nff.core._blockwise`).
+        The pairwise distances are taken in blocks of rows (:func:`nff.core._blockwise`).  A
+        row ``i`` holds no distance above ``|r_i| + max_j |r_j|``, and rounding lifts none by
+        a factor ``1 + 1e-12``, so only the rows where that bound reaches the farthest
+        element's own row maximum are scanned; the result has the bits of every row's.
         """
         pos = self.positions
+        norms = np.sqrt(np.sum(pos * pos, axis=-1))
 
         def row_max(i):
             return np.max(_plane_offsets(pos[i, None, :], pos)[1], axis=-1)
 
-        return float(np.max(_blockwise(row_max, len(pos), np.arange(len(pos)))))
+        far = int(np.argmax(norms))
+        rows = np.flatnonzero((norms + norms[far]) * (1.0 + 1e-12) >= row_max(far))
+        return float(np.max(_blockwise(row_max, len(pos), rows)))
 
 
 def uniform_linear_array(n: int, spacing: float) -> ArrayGeometry:

@@ -794,25 +794,29 @@ def test_find_last_above_oscillating_tail():
 
 
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
-    # the search hands the criterion the whole grid, which it evaluates in blocks of
-    # _SCAN_PAIRS // N radii; the bisection then evaluates the 2^L - 1 midpoints its next
-    # L levels can visit in one call (L = 4 at N = 64, 1 at N = 1024, where 3 radii would
-    # pass 2048 pairs), and its last call looks no further than the levels left
+    # a grid pass hands the walk the radii its row bounds leave open (none for up at N = 1;
+    # for ep on the front line 720 of 3601 at N = 64 and 1204 at N = 1024), which it
+    # evaluates in blocks of _SCAN_PAIRS // N radii; the bisection then evaluates the
+    # 2^L - 1 midpoints its next L levels can visit in one call (L = 4 at N = 64, 1 at
+    # N = 1024, where 3 radii would pass 2048 pairs), and its last call looks no further
+    # than the levels left
     line_distance = boundaries._line_distance
-    for n, bisection in ((1, []), (64, [15, 15, 15, 1]), (1024, [1] * 13)):
+    cases = (("up", 1, 0, []), ("ep", 64, 720, [15, 15, 15, 1]), ("ep", 1024, 1204, [1] * 13))
+    for kind, n, walked, bisection in cases:
         sizes = []
 
-        def spy(s, w):  # s = r - t, one row of N per radius
-            sizes.append(np.size(s) // np.size(w))
+        def spy(s, w):  # s = r - t, one row of N per radius; a row bound's witness w is one
+            if np.ndim(w):
+                sizes.append(np.size(s) // np.size(w))
             return line_distance(s, w)
 
         monkeypatch.setattr(boundaries, "_line_distance", spy)
-        res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec("up"), FRONT)
+        res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec(kind), FRONT)
         assert res.status == "found" and res.degenerate == (not bisection)
-        block = min(_SCAN_PAIRS // n, 3601)
-        calls = -(-3601 // block)
+        block = _SCAN_PAIRS // n
+        calls = -(-walked // block)
         assert sizes[: calls - 1] == [block] * (calls - 1)
-        assert sum(sizes[:calls]) == 3601
+        assert sum(sizes[:calls]) == walked
         assert sizes[calls:] == bisection
 
 
@@ -989,13 +993,19 @@ def test_psi_screen_keeps_sides_at_a_threshold_on_a_grid_value(n, direction):
         assert np.count_nonzero(got == exact) < GRID.size  # the other rows stay screened
 
 
+def _unscreened(monkeypatch):
+    """Make every grid pass walk the whole grid in float64, as before any screen."""
+    walk = boundaries._line_walk
+    monkeypatch.setattr(boundaries, "_walk_may_raise", lambda *_: True)
+    monkeypatch.setattr(boundaries, "_line_walk", lambda line, kinds, r, *_: walk(line, kinds, r))
+
+
 def test_evaluate_boundaries_equals_the_unscreened_walk(monkeypatch):
     specs = [BoundarySpec("en", t) for t in (1.0001, 1.001, 1.01, 1.05, 1.2, 2.0, 10.0)]
     specs += [BoundarySpec("ar"), BoundarySpec("ep", 0.99)]  # up is undefined on a cloud
     cases = [case for n in (1, 8, 64, 1024) for case in _screen_cases(n, 7 * n)]
     screened = [boundaries.evaluate_boundaries(geo, specs, (d,)) for geo, d in cases]
-    walk = boundaries._line_walk
-    monkeypatch.setattr(boundaries, "_line_walk", lambda line, kinds, r, *_: walk(line, kinds, r))
+    _unscreened(monkeypatch)
     for (geo, d), tables in zip(cases, screened):
         want = boundaries.evaluate_boundaries(geo, specs, (d,))
         assert _hex_table(tables[0]) == _hex_table(want[0]), (geo.n, d)
@@ -1010,16 +1020,173 @@ def _hex_table(table):
 @pytest.mark.parametrize("offset, screened", [(0.5 * boundaries.DEFAULT_BRACKET[1], True),
                                               (2.0 * boundaries.DEFAULT_BRACKET[1], False)])
 def test_psi_screen_is_off_past_its_proven_range(monkeypatch, offset, screened):
-    # the screen's error bound holds for element offsets up to the top of the bracket; past
-    # it the grid pass walks en exactly, with no thresholds to screen against
+    # the screens' error bounds hold for element offsets up to the top of the bracket: there
+    # the grid pass walks the 3480 radii short of the outer element, which its row bounds
+    # leave open, and screens en; past it it walks en exactly on the whole grid, with no
+    # thresholds to screen against
     got = []
     walk = boundaries._line_walk
 
     def spy(line, kinds, r, en_thresholds=()):
-        got.append(tuple(en_thresholds))
+        got.append((np.size(r), tuple(en_thresholds)))
         return walk(line, kinds, r, en_thresholds)
 
     monkeypatch.setattr(boundaries, "_line_walk", spy)
     geo = ArrayGeometry([[-offset, 0.0, 0.0], [offset, 0.0, 0.0]])
     boundaries.evaluate_boundaries(geo, [BoundarySpec("en", 1.05)], (FRONT,))
-    assert got[0] == ((1.05,) if screened else ())
+    assert got[0] == ((3480, (1.05,)) if screened else (GRID.size, ()))
+
+
+# ---------------------------------------------------------------------------
+# the row bounds of a grid pass
+
+
+_LINE_KINDS = ("ar", "up", "en", "ep")
+
+
+def _bound_cases(n, seed):
+    """A ULA, a centered seeded cloud and a plane tilted off its boresight (so its elements'
+    boresight offsets differ), each with the three presets and two seeded directions."""
+    rng = np.random.default_rng(seed)
+    cloud = rng.normal(size=(n, 3)) * 3.0
+    plane = np.column_stack([np.zeros(n), rng.normal(size=(n, 2)) * 2.0])
+    geometries = (uniform_linear_array(n, 0.5), ArrayGeometry(cloud - cloud.mean(axis=0)),
+                  ArrayGeometry(plane - plane.mean(axis=0), boresight=[1.0, 0.3, -0.2]))
+    directions = (FRONT, DIAGONAL, SIDE, *_seeded_directions(seed))
+    return [(geo, direction) for geo in geometries for direction in directions]
+
+
+def _open_radii(line, kinds):
+    """The grid, or the part of it past the array where it holds no error for ``kinds``."""
+    for radii in (GRID, GRID[GRID > 10.0], GRID[GRID > 100.0], GRID[GRID > 1e3]):
+        if not boundaries._walk_may_raise(line, kinds, radii):
+            return radii
+    return None
+
+
+def test_row_bounds_hold_the_walk_values():
+    # lo <= the float64 walk's value <= hi on every row, for every kind, including up on
+    # arrays whose elements sit at several boresight offsets
+    rows = dict.fromkeys(_LINE_KINDS, 0)
+    for n in (1, 2, 8, 64, 1024):
+        for geo, direction in _bound_cases(n, 3 * n + 1):
+            line = boundaries._test_line(geo, direction)
+            for kinds in (("ar", "en", "ep"), ("up",)):
+                radii = _open_radii(line, kinds)
+                if radii is None:
+                    continue
+                radii = radii[:: 1 + (n > 64)]
+                exact = boundaries._line_walk(line, kinds, radii)
+                for kind, (lo, hi) in boundaries._row_bounds(line, kinds, radii).items():
+                    assert np.all(lo <= exact[kind]) and np.all(exact[kind] <= hi), (kind, n)
+                    rows[kind] += radii.size
+    assert min(rows.values()) >= 100_000, rows
+
+
+def _grid_value_thresholds(exact, kind):
+    """A walk value near ``kind``'s default threshold and its ``nextafter`` neighbours."""
+    target = {"ar": boundaries.AR_THRESHOLD, **boundaries.DEFAULT_THRESHOLDS}[kind]
+    v = exact[np.argmin(np.abs(exact - target))]
+    return tuple(float(t) for t in (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)))
+
+
+def _bound_thresholds(line, kind):
+    """The ends of one row's bounds near ``kind``'s default threshold: a threshold on an end
+    leaves that row open."""
+    target = {"ar": boundaries.AR_THRESHOLD, **boundaries.DEFAULT_THRESHOLDS}[kind]
+    lo, hi = boundaries._row_bounds(line, (kind,), GRID)[kind]
+    i = np.argmin(np.abs(np.log(np.maximum(lo, 1e-300) / target)))
+    return tuple(float(t) for t in (lo[i], hi[i]) if np.isfinite(t))
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 1024])
+def test_grid_pass_keeps_sides_at_thresholds_on_grid_values(n):
+    # a threshold on an exact grid value, or one ulp either side of it, or on an end of a
+    # row's bounds, lies inside that row's bounds: the row is walked, and every row is on
+    # the walk's side of each threshold
+    for geo, direction in _bound_cases(n, n)[::2]:
+        line = boundaries._test_line(geo, direction)
+        for kind in _LINE_KINDS:
+            if boundaries._walk_may_raise(line, (kind,), GRID):
+                continue
+            exact = boundaries._line_walk(line, (kind,), GRID)[kind]
+            taus = _grid_value_thresholds(exact, kind) + _bound_thresholds(line, kind)
+            got = boundaries._grid_pass(line, (kind,), GRID, {kind: taus})[kind]
+            for tau in taus:
+                assert np.array_equal(got <= tau, exact <= tau), (kind, n, direction)
+                assert np.array_equal(got >= tau, exact >= tau), (kind, n, direction)
+
+
+def test_evaluate_boundaries_on_grid_value_thresholds_equals_the_unscreened_walk(monkeypatch):
+    cases = [case for n in (1, 2, 8, 64, 1024) for case in _bound_cases(n, 5 * n)[::3]]
+    tables, walked = [], []
+    walk = boundaries._line_walk
+
+    def counted(line, kinds, r, *en):
+        walked.append(np.size(r))
+        return walk(line, kinds, r, *en)
+
+    monkeypatch.setattr(boundaries, "_line_walk", counted)
+    for geo, direction in cases:
+        line = boundaries._test_line(geo, direction)
+        specs = [BoundarySpec("ar"), BoundarySpec("up", 0.9), BoundarySpec("en", 1.05),
+                 BoundarySpec("ep", 0.99), BoundarySpec("ep", 1.01)]
+        for kind in ("up", "en", "ep"):
+            exact = boundaries._line_walk(line, (kind,), GRID)[kind]
+            if not isinstance(exact, ValueError):
+                taus = _grid_value_thresholds(exact, kind)
+                specs += [BoundarySpec(kind, t) for t in taus if (kind != "en" or t > 1.0)
+                          and (kind != "up" or 0.0 < t < 1.0) and t > 0.0]
+        walked.clear()
+        tables.append((specs, _outcome(lambda: boundaries.evaluate_boundaries(
+            geo, specs, (direction,))), sum(walked)))
+    _unscreened(monkeypatch)
+    monkeypatch.setattr(boundaries, "_line_walk", counted)
+    walked.clear()
+    for (geo, direction), (specs, got, _) in zip(cases, tables):
+        want = _outcome(lambda: boundaries.evaluate_boundaries(geo, specs, (direction,)))
+        assert got == want, (geo.n, direction)
+    assert sum(radii for *_, radii in tables) < sum(walked)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_row_bounds_decide_most_rows_of_a_ula(n):
+    # off a ULA's axis, ar's and up's bounds leave at most a few rows around each crossing
+    # open, ep's the zone where r^2 / D^2 straddles its threshold, and en's the near zone
+    share = {kind: [] for kind in _LINE_KINDS}
+    for direction in _seeded_directions(n, 4):
+        line = boundaries._test_line(uniform_linear_array(n, 0.5), direction)
+        for kind in _LINE_KINDS:
+            lo, hi = boundaries._row_bounds(line, (kind,), GRID)[kind]
+            tau = {"ar": boundaries.AR_THRESHOLD, **boundaries.DEFAULT_THRESHOLDS}[kind]
+            share[kind].append(np.count_nonzero((lo <= tau) & (tau <= hi)) / GRID.size)
+    assert max(share["ar"]) < 0.01 and max(share["up"]) < 0.02
+    assert max(share["ep"]) < 0.7 and max(share["en"]) < 0.95
+
+
+def _outcome(call):
+    """A table in hex (:func:`_hex_table`), or the type and message of the error it raises."""
+    try:
+        return [_hex_table(table) for table in call()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("gap, singular", [(5e-10, True), (1.5e-9, False), (1e-6, False)])
+def test_a_grid_radius_near_an_element_walks_the_grid(monkeypatch, gap, singular):
+    # an element on the line within 2e-9 of a grid radius: the table walks the whole grid,
+    # so an element that the walk finds on a radius raises its error and message as before
+    k = 2000
+    geo = ArrayGeometry([[-(GRID[k] + gap), 0.0, 0.0], [GRID[k] + gap, 0.0, 0.0]])
+    line = boundaries._test_line(geo, FRONT)
+    assert boundaries._walk_may_raise(line, ("en", "ep"), GRID) == (gap < 2e-9)
+    assert not boundaries._walk_may_raise(line, ("ar",), GRID)
+    tables = ([BoundarySpec("en", 1.05), BoundarySpec("ep", 0.99)], [BoundarySpec("ar")])
+    outcomes = [_outcome(lambda: boundaries.evaluate_boundaries(geo, specs, (FRONT,)))
+                for specs in tables]
+    if singular:
+        message = f"singular at r = {float(GRID[k])!r}: the point lies within 1e-09 wavelengths"
+        assert outcomes[0] == (FieldSingularity, f"{message} of an element position")
+    _unscreened(monkeypatch)
+    for specs, got in zip(tables, outcomes):
+        assert got == _outcome(lambda: boundaries.evaluate_boundaries(geo, specs, (FRONT,)))

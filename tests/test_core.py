@@ -177,3 +177,35 @@ def test_plane_offsets_match_the_length3_reductions():
         b = rng.normal(size=3)
         assert np.array_equal(_plane_dot(planes, b), np.sum(rvec * b, axis=-1))
 
+
+
+def _masked_line_excess(r, t, w):
+    """A frozen copy of the masked form of :func:`nff.core._line_excess`, the bit reference."""
+    s = r - t
+    d = np.sqrt(s * s + w)
+    delta = d - s
+    np.divide(w, d + s, out=delta, where=s > 0.0)
+    return d, delta
+
+
+def test_line_excess_keeps_its_bits_with_and_without_the_mask():
+    # a block whose radii all pass max t divides without a mask, any other keeps the mask:
+    # both give the masked form's bits, also at s = 0, s < 0 and elements on the line
+    rng = np.random.default_rng(67)
+    pairs = {"plain": 0, "masked": 0}
+    for n in (1, 2, 8, 64, 1024):
+        t = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+        w = np.abs(rng.normal(size=n)) * rng.choice([0.0, 1e-6, 1.0, 1e4])
+        w[rng.random(n) < 0.3] = 0.0  # elements on the line
+        inside = np.concatenate([t, rng.uniform(t.min(), t.max(), 64), -np.abs(t), [0.0]])
+        beyond = t.max() + np.abs(t.max() * rng.normal(size=64)) + 10.0 ** rng.uniform(-3, 6, 64)
+        for radii, branch in ((inside, "masked"), (beyond, "plain"), (np.append(beyond, t.max()),
+                                                                      "masked")):
+            radii = np.tile(radii, max(1, 50_000 // (radii.size * n)))
+            assert np.all(radii > t.max()) == (branch == "plain")
+            got = _line_excess(radii[:, None], t, w)
+            want = _masked_line_excess(radii[:, None], t, w)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (n, branch)
+            pairs[branch] += radii.size * n
+    assert min(pairs.values()) >= 100_000, pairs

@@ -195,9 +195,9 @@ def test_run_boundaries_evaluates_the_specs():
 
 def _spy_walks(monkeypatch):
     """Radii per call of the line walk, keyed by the kinds it reads, and of ``Xi``, as the
-    searches make them: a grid pass walks every line kind of a table, and a bisection call
-    walks its own kind through its criterion.  The ``en`` thresholds each walk screens
-    against go under ``"en_thresholds"``."""
+    searches make them: a grid pass walks every line kind of a table on the radii that its
+    row bounds leave open, and a bisection call walks its own kind through its criterion.
+    The ``en`` thresholds each walk screens against go under ``"en_thresholds"``."""
     sizes = {}
     walk, xi = boundaries._line_walk, boundaries._xi
 
@@ -217,14 +217,15 @@ def _spy_walks(monkeypatch):
 
 def test_run_boundaries_scans_each_kind_once(monkeypatch):
     # a fig4 panel scores qr, ar, and up, en, ep and wc at two thresholds each: one line
-    # walk reads ar, up, en and ep on the search grid and Xi is read there once, then the
-    # bisection reads the 2^L - 1 midpoints of its next L levels per call (L = 4 at N = 8),
-    # the last call of a crossing fewer
+    # walk reads ar, up, en and ep on the grid radii that the row bounds leave open, 1814 of
+    # 3601 here, and Xi is read on the grid once, then the bisection reads the 2^L - 1
+    # midpoints of its next L levels per call (L = 4 at N = 8), the last call of a crossing
+    # fewer
     sizes = _spy_walks(monkeypatch)
     cfg = UlaConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
-    assert sizes.pop(("ar", "up", "en", "ep")) == [3601]
+    assert sizes.pop(("ar", "up", "en", "ep")) == [1814]
     # the grid pass screens en against the table's en thresholds; a bisection call is exact
     screened = sizes.pop("en_thresholds")
     assert screened[0] == (1.01, 1.05) and set(screened[1:]) == {()}
@@ -237,15 +238,16 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
 def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_path):
     # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi), one
     # Xi grid pass per table made 6, and one grid pass per line kind made 24 where one line
-    # walk per table makes 6
+    # walk per table makes 6, each on the radii its row bounds leave open
     sizes = _spy_walks(monkeypatch)
     reproduce_reference("fig4", tmp_path)
-    sizes.pop("en_thresholds")
+    screened = sizes.pop("en_thresholds")
+    assert screened.count((1.01, 1.05)) == 6 and set(screened) == {(1.01, 1.05), ()}
+    # n8, then n64: front, diagonal, side
+    assert sizes.pop(("ar", "up", "en", "ep")) == [1814, 2159, 2219, 2577, 2541, 2601]
     grid_passes = {key: sum(n > 15 for n in got) for key, got in sizes.items()}
     refinement = sum(n <= 15 for got in sizes.values() for n in got)
-    assert {key: n for key, n in grid_passes.items() if n} == {
-        ("ar", "up", "en", "ep"): 6, "_xi": 2
-    }
+    assert {key: n for key, n in grid_passes.items() if n} == {"_xi": 2}
     assert refinement == 160  # a quarter of 624, less the last calls of each crossing
 
 
@@ -767,6 +769,24 @@ def test_cli_writes_a_table_through_a_link_to_its_stdout(tmp_path):
     assert out.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg", "stdout"]
 
 
+@pytest.mark.parametrize("command, status", [("boundaries", "wrote 2 boundaries"),
+                                             ("sweep", "wrote 501 points")])
+def test_cli_pipes_the_csv_alone_to_its_stdout(tmp_path, command, status):
+    # the status line goes to stderr, so --out /dev/stdout gives the CSV bytes alone; a link
+    # in tmp_path to the process's own stdout stands in for /dev/stdout
+    cfg = _write(tmp_path, "s.cfg", "n = 2\nspacing_lambda = 0.5\nboundaries = qr, ar\n")
+    out = tmp_path / "stdout"
+    out.symlink_to("/proc/self/fd/1")
+    piped = subprocess.run(
+        [sys.executable, "-m", "nff", command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+    )
+    assert piped.returncode == 0, piped.stderr
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
+    assert piped.stdout == (tmp_path / "file.csv").read_bytes()
+    assert piped.stderr.decode() == f"{status} to {out}\n"
+
+
 def test_a_directory_that_takes_no_new_file_is_written_in_place(tmp_path, monkeypatch):
     # a writable file whose directory refuses the new file is written in place, as before
     target = tmp_path / "out.csv"
@@ -1146,6 +1166,7 @@ def test_cli_boundaries_reports_a_non_decaying_wc_tail(tmp_path, capsys, monkeyp
     out = tmp_path / "b.csv"
     assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "wc,0.001,found,99210.599744878302,1"
+    assert capsys.readouterr().err == f"wrote 1 boundaries to {out}\n"
     # a tail with a bump inside the final decade fails the decay check
     monkeypatch.setattr(
         boundaries, "_xi", lambda a, r, k: np.where((r > 4e5) & (r < 4.1e5), 10.0, 1.0) / r

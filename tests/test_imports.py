@@ -162,7 +162,8 @@ def test_criteria_stay_on_the_line_primitive():
     assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
     # and one walk reads the line for all of them: a criterion that forms its own distances
     # again is a second walk over the same radius-element pairs.  The line's constants are
-    # placed once per line, for the grid pass and every bisection call alike
+    # placed once per line, for the grid pass and every bisection call alike, and a grid
+    # pass's row bounds read the excess paths of at most four witness elements
     readers = {
         node.name
         for node in tree.body
@@ -170,7 +171,7 @@ def test_criteria_stay_on_the_line_primitive():
         for n in ast.walk(node)
         if isinstance(n, ast.Name) and n.id in {"_line_constants", "_line_excess", "_line_distance"}
     }
-    assert readers == {"_test_line", "_line_walk"}
+    assert readers == {"_test_line", "_line_walk", "_row_bounds"}
 
 
 def test_field_kernels_take_distances_from_point_offsets():

@@ -64,6 +64,43 @@ def test_span_matches_pairwise_maximum():
         assert geo.span == float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
 
 
+def _span_of_every_row(geo):
+    """The span scanned over every row, as before its rows were pruned: the bit reference."""
+    from nff.core import _blockwise, _plane_offsets
+
+    pos = geo.positions
+
+    def row_max(i):
+        return np.max(_plane_offsets(pos[i, None, :], pos)[1], axis=-1)
+
+    return float(np.max(_blockwise(row_max, len(pos), np.arange(len(pos)))))
+
+
+def _span_clouds(seed):
+    """Centered seeded clouds with ties, duplicates and collinear points."""
+    rng = np.random.default_rng(seed)
+    square = np.array([[x, y, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0)])
+    cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) * 0.75
+    normal = rng.normal(size=(300, 3)) * 5.0
+    dupes = np.repeat(rng.normal(size=(40, 3)), 3, axis=0)
+    line = np.outer(rng.uniform(-7.0, 7.0, 50), rng.normal(size=3))
+    sphere = rng.normal(size=(200, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)  # many near-ties at the diameter
+    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 3), axis=-1).reshape(-1, 3)
+    for pos in (square, cube, normal, dupes, line, sphere, grid,
+                np.vstack([square, square, -square]), np.vstack([line, line[::-1]])):
+        yield ArrayGeometry(pos - pos.mean(axis=0))
+
+
+def test_span_has_the_bits_of_every_row():
+    # rows that cannot hold the maximum are skipped; the maximum keeps its bits
+    geometries = [uniform_linear_array(n, 0.5) for n in (1, 2, 3, 4096)]
+    geometries += [uniform_linear_array(n, d) for n in (5, 64) for d in (0.25, 1.0, 1e-7, 3e5)]
+    geometries += [geo for seed in range(4) for geo in _span_clouds(seed)]
+    for geo in geometries:
+        assert geo.span.hex() == _span_of_every_row(geo).hex(), geo.n
+
+
 def test_span_needs_no_pairwise_temporaries():
     tracemalloc.start()
     try:

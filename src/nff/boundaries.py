@@ -43,9 +43,8 @@ the line kinds' grid values are screened and exact on those sides only:
   then lie on either side of one of the table's ``en`` thresholds.
 
 So crossing counts, statuses, degenerate flags and the bisected values (the bisection
-stays exact) are those of the float64 walk, and a table that the walk could fail on (an
-element at a grid radius, ``up``'s mixed projections) walks its whole grid, so it fails
-with the walk's error.
+stays exact) are those of the float64 walk.  Errors are decided per radius before any walk
+(:func:`_line_errors`), so a kind fails with its first failing radius's error.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ import numpy as np
 from .core import (
     WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
 )
-from .metric import default_grid
-from .sources import SINGULARITY_RADIUS, ArrayGeometry, FieldSingularity, _off_elements
+from .metric import _ON_REACH, _on_element, default_grid
+from .sources import ArrayGeometry, _singularity
 
 #: Search bracket (wavelengths) and log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
@@ -196,9 +195,10 @@ def _screened_steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
 class _Line(NamedTuple):
     """A geometry's test line along a direction, read once for every walk over it: ``t_n``
     and ``w_n`` (:func:`nff.core._line_constants`), the boresight projection ``along`` of
-    ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes; and for the
-    row bounds of a grid pass (:func:`_row_bounds`), the extents of ``t`` and ``w`` and the
-    ``witnesses``, the elements where ``t`` or ``w`` is least or greatest."""
+    ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes; for the row
+    bounds of a grid pass (:func:`_row_bounds`), the extents of ``t`` and ``w`` and the
+    ``witnesses``, the elements where ``t`` or ``w`` is least or greatest; and ``on_lo`` and
+    ``on_hi``, outside which no radius lies on an element (:func:`_line_errors`)."""
 
     geometry: ArrayGeometry
     t: np.ndarray
@@ -212,6 +212,8 @@ class _Line(NamedTuple):
     w_lo: float
     w_hi: float
     witnesses: list[int]
+    on_lo: float
+    on_hi: float
 
 
 def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
@@ -221,13 +223,41 @@ def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
     nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
     offsets = geometry.positions @ nhat
     witnesses = sorted({int(i) for i in (np.argmin(t), np.argmax(t), np.argmin(w), np.argmax(w))})
+    on = t[w < _ON_REACH * _ON_REACH]  # the elements a radius may lie on (metric._on_element)
     return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max(),
-                 t.min(), t.max(), w.min(), w.max(), witnesses)
+                 t.min(), t.max(), w.min(), w.max(), witnesses,
+                 on.min(initial=np.inf) - _ON_REACH, on.max(initial=-np.inf) + _ON_REACH)
+
+
+def _line_errors(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, ValueError]:
+    """Of each of ``kinds`` that fails at a radius of ``r``, the error of its first failing
+    radius in ``r``'s flat order.  Every kind but ``ar`` fails where a ``d_n`` that
+    :func:`_line_walk` would form is below :data:`~nff.sources.SINGULARITY_RADIUS`
+    (:func:`nff.metric._on_element`), ``up`` also where its boresight projections change sign,
+    read at their extremes as the walk reads them; at one radius the element comes first."""
+    flat = r.ravel()
+    errors, first = {}, flat.size
+    if (set(kinds) - {"ar"} and flat.size
+            and not (flat.max() < line.on_lo or flat.min() > line.on_hi)):
+        order = np.argsort(flat)
+        if (on := order[_on_element(line.t, line.w, flat[order])]).size:
+            first = int(on.min())
+    if "up" in kinds and line.o_lo < line.o_hi:  # with one offset, no sign can change
+        x, tol = flat * line.along, 1e-9 * np.maximum(1.0, flat)
+        mixed = np.flatnonzero((x - line.o_lo > tol) & (x - line.o_hi < -tol))
+        if mixed.size and mixed[0] < first:
+            errors["up"] = UndefinedProjection("boresight projections change sign along the "
+                                               "element set; the uniform-power ratio is "
+                                               "undefined here")
+    if first < flat.size:
+        errors |= {kind: _singularity(flat[first]) for kind in kinds
+                   if kind != "ar" and kind not in errors}
+    return errors
 
 
 def _line_walk(
-    line: _Line, kinds: Sequence[str], r, en_thresholds: Sequence[float] = ()
-) -> dict[str, np.ndarray | ValueError]:
+    line: _Line, kinds: Sequence[str], r: np.ndarray, en_thresholds: Sequence[float] = ()
+) -> dict[str, np.ndarray]:
     """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on ``line``,
     in one walk: element ``n`` enters only through ``t_n`` and ``w_n``.
 
@@ -235,9 +265,8 @@ def _line_walk(
     and ``delta`` only for ``ar`` or ``en``; ``up`` reads its projections ``x - o_n`` at their
     extremes only, and ``d`` too when every element has one offset ``o``.  Values are
     elementwise in ``r``, so a radius gets the bits it gets alone, whichever kinds share the
-    walk.  A kind whose criterion raises (``FieldSingularity``, ``ar`` aside;
-    :class:`UndefinedProjection`) holds that error in place of its values, and is not
-    evaluated on later blocks.
+    walk.  The walk computes values only: a kind is walked where :func:`_line_errors` finds
+    it defined.
 
     Given ``en_thresholds``, ``en``'s values are exact on the side of each of them only, and
     a search reads nothing else of a grid pass.  With ``Psi = S / den``, ``S = sum_n 1/d_n``,
@@ -249,43 +278,27 @@ def _line_walk(
     geometry, t, w, along, offsets, o_lo, o_hi = line[:7]  # the fields the walk reads
     screen = np.asarray(en_thresholds, float)[:, None]
     excess = "ar" in kinds or "en" in kinds
-    held: dict[str, ValueError] = {}
 
     def block(r):
-        radii = np.asarray(r)[..., None]
+        radii = r[..., None]
         d, delta = _line_excess(radii, t, w) if excess else (_line_distance(radii - t, w), None)
-        if live := [kind for kind in kinds if kind != "ar" and kind not in held]:  # ar takes any r
-            try:
-                _off_elements(d, lambda i: np.ravel(r)[i])
-            except FieldSingularity as exc:
-                held.update(dict.fromkeys(live, exc))
         vals = []
         for kind in kinds:
-            v = 0.0  # the values of a held kind are never read
-            if kind in held:
-                pass
-            elif kind == "ar":
+            if kind == "ar":
                 v = np.max(delta, axis=-1) * WAVENUMBER
             elif kind == "up":
-                # rounding is monotone: x - o_lo and x - o_hi are the extremes of x - offsets
                 x = r * along
-                top, low = x - o_lo, x - o_hi
-                tol = 1e-9 * np.maximum(1.0, r)
-                if np.any((top > tol) & (low < -tol)):
-                    held[kind] = UndefinedProjection("boresight projections change sign along "
-                                                     "the element set; the uniform-power ratio "
-                                                     "is undefined here")
+                top, low = x - o_lo, x - o_hi  # the extremes of x - offsets
+                flat = np.maximum(top, -low) <= 1e-9 * np.maximum(1.0, r)
+                if o_lo == o_hi:  # one numerator per radius, so g's extremes are at d's
+                    # stacked, as a numpy scalar's ** is libm's pow, not the array's
+                    ext = np.stack([np.min(d, axis=-1), np.max(d, axis=-1)]) ** 3
+                    g_max, g_min = np.where(flat, 1.0, np.abs(top)) / ext
                 else:
-                    flat = np.maximum(top, -low) <= tol
-                    if o_lo == o_hi:  # one numerator per radius, so g's extremes are at d's
-                        # stacked, as a numpy scalar's ** is libm's pow, not the array's
-                        ext = np.stack([np.min(d, axis=-1), np.max(d, axis=-1)]) ** 3
-                        g_max, g_min = np.where(flat, 1.0, np.abs(top)) / ext
-                    else:
-                        g = np.where(flat[..., None], 1.0,
-                                     np.abs(np.subtract.outer(x, offsets))) / d**3
-                        g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
-                    v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
+                    g = np.where(flat[..., None], 1.0,
+                                 np.abs(np.subtract.outer(x, offsets))) / d**3
+                    g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
+                v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
             elif kind == "en":
                 inv = 1.0 / d
                 total = np.sum(inv, axis=-1)
@@ -304,39 +317,17 @@ def _line_walk(
         return tuple(vals) if len(vals) > 1 else vals[0]
 
     vals = _blockwise(block, geometry.n, r, (float,) * len(kinds))
-    return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals)) | held
+    return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals))
 
 
 #: Relative widening of every row bound (:func:`_row_bounds`), per element of the line plus 64.
 _ROW_SLACK = 2.0**-50
 
 
-def _walk_may_raise(line: _Line, kinds: Sequence[str], r: np.ndarray) -> bool:
-    """Whether :func:`_line_walk` of ``kinds`` on the ascending grid ``r`` could hold an error.
-
-    ``d_n = sqrt(s_n^2 + w_n)`` is at least ``|s_n|`` (``s_n = r - t_n``) and ``sqrt(w_n)``,
-    also as rounded, so a kind other than ``ar`` may raise (``d_n < SINGULARITY_RADIUS``) only
-    where both lie below ``2 SINGULARITY_RADIUS``: at an element that near the line, at a
-    radius that near its ``t_n``.  ``up`` raises where its projections change sign, tested as
-    the walk tests them.
-    """
-    if set(kinds) - {"ar"}:
-        on = line.t[(line.w < (2.0 * SINGULARITY_RADIUS) ** 2) & (line.t > r[0] / 2.0)]
-        if on.size:
-            j = np.minimum(np.searchsorted(r, on), r.size - 1)
-            gap = np.minimum(np.abs(r[j] - on), np.abs(r[np.maximum(j - 1, 0)] - on))
-            if np.any(gap < 2.0 * SINGULARITY_RADIUS):
-                return True
-    if "up" in kinds:
-        x, tol = r * line.along, 1e-9 * np.maximum(1.0, r)
-        return bool(np.any((x - line.o_lo > tol) & (x - line.o_hi < -tol)))
-    return False
-
-
 def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, tuple]:
     """Of each of ``kinds``, an interval ``(lo, hi)`` per radius of ``r`` that holds the value
     :func:`_line_walk` gives there, from the line's extents and witnesses at O(1) per radius,
-    where that walk holds no error (:func:`_walk_may_raise`).
+    where :func:`_line_errors` finds the kind defined.
 
     Let ``s_n = r - t_n``, the walk's float, and ``s_min = r - t_hi``, its least.  ``near``
     bounds every ``|s_n|`` from below (``s_min`` past ``t_hi``, ``t_lo - r`` short of
@@ -417,19 +408,20 @@ def _gamma_bounds(line: _Line, r: np.ndarray, dists: Iterable, ratio: np.ndarray
 
 def _grid_pass(line: _Line, kinds: Sequence[str], r: np.ndarray,
                thresholds: dict[str, Sequence[float]]) -> dict[str, np.ndarray | ValueError]:
-    """:func:`_line_walk` of ``kinds`` on the grid ``r``, exact on the side of each of a kind's
-    ``thresholds`` only, which is all a search reads of it.
+    """Of each of ``kinds``, its :func:`_line_errors` error on the grid ``r``, or else its
+    :func:`_line_walk` values there, exact on the side of each of its ``thresholds`` only,
+    which is all a search reads of them.
 
     A radius where every threshold of a kind lies outside its :func:`_row_bounds` interval
     takes the interval's ``lo``, on the side of each threshold that the walk's value is on.
     The radii left open for any kind are walked once, in grid order, and ``en``'s values
-    there screened in float32 as :func:`_line_walk` does.  The whole grid is walked where
-    there are no thresholds (past the screens' proven range) or the walk could hold an error
-    (:func:`_walk_may_raise`), so held errors are the walk's.
+    there screened in float32 as :func:`_line_walk` does.  With no thresholds (past the
+    screens' proven range), the whole grid is walked in float64.
     """
-    en = thresholds.get("en", ())
-    if not thresholds or _walk_may_raise(line, kinds, r):
-        return _line_walk(line, kinds, r, en)
+    errors = _line_errors(line, kinds, r)
+    kinds = [kind for kind in kinds if kind not in errors]
+    if not thresholds:
+        return (_line_walk(line, kinds, r) if kinds else {}) | errors
 
     vals, rows = {}, np.zeros(r.shape, bool)
     for kind, (lo, hi) in _row_bounds(line, kinds, r).items():
@@ -437,19 +429,19 @@ def _grid_pass(line: _Line, kinds: Sequence[str], r: np.ndarray,
         rows |= np.any((lo <= taus) & (taus <= hi), axis=0)
         vals[kind] = lo
     if rows.any():
-        for kind, walked in _line_walk(line, kinds, r[rows], en).items():
+        for kind, walked in _line_walk(line, kinds, r[rows], thresholds.get("en", ())).items():
             vals[kind][rows] = walked
-    return vals
+    return vals | errors
 
 
 def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction, line: _Line | None):
     """One criterion at ``r``, the one-kind :func:`_line_walk` on ``line``, or on the line of
-    ``geometry`` along ``direction`` if it is ``None``; a held error is raised."""
+    ``geometry`` along ``direction`` if it is ``None``, after raising its :func:`_line_errors`."""
+    r = np.asarray(r, dtype=float)
     line = _test_line(geometry, direction) if line is None else line
-    vals = _line_walk(line, (kind,), r)[kind]
-    if isinstance(vals, ValueError):
-        raise vals
-    return vals[()]
+    if errors := _line_errors(line, (kind,), r):
+        raise errors[kind]
+    return _line_walk(line, (kind,), r)[kind][()]
 
 
 def phi_excess(

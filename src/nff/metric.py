@@ -238,7 +238,18 @@ def error_sweep(
 
 
 def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndarray) -> np.ndarray:
-    """Mask of the increasing radii ``grid`` on a test line that land on an element position.
+    """Mask of the increasing radii ``grid`` on a test line that land on an element position."""
+    t, w = _line_constants(geometry.positions, unit_vector(direction))
+    return _on_element(t, w, np.asarray(grid, dtype=float))
+
+
+#: How near its line an element, and a radius its ``t_n``, must be to meet (:func:`_on_element`).
+_ON_REACH = 2.0 * SINGULARITY_RADIUS
+
+
+def _on_element(t: np.ndarray, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Mask of the increasing radii ``grid`` on a line that land on one of the elements ``t_n``,
+    ``w_n`` (:func:`nff.core._line_constants`).
 
     A radius ``r`` is within :data:`~nff.sources.SINGULARITY_RADIUS` of element ``n`` only
     if the element is that close to the line (``w_n`` below its square) and ``r`` is that
@@ -246,13 +257,10 @@ def grid_on_element(geometry: ArrayGeometry, direction: Direction, grid: np.ndar
     ``t_n``, found by bisection, are tested, with the distance each would get in a full
     ``(grid, N)`` pass: O(N log grid) work and the same mask.
     """
-    grid = np.asarray(grid, dtype=float)
-    t, w = _line_constants(geometry.positions, unit_vector(direction))
-    reach = 2.0 * SINGULARITY_RADIUS
-    near = w < reach * reach
+    near = w < _ON_REACH * _ON_REACH
     t, w = t[near], w[near]
-    start = np.searchsorted(grid, t - reach, "left")
-    count = np.searchsorted(grid, t + reach, "right") - start
+    start = np.searchsorted(grid, t - _ON_REACH, "left")
+    count = np.searchsorted(grid, t + _ON_REACH, "right") - start
     elem = np.repeat(np.arange(t.size), count)  # one entry per candidate (element, radius)
     idx = start[elem] + np.arange(elem.size) - (np.cumsum(count) - count)[elem]
     mask = np.zeros(grid.shape, bool)

@@ -48,15 +48,10 @@ def on_element(dist: np.ndarray) -> np.ndarray:
     return dist < SINGULARITY_RADIUS
 
 
-def _off_elements(dist: np.ndarray, radius) -> np.ndarray:
-    """``dist (..., N)``, unless point ``i`` is on an element: then raise, naming ``radius(i)``."""
-    near = on_element(dist)
-    if near.any():
-        raise FieldSingularity(
-            f"singular at r = {float(radius(np.argmax(np.any(near, axis=-1))))!r}: the point "
-            f"lies within {SINGULARITY_RADIUS} wavelengths of an element position"
-        )
-    return dist
+def _singularity(r) -> FieldSingularity:
+    """The error of a point at radius ``r`` on an element."""
+    return FieldSingularity(f"singular at r = {float(r)!r}: the point lies within "
+                            f"{SINGULARITY_RADIUS} wavelengths of an element position")
 
 
 def _axes_first(a: np.ndarray) -> np.ndarray:
@@ -70,7 +65,10 @@ def _point_offsets(points: np.ndarray, positions: np.ndarray):
     A point on an element raises :class:`FieldSingularity`, which names its ``r = |p|``.
     """
     planes, dist = _plane_offsets(points[..., None, :], positions)
-    return planes, _off_elements(dist, lambda i: np.linalg.norm(np.reshape(points, (-1, 3))[i]))
+    if (near := on_element(dist)).any():
+        i = np.argmax(np.any(near, axis=-1))
+        raise _singularity(np.linalg.norm(np.reshape(points, (-1, 3))[i]))
+    return planes, dist
 
 
 def _as_array(vec: np.ndarray, ndim: int, what: str, unit: bool = False) -> np.ndarray:

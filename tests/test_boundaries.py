@@ -178,6 +178,11 @@ def test_gamma_mixed_projections_rejected():
         _assert_up_keeps_its_bits(geo, np.array(radii), FRONT)
 
 
+#: ``up``'s message where its projections mix signs.
+_MIXED = ("boresight projections change sign along the element set; the uniform-power ratio "
+          "is undefined here")
+
+
 def _per_element_gamma(geometry, r, direction):
     """A frozen copy of the per-element ``up`` reduction, the bit reference of the extremes path.
 
@@ -191,8 +196,7 @@ def _per_element_gamma(geometry, r, direction):
     proj = np.subtract.outer(r * along, offsets)
     tol = 1e-9 * np.maximum(1.0, r)[..., None]
     if np.any(np.any(proj > tol, axis=-1) & np.any(proj < -tol, axis=-1)):
-        raise UndefinedProjection("boresight projections change sign along the element set; "
-                                  "the uniform-power ratio is undefined here")
+        raise UndefinedProjection(_MIXED)
     flat = np.all(np.abs(proj) <= tol, axis=-1, keepdims=True)
     g = np.where(flat, 1.0, np.abs(proj)) / d**3
     top = np.max(g, axis=-1)
@@ -419,6 +423,170 @@ def test_criteria_reject_a_block_that_touches_an_element():
     geo = ArrayGeometry([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     with pytest.raises(UndefinedProjection):
         gamma_uniform_power(geo, np.array([5.0, 0.2, 7.0]), FRONT)
+
+
+def test_criteria_take_radii_of_any_sequence_type():
+    # a list, a tuple, an int and a float64 array of the same radii give the same bits, in
+    # the shape of r
+    geo = uniform_linear_array(9, 0.5)
+    for criterion in (phi_excess, gamma_uniform_power, psi_gain_ratio, upsilon_power):
+        want = criterion(geo, np.array([1.0, 2.0, 40.0]), DIAGONAL)
+        for radii in ([1.0, 2.0, 40.0], (1.0, 2.0, 40.0), [1, 2, 40], (1, 2.0, 40)):
+            got = criterion(geo, radii, DIAGONAL)
+            assert got.shape == (3,) and got.tobytes() == want.tobytes(), criterion.__name__
+        got = criterion(geo, 2, DIAGONAL)
+        assert np.shape(got) == () and got == want[1], criterion.__name__
+
+
+# ---------------------------------------------------------------------------
+# the errors of a test line
+
+
+def _reference_errors(line, kinds, r):
+    """A frozen per-radius reference of the criteria's errors: each of ``kinds`` takes the
+    error of its first failing radius in ``r``'s flat order.
+
+    Every kind but ``ar`` fails where an element distance of the full ``(r, N)`` plane of
+    :func:`nff.core._line_distance` is below 1e-9 wavelengths, and ``up`` also where the
+    per-element projections ``x - o_n`` exceed the tolerance on both sides; at one radius the
+    element comes first.  The plane is formed about 65536 pairs at a time.
+    """
+    flat = np.ravel(np.asarray(r, dtype=float))
+    errors = {}
+    for rows in np.array_split(flat, max(1, min(flat.size, flat.size * line.t.size // 65536))):
+        d = _line_distance(rows[:, None] - line.t, line.w)
+        proj = np.subtract.outer(rows * line.along, line.offsets)
+        tol = 1e-9 * np.maximum(1.0, rows)[:, None]
+        on = np.any(d < 1e-9, axis=1)
+        mixed = np.any(proj > tol, axis=1) & np.any(proj < -tol, axis=1)
+        for r_i, on_i, mixed_i in zip(rows.tolist(), on, mixed):
+            for kind in kinds:
+                if kind in errors:
+                    continue
+                if on_i and kind != "ar":
+                    errors[kind] = FieldSingularity(
+                        f"singular at r = {r_i!r}: the point lies within 1e-09 wavelengths of "
+                        "an element position")
+                elif mixed_i and kind == "up":
+                    errors[kind] = UndefinedProjection(_MIXED)
+        if set(errors) == set(kinds) - {"ar"}:
+            break
+    return errors
+
+
+def _errors(errors):
+    """The type and message of each kind's error."""
+    return {kind: (type(exc), str(exc)) for kind, exc in errors.items()}
+
+
+def _on_line(positions, radii, direction):
+    """Centred ``positions`` with an element added on the test line at each of ``radii``, and
+    its mirror image, so the array stays centred."""
+    added = np.multiply.outer(radii, unit_vector(direction))
+    return ArrayGeometry(np.vstack([positions, added, -added]))
+
+
+def _error_cases():
+    """Seeded lines the criteria fail on, each with the radii they are asked at.
+
+    Clouds and ULAs of N in {2, 3, 8, 64, 8192} gain elements on the line: on grid radii, and
+    5e-10, 1.5e-9 and 1e-6 past them.  On a seeded direction, ``rhat``'s rounding leaves an
+    added element up to about 1e-8 off the line, so those lines take the three axes too.
+    Clouds keep several boresight offsets, so ``up``'s projections mix signs near them, and
+    ``x_axis`` puts an element on a mixed radius and radii at the outermost elements.  The radii take every placed radius, a
+    seeded sample of the grid and the grid's first radius, shuffled.  At N = 8192 a walk
+    block holds one radius.
+    """
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in (2, 3, 8, 64, 8192):
+        placed = GRID[np.sort(rng.choice(np.arange(1200, 2200), 3, replace=False))]
+        targets = np.concatenate([placed, placed + [5e-10, 1.5e-9, 1e-6]])
+        cloud = rng.normal(size=(min(n, 64), 3)) * 3.0
+        for direction in (FRONT, SIDE, Direction(0.0, 0.0), *_seeded_directions(n, 1)):
+            for positions, gaps in ((cloud - cloud.mean(axis=0), (0.0, 5e-10, 1.5e-9)),
+                                    (uniform_linear_array(n, 0.5).positions, (0.0, 1e-6, 0.0))):
+                geo = _on_line(positions, placed + gaps, direction)
+                radii = np.concatenate([targets, rng.choice(GRID, 201), GRID[:1]])
+                cases.append((geo, direction, rng.permutation(radii)))
+    x_axis = ArrayGeometry([[x, 0.0, 0.0] for x in (-3.0, -1.0, 1.0, 3.0)], boresight=[1, 0, 0])
+    cases.append((x_axis, FRONT, np.array([7.0, 1.0, 0.5, 2.0, 3.0 + 5e-10, -3.0 - 5e-10, -3.0,
+                                           3.0 - 1.5e-9])))
+    return cases
+
+
+def test_line_errors_equal_the_per_radius_reference():
+    # _line_errors and the criteria raise the reference's error and message for unsorted,
+    # 0-d and 2-D radii, for each kind alone and for the four together
+    failed = dict.fromkeys(_LINE_KINDS, 0)
+    for geo, direction, radii in _error_cases():
+        line = boundaries._test_line(geo, direction)
+        for r in (radii, radii[:6], radii.reshape(2, -1), *radii[:8], *radii[-3:]):
+            r = np.asarray(r)
+            want = _reference_errors(line, _LINE_KINDS, r)
+            assert _errors(boundaries._line_errors(line, _LINE_KINDS, r)) == _errors(want)
+            for kind, criterion in boundaries._CRITERIA.items():
+                assert _errors(boundaries._line_errors(line, (kind,), r)) == _errors(
+                    {k: e for k, e in want.items() if k == kind})
+                if kind == "ar" and r.min() <= 0.0:
+                    continue  # phi_excess rejects r <= 0 before its line is read
+                try:
+                    got = criterion(geo, r, direction)
+                except ValueError as exc:
+                    assert _errors({kind: exc}) == _errors({kind: want[kind]}), (kind, r)
+                    failed[kind] += 1
+                else:
+                    assert kind not in want and np.shape(got) == r.shape
+    assert failed["ar"] == 0 and min(failed[kind] for kind in ("up", "en", "ep")) >= 50, failed
+
+
+def test_line_errors_take_the_first_failing_radius():
+    # four elements 2 apart on the x axis, boresight x: on the front line r = 1.0 is an
+    # element, and every radius short of 3 mixes up's projections; whichever comes first in
+    # r's flat order is the error, and at one radius the element comes first
+    line = boundaries._test_line(ArrayGeometry([[x, 0.0, 0.0] for x in (-3.0, -1.0, 1.0, 3.0)],
+                                               boresight=[1, 0, 0]), FRONT)
+    singular = (FieldSingularity, "singular at r = 1.0: the point lies within 1e-09 wavelengths "
+                                  "of an element position")
+    for r, up in (([1.0], singular), ([1.0, 0.5], singular), ([0.5, 1.0], _MIXED),
+                  (GRID, _MIXED), ([[5.0, 1.0], [0.5, 7.0]], singular), ([5.0, 7.0], None)):
+        got = _errors(boundaries._line_errors(line, ("up", "en"), np.asarray(r, dtype=float)))
+        en = singular if 1.0 in np.ravel(r) else None
+        want = {"up": (UndefinedProjection, up) if up == _MIXED else up, "en": en}
+        assert got == {kind: e for kind, e in want.items() if e is not None}, r
+
+
+@pytest.mark.parametrize("kind", ["up", "en", "ep"])
+def test_a_bisection_midpoint_on_an_element(kind):
+    # an element on the line at a midpoint of the first batch: a speculative one is rerun
+    # one radius at a time, which never visits it, and one on the path raises its message
+    lo, hi = 3.0, 3.0 * 10 ** (1 / 400)
+    mids = boundaries._midpoints(lo, hi, 4)
+    base = uniform_linear_array(8, 0.5).positions  # on the side line, short of the bracket
+    threshold, (first, below) = boundaries.DEFAULT_THRESHOLDS[kind], boundaries._MODES[kind]
+
+    def side(v):
+        return v <= threshold if below else v >= threshold
+
+    outcomes = {}
+    for i, m in enumerate(mids):
+        geo = _on_line(base, [m], SIDE)
+        scan = lambda r: boundaries._CRITERIA[kind](geo, r, SIDE)
+        with pytest.raises(FieldSingularity):  # the first batch holds the element
+            scan(np.array(mids))
+        path = []
+        try:
+            want = _reference_refine(lambda r: path.append(r) or side(scan(r)), lo, hi, first)
+        except FieldSingularity as exc:
+            want = (FieldSingularity, str(exc))
+            assert path[-1] == m and str(exc).startswith(f"singular at r = {m!r}: ")
+        try:
+            got = boundaries._refine_crossing(lambda r: side(scan(r)), lo, hi, first, 4)
+        except FieldSingularity as exc:
+            got = (FieldSingularity, str(exc))
+        assert got == want, (kind, i)
+        outcomes[m in path] = outcomes.get(m in path, 0) + 1
+    assert outcomes == {True: 4, False: 11}
 
 
 # ---------------------------------------------------------------------------
@@ -994,10 +1162,16 @@ def test_psi_screen_keeps_sides_at_a_threshold_on_a_grid_value(n, direction):
 
 
 def _unscreened(monkeypatch):
-    """Make every grid pass walk the whole grid in float64, as before any screen."""
-    walk = boundaries._line_walk
-    monkeypatch.setattr(boundaries, "_walk_may_raise", lambda *_: True)
-    monkeypatch.setattr(boundaries, "_line_walk", lambda line, kinds, r, *_: walk(line, kinds, r))
+    """Make every grid pass walk the whole grid in float64, as before any screen: each kind
+    takes the error of :func:`_reference_errors`, or else the walk's values on every radius,
+    with no row bounds and no float32 screen."""
+
+    def grid_pass(line, kinds, r, thresholds):
+        errors = _reference_errors(line, kinds, r)
+        live = [kind for kind in kinds if kind not in errors]
+        return (boundaries._line_walk(line, live, r) if live else {}) | errors
+
+    monkeypatch.setattr(boundaries, "_grid_pass", grid_pass)
 
 
 def test_evaluate_boundaries_equals_the_unscreened_walk(monkeypatch):
@@ -1057,9 +1231,10 @@ def _bound_cases(n, seed):
 
 
 def _open_radii(line, kinds):
-    """The grid, or the part of it past the array where it holds no error for ``kinds``."""
+    """The grid, or the part of it past the array where it holds no error for ``kinds``
+    (:func:`_reference_errors`)."""
     for radii in (GRID, GRID[GRID > 10.0], GRID[GRID > 100.0], GRID[GRID > 1e3]):
-        if not boundaries._walk_may_raise(line, kinds, radii):
+        if not _reference_errors(line, kinds, radii):
             return radii
     return None
 
@@ -1103,11 +1278,14 @@ def _bound_thresholds(line, kind):
 def test_grid_pass_keeps_sides_at_thresholds_on_grid_values(n):
     # a threshold on an exact grid value, or one ulp either side of it, or on an end of a
     # row's bounds, lies inside that row's bounds: the row is walked, and every row is on
-    # the walk's side of each threshold
+    # the walk's side of each threshold; a kind undefined on the grid takes its error
     for geo, direction in _bound_cases(n, n)[::2]:
         line = boundaries._test_line(geo, direction)
+        errors = _reference_errors(line, _LINE_KINDS, GRID)
         for kind in _LINE_KINDS:
-            if boundaries._walk_may_raise(line, (kind,), GRID):
+            if kind in errors:
+                got = boundaries._grid_pass(line, (kind,), GRID, {kind: (0.5,)})
+                assert _errors(got) == _errors({kind: errors[kind]}), (kind, n, direction)
                 continue
             exact = boundaries._line_walk(line, (kind,), GRID)[kind]
             taus = _grid_value_thresholds(exact, kind) + _bound_thresholds(line, kind)
@@ -1131,9 +1309,10 @@ def test_evaluate_boundaries_on_grid_value_thresholds_equals_the_unscreened_walk
         line = boundaries._test_line(geo, direction)
         specs = [BoundarySpec("ar"), BoundarySpec("up", 0.9), BoundarySpec("en", 1.05),
                  BoundarySpec("ep", 0.99), BoundarySpec("ep", 1.01)]
+        errors = _reference_errors(line, ("up", "en", "ep"), GRID)
         for kind in ("up", "en", "ep"):
             exact = boundaries._line_walk(line, (kind,), GRID)[kind]
-            if not isinstance(exact, ValueError):
+            if kind not in errors:
                 taus = _grid_value_thresholds(exact, kind)
                 specs += [BoundarySpec(kind, t) for t in taus if (kind != "en" or t > 1.0)
                           and (kind != "up" or 0.0 < t < 1.0) and t > 0.0]
@@ -1173,17 +1352,25 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("gap, singular", [(5e-10, True), (1.5e-9, False), (1e-6, False)])
-def test_a_grid_radius_near_an_element_walks_the_grid(monkeypatch, gap, singular):
-    # an element on the line within 2e-9 of a grid radius: the table walks the whole grid,
-    # so an element that the walk finds on a radius raises its error and message as before
+def test_a_grid_radius_near_an_element_is_screened(monkeypatch, gap, singular):
+    # an element on the line within 2e-9 of a grid radius: the table is screened like any
+    # other, and an element on a radius raises that radius's error and message
     k = 2000
     geo = ArrayGeometry([[-(GRID[k] + gap), 0.0, 0.0], [GRID[k] + gap, 0.0, 0.0]])
     line = boundaries._test_line(geo, FRONT)
-    assert boundaries._walk_may_raise(line, ("en", "ep"), GRID) == (gap < 2e-9)
-    assert not boundaries._walk_may_raise(line, ("ar",), GRID)
+    assert bool(boundaries._line_errors(line, ("en", "ep"), GRID)) == singular
+    assert not boundaries._line_errors(line, ("ar",), GRID)
+    walk, walked = boundaries._line_walk, []
+
+    def spy(line, kinds, r, *en):
+        walked.append(np.size(r))
+        return walk(line, kinds, r, *en)
+
+    monkeypatch.setattr(boundaries, "_line_walk", spy)
     tables = ([BoundarySpec("en", 1.05), BoundarySpec("ep", 0.99)], [BoundarySpec("ar")])
     outcomes = [_outcome(lambda: boundaries.evaluate_boundaries(geo, specs, (FRONT,)))
                 for specs in tables]
+    assert walked and max(walked) < GRID.size
     if singular:
         message = f"singular at r = {float(GRID[k])!r}: the point lies within 1e-09 wavelengths"
         assert outcomes[0] == (FieldSingularity, f"{message} of an element position")

@@ -296,20 +296,21 @@ _EN_UP = (BoundarySpec("en"), BoundarySpec("up"))
         # the side line meets an element; wc has no radius to scan
         pytest.param(uniform_linear_array(15, 0.5), _TABLE_SPECS, "FieldSingularity", id="15-0.5"),
         pytest.param(uniform_linear_array(2, 2.5e6), _TABLE_SPECS, "ValueError", id="2-2500000.0"),
-        # en meets the element at r = 1 in the second block of the front line's grid, after
-        # up meets mixed projections in the first, so the spec order picks the error; at
-        # N = 4 the first block holds r = 1, where up too meets the element first
+        # a kind takes the error of its first failing radius in grid order, the element's
+        # where both fail at one radius: en meets the element at r = 1 on the front line,
+        # up the mixed projections of the grid's first radius, so the spec order picks the
+        # error, whichever N sets the walk's blocks
         pytest.param(_x_axis_array(8), _EN_UP, "FieldSingularity", id="x8-en-up"),
         pytest.param(_x_axis_array(8), _EN_UP[::-1], "UndefinedProjection", id="x8-up-en"),
         pytest.param(_x_axis_array(4), _EN_UP, "FieldSingularity", id="x4-en-up"),
-        pytest.param(_x_axis_array(4), _EN_UP[::-1], "FieldSingularity", id="x4-up-en"),
+        pytest.param(_x_axis_array(4), _EN_UP[::-1], "UndefinedProjection", id="x4-up-en"),
     ],
 )
 def test_one_table_per_direction_equals_one_call_per_direction(geometry, specs, error):
     # wc is searched once for all directions; each table is the one-direction table, and
     # an error is the first one the directions meet in order.  A one-direction table is
-    # each spec alone, up to the first error: the line walk it shares holds an error until
-    # the spec of that kind is reached
+    # each spec alone, up to the first error: the grid pass it shares holds a kind's error
+    # until the spec of that kind is reached
     directions = (FRONT, DIAGONAL, SIDE, Direction(73.3, 211.7))
     tables = _outcome(lambda: boundaries.evaluate_boundaries(geometry, specs, directions))
     alone = []

@@ -1,7 +1,7 @@
 """Imports and names: every package module uses each name it imports, every private
 module-level name is read somewhere in the package, every export has a caller, block
-loops are written once, the boundary criteria stay on the one line primitive, the field
-kernels share one distance source, and nff needs only numpy."""
+loops are written once, the boundary criteria stay on the one line primitive and decide their
+errors in one place, the field kernels share one distance source, and nff needs only numpy."""
 
 import ast
 import subprocess
@@ -172,6 +172,25 @@ def test_criteria_stay_on_the_line_primitive():
         if isinstance(n, ast.Name) and n.id in {"_line_constants", "_line_excess", "_line_distance"}
     }
     assert readers == {"_test_line", "_line_walk", "_row_bounds"}
+
+
+def test_line_errors_are_decided_in_one_place():
+    # a criterion's error at a radius is decided once, before any walk: only _line_errors
+    # builds UndefinedProjection, FieldSingularity's message is sources._singularity's, and
+    # _line_walk computes values only, with no error to catch or hold
+    tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def called(node):
+        return [n.func.id for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+    assert called(tree).count("UndefinedProjection") == 1
+    assert "UndefinedProjection" in called(functions["_line_errors"])
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert names & {"FieldSingularity", "_off_elements"} == set()
+    assert not any(isinstance(n, ast.Try) for n in ast.walk(functions["_line_walk"]))
 
 
 def test_field_kernels_take_distances_from_point_offsets():

@@ -27,20 +27,20 @@ for most, a test-line direction) to a single radius in wavelengths:
 All searches share a log-grid pass over one fixed bracket plus geometric
 bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
 next few levels in one call, so the path it takes sees the bits a walk one radius at
-a time would.  A table's grid pass is one walk over the line per direction for all of
-``ar``, ``up``, ``en`` and ``ep``, and one ``Xi`` scan per call for ``wc``.  A search
-reads nothing of a grid pass but the side of each of its thresholds at each radius, so
-the line kinds' grid values are screened and exact on those sides only:
+a time would.  A table's grid pass serves all of ``ar``, ``up``, ``en`` and ``ep`` per
+direction, and one ``Xi`` scan per call serves ``wc``.  A search reads nothing of a grid
+pass but the side of each of its thresholds at each radius, so the line kinds' grid rows
+are decided by one ladder of interval stages (:func:`_grid_pass`): a row is decided when an
+interval that provably holds the float64 walk's value excludes every threshold of its
+kind, and it takes a value from inside that interval.
 
-* each radius first gets, per kind, an interval that provably holds the walk's value,
-  from the line's extreme elements at O(1) cost (:func:`_row_bounds`); where every
-  threshold of a kind lies outside it, the radius takes its lower end.  This decides all
-  but a few radii around each crossing for ``ar`` and ``up``, ``ep``'s far field and
-  ``en``'s far zone;
-* the radii left open are walked once, and there the ``en`` values are taken with
-  float32 ``cos`` and ``sin`` of the exactly reduced phase, whose error is proven below
-  ``E = 1e-5`` of ``sum_n 1/d_n``, and recomputed in float64 at every radius that could
-  then lie on either side of one of the table's ``en`` thresholds.
+* Stage 0 (:func:`_row_bounds`): per kind, O(1) per radius, from the line's extreme
+  elements and means.  It decides all but a few radii around each crossing for ``ar`` and
+  ``up``, ``ep`` to second order (Jensen's inequality and a chord), and ``en``'s far zone.
+* Stage 1, on the rows left open for ``en`` and ``ep``: float32 at O(N) per radius, within
+  a per-row proven bound (:func:`_ep_rows`, :func:`_psi_rows`), and for ``en``
+  continuation, which lets an evaluated row decide its neighbours (:func:`_en_stage`).
+* Stage 2: the rows still open are walked once in float64 (:func:`_line_walk`).
 
 So crossing counts, statuses, degenerate flags and the bisected values (the bisection
 stays exact) are those of the float64 walk.  Errors are decided per radius before any walk
@@ -57,7 +57,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess, unit_vector
+    _SCAN_PAIRS, WAVENUMBER, Direction, _blockwise, _line_constants, _line_distance, _line_excess,
+    unit_vector,
 )
 from .metric import _ON_REACH, _on_element, default_grid
 from .sources import ArrayGeometry, _singularity
@@ -158,10 +159,6 @@ class BoundaryResult:
 # criteria at a radius, or an array of radii, along a test line
 
 
-#: Error bound of :func:`_screened_steering`, relative to ``sum_n 1/d_n``.
-_PSI_SCREEN_ERROR = 1e-5
-
-
 def _steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """``Psi``'s denominator ``|sum_n exp(-j k delta_n) / d_n|`` per row of ``inv = 1/d`` and
     the excess paths ``delta``, in float64."""
@@ -169,35 +166,14 @@ def _steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.hypot(np.sum(np.cos(phase) * inv, axis=-1), np.sum(np.sin(phase) * inv, axis=-1))
 
 
-def _screened_steering(inv: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """:func:`_steering` within ``E S``, ``E = _PSI_SCREEN_ERROR`` and ``S = sum_n inv_n``, on a
-    line whose largest element offset ``a`` is at most 1e6 wavelengths and whose ``N`` is at
-    most 1e8.
-
-    The phase is reduced exactly: ``m = delta - rint(delta)`` is exact, and ``k = 2 pi`` per
-    wavelength, so ``k m`` in ``[-pi, pi]`` is ``k delta`` less whole turns.  Its ``cos`` and
-    ``sin`` are taken in float32 and summed against ``inv`` in float64.  Per term and unit of
-    ``inv``, the float32 rounding of ``k m`` costs at most ``2^-23`` (``|k m| < 4``), and
-    float32 ``cos`` and ``sin`` within 4 ulp on ``[-pi, pi]`` (numpy's SIMD loops stay within
-    1.5, glibc's within 1) at most ``2^-21``; over the modulus that is ``sqrt(2) (2^-23 +
-    2^-21) S``, 8.5e-7 S.  On the float64 side, the rounding of ``k delta`` and the whole
-    turns times the rounding of ``k`` cost at most ``2 pi 2^-52 (2 a + 1)``, as ``0 <= delta
-    <= 2 a``, and the sums and ``hypot`` at most ``2 (N + 2) 2^-52``: 5e-8 together.  So
-    ``E`` = 1e-5 bounds the error more than tenfold.
-    """
-    turns = np.rint(delta)
-    x = np.multiply(np.subtract(delta, turns, out=turns), WAVENUMBER, out=turns)
-    x = x.astype(np.float32)
-    return np.hypot(np.einsum("...n,...n->...", np.cos(x), inv),
-                    np.einsum("...n,...n->...", np.sin(x), inv))
-
-
 class _Line(NamedTuple):
     """A geometry's test line along a direction, read once for every walk over it: ``t_n``
     and ``w_n`` (:func:`nff.core._line_constants`), the boresight projection ``along`` of
     ``rhat`` and ``offsets`` of the elements, ``up``'s, with their extremes; for the row
-    bounds of a grid pass (:func:`_row_bounds`), the extents of ``t`` and ``w`` and the
-    ``witnesses``, the elements where ``t`` or ``w`` is least or greatest; and ``on_lo`` and
+    bounds of a grid pass (:func:`_row_bounds`), the extents of ``t`` and ``w``, the
+    ``witnesses``, the elements where ``t`` or ``w`` is least or greatest, and ``t_mean`` and
+    ``spread``, the mean ``c`` of ``t`` and ``mean_n (t_n - c)^2 + w_n``; ``w32``, ``w`` in
+    float32 for the float32 stages (:func:`_psi_rows`, :func:`_ep_rows`); and ``on_lo`` and
     ``on_hi``, outside which no radius lies on an element (:func:`_line_errors`)."""
 
     geometry: ArrayGeometry
@@ -212,6 +188,9 @@ class _Line(NamedTuple):
     w_lo: float
     w_hi: float
     witnesses: list[int]
+    t_mean: float
+    spread: float
+    w32: np.ndarray
     on_lo: float
     on_hi: float
 
@@ -223,60 +202,59 @@ def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
     nhat = geometry.boresight  # (r rhat - r_n) . nhat, per radius and element
     offsets = geometry.positions @ nhat
     witnesses = sorted({int(i) for i in (np.argmin(t), np.argmax(t), np.argmin(w), np.argmax(w))})
+    t_mean = t.mean()
     on = t[w < _ON_REACH * _ON_REACH]  # the elements a radius may lie on (metric._on_element)
     return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max(),
                  t.min(), t.max(), w.min(), w.max(), witnesses,
+                 t_mean, np.mean(np.square(t - t_mean)) + w.mean(), w.astype(np.float32),
                  on.min(initial=np.inf) - _ON_REACH, on.max(initial=-np.inf) + _ON_REACH)
 
 
 def _line_errors(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, ValueError]:
     """Of each of ``kinds`` that fails at a radius of ``r``, the error of its first failing
-    radius in ``r``'s flat order.  Every kind but ``ar`` fails where a ``d_n`` that
-    :func:`_line_walk` would form is below :data:`~nff.sources.SINGULARITY_RADIUS`
-    (:func:`nff.metric._on_element`), ``up`` also where its boresight projections change sign,
-    read at their extremes as the walk reads them; at one radius the element comes first."""
+    radius in ``r``'s flat order.  Every kind fails at ``r <= 0``; every kind but ``ar`` where
+    a ``d_n`` that :func:`_line_walk` would form is below
+    :data:`~nff.sources.SINGULARITY_RADIUS` (:func:`nff.metric._on_element`); ``up`` also where
+    its boresight projections change sign, read at their extremes as the walk reads them.  At
+    one radius a nonpositive radius comes first, then the element."""
     flat = r.ravel()
-    errors, first = {}, flat.size
-    if (set(kinds) - {"ar"} and flat.size
-            and not (flat.max() < line.on_lo or flat.min() > line.on_hi)):
-        order = np.argsort(flat)
-        if (on := order[_on_element(line.t, line.w, flat[order])]).size:
+    stop = int(np.argmax(flat <= 0.0)) if flat.size and flat.min() <= 0.0 else flat.size
+    head = flat[:stop]  # every kind fails at flat[stop], so only the radii before it count
+    errors, first = {}, stop
+    if (set(kinds) - {"ar"} and head.size
+            and not (head.max() < line.on_lo or head.min() > line.on_hi)):
+        order = np.argsort(head)
+        if (on := order[_on_element(line.t, line.w, head[order])]).size:
             first = int(on.min())
     if "up" in kinds and line.o_lo < line.o_hi:  # with one offset, no sign can change
-        x, tol = flat * line.along, 1e-9 * np.maximum(1.0, flat)
+        x, tol = head * line.along, 1e-9 * np.maximum(1.0, head)
         mixed = np.flatnonzero((x - line.o_lo > tol) & (x - line.o_hi < -tol))
         if mixed.size and mixed[0] < first:
             errors["up"] = UndefinedProjection("boresight projections change sign along the "
                                                "element set; the uniform-power ratio is "
                                                "undefined here")
-    if first < flat.size:
+    if first < stop:
         errors |= {kind: _singularity(flat[first]) for kind in kinds
                    if kind != "ar" and kind not in errors}
+    if stop < flat.size:
+        errors |= {kind: ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a "
+                                    "test line must be positive")
+                   for kind in kinds if kind not in errors}
     return errors
 
 
-def _line_walk(
-    line: _Line, kinds: Sequence[str], r: np.ndarray, en_thresholds: Sequence[float] = ()
-) -> dict[str, np.ndarray]:
+def _line_walk(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, np.ndarray]:
     """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on ``line``,
-    in one walk: element ``n`` enters only through ``t_n`` and ``w_n``.
+    in one float64 walk: element ``n`` enters only through ``t_n`` and ``w_n``.
 
     Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d`` once,
     and ``delta`` only for ``ar`` or ``en``; ``up`` reads its projections ``x - o_n`` at their
     extremes only, and ``d`` too when every element has one offset ``o``.  Values are
     elementwise in ``r``, so a radius gets the bits it gets alone, whichever kinds share the
     walk.  The walk computes values only: a kind is walked where :func:`_line_errors` finds
-    it defined.
-
-    Given ``en_thresholds``, ``en``'s values are exact on the side of each of them only, and
-    a search reads nothing else of a grid pass.  With ``Psi = S / den``, ``S = sum_n 1/d_n``,
-    a row's ``den~`` (:func:`_screened_steering`) is within ``E S`` of ``den``, ``E`` being
-    :data:`_PSI_SCREEN_ERROR`, so a row with ``|S - tau den~| > tau E S`` for every threshold
-    ``tau`` lies on the side of each that ``S / den~`` does; any other row is recomputed in
-    float64 (:func:`_steering`), as without thresholds.
+    it defined, and only a grid pass's stages screen (:func:`_grid_pass`).
     """
     geometry, t, w, along, offsets, o_lo, o_hi = line[:7]  # the fields the walk reads
-    screen = np.asarray(en_thresholds, float)[:, None]
     excess = "ar" in kinds or "en" in kinds
 
     def block(r):
@@ -301,16 +279,8 @@ def _line_walk(
                 v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
             elif kind == "en":
                 inv = 1.0 / d
-                total = np.sum(inv, axis=-1)
-                if screen.size:
-                    den = _screened_steering(inv, delta)
-                    near = np.abs(total - screen * den) <= screen * _PSI_SCREEN_ERROR * total
-                    if (rows := np.any(near, axis=0)).any():
-                        den[rows] = _steering(inv[rows], delta[rows])
-                else:
-                    den = _steering(inv, delta)
                 with np.errstate(divide="ignore"):
-                    v = np.maximum(total / den, 1.0)
+                    v = np.maximum(np.sum(inv, axis=-1) / _steering(inv, delta), 1.0)
             else:
                 v = np.square(r) / geometry.n * np.sum(1.0 / (d * d), axis=-1)
             vals.append(v)
@@ -323,17 +293,43 @@ def _line_walk(
 #: Relative widening of every row bound (:func:`_row_bounds`), per element of the line plus 64.
 _ROW_SLACK = 2.0**-50
 
+#: The unit roundoff of a float64 walk, and the unit of a float32 stage's bound
+#: (:func:`_psi_rows`): float32's, plus eight float64 walks' for the rows a stage decides.
+_F64 = 2.0**-53
+_F32 = 2.0**-24 + 2.0**-50
+
+
+def _row_error(line: _Line, r: np.ndarray, unit: float, phases: bool) -> np.ndarray:
+    """``(c + 2 N) unit`` per radius of ``r``: with ``phases`` (``en``) ``c = 64 dhat + 32``,
+    ``dhat`` bounding every excess path ``delta_n``, else (``ep``) ``c = 8``; ``inf`` where that
+    exceeds 1e-2, or an element term could leave float32's range, past which no stage's bound
+    is proven (:func:`_psi_rows`, :func:`_ep_rows`).
+
+    As ``d_n <= |s_n| + sqrt(w_n)``, ``delta_n = d_n - s_n <= sqrt(w_hi) + 2 max(t_hi - r, 0)``
+    (the walk's ``s_n`` is at least its ``r - t_hi``), and where ``s_min = r - t_hi > 0``,
+    ``delta_n = w_n / (d_n + s_n) <= w_hi / (2 s_min)``.
+    """
+    c = 8.0
+    if phases:
+        ahead = r - line.t_hi
+        far = np.divide(line.w_hi, 2.0 * ahead, out=np.full(r.shape, np.inf), where=ahead > 0.0)
+        c = 64.0 * np.minimum(math.sqrt(line.w_hi) + 2.0 * np.maximum(-ahead, 0.0), far) + 32.0
+    eps = (c + 2.0 * line.geometry.n) * unit
+    reach = np.maximum(r - line.t_lo, line.t_hi - r)  # the largest |s_n|
+    fits = (eps <= 1e-2) & (reach < 2.0**50) & (line.w_hi < 2.0**100)
+    return np.where(fits, eps, np.inf)
+
 
 def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, tuple]:
     """Of each of ``kinds``, an interval ``(lo, hi)`` per radius of ``r`` that holds the value
-    :func:`_line_walk` gives there, from the line's extents and witnesses at O(1) per radius,
-    where :func:`_line_errors` finds the kind defined.
+    :func:`_line_walk` gives there, from the line's extents, means and witnesses at O(1) per
+    radius, where :func:`_line_errors` finds the kind defined: stage 0 of a grid pass.
 
     Let ``s_n = r - t_n``, the walk's float, and ``s_min = r - t_hi``, its least.  ``near``
     bounds every ``|s_n|`` from below (``s_min`` past ``t_hi``, ``t_lo - r`` short of
-    ``t_lo``, else 0), ``far`` is the greatest, and ``D_lo^2 = near^2 + w_lo <= d_n^2 <=
-    far^2 + w_hi = D_hi^2``.  Where ``s_min > 0``, ``d_n >= s_n`` gives ``0 <= delta_n = w_n /
-    (d_n + s_n) <= w_hi / (2 s_min)``.  So:
+    ``t_lo``, else 0), ``far`` is the greatest, and ``a = D_lo^2 = near^2 + w_lo <= d_n^2 <=
+    far^2 + w_hi = D_hi^2 = b``.  Where ``s_min > 0``, ``d_n >= s_n`` gives ``0 <= delta_n =
+    w_n / (d_n + s_n) <= w_hi / (2 s_min)``.  So:
 
     * ``ar``: ``Phi = k max_n delta_n`` is at least the witnesses' own ``k delta`` and, where
       ``s_min > 0``, at most ``k w_hi / (2 s_min)``.
@@ -341,27 +337,36 @@ def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, t
       numerators ``|x - o_n|`` lie between the walk's projection extremes ``P_lo`` and
       ``P_hi`` (``P_lo`` is 0 where they straddle 0, and both are 1 on an in-plane row), so
       ``Gamma >= (P_lo / P_hi) (D_lo / D_hi)^3``.
-    * ``ep``: ``Upsilon``, the mean of ``r^2 / d_n^2``, lies in ``[r^2 / D_hi^2, r^2 /
-      D_lo^2]``.
+    * ``ep``: ``Upsilon = r^2 mean_n 1 / x_n`` with ``x_n = d_n^2 = (r - t_n)^2 + w_n``, whose
+      mean is ``M = (r - tbar)^2 + mean_n (t_n - tbar)^2 + w_n``.  ``1 / x`` is convex, so
+      Jensen's inequality gives ``Upsilon >= r^2 / M``, and it lies below its chord over
+      ``[a, b]``, ``1 / x <= (a + b - x) / (a b)``, so ``Upsilon <= r^2 (a + b - M) / (a b)``.
+      With ``c = t_mean`` (the float mean, within ``e = (N + 2) 2^-53 max |t|`` of ``tbar``)
+      and ``V = spread`` (taken about ``c``), ``(max(|r - c| - e, 0))^2 + V - e^2 <= M <=
+      (|r - c| + e)^2 + V``, up to ``V``'s relative rounding.  The numerator ``a + b - M``
+      may cancel, so it takes ``(N + 64)`` :data:`_ROW_SLACK` times ``a + b + M`` more, which
+      also covers ``e^2`` (below ``(N + 2)^2 2^-104 b``, as ``b >= max t^2 / 4`` on a centred
+      array) and relative errors of that size in ``a``, ``b`` and ``M``: the chord's
+      derivative in each is at most ``1 / (a b)`` times ``b``, ``a`` or ``M``.
     * ``en``: every phase ``k delta_n`` lies in ``[0, T]``, ``T = k w_hi / (2 s_min)``, so
       the steering sum, turned by ``T / 2``, has a real part of at least ``cos(T / 2) S``:
       ``1 <= Psi <= 1 / cos(T / 2)`` where ``T / 2 < pi / 2``.  The walk's ``S`` and
-      denominator are within ``E S`` of these, ``E`` being :data:`_PSI_SCREEN_ERROR` (the
-      float64 error is below 5e-8 S on a line that :func:`_kind_scans` screens), so ``hi =
-      (1 + E) / (cos(T / 2) - E)``, and only where ``cos(T / 2) > 2 E``.
+      denominator are within ``E S`` of these, ``E`` the row's float64 :func:`_row_error`,
+      so ``hi = (1 + E) / (cos(T / 2) - E)``, and only where ``cos(T / 2) > 2 E``.
 
     These hold for the walk's float inputs ``r``, ``t_n`` and ``w_n``; the walk forms each
     value in a few roundings per element and a sum of ``N`` terms (``ep``, ``en``), at most
     ``(N + 16) 2^-52`` relative with numpy's ``pow`` within 4 ulp, and the bounds are formed
-    in fewer.  Every interval is widened by ``(N + 64)`` :data:`_ROW_SLACK`, at least four
-    times the two together.
+    in fewer, or (``M``) with a mean of ``N`` terms, ``(N + 20) 2^-53``.  Every interval is
+    widened by ``(N + 64)`` :data:`_ROW_SLACK`, at least twice the two together.
     """
     s_min = r - line.t_hi
     ahead = s_min > 0.0
     if "up" in kinds or "ep" in kinds:
         d_lo2 = np.square(np.maximum(np.maximum(s_min, line.t_lo - r), 0.0)) + line.w_lo
         d_hi2 = np.square(np.maximum(np.abs(r - line.t_lo), np.abs(s_min))) + line.w_hi
-    slack = (line.geometry.n + 64) * _ROW_SLACK
+    n = line.geometry.n
+    slack = (n + 64) * _ROW_SLACK
     bounds = {}
     for kind in kinds:  # the witnesses' planes are formed one at a time, to keep memory small
         if kind == "ar":
@@ -376,13 +381,18 @@ def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, t
             half = np.divide(line.w_hi * WAVENUMBER, 4.0 * s_min, out=np.full(r.shape, np.inf),
                              where=ahead)
             cos = np.cos(np.minimum(half, 0.5 * math.pi, out=half), out=half)
+            err = _row_error(line, r, _F64, True)
             lo = np.ones(r.shape)
-            hi = np.divide(1.0 + _PSI_SCREEN_ERROR, cos - _PSI_SCREEN_ERROR,
-                           out=np.full(r.shape, np.inf), where=cos > 2.0 * _PSI_SCREEN_ERROR)
+            hi = np.divide(1.0 + err, cos - err, out=np.full(r.shape, np.inf),
+                           where=cos > 2.0 * err)
         else:
+            gap = np.abs(r - line.t_mean)
+            e = (n + 2) * _F64 * max(-line.t_lo, line.t_hi)
+            m_lo = np.square(np.maximum(gap - e, 0.0)) + line.spread
             r2 = r * r
-            with np.errstate(divide="ignore"):
-                lo, hi = r2 / d_hi2, r2 / d_lo2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = r2 / (np.square(gap + e) + line.spread)
+                hi = r2 * (d_lo2 + d_hi2 - m_lo + slack * (d_lo2 + d_hi2 + m_lo)) / (d_lo2 * d_hi2)
         bounds[kind] = lo * (1.0 - slack), hi * (1.0 + slack)
     return bounds
 
@@ -406,31 +416,199 @@ def _gamma_bounds(line: _Line, r: np.ndarray, dists: Iterable, ratio: np.ndarray
     return p_lo / p_hi * (ratio * np.sqrt(ratio)), hi
 
 
+def _float32_offsets(line: _Line, r: np.ndarray) -> np.ndarray:
+    """The walk's ``s_n = r - t_n`` per radius of ``r`` and element, formed in float64 and
+    rounded to float32."""
+    return (r[:, None] - line.t).astype(np.float32)
+
+
+def _ep_rows(line: _Line, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U~`` and ``E`` per radius of ``r``: ``Upsilon`` in float32, and a bound on its distance
+    from the walk's value and the exact one.
+
+    From the walk's ``s_n`` rounded to float32 (relative error ``u = 2^-24``) and ``w_n``'s,
+    ``s^2 + w`` is a sum of nonnegative terms, within ``4 u``, its reciprocal within ``6 u``,
+    their float32 sum within ``(N + 6) u`` and ``U~ = r^2 / N`` times it within ``(N + 7) u``
+    of the exact value, and the walk's within ``(N + 16) 2^-52``.  So both lie within ``E =
+    1.02 eps U~`` of ``U~``, ``eps`` being the row's :func:`_row_error` (``1.02`` covers the
+    exact value's excess over ``U~``).
+    """
+
+    def block(r):
+        x = _float32_offsets(line, r)
+        x *= x
+        x += line.w32
+        return np.sum(np.reciprocal(x, out=x), axis=-1).astype(float)
+
+    u = np.square(r) / line.geometry.n * _blockwise(block, line.t.size, r)
+    return u, 1.02 * _row_error(line, r, _F32, False) * u
+
+
+def _ep_stage(line: _Line, r: np.ndarray, rows: np.ndarray, taus: np.ndarray,
+              vals: np.ndarray) -> None:
+    """Stage 1 of ``ep`` on the ``rows`` of ``r`` still open: a row whose :func:`_ep_rows`
+    interval ``[U~ - E, U~ + E]`` excludes every threshold takes ``U~`` in ``vals`` and leaves
+    ``rows``; rows where the bound is not proven are not evaluated."""
+    idx = np.flatnonzero(rows)
+    idx = idx[np.isfinite(_row_error(line, r[idx], _F32, False))]  # the others stay open
+    u, err = _ep_rows(line, r[idx])
+    rows[idx] = np.any(np.abs(u - taus) <= err, axis=0)
+    vals[idx] = u
+
+
+def _psi_rows(line: _Line, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``S~``, ``den~``, ``eps`` and ``Q~`` per radius of ``r``: ``Psi``'s numerator ``S =
+    sum_n 1/d_n`` and denominator ``den = |sum_n exp(-j k delta_n) / d_n|`` from one float32
+    chain, and ``Q = sum_n 1/d_n^2``; ``S`` and ``den`` of the walk, and the exact ones, lie
+    within ``E = 1.02 eps S~`` of them, ``eps`` the row's :func:`_row_error`.
+
+    With ``u = 2^-24``, the walk's ``s_n`` and ``w_n`` are rounded to float32 (``u`` each), so
+    every later term is a sum of nonnegative parts: ``d = sqrt(s^2 + w)`` is within ``3.1 u``,
+    ``1/d`` within ``4.2 u``, and ``delta = w / (d + |s|) + (|s| - s)`` (``d - s``, with
+    ``|s| - s`` exact) within ``8.2 u``.  ``m = delta - rint(delta)`` is exact, and ``k = 2 pi``,
+    so ``k m`` is ``k delta`` less whole turns, and float32 ``k m`` is within ``2 pi u (1.01 +
+    8.2 delta)`` of it: phase errors no float64 reduction would remove.  Float32 ``cos`` and
+    ``sin`` within 4 ulp (numpy's SIMD loops stay within 1.5) add ``8 u`` each, the products
+    ``u``, and the float32 sums ``1.01 N u`` of ``S`` each.  So ``|den~ - den| <= (51.6 dhat +
+    26 + 1.5 N) u S``, ``dhat >= max_n delta_n``, and ``S~`` is closer.  The walk's float64
+    chain has the same shape in ``2^-53`` (its ``k delta`` within ``10 2^-53 k delta``, ``cos``
+    of any argument within 4 ulp, its sums within ``N 2^-53``), here and, with ``dhat`` grown
+    at most ``e``-fold and ``S`` twofold, at every radius within reach of a row
+    (:func:`_en_stage`): eight of them are at most ``(64 dhat + 32 + 2 N) 2^-50``.  ``Q~`` is
+    within ``(N + 10) u``, below ``eps``.  The floats stay normal or exact: ``_line_errors``
+    keeps ``d_n >= 1e-9``, and ``_row_error`` the terms below ``2^100``.
+    """
+
+    def block(r):
+        s = _float32_offsets(line, r)
+        d = _line_distance(s, line.w32)
+        inv = 1.0 / d
+        if r.min() > line.t_hi:  # every s > 0
+            delta = np.divide(line.w32, np.add(d, s, out=d), out=d)
+        else:
+            a = np.abs(s)
+            delta = np.divide(line.w32, np.add(d, a, out=d), out=d)
+            a -= s  # |s| - s, exact
+            delta += a
+        delta -= np.rint(delta)
+        delta *= np.float32(WAVENUMBER)
+        sums = (np.sum(inv, axis=-1), np.vecdot(np.cos(delta), inv),
+                np.vecdot(np.sin(delta), inv), np.vecdot(inv, inv))
+        return tuple(x.astype(float) for x in sums)
+
+    total, re, im, q = _blockwise(block, line.t.size, r, (float,) * 4)
+    return total, np.hypot(re, im), _row_error(line, r, _F32, True), q
+
+
+#: Strides of the ``en`` stage's passes over a grid's open rows (:func:`_en_stage`), and the
+#: open radius-element pairs from which it takes them; fewer go in one pass.
+_LADDER = (256, 32, 4, 1)
+_LADDER_PAIRS = 4 * _SCAN_PAIRS
+
+
+def _en_stage(line: _Line, r: np.ndarray, rows: np.ndarray, taus: np.ndarray,
+              vals: np.ndarray) -> None:
+    """Stage 1 of ``en`` on the increasing radii of ``r``'s open ``rows``: :func:`_psi_rows` on
+    every 256th, 32nd, 4th open row, then the rest (all at once below
+    :data:`_LADDER_PAIRS`), each decided row covering its neighbours.  A row decided or
+    covered takes a value in ``vals`` and leaves ``rows``; rows where the bound is not proven
+    are not evaluated.
+
+    A row's ``S`` and ``den``, of the walk or exact, lie within ``E = 1.02 eps S~`` of ``S~``
+    and ``den~``; ``Psi >= tau`` is ``S >= tau den``, so the row is decided when every
+    ``margin = |S~ - tau den~| - (1 + tau) E - 2^-40 S~ > 0``, and takes ``max(S~ / den~, 1)``,
+    on the walk's side of each ``tau`` with ``2^-40`` to spare for the quotients' rounding.
+
+    Continuation: ``d_n' = s_n / d_n`` and ``delta_n' = d_n' - 1``, so ``|d_n'| <= 1`` and
+    ``|delta_n'| <= 2``.  Within ``rho <= min_n d_n / 2`` of the row, every ``d_n`` stays
+    above half its value, so ``|S'| <= sum_n 1/d_n^2 <= 4 Q`` and ``|den'| <= sum_n 2 k/d_n +
+    1/d_n^2 <= 4 k S + 4 Q``.  As ``Q >= 1 / min_n d_n^2``, ``rho = min(1 / (2 sqrt(Q)), margin /
+    (4 Q + tau (4 k S + 4 Q)))`` (``S`` and ``Q`` taken ``1 + 2 eps`` times ``S~`` and ``Q~``,
+    minimised over the thresholds) keeps every radius within ``rho`` on the row's side of each
+    threshold, by ``E`` (which holds the walk's error there) and ``2^-40 S~``; such a radius
+    takes the row's value.  Every rounding of these tests is below ``2^-50`` relative.
+    """
+    idx = np.flatnonzero(rows)
+    x = r[idx]
+    left = ~np.isfinite(_row_error(line, x, _F32, True))  # not proven: not evaluated
+    todo = ~left
+    for stride in _LADDER if idx.size * line.geometry.n > _LADDER_PAIRS else (1,):
+        at = np.flatnonzero(todo)[::stride]
+        if not at.size:
+            break
+        todo[at] = False
+        total, den, eps, q = _psi_rows(line, x[at])
+        margin = np.abs(total - taus * den) - (1.0 + taus) * 1.02 * eps * total
+        margin -= 2.0**-40 * total
+        ok = np.all(margin > 0.0, axis=0)
+        with np.errstate(divide="ignore"):
+            value = np.maximum(total / den, 1.0)
+        vals[idx[at]] = value
+        left[at[~ok]] = True
+        if not (todo.any() and ok.any()):
+            continue
+        cap, grow_total, grow_den = _continuation(total[ok], eps[ok], q[ok])
+        reach = np.minimum(cap, np.min(margin[:, ok] / (grow_total + taus * grow_den), axis=0))
+        near = np.flatnonzero(todo)
+        owner = _cover(x, at[ok], reach, near)
+        got = owner >= 0
+        vals[idx[near[got]]] = value[ok][owner[got]]
+        todo[near[got]] = False
+    rows[idx] = left
+
+
+def _continuation(total: np.ndarray, eps: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Of rows with :func:`_psi_rows`' ``S~``, ``eps`` and ``Q~``, the cap ``1 / (2 sqrt(Q))``
+    of a reach (below ``min_n d_n / 2``) and the bounds ``4 Q`` and ``4 k S + 4 Q`` on how fast
+    ``S`` and ``den`` move within it (:func:`_en_stage`)."""
+    grow = 1.0 + 2.0 * eps
+    q = 4.0 * q * grow
+    return 1.0 / np.sqrt(q), q, 4.0 * WAVENUMBER * total * grow + q
+
+
+def _cover(x: np.ndarray, at: np.ndarray, reach: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each position of ``rows`` in the increasing radii ``x`` (none of them in ``at``), the
+    index ``i`` of the nearest centre ``x[at[i]]`` below it, or else above it, whose ``reach[i]``
+    covers it; -1 where neither does.  A centre is taken only where it covers the row."""
+    mark = np.zeros(x.size, int)
+    mark[at] = 1
+    k = np.cumsum(mark)[rows]  # the centres below each row
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k, at.size - 1)
+    y, c = x[rows], x[at]
+    return np.where(np.abs(y - c[lo]) <= reach[lo], lo,
+                    np.where(np.abs(y - c[hi]) <= reach[hi], hi, -1))
+
+
+#: The float32 stage of each kind that has one (:func:`_grid_pass`).
+_STAGES = {"en": _en_stage, "ep": _ep_stage}
+
+
 def _grid_pass(line: _Line, kinds: Sequence[str], r: np.ndarray,
                thresholds: dict[str, Sequence[float]]) -> dict[str, np.ndarray | ValueError]:
-    """Of each of ``kinds``, its :func:`_line_errors` error on the grid ``r``, or else its
-    :func:`_line_walk` values there, exact on the side of each of its ``thresholds`` only,
-    which is all a search reads of them.
+    """Of each of ``kinds``, its :func:`_line_errors` error on the increasing grid ``r``, or
+    else values there on the :func:`_line_walk`'s side of each of its ``thresholds``, which is
+    all a search reads of them.
 
-    A radius where every threshold of a kind lies outside its :func:`_row_bounds` interval
-    takes the interval's ``lo``, on the side of each threshold that the walk's value is on.
-    The radii left open for any kind are walked once, in grid order, and ``en``'s values
-    there screened in float32 as :func:`_line_walk` does.  With no thresholds (past the
-    screens' proven range), the whole grid is walked in float64.
+    One ladder of interval stages decides the rows: a row is decided when its interval, which
+    holds the walk's value, excludes every threshold of its kind, and it takes a value from
+    inside that interval.  Stage 0 is :func:`_row_bounds`, at O(1) per row; stage 1, on the
+    rows stage 0 leaves open, is float32 at O(N) per row (:func:`_en_stage`, with
+    continuation, and :func:`_ep_stage`); stage 2 walks the rows still open for any kind once,
+    in float64 and grid order.
     """
     errors = _line_errors(line, kinds, r)
     kinds = [kind for kind in kinds if kind not in errors]
-    if not thresholds:
-        return (_line_walk(line, kinds, r) if kinds else {}) | errors
-
-    vals, rows = {}, np.zeros(r.shape, bool)
+    vals, walk = {}, np.zeros(r.shape, bool)
     for kind, (lo, hi) in _row_bounds(line, kinds, r).items():
-        taus = np.asarray(thresholds[kind])[:, None]
-        rows |= np.any((lo <= taus) & (taus <= hi), axis=0)
+        taus = np.asarray(thresholds[kind], float)[:, None]
+        rows = np.any((lo <= taus) & (taus <= hi), axis=0)
+        if kind in _STAGES and rows.any():
+            _STAGES[kind](line, r, rows, taus, lo)
         vals[kind] = lo
-    if rows.any():
-        for kind, walked in _line_walk(line, kinds, r[rows], thresholds.get("en", ())).items():
-            vals[kind][rows] = walked
+        walk |= rows
+    if walk.any():
+        for kind, walked in _line_walk(line, kinds, r[walk]).items():
+            vals[kind][walk] = walked
     return vals | errors
 
 
@@ -452,10 +630,8 @@ def phi_excess(
     ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, from the excess paths of
     :func:`nff.core._line_excess`, which do not cancel at large radii.  Nonnegative
     by the triangle inequality.  A radius on an element is allowed: its excess is 0
-    there.
+    there; a radius ``r <= 0`` raises ``ValueError``, as it does for every criterion.
     """
-    if np.any(np.asarray(r) <= 0.0):
-        raise ValueError("phase excess is undefined at r = 0")
     return _criterion("ar", geometry, r, direction, _line)
 
 
@@ -496,7 +672,7 @@ def psi_gain_ratio(
     :func:`nff.core._line_excess`, so no phase is formed from a whole
     distance.  At least 1 by the triangle inequality (the focusing weights
     align every term); a rounding below it reads 1.  Always float64: only a table's grid
-    pass screens ``Psi`` in float32 (:func:`_line_walk`).
+    pass bounds ``Psi`` in float32, to decide rows (:func:`_psi_rows`).
     """
     return _criterion("en", geometry, r, direction, _line)
 
@@ -730,8 +906,8 @@ def _kind_scans(
     (:func:`_levels`); or the error its grid pass holds.
 
     The line kinds share one :func:`_test_line` and one :func:`_grid_pass` over the grid,
-    whose values are exact on the side of each of the kind's ``thresholds`` only, unless the
-    line is past the bounds of :func:`_screened_steering`; their bisection scans are exact.
+    whose values are on the walk's side of each of the kind's ``thresholds`` only; their
+    bisection scans are exact.
     ``wc``, scanned alone, reads only the largest element offset ``a``: its grid starts just
     past ``a``, and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating
     that at the top of the bracket is only valid when ``Xi`` is decaying there, so the final
@@ -740,8 +916,6 @@ def _kind_scans(
     if kinds != ("wc",):
         grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
         line = _test_line(geometry, direction)
-        if geometry.n > 10**8 or _max_offset(geometry) > DEFAULT_BRACKET[1]:
-            thresholds = {}  # past these, the screens' error bounds are not proven
         scans = _grid_pass(line, kinds, grid, thresholds)
         for kind, vals in scans.items():
             if not isinstance(vals, ValueError):

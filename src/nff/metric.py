@@ -27,8 +27,8 @@ from .farfield import (
     AngularFieldDistribution, _element_terms, analytic_angular_distribution, auxiliary_fields
 )
 from .sources import (
-    SINGULARITY_RADIUS, ArrayGeometry, _line_fields, array_field, ff_precoder, nf_precoder,
-    on_element,
+    SINGULARITY_RADIUS, ArrayGeometry, _line_fields, _point_blocks, array_field, ff_precoder,
+    nf_precoder, on_element,
 )
 
 #: Default radial sweep grid: 10^-1 .. 10^4 wavelengths, 100 points/decade.
@@ -133,8 +133,13 @@ class DipoleArrayScenario:
         return np.broadcast_to(w, np.shape(points)[:-1] + w.shape[-1:])
 
     def fields(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # a fixed (N,) row broadcasts against every point inside array_field
-        return array_field(self.geometry, self._weights_at(points), points)
+        # a fixed (N,) row broadcasts against every point inside array_field; nf-bf's per-point
+        # weights are formed a block of points at a time, as array_field takes them
+        if self.excitation != EXCITATION_FOCUS:
+            return array_field(self.geometry, self._fixed_weights, points)
+        geometry = self.geometry
+        return _point_blocks(lambda p, _: array_field(geometry, nf_precoder(geometry, p), p),
+                             geometry.n, np.asarray(points, dtype=float))
 
     def angular_distribution(
         self, direction: Direction, r: float | np.ndarray

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    _SCAN_PAIRS,
     FREE_SPACE_IMPEDANCE,
     WAVENUMBER,
     Direction,
@@ -196,6 +197,29 @@ def _dipole_terms(dist: np.ndarray):
 _CYCLE = [0, 1, 2, 0, 1]
 
 
+def _point_blocks(fn, n: int, points: np.ndarray, weights=None) -> tuple[np.ndarray, ...]:
+    """``fn(points, weights) -> (E, H)`` on blocks of ``_SCAN_PAIRS // n`` points at a time
+    (:func:`nff.core._blockwise`), so the ``(points, N)`` temporaries do not grow with a batch.
+
+    ``points`` is ``(..., 3)`` and ``weights`` ``(..., N)``, one ``(N,)`` row for every point, or
+    None; E and H come shaped ``(..., 3)``.  A batch of one block or less goes to ``fn`` whole,
+    as given.
+    """
+    step = max(1, _SCAN_PAIRS // n)
+    if points.size <= 3 * step and (weights is None or np.size(weights) <= n * step):
+        return fn(points, weights)
+    lead = np.broadcast_shapes(points.shape[:-1], np.shape(weights)[:-1])
+    flat = np.broadcast_to(points, lead + (3,)).reshape(-1, 3)
+    if np.ndim(weights) > 1:
+        weights = np.broadcast_to(weights, lead + (n,)).reshape(-1, n)
+
+    def block(i):
+        return fn(flat[i], weights[i] if np.ndim(weights) > 1 else weights)
+
+    e, h = _blockwise(block, n, np.arange(flat.shape[0]), ((complex, 3), (complex, 3)))
+    return e.reshape(lead + (3,)), h.reshape(lead + (3,))
+
+
 def array_field(
     geometry: ArrayGeometry,
     weights: np.ndarray,
@@ -216,42 +240,50 @@ def array_field(
     -------
     (E, H) : tuple of numpy.ndarray
         Complex field vectors, shape ``(..., 3)``.
+
+    Points are taken ``_SCAN_PAIRS // N`` at a time (:func:`_point_blocks`); a point gets the
+    same bits in any batch.
     """
-    offsets, dist = _point_offsets(np.asarray(points, dtype=float), geometry.positions)
-    # Vectors are x, y, z planes (3, ..., N), against which each per-element factor (..., N)
-    # broadcasts, so every product is one ufunc call, per element in the order of the
-    # per-axis formulas.  rhat and u get their x and y planes again: the axes i + 1 and
-    # i + 2 of u x rhat are then slices.
-    u = geometry.orientations.T[_CYCLE].reshape((5,) + (1,) * (dist.ndim - 1) + (-1,))
-    planes = np.empty((5,) + dist.shape)
-    for i in range(3):
-        np.divide(offsets[i], dist, out=planes[i])
-    rhat = planes[:3]
-    planes[3:] = rhat[:2]
-    c = rhat * u[:3]
-    cos_loc = c[0] + c[1] + c[2]  # u . rhat, x, y, z left to right
-    kr, near, h_amp, e_rad, e_pol = _dipole_terms(dist)
-    phase = np.exp(-1j * kr)
-    # complex products go into new arrays: numpy's in-place product of a one-element
-    # complex array can differ from it in the last bit
-    h_amp = phase * h_amp * near
-    cross = u[1:4] * planes[2:]
-    cross -= u[2:] * planes[1:4]  # u x rhat
-    pol = cos_loc * rhat
-    pol -= u[:3]
-    pol = e_pol * pol
-    pol += e_rad * cos_loc * rhat  # b + a: the bits of a + b
-    # E and H per element are written plane by plane into C-ordered (..., N, 3) arrays: a
-    # transposed (3, ..., N) array would send ``w @ e`` down another BLAS path, with other
-    # bits.  The phase stays the first operand at any size (numpy turns ``a * (b + c)`` into
-    # an in-place product with swapped operands from 256 KiB on, and a complex product's
-    # imaginary part depends on the order), so a point gets the same bits in any batch
-    e, h = np.empty(dist.shape + (3,), complex), np.empty(dist.shape + (3,), complex)
-    np.multiply(phase, pol, out=_axes_first(e))
-    np.multiply(h_amp, cross, out=_axes_first(h))
-    # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
-    w = np.asarray(weights, dtype=complex)[..., None, :]
-    return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
+
+    def kernel(points, weights):
+        offsets, dist = _point_offsets(points, geometry.positions)
+        # Vectors are x, y, z planes (3, ..., N), against which each per-element factor
+        # (..., N) broadcasts, so every product is one ufunc call, per element in the order of
+        # the per-axis formulas.  rhat and u get their x and y planes again: the axes i + 1
+        # and i + 2 of u x rhat are then slices.
+        u = geometry.orientations.T[_CYCLE].reshape((5,) + (1,) * (dist.ndim - 1) + (-1,))
+        planes = np.empty((5,) + dist.shape)
+        for i in range(3):
+            np.divide(offsets[i], dist, out=planes[i])
+        rhat = planes[:3]
+        planes[3:] = rhat[:2]
+        c = rhat * u[:3]
+        cos_loc = c[0] + c[1] + c[2]  # u . rhat, x, y, z left to right
+        kr, near, h_amp, e_rad, e_pol = _dipole_terms(dist)
+        phase = np.exp(-1j * kr)
+        # complex products go into new arrays: numpy's in-place product of a one-element
+        # complex array can differ from it in the last bit
+        h_amp = phase * h_amp * near
+        cross = u[1:4] * planes[2:]
+        cross -= u[2:] * planes[1:4]  # u x rhat
+        pol = cos_loc * rhat
+        pol -= u[:3]
+        pol = e_pol * pol
+        pol += e_rad * cos_loc * rhat  # b + a: the bits of a + b
+        # E and H per element are written plane by plane into C-ordered (..., N, 3) arrays:
+        # a transposed (3, ..., N) array would send ``w @ e`` down another BLAS path, with
+        # other bits.  The phase stays the first operand at any size (numpy turns ``a * (b +
+        # c)`` into an in-place product with swapped operands from 256 KiB on, and a complex
+        # product's imaginary part depends on the order), so a point gets the same bits in
+        # any batch
+        e, h = np.empty(dist.shape + (3,), complex), np.empty(dist.shape + (3,), complex)
+        np.multiply(phase, pol, out=_axes_first(e))
+        np.multiply(h_amp, cross, out=_axes_first(h))
+        # one (1, N) @ (N, 3) product per point, the same reduction as ``w @ e``
+        w = np.asarray(weights, dtype=complex)[..., None, :]
+        return (w @ e)[..., 0, :], (w @ h)[..., 0, :]
+
+    return _point_blocks(kernel, geometry.n, np.asarray(points, dtype=float), weights)
 
 
 def _line_fields(geometry: ArrayGeometry, rhat: np.ndarray):

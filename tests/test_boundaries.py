@@ -474,6 +474,20 @@ def _reference_errors(line, kinds, r):
     return errors
 
 
+def _reference_with_domain(line, kinds, r):
+    """:func:`_reference_errors` with the rule that every kind fails at a radius ``r <= 0``:
+    at the first such radius in ``r``'s flat order, every kind the radii before it leave
+    defined takes its ``ValueError``."""
+    flat = np.ravel(np.asarray(r, dtype=float))
+    stop = next((i for i, r_i in enumerate(flat.tolist()) if r_i <= 0.0), flat.size)
+    errors = _reference_errors(line, kinds, flat[:stop])
+    if stop < flat.size:
+        error = ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a test line "
+                           "must be positive")
+        errors |= {kind: error for kind in kinds if kind not in errors}
+    return errors
+
+
 def _errors(errors):
     """The type and message of each kind's error."""
     return {kind: (type(exc), str(exc)) for kind, exc in errors.items()}
@@ -523,13 +537,11 @@ def test_line_errors_equal_the_per_radius_reference():
         line = boundaries._test_line(geo, direction)
         for r in (radii, radii[:6], radii.reshape(2, -1), *radii[:8], *radii[-3:]):
             r = np.asarray(r)
-            want = _reference_errors(line, _LINE_KINDS, r)
+            want = _reference_with_domain(line, _LINE_KINDS, r)
             assert _errors(boundaries._line_errors(line, _LINE_KINDS, r)) == _errors(want)
             for kind, criterion in boundaries._CRITERIA.items():
                 assert _errors(boundaries._line_errors(line, (kind,), r)) == _errors(
                     {k: e for k, e in want.items() if k == kind})
-                if kind == "ar" and r.min() <= 0.0:
-                    continue  # phi_excess rejects r <= 0 before its line is read
                 try:
                     got = criterion(geo, r, direction)
                 except ValueError as exc:
@@ -537,7 +549,7 @@ def test_line_errors_equal_the_per_radius_reference():
                     failed[kind] += 1
                 else:
                     assert kind not in want and np.shape(got) == r.shape
-    assert failed["ar"] == 0 and min(failed[kind] for kind in ("up", "en", "ep")) >= 50, failed
+    assert failed["ar"] >= 1 and min(failed[kind] for kind in ("up", "en", "ep")) >= 50, failed
 
 
 def test_line_errors_take_the_first_failing_radius():
@@ -554,6 +566,18 @@ def test_line_errors_take_the_first_failing_radius():
         en = singular if 1.0 in np.ravel(r) else None
         want = {"up": (UndefinedProjection, up) if up == _MIXED else up, "en": en}
         assert got == {kind: e for kind, e in want.items() if e is not None}, r
+
+
+def test_every_criterion_rejects_a_nonpositive_radius():
+    # one domain rule: each criterion names the first radius r <= 0 in r's flat order, where
+    # phi_excess alone named r = 0 and the other three returned values
+    for r, bad in ((-3.0, -3.0), ([5.0, -2.0], -2.0), ([[1.0, 0.0], [-1.0, 2.0]], 0.0)):
+        for criterion in boundaries._CRITERIA.values():
+            with pytest.raises(ValueError) as err:
+                criterion(N8, r, FRONT)
+            assert type(err.value) is ValueError
+            assert str(err.value) == (f"undefined at r = {bad!r}: a radius on a test line must "
+                                      "be positive")
 
 
 @pytest.mark.parametrize("kind", ["up", "en", "ep"])
@@ -962,30 +986,37 @@ def test_find_last_above_oscillating_tail():
 
 
 def test_find_crossing_scans_the_grid_in_blocks(monkeypatch):
-    # a grid pass hands the walk the radii its row bounds leave open (none for up at N = 1;
-    # for ep on the front line 720 of 3601 at N = 64 and 1204 at N = 1024), which it
-    # evaluates in blocks of _SCAN_PAIRS // N radii; the bisection then evaluates the
-    # 2^L - 1 midpoints its next L levels can visit in one call (L = 4 at N = 64, 1 at
-    # N = 1024, where 3 radii would pass 2048 pairs), and its last call looks no further
-    # than the levels left
-    line_distance = boundaries._line_distance
-    cases = (("up", 1, 0, []), ("ep", 64, 720, [15, 15, 15, 1]), ("ep", 1024, 1204, [1] * 13))
-    for kind, n, walked, bisection in cases:
-        sizes = []
+    # a grid pass hands its float32 stage the radii its row bounds leave open (none for up at
+    # N = 1; for ep on the front line 2 of 3601 at N = 64 and 1 at N = 1024, where the
+    # first-order bounds left 720 and 1204), then the float64 walk the radii still open (the
+    # one at N = 1024), each in blocks of _SCAN_PAIRS // N radii; en's stage at N = 1024 takes
+    # every 256th, 32nd and 4th open row, then the rest, 14, 83, 540 and 1403 rows, the others
+    # covered; the bisection then evaluates the 2^L - 1 midpoints its next L levels can visit
+    # in one call (L = 4 at N = 64, 1 at N = 1024, where 3 radii would pass 2048 pairs), and
+    # its last call looks no further than the levels left
+    line_distance, offsets = boundaries._line_distance, boundaries._float32_offsets
+    cases = (("up", 1, [], [], []), ("ep", 64, [2], [], [15, 15, 15, 1]),
+             ("ep", 1024, [1], [1], [1] * 13), ("en", 1024, [14, 83, 540, 1403], [], []))
+    for kind, n, stage1, walked, bisection in cases:
+        sizes, blocks = [], []
 
         def spy(s, w):  # s = r - t, one row of N per radius; a row bound's witness w is one
-            if np.ndim(w):
+            if np.ndim(w) and s.dtype == np.float64:
                 sizes.append(np.size(s) // np.size(w))
             return line_distance(s, w)
 
+        def spy_offsets(line, r):
+            blocks.append(np.size(r))
+            return offsets(line, r)
+
         monkeypatch.setattr(boundaries, "_line_distance", spy)
+        monkeypatch.setattr(boundaries, "_float32_offsets", spy_offsets)
         res = evaluate_boundary(uniform_linear_array(n, 0.5), BoundarySpec(kind), FRONT)
-        assert res.status == "found" and res.degenerate == (not bisection)
+        assert res.status == "found" and res.degenerate == (not stage1)
         block = _SCAN_PAIRS // n
-        calls = -(-walked // block)
-        assert sizes[: calls - 1] == [block] * (calls - 1)
-        assert sum(sizes[:calls]) == walked
-        assert sizes[calls:] == bisection
+        assert blocks == [size for rows in stage1 for size in
+                          [block] * (rows // block) + [rows % block] * (rows % block > 0)]
+        assert sizes == walked + bisection
 
 
 def _reference_refine(side, lo, hi, first):
@@ -1130,32 +1161,40 @@ def _screen_cases(n, seed):
     return [(geo, direction) for geo in geometries for direction in directions]
 
 
+def _walk_sums(line, r):
+    """The float64 walk's ``S = sum_n 1/d_n`` and steering denominator at radii ``r``."""
+    d, delta = _line_excess(r[:, None], line.t, line.w)
+    inv = 1.0 / d
+    return np.sum(inv, axis=-1), boundaries._steering(inv, delta)
+
+
 def test_psi_screen_error_is_a_tenth_of_its_bound():
-    # |den~ - den| <= E S per row, with a tenfold margin, on every grid row of each line
-    rows, worst = 0, 0.0
+    # the float32 stage's S~ and den~ lie within E = 1.02 eps S~ of the walk's S and den on
+    # every grid row of each line, with a tenfold margin, and the bound is proven on most rows
+    rows, proven, worst = 0, 0, 0.0
     for n in (1, 8, 64, 1024):
         for geo, direction in _screen_cases(n, n):
-            t, w = _line_constants(geo.positions, unit_vector(direction))
+            line = boundaries._test_line(geo, direction)
             for r in np.array_split(GRID, max(1, n // 16)):
-                d, delta = _line_excess(r[:, None], t, w)
-                inv = 1.0 / d
-                err = np.abs(boundaries._screened_steering(inv, delta)
-                             - boundaries._steering(inv, delta))
-                worst = max(worst, float(np.max(err / np.sum(inv, axis=-1))))
-                rows += r.size
-    assert rows >= 100_000
-    assert worst <= boundaries._PSI_SCREEN_ERROR / 10.0
+                total, den, eps, _ = boundaries._psi_rows(line, r)
+                want_total, want_den = _walk_sums(line, r)
+                err = np.maximum(np.abs(total - want_total), np.abs(den - want_den))
+                ok = np.isfinite(eps)
+                worst = max(worst, float(np.max(err[ok] / (1.02 * eps * total)[ok], initial=0.0)))
+                rows, proven = rows + r.size, proven + np.count_nonzero(ok)
+    assert rows >= 100_000 and proven > 0.9 * rows
+    assert worst <= 0.1
 
 
 @pytest.mark.parametrize("n, direction", [(8, DIAGONAL), (64, FRONT), (1024, DIAGONAL)])
 def test_psi_screen_keeps_sides_at_a_threshold_on_a_grid_value(n, direction):
     # a threshold on an exact grid value, or one ulp either side of it, lies within E of
-    # that row's screened value: the row is recomputed in float64, and every side is exact
+    # that row's float32 value: the row is walked in float64, and every side is exact
     line = boundaries._test_line(uniform_linear_array(n, 0.5), direction)
     exact = boundaries._line_walk(line, ("en",), GRID)["en"]
     i = int(np.argmin(np.abs(exact - 1.05)))
     for threshold in (np.nextafter(exact[i], 0.0), exact[i], np.nextafter(exact[i], np.inf)):
-        got = boundaries._line_walk(line, ("en",), GRID, (float(threshold),))["en"]
+        got = boundaries._grid_pass(line, ("en",), GRID, {"en": (float(threshold),)})["en"]
         assert np.array_equal(got >= threshold, exact >= threshold)
         assert got[i] == exact[i]
         assert np.count_nonzero(got == exact) < GRID.size  # the other rows stay screened
@@ -1194,21 +1233,29 @@ def _hex_table(table):
 @pytest.mark.parametrize("offset, screened", [(0.5 * boundaries.DEFAULT_BRACKET[1], True),
                                               (2.0 * boundaries.DEFAULT_BRACKET[1], False)])
 def test_psi_screen_is_off_past_its_proven_range(monkeypatch, offset, screened):
-    # the screens' error bounds hold for element offsets up to the top of the bracket: there
-    # the grid pass walks the 3480 radii short of the outer element, which its row bounds
-    # leave open, and screens en; past it it walks en exactly on the whole grid, with no
-    # thresholds to screen against
+    # two elements on the line at +-offset: the row bounds decide the 121 radii past the outer
+    # element at 5e5 only, and at 2e6 none; the float32 stage proves no bound on the rest,
+    # whose excess paths reach 2 offset (float32 phases off by radians), so it evaluates
+    # none of them and the float64 walk takes them all
     got = []
-    walk = boundaries._line_walk
+    walk, psi_rows = boundaries._line_walk, boundaries._psi_rows
 
-    def spy(line, kinds, r, en_thresholds=()):
-        got.append((np.size(r), tuple(en_thresholds)))
-        return walk(line, kinds, r, en_thresholds)
+    def spy_walk(line, kinds, r):
+        got.append(("walk", np.size(r)))
+        return walk(line, kinds, r)
 
-    monkeypatch.setattr(boundaries, "_line_walk", spy)
+    def spy_rows(line, r):
+        out = psi_rows(line, r)
+        got.append(("stage 1", np.size(r), int(np.count_nonzero(np.isfinite(out[2])))))
+        return out
+
+    monkeypatch.setattr(boundaries, "_line_walk", spy_walk)
+    monkeypatch.setattr(boundaries, "_psi_rows", spy_rows)
     geo = ArrayGeometry([[-offset, 0.0, 0.0], [offset, 0.0, 0.0]])
     boundaries.evaluate_boundaries(geo, [BoundarySpec("en", 1.05)], (FRONT,))
-    assert got[0] == ((3480, (1.05,)) if screened else (GRID.size, ()))
+    left = 3480 if screened else GRID.size
+    assert got[0] == ("walk", left) and not [call for call in got if call[0] == "stage 1"]
+    assert np.all(np.isinf(boundaries._psi_rows(boundaries._test_line(geo, FRONT), GRID[:left])[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -1377,3 +1424,129 @@ def test_a_grid_radius_near_an_element_is_screened(monkeypatch, gap, singular):
     _unscreened(monkeypatch)
     for specs, got in zip(tables, outcomes):
         assert got == _outcome(lambda: boundaries.evaluate_boundaries(geo, specs, (FRONT,)))
+
+
+# ---------------------------------------------------------------------------
+# the stages of a grid pass
+
+
+def _stage_cases():
+    """Seeded lines for the stage tests, each along the three presets and two seeded
+    directions: ULAs of N in {1, 2, 3, 8, 64, 1024, 4096}, centred clouds, arrays on the x
+    axis with boresight x (the front line runs through their elements), and a ULA with an
+    element pair 1e-6 off a seeded line, at a grid radius of it."""
+    rng = np.random.default_rng(39)
+    geometries = [uniform_linear_array(n, 0.5) for n in (1, 2, 3, 8, 64, 1024, 4096)]
+    for n in (3, 8, 64):
+        cloud = rng.normal(size=(n, 3)) * 3.0
+        geometries.append(ArrayGeometry(cloud - cloud.mean(axis=0)))
+    for n in (2, 4, 9):
+        x = (np.arange(n) - (n - 1) / 2.0) * 2.0
+        geometries.append(ArrayGeometry(np.column_stack([x, np.zeros((n, 2))]),
+                                        boresight=[1, 0, 0]))
+    cases = [(geo, d) for geo in geometries
+             for d in (FRONT, DIAGONAL, SIDE, *_seeded_directions(geo.n + 39))]
+    direction = _seeded_directions(5, 1)[0]
+    rhat = unit_vector(direction)
+    off = np.cross(rhat, [0.0, 0.0, 1.0])
+    near = GRID[1500] * rhat + off * (1e-6 / np.linalg.norm(off))
+    cases.append((ArrayGeometry(np.vstack([uniform_linear_array(8, 0.5).positions, near, -near])),
+                  direction))
+    return cases
+
+
+_STAGE_CASES = _stage_cases()
+
+
+def _stage_radii(line, kinds):
+    """The grid where ``kinds`` are defined on ``line`` (:func:`_open_radii`), thinned at
+    large N."""
+    radii = _open_radii(line, kinds)
+    return None if radii is None else radii[:: 1 + line.t.size // 512]
+
+
+def test_stage_bounds_hold_the_walk_values():
+    # on every row, stage 0's interval of each kind holds the float64 walk's value, and where
+    # a float32 stage's bound is proven, ep's [U~ - E, U~ + E] holds the walk's Upsilon and
+    # en's S~ and den~ lie within E of the walk's S and den, so [(S~ - E) / (den~ + E),
+    # (S~ + E) / (den~ - E)] holds its Psi
+    rows = {"stage 0": 0, "ep": 0, "en": 0}
+    for geo, direction in _STAGE_CASES:
+        line = boundaries._test_line(geo, direction)
+        for kinds in (("ar", "en", "ep"), ("up",)):
+            radii = _stage_radii(line, kinds)
+            if radii is None:
+                continue
+            exact = boundaries._line_walk(line, kinds, radii)
+            for kind, (lo, hi) in boundaries._row_bounds(line, kinds, radii).items():
+                assert np.all(lo <= exact[kind]) and np.all(exact[kind] <= hi), (kind, geo.n)
+                rows["stage 0"] += radii.size
+            if "ep" not in kinds:
+                continue
+            u, err = boundaries._ep_rows(line, radii)
+            ok = np.isfinite(err)
+            assert np.all(np.abs(exact["ep"] - u)[ok] <= err[ok]), (geo.n, direction)
+            total, den, eps, _ = boundaries._psi_rows(line, radii)
+            want_total, want_den = _walk_sums(line, radii)
+            e = 1.02 * eps * total
+            assert np.all(np.abs(want_total - total) <= e) and np.all(np.abs(want_den - den) <= e)
+            ok &= np.isfinite(eps) & (den > e)
+            psi = exact["en"][ok]
+            assert np.all((total - e)[ok] / (den + e)[ok] <= np.maximum(psi, 1.0 + 0 * psi))
+            assert np.all(psi <= np.maximum((total + e)[ok] / (den - e)[ok], 1.0))
+            rows["ep"] += np.count_nonzero(np.isfinite(err))
+            rows["en"] += np.count_nonzero(np.isfinite(eps))
+    assert min(rows.values()) >= 100_000, rows
+
+
+def test_continuation_holds_the_walk_values():
+    # within the cap of a row's reach, the walk's S and den stay within E plus the slopes
+    # times the distance of the row's S~ and den~; radii are taken up to the cap's edge, where
+    # an element on the line comes within half its distance
+    checked = 0
+    steps = np.array([-0.999, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.999])
+    for geo, direction in _STAGE_CASES:
+        line = boundaries._test_line(geo, direction)
+        radii = _stage_radii(line, ("en",))
+        if radii is None:
+            continue
+        at = radii[:: 1 + radii.size // 120]
+        total, den, eps, q = boundaries._psi_rows(line, at)
+        ok = np.isfinite(eps)
+        total, den, eps, q, at = total[ok], den[ok], eps[ok], q[ok], at[ok]
+        cap, grow_total, grow_den = boundaries._continuation(total, eps, q)
+        gap = np.multiply.outer(cap, steps)
+        r = at[:, None] + gap
+        keep = r > 0.0
+        got_total, got_den = _walk_sums(line, r[keep])
+        e = np.broadcast_to((1.02 * eps * total)[:, None], r.shape)[keep]
+        dist = np.abs(gap)[keep]
+        want_total = np.broadcast_to(total[:, None], r.shape)[keep]
+        want_den = np.broadcast_to(den[:, None], r.shape)[keep]
+        slope_total = np.broadcast_to(grow_total[:, None], r.shape)[keep]
+        slope_den = np.broadcast_to(grow_den[:, None], r.shape)[keep]
+        assert np.all(np.abs(got_total - want_total) <= e + slope_total * dist), (geo.n, direction)
+        assert np.all(np.abs(got_den - want_den) <= e + slope_den * dist), (geo.n, direction)
+        checked += np.count_nonzero(keep)
+    assert checked >= 50_000, checked
+
+
+@pytest.mark.parametrize("kind", ["en", "ep"])
+def test_the_ladder_keeps_the_walk_sides(kind):
+    # at the default thresholds, the walk's values on a grid row and their nextafter
+    # neighbours, every row of a grid pass is on the walk's side of each threshold, for rows
+    # decided at stage 0, at stage 1, by continuation and at stage 2; over 10^4 rows take a
+    # value other than the walk's, so the stages before the walk decide them
+    covered = 0
+    for geo, direction in _STAGE_CASES:
+        line = boundaries._test_line(geo, direction)
+        if _reference_errors(line, (kind,), GRID):
+            continue
+        exact = boundaries._line_walk(line, (kind,), GRID)[kind]
+        taus = (boundaries.DEFAULT_THRESHOLDS[kind], 1.01) + _grid_value_thresholds(exact, kind)
+        got = boundaries._grid_pass(line, (kind,), GRID, {kind: taus})[kind]
+        for tau in taus:
+            assert np.array_equal(got <= tau, exact <= tau), (geo.n, direction, tau)
+            assert np.array_equal(got >= tau, exact >= tau), (geo.n, direction, tau)
+        covered += np.count_nonzero(got != exact)
+    assert covered > 10_000

@@ -194,41 +194,49 @@ def test_run_boundaries_evaluates_the_specs():
 
 
 def _spy_walks(monkeypatch):
-    """Radii per call of the line walk, keyed by the kinds it reads, and of ``Xi``, as the
-    searches make them: a grid pass walks every line kind of a table on the radii that its
-    row bounds leave open, and a bisection call walks its own kind through its criterion.
-    The ``en`` thresholds each walk screens against go under ``"en_thresholds"``."""
+    """Radii per call of the float64 line walk, keyed by the kinds it reads, and of ``Xi``, as
+    the searches make them: a grid pass walks every line kind of a table on the radii that its
+    stages leave open, and a bisection call walks its own kind through its criterion.  The
+    radii of each call of the float32 stages go under ``"_psi_rows"`` (``en``) and
+    ``"_ep_stage"`` (``ep``)."""
     sizes = {}
     walk, xi = boundaries._line_walk, boundaries._xi
+    psi_rows, ep_stage = boundaries._psi_rows, boundaries._ep_stage
 
-    def line_walk(line, kinds, r, en_thresholds=()):
+    def line_walk(line, kinds, r):
         sizes.setdefault(tuple(kinds), []).append(np.size(r))
-        sizes.setdefault("en_thresholds", []).append(tuple(en_thresholds))
-        return walk(line, kinds, r, en_thresholds)
+        return walk(line, kinds, r)
 
     def counted_xi(a, r, k):
         sizes.setdefault("_xi", []).append(np.size(r))
         return xi(a, r, k)
 
+    def counted_psi_rows(line, r):
+        sizes.setdefault("_psi_rows", []).append(np.size(r))
+        return psi_rows(line, r)
+
+    def counted_ep_stage(line, r, rows, taus, vals):
+        sizes.setdefault("_ep_stage", []).append(int(np.count_nonzero(rows)))
+        return ep_stage(line, r, rows, taus, vals)
+
     monkeypatch.setattr(boundaries, "_line_walk", line_walk)
     monkeypatch.setattr(boundaries, "_xi", counted_xi)
+    monkeypatch.setattr(boundaries, "_psi_rows", counted_psi_rows)
+    monkeypatch.setattr(boundaries, "_STAGES", {"en": boundaries._en_stage, "ep": counted_ep_stage})
     return sizes
 
 
 def test_run_boundaries_scans_each_kind_once(monkeypatch):
-    # a fig4 panel scores qr, ar, and up, en, ep and wc at two thresholds each: one line
-    # walk reads ar, up, en and ep on the grid radii that the row bounds leave open, 1814 of
-    # 3601 here, and Xi is read on the grid once, then the bisection reads the 2^L - 1
-    # midpoints of its next L levels per call (L = 4 at N = 8), the last call of a crossing
-    # fewer
+    # a fig4 panel scores qr, ar, and up, en, ep and wc at two thresholds each: the float32
+    # stages take the rows the row bounds leave open for en (1814 of 3601, in one pass at
+    # N = 8) and ep (1), and decide them all, so no float64 line walk reads the grid; Xi is
+    # read on the grid once, then the bisection reads the 2^L - 1 midpoints of its next L
+    # levels per call (L = 4 at N = 8), the last call of a crossing fewer
     sizes = _spy_walks(monkeypatch)
     cfg = UlaConfig(n=8, spacing=0.5, boundaries=harness._FIG4_BOUNDARIES)
     assert [spec for spec, _ in run_boundaries(cfg)] == list(harness._FIG4_BOUNDARIES)
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
-    assert sizes.pop(("ar", "up", "en", "ep")) == [1814]
-    # the grid pass screens en against the table's en thresholds; a bisection call is exact
-    screened = sizes.pop("en_thresholds")
-    assert screened[0] == (1.01, 1.05) and set(screened[1:]) == {()}
+    assert (sizes.pop("_psi_rows"), sizes.pop("_ep_stage")) == ([1814], [1])
     assert sizes["_xi"].pop(0) == wc_grid.size
     assert set(sizes) == {("ar",), ("up",), ("en",), ("ep",), "_xi"}
     for got in sizes.values():
@@ -237,14 +245,17 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
 
 def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_path):
     # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi), one
-    # Xi grid pass per table made 6, and one grid pass per line kind made 24 where one line
-    # walk per table makes 6, each on the radii its row bounds leave open
+    # Xi grid pass per table made 6, and one grid pass per line kind made 24 where one float64
+    # line walk per table makes 6, each on the radii its stages leave open
     sizes = _spy_walks(monkeypatch)
     reproduce_reference("fig4", tmp_path)
-    screened = sizes.pop("en_thresholds")
-    assert screened.count((1.01, 1.05)) == 6 and set(screened) == {(1.01, 1.05), ()}
-    # n8, then n64: front, diagonal, side
-    assert sizes.pop(("ar", "up", "en", "ep")) == [1814, 2159, 2219, 2577, 2541, 2601]
+    # n8, then n64: front, diagonal, side; at N = 64 en's stage takes every 256th, 32nd and
+    # 4th open row before the rest, and each row it decides covers its neighbours
+    assert sizes.pop("_psi_rows") == [1814, 1706, 1298, 11, 58, 347, 814, 10, 55, 328, 731,
+                                      7, 31, 197, 449]
+    assert sizes.pop("_ep_stage") == [1, 802, 1809, 2, 1192, 2192]
+    # up's rows on the side lines, and a few en rows, are left for the float64 walk
+    assert sizes.pop(("ar", "up", "en", "ep")) == [2, 729, 1, 4, 1109]
     grid_passes = {key: sum(n > 15 for n in got) for key, got in sizes.items()}
     refinement = sum(n <= 15 for got in sizes.values() for n in got)
     assert {key: n for key, n in grid_passes.items() if n} == {"_xi": 2}

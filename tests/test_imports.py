@@ -162,8 +162,9 @@ def test_criteria_stay_on_the_line_primitive():
     assert names & {"_plane_offsets", "_point_offsets", "_plane_dot", "ff_precoder"} == set()
     # and one walk reads the line for all of them: a criterion that forms its own distances
     # again is a second walk over the same radius-element pairs.  The line's constants are
-    # placed once per line, for the grid pass and every bisection call alike, and a grid
-    # pass's row bounds read the excess paths of at most four witness elements
+    # placed once per line, for the grid pass and every bisection call alike, a grid pass's
+    # row bounds read the excess paths of at most four witness elements, and en's float32
+    # stage forms its distances with the same primitive
     readers = {
         node.name
         for node in tree.body
@@ -171,7 +172,23 @@ def test_criteria_stay_on_the_line_primitive():
         for n in ast.walk(node)
         if isinstance(n, ast.Name) and n.id in {"_line_constants", "_line_excess", "_line_distance"}
     }
-    assert readers == {"_test_line", "_line_walk", "_row_bounds"}
+    assert readers == {"_test_line", "_line_walk", "_row_bounds", "_psi_rows"}
+
+
+def test_only_the_grid_pass_stages_screen():
+    # the float64 walk computes values only: it takes no thresholds and forms no float32
+    # term; float32 appears only in the stages of a grid pass and the line they read
+    tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    walk = functions["_line_walk"]
+    assert [a.arg for a in walk.args.args + walk.args.kwonlyargs] == ["line", "kinds", "r"]
+    assert walk.args.vararg is None and walk.args.kwarg is None
+    names = {n.attr for n in ast.walk(walk) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)}
+    assert names & {"float32", "astype", "w32"} == set()
+    users = {name for name, node in functions.items() for n in ast.walk(node)
+             if isinstance(n, ast.Attribute) and n.attr in {"float32", "astype", "w32"}}
+    assert users == {"_test_line", "_float32_offsets", "_ep_rows", "_psi_rows"}
 
 
 def test_line_errors_are_decided_in_one_place():

@@ -13,6 +13,7 @@ from nff import (
     SIDE,
     WAVENUMBER,
     ArrayGeometry,
+    DipoleArrayScenario,
     Direction,
     FieldSingularity,
     array_field,
@@ -400,6 +401,47 @@ def test_array_field_gives_a_point_its_bits_in_any_batch(n, batch):
     e, h = array_field(geo, w, points)
     for i, p in enumerate(points):
         e1, h1 = array_field(geo, w, p)
+        assert _same_bits(e[i], e1) and _same_bits(h[i], h1)
+
+
+def test_array_field_memory_does_not_grow_with_the_batch():
+    # a default-grid line of 501 points at N = 4096: evaluated whole, the batch's planes held
+    # 705 MiB at the peak; a block of _SCAN_PAIRS // N points at a time holds a few planes of
+    # N, with fixed weights and with nf-bf's per-point focusing weights alike
+    geo = uniform_linear_array(4096, 0.5)
+    points = np.multiply.outer(np.geomspace(1.0, 1e4, 501), unit_vector(Direction(60.0, 30.0)))
+    w = ff_precoder(geo, FRONT)
+    focus = DipoleArrayScenario(geo, "nf-bf")
+    for call in (lambda: array_field(geo, w, points), lambda: focus.fields(points)):
+        tracemalloc.start()
+        try:
+            e, h = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e.shape == h.shape == (501, 3)
+        assert peak < 8 * 2**20, peak
+
+
+def test_a_batch_of_blocks_keeps_each_point_s_bits():
+    # past one block, a batch's points get the bits they get alone: with an (N,) row,
+    # broadcast and per-point weights, in a (2, 9) grid of points, and with nf-bf's weights
+    rng = np.random.default_rng(39)
+    pos = rng.normal(size=(1024, 3))
+    geo = ArrayGeometry(pos - pos.mean(axis=0), rng.normal(size=(1024, 3)))
+    points = rng.normal(size=(2, 9, 3)) * 10.0 ** rng.uniform(0, 3, (2, 9, 1))
+    w = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+    per_point = rng.normal(size=(2, 9, 1024)) + 1j * rng.normal(size=(2, 9, 1024))
+    for weights in (w, np.broadcast_to(w, (2, 9, 1024)), per_point):
+        e, h = array_field(geo, weights, points)
+        assert e.shape == h.shape == (2, 9, 3)
+        for i in np.ndindex(2, 9):
+            e1, h1 = array_field(geo, weights if weights.ndim == 1 else weights[i], points[i])
+            assert _same_bits(e[i], e1) and _same_bits(h[i], h1)
+    focus = DipoleArrayScenario(geo, "nf-bf")
+    e, h = focus.fields(points)
+    for i in np.ndindex(2, 9):
+        e1, h1 = focus.fields(points[i])
         assert _same_bits(e[i], e1) and _same_bits(h[i], h1)
 
 

@@ -27,24 +27,24 @@ for most, a test-line direction) to a single radius in wavelengths:
 All searches share a log-grid pass over one fixed bracket plus geometric
 bisection, refined to 1e-6 relative.  The bisection evaluates the midpoints of its
 next few levels in one call, so the path it takes sees the bits a walk one radius at
-a time would.  A table's grid pass serves all of ``ar``, ``up``, ``en`` and ``ep`` per
-direction, and one ``Xi`` scan per call serves ``wc``.  A search reads nothing of a grid
-pass but the side of each of its thresholds at each radius, so the line kinds' grid rows
-are decided by one ladder of interval stages (:func:`_grid_pass`): a row is decided when an
-interval that provably holds the float64 walk's value excludes every threshold of its
-kind, and it takes a value from inside that interval.
+a time would.  Each kind is scanned on its own: ``ar``, ``up``, ``en`` and ``ep`` on the one
+test line a table places per direction, and ``wc`` by one ``Xi`` scan per call.  A search
+reads nothing of a grid pass but the side of each of its thresholds at each radius, so a
+line kind's grid rows are decided by one ladder of interval stages (:func:`_grid_pass`): a
+row is decided when an interval that provably holds the float64 walk's value excludes every
+threshold of the kind, and it takes a value from inside that interval.
 
-* Stage 0 (:func:`_row_bounds`): per kind, O(1) per radius, from the line's extreme
-  elements and means.  It decides all but a few radii around each crossing for ``ar`` and
-  ``up``, ``ep`` to second order (Jensen's inequality and a chord), and ``en``'s far zone.
+* Stage 0 (:func:`_row_bounds`): O(1) per radius, from the line's extreme elements and
+  means.  It decides all but a few radii around each crossing for ``ar`` and ``up``, ``ep``
+  to second order (Jensen's inequality and a chord), and ``en``'s far zone.
 * Stage 1, on the rows left open for ``en`` and ``ep``: float32 at O(N) per radius, within
   a per-row proven bound (:func:`_ep_rows`, :func:`_psi_rows`), and for ``en``
   continuation, which lets an evaluated row decide its neighbours (:func:`_en_stage`).
-* Stage 2: the rows still open are walked once in float64 (:func:`_line_walk`).
+* Stage 2: the kind's rows still open are walked in float64 (:func:`_line_walk`).
 
 So crossing counts, statuses, degenerate flags and the bisected values (the bisection
 stays exact) are those of the float64 walk.  Errors are decided per radius before any walk
-(:func:`_line_errors`), so a kind fails with its first failing radius's error.
+(:func:`_line_error`), so a kind fails with its first failing radius's error.
 """
 
 from __future__ import annotations
@@ -66,6 +66,10 @@ from .sources import ArrayGeometry, _singularity
 #: Search bracket (wavelengths) and log-grid density of every search.
 DEFAULT_BRACKET = (1.0e-3, 1.0e6)
 DEFAULT_POINTS_PER_DECADE = 400
+
+#: The search grid of every line kind, read-only (``wc``'s starts past the array).
+_GRID = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
+_GRID.flags.writeable = False
 
 #: Relative refinement tolerance of every bisected boundary value.
 REFINE_REL_TOL = 1e-6
@@ -133,6 +137,8 @@ class BoundarySpec:
             raise ValueError(f"en threshold must exceed 1, got {th!r}")
         if kind in ("ep", "wc") and not th > 0.0:
             raise ValueError(f"{kind} threshold must be positive, got {th!r}")
+        if not math.isfinite(th):
+            raise ValueError(f"{kind} threshold must be finite, got {th!r}")
         object.__setattr__(self, "threshold", th)
 
 
@@ -174,9 +180,10 @@ class _Line(NamedTuple):
     ``witnesses``, the elements where ``t`` or ``w`` is least or greatest, and ``t_mean`` and
     ``spread``, the mean ``c`` of ``t`` and ``mean_n (t_n - c)^2 + w_n``; ``w32``, ``w`` in
     float32 for the float32 stages (:func:`_psi_rows`, :func:`_ep_rows`); and ``on_lo`` and
-    ``on_hi``, outside which no radius lies on an element (:func:`_line_errors`)."""
+    ``on_hi``, outside which no radius lies on an element (:func:`_line_error`)."""
 
     geometry: ArrayGeometry
+    direction: Direction
     t: np.ndarray
     w: np.ndarray
     along: float
@@ -204,90 +211,89 @@ def _test_line(geometry: ArrayGeometry, direction: Direction) -> _Line:
     witnesses = sorted({int(i) for i in (np.argmin(t), np.argmax(t), np.argmin(w), np.argmax(w))})
     t_mean = t.mean()
     on = t[w < _ON_REACH * _ON_REACH]  # the elements a radius may lie on (metric._on_element)
-    return _Line(geometry, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max(),
+    return _Line(geometry, direction, t, w, rhat @ nhat, offsets, offsets.min(), offsets.max(),
                  t.min(), t.max(), w.min(), w.max(), witnesses,
                  t_mean, np.mean(np.square(t - t_mean)) + w.mean(), w.astype(np.float32),
                  on.min(initial=np.inf) - _ON_REACH, on.max(initial=-np.inf) + _ON_REACH)
 
 
-def _line_errors(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, ValueError]:
-    """Of each of ``kinds`` that fails at a radius of ``r``, the error of its first failing
-    radius in ``r``'s flat order.  Every kind fails at ``r <= 0``; every kind but ``ar`` where
-    a ``d_n`` that :func:`_line_walk` would form is below
-    :data:`~nff.sources.SINGULARITY_RADIUS` (:func:`nff.metric._on_element`); ``up`` also where
-    its boresight projections change sign, read at their extremes as the walk reads them.  At
-    one radius a nonpositive radius comes first, then the element."""
+def _projections(line: _Line, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``up``'s boresight projections ``x - o_n`` (``x = r rhat . nhat``) at radii ``r``, read at
+    their extremes: ``x``, ``top = x - min o``, ``low = x - max o`` and the tolerance ``1e-9
+    max(1, r)`` within which a projection counts as 0."""
+    x = r * line.along
+    return x, x - line.o_lo, x - line.o_hi, 1e-9 * np.maximum(1.0, r)
+
+
+def _line_error(line: _Line, kind: str, r: np.ndarray) -> ValueError | None:
+    """The error of ``kind``'s first failing radius in ``r``'s flat order, or ``None``.  Every
+    kind fails at a radius that is not ``0 < r < inf``; every kind but ``ar`` where a ``d_n``
+    that :func:`_line_walk` would form is below :data:`~nff.sources.SINGULARITY_RADIUS`
+    (:func:`nff.metric._on_element`); ``up`` also where its boresight projections change
+    sign, read at their extremes as the walk reads them.  At one radius the domain comes
+    first, then the element."""
     flat = r.ravel()
-    stop = int(np.argmax(flat <= 0.0)) if flat.size and flat.min() <= 0.0 else flat.size
+    stop = flat.size
+    if flat.size and not (flat.min() > 0.0 and flat.max() < math.inf):  # NaN fails both
+        stop = int(np.argmax(~((flat > 0.0) & (flat < math.inf))))
     head = flat[:stop]  # every kind fails at flat[stop], so only the radii before it count
-    errors, first = {}, stop
-    if (set(kinds) - {"ar"} and head.size
+    first = stop
+    if (kind != "ar" and head.size
             and not (head.max() < line.on_lo or head.min() > line.on_hi)):
         order = np.argsort(head)
         if (on := order[_on_element(line.t, line.w, head[order])]).size:
             first = int(on.min())
-    if "up" in kinds and line.o_lo < line.o_hi:  # with one offset, no sign can change
-        x, tol = head * line.along, 1e-9 * np.maximum(1.0, head)
-        mixed = np.flatnonzero((x - line.o_lo > tol) & (x - line.o_hi < -tol))
+    if kind == "up" and line.o_lo < line.o_hi:  # with one offset, no sign can change
+        _, top, low, tol = _projections(line, head)
+        mixed = np.flatnonzero((top > tol) & (low < -tol))
         if mixed.size and mixed[0] < first:
-            errors["up"] = UndefinedProjection("boresight projections change sign along the "
-                                               "element set; the uniform-power ratio is "
-                                               "undefined here")
+            return UndefinedProjection("boresight projections change sign along the element "
+                                       "set; the uniform-power ratio is undefined here")
     if first < stop:
-        errors |= {kind: _singularity(flat[first]) for kind in kinds
-                   if kind != "ar" and kind not in errors}
+        return _singularity(flat[first])
     if stop < flat.size:
-        errors |= {kind: ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a "
-                                    "test line must be positive")
-                   for kind in kinds if kind not in errors}
-    return errors
+        return ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a test line "
+                          "must be positive and finite")
+    return None
 
 
-def _line_walk(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, np.ndarray]:
-    """The criteria ``kinds`` (of ``ar``, ``up``, ``en``, ``ep``) at radii ``r`` on ``line``,
-    in one float64 walk: element ``n`` enters only through ``t_n`` and ``w_n``.
+def _line_walk(line: _Line, kind: str, r: np.ndarray) -> np.ndarray:
+    """The criterion ``kind`` (``ar``, ``up``, ``en`` or ``ep``) at radii ``r`` on ``line``, in
+    one float64 walk: element ``n`` enters only through ``t_n`` and ``w_n``.
 
-    Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d`` once,
-    and ``delta`` only for ``ar`` or ``en``; ``up`` reads its projections ``x - o_n`` at their
+    Each block of ``_SCAN_PAIRS // N`` radii (:func:`nff.core._blockwise`) forms ``d``, and
+    ``delta`` too for ``ar`` and ``en``; ``up`` reads its projections ``x - o_n`` at their
     extremes only, and ``d`` too when every element has one offset ``o``.  Values are
-    elementwise in ``r``, so a radius gets the bits it gets alone, whichever kinds share the
-    walk.  The walk computes values only: a kind is walked where :func:`_line_errors` finds
-    it defined, and only a grid pass's stages screen (:func:`_grid_pass`).
+    elementwise in ``r``, so a radius gets the bits it gets alone.  The walk computes values
+    only: a kind is walked where :func:`_line_error` finds it defined, and only a grid pass's
+    stages screen (:func:`_grid_pass`).
     """
-    geometry, t, w, along, offsets, o_lo, o_hi = line[:7]  # the fields the walk reads
-    excess = "ar" in kinds or "en" in kinds
+    geometry, t, w = line.geometry, line.t, line.w
 
     def block(r):
         radii = r[..., None]
-        d, delta = _line_excess(radii, t, w) if excess else (_line_distance(radii - t, w), None)
-        vals = []
-        for kind in kinds:
-            if kind == "ar":
-                v = np.max(delta, axis=-1) * WAVENUMBER
-            elif kind == "up":
-                x = r * along
-                top, low = x - o_lo, x - o_hi  # the extremes of x - offsets
-                flat = np.maximum(top, -low) <= 1e-9 * np.maximum(1.0, r)
-                if o_lo == o_hi:  # one numerator per radius, so g's extremes are at d's
-                    # stacked, as a numpy scalar's ** is libm's pow, not the array's
-                    ext = np.stack([np.min(d, axis=-1), np.max(d, axis=-1)]) ** 3
-                    g_max, g_min = np.where(flat, 1.0, np.abs(top)) / ext
-                else:
-                    g = np.where(flat[..., None], 1.0,
-                                 np.abs(np.subtract.outer(x, offsets))) / d**3
-                    g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
-                v = np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
-            elif kind == "en":
-                inv = 1.0 / d
-                with np.errstate(divide="ignore"):
-                    v = np.maximum(np.sum(inv, axis=-1) / _steering(inv, delta), 1.0)
-            else:
-                v = np.square(r) / geometry.n * np.sum(1.0 / (d * d), axis=-1)
-            vals.append(v)
-        return tuple(vals) if len(vals) > 1 else vals[0]
+        if kind == "ar":
+            return np.max(_line_excess(radii, t, w)[1], axis=-1) * WAVENUMBER
+        if kind == "en":
+            d, delta = _line_excess(radii, t, w)
+            inv = 1.0 / d
+            with np.errstate(divide="ignore"):
+                return np.maximum(np.sum(inv, axis=-1) / _steering(inv, delta), 1.0)
+        d = _line_distance(radii - t, w)
+        if kind == "ep":
+            return np.square(r) / geometry.n * np.sum(1.0 / (d * d), axis=-1)
+        x, top, low, tol = _projections(line, r)
+        flat = np.maximum(top, -low) <= tol
+        if line.o_lo == line.o_hi:  # one numerator per radius, so g's extremes are at d's
+            # stacked, as a numpy scalar's ** is libm's pow, not the array's
+            ext = np.stack([np.min(d, axis=-1), np.max(d, axis=-1)]) ** 3
+            g_max, g_min = np.where(flat, 1.0, np.abs(top)) / ext
+        else:
+            g = np.where(flat[..., None], 1.0, np.abs(np.subtract.outer(x, line.offsets))) / d**3
+            g_max, g_min = np.max(g, axis=-1), np.min(g, axis=-1)
+        return np.divide(g_min, g_max, out=np.zeros_like(g_max), where=g_max != 0.0)
 
-    vals = _blockwise(block, geometry.n, r, (float,) * len(kinds))
-    return dict(zip(kinds, (vals,) if len(kinds) == 1 else vals))
+    return _blockwise(block, geometry.n, r)
 
 
 #: Relative widening of every row bound (:func:`_row_bounds`), per element of the line plus 64.
@@ -320,10 +326,10 @@ def _row_error(line: _Line, r: np.ndarray, unit: float, phases: bool) -> np.ndar
     return np.where(fits, eps, np.inf)
 
 
-def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, tuple]:
-    """Of each of ``kinds``, an interval ``(lo, hi)`` per radius of ``r`` that holds the value
-    :func:`_line_walk` gives there, from the line's extents, means and witnesses at O(1) per
-    radius, where :func:`_line_errors` finds the kind defined: stage 0 of a grid pass.
+def _row_bounds(line: _Line, kind: str, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An interval ``(lo, hi)`` per radius of ``r`` that holds the value :func:`_line_walk`
+    gives there for ``kind``, from the line's extents, means and witnesses at O(1) per radius,
+    where :func:`_line_error` finds the kind defined: stage 0 of a grid pass.
 
     Let ``s_n = r - t_n``, the walk's float, and ``s_min = r - t_hi``, its least.  ``near``
     bounds every ``|s_n|`` from below (``s_min`` past ``t_hi``, ``t_lo - r`` short of
@@ -361,30 +367,25 @@ def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, t
     widened by ``(N + 64)`` :data:`_ROW_SLACK`, at least twice the two together.
     """
     s_min = r - line.t_hi
-    ahead = s_min > 0.0
-    if "up" in kinds or "ep" in kinds:
-        d_lo2 = np.square(np.maximum(np.maximum(s_min, line.t_lo - r), 0.0)) + line.w_lo
-        d_hi2 = np.square(np.maximum(np.abs(r - line.t_lo), np.abs(s_min))) + line.w_hi
     n = line.geometry.n
     slack = (n + 64) * _ROW_SLACK
-    bounds = {}
-    for kind in kinds:  # the witnesses' planes are formed one at a time, to keep memory small
-        if kind == "ar":
-            deltas = (_line_excess(r, line.t[i], line.w[i])[1] for i in line.witnesses)
-            lo = functools.reduce(np.maximum, deltas) * WAVENUMBER
-            hi = np.divide(line.w_hi * WAVENUMBER, 2.0 * s_min, out=np.full(r.shape, np.inf),
-                           where=ahead)
-        elif kind == "up":
+    if kind in ("ar", "en"):  # k w_hi / (2 s_min), which bounds every phase k delta_n
+        phase = np.divide(line.w_hi * WAVENUMBER, 2.0 * s_min, out=np.full(r.shape, np.inf),
+                          where=s_min > 0.0)
+    if kind == "ar":  # the witnesses' planes are formed one at a time, to keep memory small
+        deltas = (_line_excess(r, line.t[i], line.w[i])[1] for i in line.witnesses)
+        lo, hi = functools.reduce(np.maximum, deltas) * WAVENUMBER, phase
+    elif kind == "en":
+        cos = np.cos(np.minimum(0.5 * phase, 0.5 * math.pi))
+        err = _row_error(line, r, _F64, True)
+        lo = np.ones(r.shape)
+        hi = np.divide(1.0 + err, cos - err, out=np.full(r.shape, np.inf), where=cos > 2.0 * err)
+    else:
+        d_lo2 = np.square(np.maximum(np.maximum(s_min, line.t_lo - r), 0.0)) + line.w_lo
+        d_hi2 = np.square(np.maximum(np.abs(r - line.t_lo), np.abs(s_min))) + line.w_hi
+        if kind == "up":
             dists = (_line_distance(r - line.t[i], line.w[i]) for i in line.witnesses)
             lo, hi = _gamma_bounds(line, r, dists, d_lo2 / d_hi2)
-        elif kind == "en":
-            half = np.divide(line.w_hi * WAVENUMBER, 4.0 * s_min, out=np.full(r.shape, np.inf),
-                             where=ahead)
-            cos = np.cos(np.minimum(half, 0.5 * math.pi, out=half), out=half)
-            err = _row_error(line, r, _F64, True)
-            lo = np.ones(r.shape)
-            hi = np.divide(1.0 + err, cos - err, out=np.full(r.shape, np.inf),
-                           where=cos > 2.0 * err)
         else:
             gap = np.abs(r - line.t_mean)
             e = (n + 2) * _F64 * max(-line.t_lo, line.t_hi)
@@ -393,16 +394,14 @@ def _row_bounds(line: _Line, kinds: Sequence[str], r: np.ndarray) -> dict[str, t
             with np.errstate(divide="ignore", invalid="ignore"):
                 lo = r2 / (np.square(gap + e) + line.spread)
                 hi = r2 * (d_lo2 + d_hi2 - m_lo + slack * (d_lo2 + d_hi2 + m_lo)) / (d_lo2 * d_hi2)
-        bounds[kind] = lo * (1.0 - slack), hi * (1.0 + slack)
-    return bounds
+    return lo * (1.0 - slack), hi * (1.0 + slack)
 
 
 def _gamma_bounds(line: _Line, r: np.ndarray, dists: Iterable, ratio: np.ndarray) -> tuple:
     """``up``'s interval of :func:`_row_bounds`, from the witnesses' distances ``dists`` and
     ``ratio = D_lo^2 / D_hi^2``."""
-    x = r * line.along
-    top, low = x - line.o_lo, x - line.o_hi
-    flat = np.maximum(top, -low) <= 1e-9 * np.maximum(1.0, r)
+    x, top, low, tol = _projections(line, r)
+    flat = np.maximum(top, -low) <= tol
     g = (np.where(flat, 1.0, np.abs(x - line.offsets[i])) / d**3
          for i, d in zip(line.witnesses, dists))
     g_lo = next(g)
@@ -475,7 +474,7 @@ def _psi_rows(line: _Line, r: np.ndarray) -> tuple[np.ndarray, ...]:
     of any argument within 4 ulp, its sums within ``N 2^-53``), here and, with ``dhat`` grown
     at most ``e``-fold and ``S`` twofold, at every radius within reach of a row
     (:func:`_en_stage`): eight of them are at most ``(64 dhat + 32 + 2 N) 2^-50``.  ``Q~`` is
-    within ``(N + 10) u``, below ``eps``.  The floats stay normal or exact: ``_line_errors``
+    within ``(N + 10) u``, below ``eps``.  The floats stay normal or exact: ``_line_error``
     keeps ``d_n >= 1e-9``, and ``_row_error`` the terms below ``2^100``.
     """
 
@@ -583,43 +582,37 @@ def _cover(x: np.ndarray, at: np.ndarray, reach: np.ndarray, rows: np.ndarray) -
 _STAGES = {"en": _en_stage, "ep": _ep_stage}
 
 
-def _grid_pass(line: _Line, kinds: Sequence[str], r: np.ndarray,
-               thresholds: dict[str, Sequence[float]]) -> dict[str, np.ndarray | ValueError]:
-    """Of each of ``kinds``, its :func:`_line_errors` error on the increasing grid ``r``, or
-    else values there on the :func:`_line_walk`'s side of each of its ``thresholds``, which is
-    all a search reads of them.
+def _grid_pass(line: _Line, kind: str, r: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Values of ``kind`` on the increasing grid ``r``, on the :func:`_line_walk`'s side of each
+    of its ``thresholds``, which is all a search reads of them; its :func:`_line_error` error
+    on the grid is raised.
 
     One ladder of interval stages decides the rows: a row is decided when its interval, which
-    holds the walk's value, excludes every threshold of its kind, and it takes a value from
-    inside that interval.  Stage 0 is :func:`_row_bounds`, at O(1) per row; stage 1, on the
-    rows stage 0 leaves open, is float32 at O(N) per row (:func:`_en_stage`, with
-    continuation, and :func:`_ep_stage`); stage 2 walks the rows still open for any kind once,
-    in float64 and grid order.
+    holds the walk's value, excludes every threshold, and it takes a value from inside that
+    interval.  Stage 0 is :func:`_row_bounds`, at O(1) per row; stage 1, on the rows stage 0
+    leaves open, is float32 at O(N) per row (:func:`_en_stage`, with continuation, and
+    :func:`_ep_stage`); stage 2 walks the rows still open in float64 and grid order.
     """
-    errors = _line_errors(line, kinds, r)
-    kinds = [kind for kind in kinds if kind not in errors]
-    vals, walk = {}, np.zeros(r.shape, bool)
-    for kind, (lo, hi) in _row_bounds(line, kinds, r).items():
-        taus = np.asarray(thresholds[kind], float)[:, None]
-        rows = np.any((lo <= taus) & (taus <= hi), axis=0)
-        if kind in _STAGES and rows.any():
-            _STAGES[kind](line, r, rows, taus, lo)
-        vals[kind] = lo
-        walk |= rows
-    if walk.any():
-        for kind, walked in _line_walk(line, kinds, r[walk]).items():
-            vals[kind][walk] = walked
-    return vals | errors
+    if (error := _line_error(line, kind, r)) is not None:
+        raise error
+    lo, hi = _row_bounds(line, kind, r)
+    taus = np.asarray(thresholds, float)[:, None]
+    rows = np.any((lo <= taus) & (taus <= hi), axis=0)
+    if kind in _STAGES and rows.any():
+        _STAGES[kind](line, r, rows, taus, lo)
+    if rows.any():
+        lo[rows] = _line_walk(line, kind, r[rows])
+    return lo
 
 
 def _criterion(kind: str, geometry: ArrayGeometry, r, direction: Direction, line: _Line | None):
-    """One criterion at ``r``, the one-kind :func:`_line_walk` on ``line``, or on the line of
-    ``geometry`` along ``direction`` if it is ``None``, after raising its :func:`_line_errors`."""
+    """One criterion at ``r``, the :func:`_line_walk` of ``kind`` on ``line``, or on the line of
+    ``geometry`` along ``direction`` if it is ``None``, after raising its :func:`_line_error`."""
     r = np.asarray(r, dtype=float)
     line = _test_line(geometry, direction) if line is None else line
-    if errors := _line_errors(line, (kind,), r):
-        raise errors[kind]
-    return _line_walk(line, (kind,), r)[kind][()]
+    if (error := _line_error(line, kind, r)) is not None:
+        raise error
+    return _line_walk(line, kind, r)[()]
 
 
 def phi_excess(
@@ -630,7 +623,8 @@ def phi_excess(
     ``Phi = max_n k * (|r - r_n| - r + rhat . r_n)``, from the excess paths of
     :func:`nff.core._line_excess`, which do not cancel at large radii.  Nonnegative
     by the triangle inequality.  A radius on an element is allowed: its excess is 0
-    there; a radius ``r <= 0`` raises ``ValueError``, as it does for every criterion.
+    there; a radius that is not ``0 < r < inf`` raises ``ValueError``, as it does for every
+    criterion.
     """
     return _criterion("ar", geometry, r, direction, _line)
 
@@ -882,8 +876,8 @@ def _search_values(grid: np.ndarray, vals: np.ndarray, scan: Callable[[np.ndarra
 
 def quasi_rayleigh(span: float) -> float:
     """Quasi-Rayleigh distance ``2 * span^2``, span and result in wavelengths."""
-    if span < 0.0:
-        raise ValueError(f"span must be nonnegative, got {span!r}")
+    if not 0.0 <= span < math.inf:
+        raise ValueError(f"span must be nonnegative and finite, got {span!r}")
     return 2.0 * span * span
 
 
@@ -897,32 +891,24 @@ _CRITERIA = {"ar": phi_excess, "up": gamma_uniform_power, "en": psi_gain_ratio,
              "ep": upsilon_power}
 
 
-def _kind_scans(
-    geometry: ArrayGeometry, kinds: Sequence[str], direction: Direction,
-    thresholds: dict[str, Sequence[float]],
-) -> dict[str, tuple | ValueError]:
-    """Of each searched kind in ``kinds``, the search grid, the values there, the scan the
+def _line_scan(line: _Line, kind: str, thresholds: Sequence[float]) -> tuple:
+    """Of line kind ``kind`` on ``line``, the search grid, the values there (its
+    :func:`_grid_pass`, on the walk's side of each of ``thresholds`` only), the exact scan the
     bisection calls on arrays of radii and the levels it looks ahead per call
-    (:func:`_levels`); or the error its grid pass holds.
+    (:func:`_levels`)."""
+    scan = functools.partial(_CRITERIA[kind], line.geometry, direction=line.direction,
+                             _line=line)
+    return _GRID, _grid_pass(line, kind, _GRID, thresholds), scan, _levels(line.geometry.n)
 
-    The line kinds share one :func:`_test_line` and one :func:`_grid_pass` over the grid,
-    whose values are on the walk's side of each of the kind's ``thresholds`` only; their
-    bisection scans are exact.
-    ``wc``, scanned alone, reads only the largest element offset ``a``: its grid starts just
-    past ``a``, and its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating
-    that at the top of the bracket is only valid when ``Xi`` is decaying there, so the final
-    decade is checked for monotone decrease first (:class:`TailNotMonotone`, raised).
+
+def _wc_scan(geometry: ArrayGeometry) -> tuple:
+    """``wc``'s search grid, values, bisection scan and levels, as :func:`_line_scan`'s.
+
+    ``wc`` reads only the largest element offset ``a``: its grid starts just past ``a``, and
+    its values are the suffix supremum ``sup_{r' >= r} Xi(r')``.  Truncating that at the top
+    of the bracket is only valid when ``Xi`` is decaying there, so the final decade is checked
+    for monotone decrease first (:class:`TailNotMonotone`, raised).
     """
-    if kinds != ("wc",):
-        grid = default_grid(*DEFAULT_BRACKET, DEFAULT_POINTS_PER_DECADE)
-        line = _test_line(geometry, direction)
-        scans = _grid_pass(line, kinds, grid, thresholds)
-        for kind, vals in scans.items():
-            if not isinstance(vals, ValueError):
-                scan = functools.partial(_CRITERIA[kind], geometry, direction=direction,
-                                         _line=line)
-                scans[kind] = grid, vals, scan, _levels(geometry.n)
-        return scans
     a = _max_offset(geometry)
     lo, hi = max(DEFAULT_BRACKET[0], a * (1.0 + 1e-6)), DEFAULT_BRACKET[1]
     if not lo < hi:
@@ -946,7 +932,7 @@ def _kind_scans(
         # supremum of every sample beyond r
         return np.maximum(_xi(a, r, WAVENUMBER), envelope[np.searchsorted(grid, r)])
 
-    return {"wc": (grid, envelope, env_scan, _levels(21))}
+    return grid, envelope, env_scan, _levels(21)
 
 
 def evaluate_boundaries(
@@ -955,23 +941,20 @@ def evaluate_boundaries(
     """One table per direction: each :class:`BoundarySpec`'s result for the geometry and
     that direction, in order.
 
-    The first spec of a line kind takes every line kind of the table over the grid, once per
-    direction (:func:`_grid_pass`), and every threshold of a kind is searched on its scan.
-    ``wc`` reads no direction, so it is scanned and each of its thresholds searched once per
-    call.  A kind's scan error is raised at its first spec, so a spec gets the result (or the
-    error) it gets alone; the first error ends the call.  ``wc`` thresholds are scaled by
-    :data:`WC_THRESHOLD_SCALE`.
+    The first spec of a kind scans it, once per table (:func:`_line_scan`, on the one test
+    line of that direction, placed at the table's first line kind), and every threshold of
+    the kind is searched on that scan.  ``wc`` reads no direction, so it is scanned and each
+    of its thresholds searched once per call (:func:`_wc_scan`).  A scan raises its error at
+    the kind's first spec, so a spec gets the result (or the error) it gets alone; the first
+    error ends the call.  ``wc`` thresholds are scaled by :data:`WC_THRESHOLD_SCALE`.
     """
-    line_kinds = tuple(kind for kind in _CRITERIA if any(spec.kind == kind for spec in specs))
-    thresholds = {kind: tuple(spec.threshold for spec in specs if spec.kind == kind)
-                  for kind in line_kinds}
     shared: dict[BoundarySpec, BoundaryResult] = {}  # wc results, the same in every table
     tables = []
     for direction in directions:
-        scans: dict[str, tuple | ValueError] = {}
-        results = []
+        line, scans, results = None, {}, []
         for spec in specs:
-            if spec.kind == "qr":
+            kind = spec.kind
+            if kind == "qr":
                 span = geometry.span
                 result = BoundaryResult(
                     STATUS_FOUND, quasi_rayleigh(span), (0.0, math.inf), 0, span == 0.0
@@ -979,14 +962,15 @@ def evaluate_boundaries(
             elif spec in shared:
                 result = shared[spec]
             else:
-                wc = spec.kind == "wc"
-                if spec.kind not in scans:
-                    scans.update(_kind_scans(geometry, ("wc",) if wc else line_kinds, direction,
-                                             thresholds))
-                if isinstance(scans[spec.kind], ValueError):
-                    raise scans[spec.kind]
+                wc = kind == "wc"
+                if kind not in scans and wc:
+                    scans[kind] = _wc_scan(geometry)
+                elif kind not in scans:
+                    line = _test_line(geometry, direction) if line is None else line
+                    scans[kind] = _line_scan(line, kind, [s.threshold for s in specs
+                                                          if s.kind == kind])
                 threshold = spec.threshold * WC_THRESHOLD_SCALE if wc else spec.threshold
-                result = _search_values(*scans[spec.kind], threshold, *_MODES[spec.kind])
+                result = _search_values(*scans[kind], threshold, *_MODES[kind])
                 if wc:
                     shared[spec] = result
             results.append(result)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import nff.boundaries as boundaries
+import nff.metric as metric
 from nff.core import _SCAN_PAIRS, _line_constants, _line_distance, _line_excess
 from nff import (
     DIAGONAL,
@@ -22,7 +23,6 @@ from nff import (
     FieldSingularity,
     TailNotMonotone,
     UndefinedProjection,
-    default_grid,
     evaluate_boundary,
     gamma_uniform_power,
     phi_excess,
@@ -50,8 +50,9 @@ def test_quasi_rayleigh_values():
     assert quasi_rayleigh(3.5) == 24.5
     assert quasi_rayleigh(0.0) == 0.0
     assert quasi_rayleigh(31.5) == 1984.5
-    with pytest.raises(ValueError):
-        quasi_rayleigh(-1.0)
+    for span in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="span must be nonnegative and finite"):
+            quasi_rayleigh(span)
 
 
 def test_boundary_spec_validation():
@@ -75,6 +76,12 @@ def test_boundary_spec_validation():
         BoundarySpec("ar", 0.3)
     with pytest.raises(ValueError, match="no threshold"):
         BoundarySpec("qr", 1.0)
+    for kind in ("up", "en", "ep", "wc"):  # en, ep and wc took inf, up none of these
+        for threshold in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=f"^{kind} threshold must "):
+                BoundarySpec(kind, threshold)
+    with pytest.raises(ValueError, match="ep threshold must be finite, got inf"):
+        BoundarySpec("ep", math.inf)
     assert BoundarySpec("ar").threshold == pytest.approx(math.pi / 8)
     assert BoundarySpec("up").threshold == 0.9
     assert BoundarySpec("en").threshold == 1.05
@@ -396,7 +403,7 @@ def test_criteria_on_a_block_match_single_radii():
 
 def test_criteria_read_their_line_once_per_call(monkeypatch):
     geo = uniform_linear_array(1024, 0.5)
-    grid = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    grid = boundaries._GRID
     assert grid.size == 3601 and grid.size > _SCAN_PAIRS // geo.n  # several blocks
     line_constants = boundaries._line_constants
     calls = []
@@ -442,55 +449,42 @@ def test_criteria_take_radii_of_any_sequence_type():
 # the errors of a test line
 
 
-def _reference_errors(line, kinds, r):
-    """A frozen per-radius reference of the criteria's errors: each of ``kinds`` takes the
-    error of its first failing radius in ``r``'s flat order.
+def _reference_error(line, kind, r):
+    """A frozen per-radius reference of a criterion's errors: the error of ``kind``'s first
+    failing radius in ``r``'s flat order, or ``None``.
 
-    Every kind but ``ar`` fails where an element distance of the full ``(r, N)`` plane of
+    Every kind fails at a radius that is not ``0 < r < inf``.  Short of the first such radius,
+    every kind but ``ar`` fails where an element distance of the full ``(r, N)`` plane of
     :func:`nff.core._line_distance` is below 1e-9 wavelengths, and ``up`` also where the
     per-element projections ``x - o_n`` exceed the tolerance on both sides; at one radius the
     element comes first.  The plane is formed about 65536 pairs at a time.
     """
     flat = np.ravel(np.asarray(r, dtype=float))
-    errors = {}
-    for rows in np.array_split(flat, max(1, min(flat.size, flat.size * line.t.size // 65536))):
-        d = _line_distance(rows[:, None] - line.t, line.w)
-        proj = np.subtract.outer(rows * line.along, line.offsets)
-        tol = 1e-9 * np.maximum(1.0, rows)[:, None]
-        on = np.any(d < 1e-9, axis=1)
-        mixed = np.any(proj > tol, axis=1) & np.any(proj < -tol, axis=1)
+    stop = next((i for i, r_i in enumerate(flat.tolist()) if not 0.0 < r_i < math.inf),
+                flat.size)
+    parts = np.array_split(flat[:stop], max(1, min(stop, stop * line.t.size // 65536)))
+    for rows in parts if kind != "ar" else ():  # ar fails only outside the domain
+        on = np.any(_line_distance(rows[:, None] - line.t, line.w) < 1e-9, axis=1)
+        mixed = np.zeros(rows.shape, bool)
+        if kind == "up":
+            proj = np.subtract.outer(rows * line.along, line.offsets)
+            tol = 1e-9 * np.maximum(1.0, rows)[:, None]
+            mixed = np.any(proj > tol, axis=1) & np.any(proj < -tol, axis=1)
         for r_i, on_i, mixed_i in zip(rows.tolist(), on, mixed):
-            for kind in kinds:
-                if kind in errors:
-                    continue
-                if on_i and kind != "ar":
-                    errors[kind] = FieldSingularity(
-                        f"singular at r = {r_i!r}: the point lies within 1e-09 wavelengths of "
-                        "an element position")
-                elif mixed_i and kind == "up":
-                    errors[kind] = UndefinedProjection(_MIXED)
-        if set(errors) == set(kinds) - {"ar"}:
-            break
-    return errors
-
-
-def _reference_with_domain(line, kinds, r):
-    """:func:`_reference_errors` with the rule that every kind fails at a radius ``r <= 0``:
-    at the first such radius in ``r``'s flat order, every kind the radii before it leave
-    defined takes its ``ValueError``."""
-    flat = np.ravel(np.asarray(r, dtype=float))
-    stop = next((i for i, r_i in enumerate(flat.tolist()) if r_i <= 0.0), flat.size)
-    errors = _reference_errors(line, kinds, flat[:stop])
+            if on_i and kind != "ar":
+                return FieldSingularity(f"singular at r = {r_i!r}: the point lies within 1e-09 "
+                                        "wavelengths of an element position")
+            if mixed_i and kind == "up":
+                return UndefinedProjection(_MIXED)
     if stop < flat.size:
-        error = ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a test line "
-                           "must be positive")
-        errors |= {kind: error for kind in kinds if kind not in errors}
-    return errors
+        return ValueError(f"undefined at r = {float(flat[stop])!r}: a radius on a test line "
+                          "must be positive and finite")
+    return None
 
 
-def _errors(errors):
-    """The type and message of each kind's error."""
-    return {kind: (type(exc), str(exc)) for kind, exc in errors.items()}
+def _error(exc):
+    """The type and message of an error, or ``None``."""
+    return None if exc is None else (type(exc), str(exc))
 
 
 def _on_line(positions, radii, direction):
@@ -507,7 +501,8 @@ def _error_cases():
     5e-10, 1.5e-9 and 1e-6 past them.  On a seeded direction, ``rhat``'s rounding leaves an
     added element up to about 1e-8 off the line, so those lines take the three axes too.
     Clouds keep several boresight offsets, so ``up``'s projections mix signs near them, and
-    ``x_axis`` puts an element on a mixed radius and radii at the outermost elements.  The radii take every placed radius, a
+    ``x_axis`` puts an element on a mixed radius and radii at the outermost elements, and
+    takes NaN and infinite radii among them.  The radii take every placed radius, a
     seeded sample of the grid and the grid's first radius, shuffled.  At N = 8192 a walk
     block holds one radius.
     """
@@ -526,29 +521,30 @@ def _error_cases():
     x_axis = ArrayGeometry([[x, 0.0, 0.0] for x in (-3.0, -1.0, 1.0, 3.0)], boresight=[1, 0, 0])
     cases.append((x_axis, FRONT, np.array([7.0, 1.0, 0.5, 2.0, 3.0 + 5e-10, -3.0 - 5e-10, -3.0,
                                            3.0 - 1.5e-9])))
+    # radii that are not finite, before and after an element and mixed projections
+    cases.append((x_axis, FRONT, np.array([7.0, 1.0, np.inf, 0.5, np.nan, 2.0, -np.inf, 3.0])))
+    cases.append((x_axis, FRONT, np.array([7.0, np.nan, 1.0, 0.5, 5.0, -np.inf, np.inf, 2.0])))
     return cases
 
 
 def test_line_errors_equal_the_per_radius_reference():
-    # _line_errors and the criteria raise the reference's error and message for unsorted,
-    # 0-d and 2-D radii, for each kind alone and for the four together
+    # _line_error and the criteria raise the reference's error and message for unsorted,
+    # 0-d and 2-D radii, for each kind
     failed = dict.fromkeys(_LINE_KINDS, 0)
     for geo, direction, radii in _error_cases():
         line = boundaries._test_line(geo, direction)
         for r in (radii, radii[:6], radii.reshape(2, -1), *radii[:8], *radii[-3:]):
             r = np.asarray(r)
-            want = _reference_with_domain(line, _LINE_KINDS, r)
-            assert _errors(boundaries._line_errors(line, _LINE_KINDS, r)) == _errors(want)
             for kind, criterion in boundaries._CRITERIA.items():
-                assert _errors(boundaries._line_errors(line, (kind,), r)) == _errors(
-                    {k: e for k, e in want.items() if k == kind})
+                want = _reference_error(line, kind, r)
+                assert _error(boundaries._line_error(line, kind, r)) == _error(want), (kind, r)
                 try:
                     got = criterion(geo, r, direction)
                 except ValueError as exc:
-                    assert _errors({kind: exc}) == _errors({kind: want[kind]}), (kind, r)
+                    assert _error(exc) == _error(want), (kind, r)
                     failed[kind] += 1
                 else:
-                    assert kind not in want and np.shape(got) == r.shape
+                    assert want is None and np.shape(got) == r.shape
     assert failed["ar"] >= 1 and min(failed[kind] for kind in ("up", "en", "ep")) >= 50, failed
 
 
@@ -562,10 +558,10 @@ def test_line_errors_take_the_first_failing_radius():
                                   "of an element position")
     for r, up in (([1.0], singular), ([1.0, 0.5], singular), ([0.5, 1.0], _MIXED),
                   (GRID, _MIXED), ([[5.0, 1.0], [0.5, 7.0]], singular), ([5.0, 7.0], None)):
-        got = _errors(boundaries._line_errors(line, ("up", "en"), np.asarray(r, dtype=float)))
+        got = {kind: _error(boundaries._line_error(line, kind, np.asarray(r, dtype=float)))
+               for kind in ("up", "en")}
         en = singular if 1.0 in np.ravel(r) else None
-        want = {"up": (UndefinedProjection, up) if up == _MIXED else up, "en": en}
-        assert got == {kind: e for kind, e in want.items() if e is not None}, r
+        assert got == {"up": (UndefinedProjection, up) if up == _MIXED else up, "en": en}, r
 
 
 def test_every_criterion_rejects_a_nonpositive_radius():
@@ -577,7 +573,25 @@ def test_every_criterion_rejects_a_nonpositive_radius():
                 criterion(N8, r, FRONT)
             assert type(err.value) is ValueError
             assert str(err.value) == (f"undefined at r = {bad!r}: a radius on a test line must "
-                                      "be positive")
+                                      "be positive and finite")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_criterion_rejects_a_radius_that_is_not_finite(bad):
+    # the domain rule of xi_worst_mismatch: a NaN or infinite radius fails, where psi gave
+    # nan with a RuntimeWarning and phi nan; the first failing radius in r's flat order names
+    # the error, so an element ahead of it (the side line's 0.75) is singular instead
+    for r in (bad, [5.0, bad, -1.0], [[2.0, 3.0], [bad, 0.75]]):
+        for criterion in boundaries._CRITERIA.values():
+            with pytest.raises(ValueError) as err:
+                criterion(N8, r, FRONT)
+            assert type(err.value) is ValueError
+            assert str(err.value) == (f"undefined at r = {bad!r}: a radius on a test line must "
+                                      "be positive and finite")
+        with pytest.raises(ValueError, match=f"undefined at r = {bad!r}: "):
+            upsilon_power(N8, [bad, 0.75], SIDE)
+        with pytest.raises(FieldSingularity, match="singular at r = 0.75: "):
+            upsilon_power(N8, [0.75, bad], SIDE)
 
 
 @pytest.mark.parametrize("kind", ["up", "en", "ep"])
@@ -893,11 +907,26 @@ def test_xi_block_needs_no_full_grid_temporaries():
     assert peak < 2 * 2**20
 
 
+def test_the_search_grid_is_built_once(monkeypatch):
+    # every line kind searches one read-only grid, built at import; only wc, whose grid
+    # starts past the array, builds its own
+    grid = boundaries._GRID
+    want = metric.default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    assert grid.tobytes() == want.tobytes() and not grid.flags.writeable
+    built = []
+    monkeypatch.setattr(boundaries, "default_grid", lambda *args: built.append(args) or want)
+    specs = [BoundarySpec(kind) for kind in ("ar", "up", "en", "ep")]
+    boundaries.evaluate_boundaries(N8, specs, (FRONT, DIAGONAL))
+    assert built == []
+    boundaries.evaluate_boundaries(N8, [BoundarySpec("wc")], (FRONT, DIAGONAL))
+    assert len(built) == 1
+
+
 def test_criteria_memory_does_not_grow_with_the_grid():
     # at N = MAX_ELEMENTS one temporary over the whole search grid would be 118 MB;
     # blocks of _SCAN_PAIRS // N radii hold each to one 64 KiB plane
     geo = uniform_linear_array(MAX_ELEMENTS, 2e-7)  # inside 1e-3: Xi takes the whole grid too
-    grid = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+    grid = boundaries._GRID
     assert grid.size == 3601
     plane = _SCAN_PAIRS * 8
     for scan in (
@@ -954,7 +983,7 @@ def test_d_wc_rejects_non_monotone_tail(monkeypatch):
 # crossing search
 
 #: The search grid of every kind but ``wc``.
-GRID = default_grid(*boundaries.DEFAULT_BRACKET, boundaries.DEFAULT_POINTS_PER_DECADE)
+GRID = boundaries._GRID
 
 
 def _search(scan, threshold, first, below):
@@ -1191,24 +1220,24 @@ def test_psi_screen_keeps_sides_at_a_threshold_on_a_grid_value(n, direction):
     # a threshold on an exact grid value, or one ulp either side of it, lies within E of
     # that row's float32 value: the row is walked in float64, and every side is exact
     line = boundaries._test_line(uniform_linear_array(n, 0.5), direction)
-    exact = boundaries._line_walk(line, ("en",), GRID)["en"]
+    exact = boundaries._line_walk(line, "en", GRID)
     i = int(np.argmin(np.abs(exact - 1.05)))
     for threshold in (np.nextafter(exact[i], 0.0), exact[i], np.nextafter(exact[i], np.inf)):
-        got = boundaries._grid_pass(line, ("en",), GRID, {"en": (float(threshold),)})["en"]
+        got = boundaries._grid_pass(line, "en", GRID, (float(threshold),))
         assert np.array_equal(got >= threshold, exact >= threshold)
         assert got[i] == exact[i]
         assert np.count_nonzero(got == exact) < GRID.size  # the other rows stay screened
 
 
 def _unscreened(monkeypatch):
-    """Make every grid pass walk the whole grid in float64, as before any screen: each kind
-    takes the error of :func:`_reference_errors`, or else the walk's values on every radius,
-    with no row bounds and no float32 screen."""
+    """Make every grid pass walk the whole grid in float64, as before any screen: a kind
+    raises the error of :func:`_reference_error`, or else takes the walk's values on every
+    radius, with no row bounds and no float32 screen."""
 
-    def grid_pass(line, kinds, r, thresholds):
-        errors = _reference_errors(line, kinds, r)
-        live = [kind for kind in kinds if kind not in errors]
-        return (boundaries._line_walk(line, live, r) if live else {}) | errors
+    def grid_pass(line, kind, r, thresholds):
+        if (error := _reference_error(line, kind, r)) is not None:
+            raise error
+        return boundaries._line_walk(line, kind, r)
 
     monkeypatch.setattr(boundaries, "_grid_pass", grid_pass)
 
@@ -1240,9 +1269,9 @@ def test_psi_screen_is_off_past_its_proven_range(monkeypatch, offset, screened):
     got = []
     walk, psi_rows = boundaries._line_walk, boundaries._psi_rows
 
-    def spy_walk(line, kinds, r):
+    def spy_walk(line, kind, r):
         got.append(("walk", np.size(r)))
-        return walk(line, kinds, r)
+        return walk(line, kind, r)
 
     def spy_rows(line, r):
         out = psi_rows(line, r)
@@ -1278,10 +1307,10 @@ def _bound_cases(n, seed):
 
 
 def _open_radii(line, kinds):
-    """The grid, or the part of it past the array where it holds no error for ``kinds``
-    (:func:`_reference_errors`)."""
+    """The grid, or the part of it past the array where it holds no error for any of ``kinds``
+    (:func:`_reference_error`)."""
     for radii in (GRID, GRID[GRID > 10.0], GRID[GRID > 100.0], GRID[GRID > 1e3]):
-        if not _reference_errors(line, kinds, radii):
+        if all(_reference_error(line, kind, radii) is None for kind in kinds):
             return radii
     return None
 
@@ -1298,9 +1327,10 @@ def test_row_bounds_hold_the_walk_values():
                 if radii is None:
                     continue
                 radii = radii[:: 1 + (n > 64)]
-                exact = boundaries._line_walk(line, kinds, radii)
-                for kind, (lo, hi) in boundaries._row_bounds(line, kinds, radii).items():
-                    assert np.all(lo <= exact[kind]) and np.all(exact[kind] <= hi), (kind, n)
+                for kind in kinds:
+                    exact = boundaries._line_walk(line, kind, radii)
+                    lo, hi = boundaries._row_bounds(line, kind, radii)
+                    assert np.all(lo <= exact) and np.all(exact <= hi), (kind, n)
                     rows[kind] += radii.size
     assert min(rows.values()) >= 100_000, rows
 
@@ -1316,7 +1346,7 @@ def _bound_thresholds(line, kind):
     """The ends of one row's bounds near ``kind``'s default threshold: a threshold on an end
     leaves that row open."""
     target = {"ar": boundaries.AR_THRESHOLD, **boundaries.DEFAULT_THRESHOLDS}[kind]
-    lo, hi = boundaries._row_bounds(line, (kind,), GRID)[kind]
+    lo, hi = boundaries._row_bounds(line, kind, GRID)
     i = np.argmin(np.abs(np.log(np.maximum(lo, 1e-300) / target)))
     return tuple(float(t) for t in (lo[i], hi[i]) if np.isfinite(t))
 
@@ -1325,18 +1355,18 @@ def _bound_thresholds(line, kind):
 def test_grid_pass_keeps_sides_at_thresholds_on_grid_values(n):
     # a threshold on an exact grid value, or one ulp either side of it, or on an end of a
     # row's bounds, lies inside that row's bounds: the row is walked, and every row is on
-    # the walk's side of each threshold; a kind undefined on the grid takes its error
+    # the walk's side of each threshold; a kind undefined on the grid raises its error
     for geo, direction in _bound_cases(n, n)[::2]:
         line = boundaries._test_line(geo, direction)
-        errors = _reference_errors(line, _LINE_KINDS, GRID)
         for kind in _LINE_KINDS:
-            if kind in errors:
-                got = boundaries._grid_pass(line, (kind,), GRID, {kind: (0.5,)})
-                assert _errors(got) == _errors({kind: errors[kind]}), (kind, n, direction)
+            if (error := _reference_error(line, kind, GRID)) is not None:
+                with pytest.raises(ValueError) as got:
+                    boundaries._grid_pass(line, kind, GRID, (0.5,))
+                assert _error(got.value) == _error(error), (kind, n, direction)
                 continue
-            exact = boundaries._line_walk(line, (kind,), GRID)[kind]
+            exact = boundaries._line_walk(line, kind, GRID)
             taus = _grid_value_thresholds(exact, kind) + _bound_thresholds(line, kind)
-            got = boundaries._grid_pass(line, (kind,), GRID, {kind: taus})[kind]
+            got = boundaries._grid_pass(line, kind, GRID, taus)
             for tau in taus:
                 assert np.array_equal(got <= tau, exact <= tau), (kind, n, direction)
                 assert np.array_equal(got >= tau, exact >= tau), (kind, n, direction)
@@ -1347,19 +1377,18 @@ def test_evaluate_boundaries_on_grid_value_thresholds_equals_the_unscreened_walk
     tables, walked = [], []
     walk = boundaries._line_walk
 
-    def counted(line, kinds, r, *en):
+    def counted(line, kind, r):
         walked.append(np.size(r))
-        return walk(line, kinds, r, *en)
+        return walk(line, kind, r)
 
     monkeypatch.setattr(boundaries, "_line_walk", counted)
     for geo, direction in cases:
         line = boundaries._test_line(geo, direction)
         specs = [BoundarySpec("ar"), BoundarySpec("up", 0.9), BoundarySpec("en", 1.05),
                  BoundarySpec("ep", 0.99), BoundarySpec("ep", 1.01)]
-        errors = _reference_errors(line, ("up", "en", "ep"), GRID)
         for kind in ("up", "en", "ep"):
-            exact = boundaries._line_walk(line, (kind,), GRID)[kind]
-            if kind not in errors:
+            exact = boundaries._line_walk(line, kind, GRID)
+            if _reference_error(line, kind, GRID) is None:
                 taus = _grid_value_thresholds(exact, kind)
                 specs += [BoundarySpec(kind, t) for t in taus if (kind != "en" or t > 1.0)
                           and (kind != "up" or 0.0 < t < 1.0) and t > 0.0]
@@ -1383,7 +1412,7 @@ def test_row_bounds_decide_most_rows_of_a_ula(n):
     for direction in _seeded_directions(n, 4):
         line = boundaries._test_line(uniform_linear_array(n, 0.5), direction)
         for kind in _LINE_KINDS:
-            lo, hi = boundaries._row_bounds(line, (kind,), GRID)[kind]
+            lo, hi = boundaries._row_bounds(line, kind, GRID)
             tau = {"ar": boundaries.AR_THRESHOLD, **boundaries.DEFAULT_THRESHOLDS}[kind]
             share[kind].append(np.count_nonzero((lo <= tau) & (tau <= hi)) / GRID.size)
     assert max(share["ar"]) < 0.01 and max(share["up"]) < 0.02
@@ -1405,13 +1434,14 @@ def test_a_grid_radius_near_an_element_is_screened(monkeypatch, gap, singular):
     k = 2000
     geo = ArrayGeometry([[-(GRID[k] + gap), 0.0, 0.0], [GRID[k] + gap, 0.0, 0.0]])
     line = boundaries._test_line(geo, FRONT)
-    assert bool(boundaries._line_errors(line, ("en", "ep"), GRID)) == singular
-    assert not boundaries._line_errors(line, ("ar",), GRID)
+    for kind in ("en", "ep"):
+        assert (boundaries._line_error(line, kind, GRID) is not None) == singular
+    assert boundaries._line_error(line, "ar", GRID) is None
     walk, walked = boundaries._line_walk, []
 
-    def spy(line, kinds, r, *en):
+    def spy(line, kind, r):
         walked.append(np.size(r))
-        return walk(line, kinds, r, *en)
+        return walk(line, kind, r)
 
     monkeypatch.setattr(boundaries, "_line_walk", spy)
     tables = ([BoundarySpec("en", 1.05), BoundarySpec("ep", 0.99)], [BoundarySpec("ar")])
@@ -1477,8 +1507,9 @@ def test_stage_bounds_hold_the_walk_values():
             radii = _stage_radii(line, kinds)
             if radii is None:
                 continue
-            exact = boundaries._line_walk(line, kinds, radii)
-            for kind, (lo, hi) in boundaries._row_bounds(line, kinds, radii).items():
+            exact = {kind: boundaries._line_walk(line, kind, radii) for kind in kinds}
+            for kind in kinds:
+                lo, hi = boundaries._row_bounds(line, kind, radii)
                 assert np.all(lo <= exact[kind]) and np.all(exact[kind] <= hi), (kind, geo.n)
                 rows["stage 0"] += radii.size
             if "ep" not in kinds:
@@ -1540,11 +1571,11 @@ def test_the_ladder_keeps_the_walk_sides(kind):
     covered = 0
     for geo, direction in _STAGE_CASES:
         line = boundaries._test_line(geo, direction)
-        if _reference_errors(line, (kind,), GRID):
+        if _reference_error(line, kind, GRID) is not None:
             continue
-        exact = boundaries._line_walk(line, (kind,), GRID)[kind]
+        exact = boundaries._line_walk(line, kind, GRID)
         taus = (boundaries.DEFAULT_THRESHOLDS[kind], 1.01) + _grid_value_thresholds(exact, kind)
-        got = boundaries._grid_pass(line, (kind,), GRID, {kind: taus})[kind]
+        got = boundaries._grid_pass(line, kind, GRID, taus)
         for tau in taus:
             assert np.array_equal(got <= tau, exact <= tau), (geo.n, direction, tau)
             assert np.array_equal(got >= tau, exact >= tau), (geo.n, direction, tau)

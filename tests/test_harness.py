@@ -194,18 +194,26 @@ def test_run_boundaries_evaluates_the_specs():
 
 
 def _spy_walks(monkeypatch):
-    """Radii per call of the float64 line walk, keyed by the kinds it reads, and of ``Xi``, as
-    the searches make them: a grid pass walks every line kind of a table on the radii that its
-    stages leave open, and a bisection call walks its own kind through its criterion.  The
+    """Radii per call of the float64 line walk, keyed by the kind it reads, and of ``Xi``, as
+    the searches make them: a bisection call walks its kind through its criterion, and a grid
+    pass walks its kind on the radii that its stages leave open, keyed ``("pass", kind)``.  The
     radii of each call of the float32 stages go under ``"_psi_rows"`` (``en``) and
     ``"_ep_stage"`` (``ep``)."""
     sizes = {}
-    walk, xi = boundaries._line_walk, boundaries._xi
+    walk, xi, grid_pass = boundaries._line_walk, boundaries._xi, boundaries._grid_pass
     psi_rows, ep_stage = boundaries._psi_rows, boundaries._ep_stage
+    passing = []
 
-    def line_walk(line, kinds, r):
-        sizes.setdefault(tuple(kinds), []).append(np.size(r))
-        return walk(line, kinds, r)
+    def line_walk(line, kind, r):
+        sizes.setdefault(("pass", kind) if passing else kind, []).append(np.size(r))
+        return walk(line, kind, r)
+
+    def counted_grid_pass(line, kind, r, thresholds):
+        passing.append(kind)
+        try:
+            return grid_pass(line, kind, r, thresholds)
+        finally:
+            passing.pop()
 
     def counted_xi(a, r, k):
         sizes.setdefault("_xi", []).append(np.size(r))
@@ -220,6 +228,7 @@ def _spy_walks(monkeypatch):
         return ep_stage(line, r, rows, taus, vals)
 
     monkeypatch.setattr(boundaries, "_line_walk", line_walk)
+    monkeypatch.setattr(boundaries, "_grid_pass", counted_grid_pass)
     monkeypatch.setattr(boundaries, "_xi", counted_xi)
     monkeypatch.setattr(boundaries, "_psi_rows", counted_psi_rows)
     monkeypatch.setattr(boundaries, "_STAGES", {"en": boundaries._en_stage, "ep": counted_ep_stage})
@@ -238,15 +247,15 @@ def test_run_boundaries_scans_each_kind_once(monkeypatch):
     wc_grid = default_grid(1.75 * (1.0 + 1e-6), 1e6, boundaries.DEFAULT_POINTS_PER_DECADE)
     assert (sizes.pop("_psi_rows"), sizes.pop("_ep_stage")) == ([1814], [1])
     assert sizes["_xi"].pop(0) == wc_grid.size
-    assert set(sizes) == {("ar",), ("up",), ("en",), ("ep",), "_xi"}
+    assert set(sizes) == {"ar", "up", "en", "ep", "_xi"}
     for got in sizes.values():
         assert got.count(15) > len(got) // 2 and set(got) <= {1, 3, 7, 15}
 
 
 def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_path):
-    # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi), one
-    # Xi grid pass per table made 6, and one grid pass per line kind made 24 where one float64
-    # line walk per table makes 6, each on the radii its stages leave open
+    # one radius per bisection step made 624 refinement calls (468 criterion, 156 Xi), and one
+    # Xi grid pass per table made 6; each line kind's float64 walk reads only the radii its
+    # own stages leave open
     sizes = _spy_walks(monkeypatch)
     reproduce_reference("fig4", tmp_path)
     # n8, then n64: front, diagonal, side; at N = 64 en's stage takes every 256th, 32nd and
@@ -254,12 +263,27 @@ def test_fig4_bisects_in_batches_and_scans_xi_once_per_array(monkeypatch, tmp_pa
     assert sizes.pop("_psi_rows") == [1814, 1706, 1298, 11, 58, 347, 814, 10, 55, 328, 731,
                                       7, 31, 197, 449]
     assert sizes.pop("_ep_stage") == [1, 802, 1809, 2, 1192, 2192]
-    # up's rows on the side lines, and a few en rows, are left for the float64 walk
-    assert sizes.pop(("ar", "up", "en", "ep")) == [2, 729, 1, 4, 1109]
+    # up's rows on the side lines, and a few ar and en rows, are left for the float64 walk
+    passes = {kind: sizes.pop(("pass", kind), []) for kind in ("ar", "up", "en", "ep")}
+    assert passes == {"ar": [3], "up": [2, 726, 3, 1108], "en": [1, 1, 4], "ep": []}
     grid_passes = {key: sum(n > 15 for n in got) for key, got in sizes.items()}
     refinement = sum(n <= 15 for got in sizes.values() for n in got)
     assert {key: n for key, n in grid_passes.items() if n} == {"_xi": 2}
     assert refinement == 160  # a quarter of 624, less the last calls of each crossing
+
+
+def test_a_side_table_walks_each_kind_on_its_own_open_rows(monkeypatch):
+    # fig4's N = 64 side table: up's row bounds leave 1108 rows open on the in-plane line,
+    # and en's stages 4, while ar's and ep's leave none; a walk of every kind on the union of
+    # open rows read ar, en and ep on 1109 rows each
+    sizes = _spy_walks(monkeypatch)
+    cfg = UlaConfig(n=64, spacing=0.5, direction=SIDE, boundaries=harness._FIG4_BOUNDARIES)
+    run_boundaries(cfg)
+    passes = {key[1]: got for key, got in sizes.items() if key[0] == "pass"}
+    assert passes == {"up": [1108], "en": [4]}
+    line = boundaries._test_line(uniform_linear_array(64, 0.5), SIDE)
+    lo, hi = boundaries._row_bounds(line, "ar", boundaries._GRID)
+    assert not np.any((lo <= boundaries.AR_THRESHOLD) & (boundaries.AR_THRESHOLD <= hi))
 
 
 def _outcome(call):
@@ -1158,6 +1182,19 @@ def test_cli_boundaries(tmp_path, capsys):
     assert lines[0] == "kind,threshold,status,value_lambda,crossings"
     assert len(lines) == 3
     assert lines[1].startswith("qr,,found,24.5,")
+
+
+@pytest.mark.parametrize("spec", ["en:inf", "ep:inf", "wc:inf", "up:nan"])
+def test_cli_boundaries_rejects_a_threshold_that_is_not_finite(tmp_path, capsys, spec):
+    # en:inf, ep:inf and wc:inf exited 0 with not-found, unbounded and a found radius
+    cfg = _write(tmp_path, "inf.cfg", f"n = 8\nspacing_lambda = 0.5\nboundaries = qr, {spec}\n")
+    out = tmp_path / "b.csv"
+    assert main(["boundaries", "--config", str(cfg), "--out", str(out)]) == 1
+    kind, _, threshold = spec.partition(":")
+    rule = "lie in (0, 1)" if kind == "up" else "be finite"
+    assert capsys.readouterr() == ("", f"error: {cfg}:3: boundaries: {kind} threshold must "
+                                       f"{rule}, got {threshold}\n")
+    assert not out.exists()
 
 
 def test_cli_boundaries_fixes_the_ar_threshold(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_only_the_grid_pass_stages_screen():
     tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     walk = functions["_line_walk"]
-    assert [a.arg for a in walk.args.args + walk.args.kwonlyargs] == ["line", "kinds", "r"]
+    assert [a.arg for a in walk.args.args + walk.args.kwonlyargs] == ["line", "kind", "r"]
     assert walk.args.vararg is None and walk.args.kwarg is None
     names = {n.attr for n in ast.walk(walk) if isinstance(n, ast.Attribute)}
     names |= {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)}
@@ -191,8 +191,20 @@ def test_only_the_grid_pass_stages_screen():
     assert users == {"_test_line", "_float32_offsets", "_ep_rows", "_psi_rows"}
 
 
+def test_each_search_function_takes_one_kind():
+    # a line kind is searched on its own, from its error check to its walk: no function takes
+    # a set of kinds, and the error check, row bounds, grid pass and walk each take one
+    tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    args = {name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+            for name, node in functions.items()}
+    assert [name for name, names in args.items() if "kinds" in names] == []
+    for name in ("_line_error", "_row_bounds", "_grid_pass", "_line_walk"):
+        assert args[name][:2] == ["line", "kind"], name
+
+
 def test_line_errors_are_decided_in_one_place():
-    # a criterion's error at a radius is decided once, before any walk: only _line_errors
+    # a criterion's error at a radius is decided once, before any walk: only _line_error
     # builds UndefinedProjection, FieldSingularity's message is sources._singularity's, and
     # _line_walk computes values only, with no error to catch or hold
     tree = ast.parse((Path(nff.__file__).parent / "boundaries.py").read_text(encoding="utf-8"))
@@ -203,7 +215,7 @@ def test_line_errors_are_decided_in_one_place():
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
 
     assert called(tree).count("UndefinedProjection") == 1
-    assert "UndefinedProjection" in called(functions["_line_errors"])
+    assert "UndefinedProjection" in called(functions["_line_error"])
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert names & {"FieldSingularity", "_off_elements"} == set()

@@ -803,14 +803,30 @@ def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
 
 def _bisect(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, first: bool,
             levels: int) -> float:
+    """Geometric bisection of ``(lo, hi)`` to :data:`REFINE_REL_TOL`, ``levels`` steps per
+    call of ``side``.
+
+    Each step halves the bracket at ``sqrt(lo * hi)`` and keeps the lower half where
+    ``side(mid) == first``.  A call evaluates every midpoint the next ``levels`` steps can
+    visit (:func:`_midpoints`), each from the endpoints the step would hold, so the path
+    taken sees the bits that one radius at a time would.  A speculative midpoint may raise
+    where the path never goes (on an element, say); then that step's own midpoint is
+    evaluated alone, so the walk returns, or raises, what the one-radius walk does.
+    """
     steps, mids, i = 0, [], 0
     while steps < 200 and hi / lo - 1.0 > REFINE_REL_TOL:
         if i >= len(mids):
             left, ratio = 0, hi / lo  # the steps still to go: the last call looks no further
             while ratio - 1.0 > REFINE_REL_TOL:
                 left, ratio = left + 1, math.sqrt(ratio)
-            mids = _midpoints(lo, hi, min(levels, left))
-            ok, i = side(np.array(mids)).tolist(), 0
+            mids, i = _midpoints(lo, hi, min(levels, left)), 0
+            try:
+                ok = side(np.array(mids)).tolist()
+            except ValueError:
+                if len(mids) == 1:
+                    raise
+                mids = mids[:1]
+                ok = side(np.array(mids)).tolist()
         if ok[i] == first:
             hi, i = mids[i], 2 * i + 1
         else:
@@ -819,31 +835,11 @@ def _bisect(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, firs
     return math.sqrt(lo * hi)
 
 
-def _refine_crossing(side: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                     first: bool, levels: int) -> float:
-    """Geometric bisection of ``(lo, hi)`` to :data:`REFINE_REL_TOL`, ``levels`` steps per
-    call of ``side``.
-
-    Each step halves the bracket at ``sqrt(lo * hi)`` and keeps the lower half where
-    ``side(mid) == first``.  A call evaluates every midpoint the next ``levels`` steps can
-    visit (:func:`_midpoints`), each from the endpoints the step would hold, so the path
-    taken sees the bits that one radius at a time would.  A speculative midpoint may raise
-    where the path never goes (on an element, say); then the walk is rerun one radius at a
-    time, so it returns, or raises, what that walk does.
-    """
-    try:
-        return _bisect(side, lo, hi, first, levels)
-    except ValueError:
-        if levels == 1:
-            raise
-        return _bisect(side, lo, hi, first, 1)
-
-
 def _search_values(grid: np.ndarray, vals: np.ndarray, scan: Callable[[np.ndarray], np.ndarray],
                    levels: int, threshold: float, first: bool, below: bool) -> BoundaryResult:
     """Where ``vals`` (``scan`` on ``grid``) first enters the side ``v <= threshold``
     (``>=`` unless ``below``), or with ``first`` false last leaves it, bisected with
-    ``levels`` levels per call of ``scan`` (:func:`_refine_crossing`); ``unbounded`` if that
+    ``levels`` levels per call of ``scan`` (:func:`_bisect`); ``unbounded`` if that
     side holds at the top of the grid.
     """
 
@@ -866,7 +862,7 @@ def _search_values(grid: np.ndarray, vals: np.ndarray, scan: Callable[[np.ndarra
         if i == grid.size - 1:
             return BoundaryResult(STATUS_UNBOUNDED, None, bracket, crossings)
         lo, hi = float(grid[i]), float(grid[i + 1])
-    value = _refine_crossing(lambda r: side(scan(r)), lo, hi, first, levels)
+    value = _bisect(lambda r: side(scan(r)), lo, hi, first, levels)
     return BoundaryResult(STATUS_FOUND, value, bracket, crossings)
 
 

@@ -148,11 +148,12 @@ def auxiliary_fields(
     Raises
     ------
     ValueError
-        At ``r <= 0``, where the spherical wave is singular.
+        At a radius that is not positive and finite: at ``r <= 0`` the spherical wave is
+        singular, and at ``inf`` or NaN it has no value.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("auxiliary far fields are undefined at r <= 0")
+    if not np.all((r > 0.0) & (r < math.inf)):  # NaN fails both
+        raise ValueError("auxiliary far fields need radii that are positive and finite")
     rhat = unit_vector(distribution.direction)
     sqrt_z0 = math.sqrt(FREE_SPACE_IMPEDANCE)
     wave = (np.exp(-1j * WAVENUMBER * r) / r)[..., None]

@@ -70,6 +70,9 @@ _fmt = _FMT.__mod__
 #: A trace data row: radius and the six complex field components, each rendered as ``_FMT``.
 _TRACE_ROW = ",".join([_FMT] * 13)
 
+#: The ``#`` records of a trace file, in the order written, and the numbers each holds.
+_TRACE_RECORDS = {"trace_version": 1, "ff_f": 6, "ff_sample": 13, "direction": 2}
+
 #: A curve row: radius and epsilon.
 _CURVE_ROW = f"{_FMT},{_FMT}"
 
@@ -323,7 +326,7 @@ class FieldTrace:
 
         if (self.f is None) == (self.sample_r is None):
             raise TraceFormatError(
-                "a trace needs exactly one far-field record (f or a far-zone sample)"
+                "a trace needs exactly one far-field record: f (# ff_f) or a sample (# ff_sample)"
             )
         if self.sample_r is not None:
             self._resolve_sample()
@@ -392,6 +395,10 @@ def _parse_floats(text: str, count: int, path, lineno: int, what: str) -> list[f
 def import_trace(path: str | Path) -> FieldTrace:
     """Read and validate a trace file.
 
+    Each ``#`` record of :data:`_TRACE_RECORDS` is read once, and the data rows after the
+    data header; then :class:`FieldTrace` validates the trace.  Every error names the file,
+    and an error of a line names the line too.
+
     Raises
     ------
     TraceFormatError
@@ -400,11 +407,8 @@ def import_trace(path: str | Path) -> FieldTrace:
     InconsistentFarField
         When the far-field record fails the E/H cross-check.
     """
-    f_vec = None
-    sample = None
-    direction = None
+    records: dict = {}
     data_header = None
-    seen: set[str] = set()
     rows: list[list[float]] = []
     # streamed, so the row cap bounds memory; a byte that is not UTF-8 reads as a surrogate
     with open(path, encoding="utf-8", errors="surrogateescape") as lines:
@@ -418,33 +422,22 @@ def import_trace(path: str | Path) -> FieldTrace:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, sep, value = body.partition("=")
-                if not sep:
-                    continue  # plain comment
+                key, sep, value = line.lstrip("#").partition("=")
                 key = key.strip().lower()
-                value = value.strip()
-                if key in seen:
+                if not sep or key not in _TRACE_RECORDS:
+                    continue  # a plain comment or another record, which is ignored
+                if key in records:
                     raise TraceFormatError(f"{path}:{lineno}: duplicate record {key!r}")
-                if key in ("trace_version", "ff_f", "ff_sample", "direction"):
-                    seen.add(key)
-                if key == "trace_version":
-                    (version,) = _parse_floats(value, 1, path, lineno, "trace_version")
-                    if version != TRACE_VERSION:
-                        raise TraceFormatError(
-                            f"{path}:{lineno}: unsupported trace version {value!r}"
-                        )
-                elif key == "ff_f":
-                    f_vec = _parse_floats(value, 6, path, lineno, "ff_f")
-                elif key == "ff_sample":
-                    sample = _parse_floats(value, 13, path, lineno, "ff_sample")
-                elif key == "direction":
-                    theta, phi = _parse_floats(value, 2, path, lineno, "direction")
+                records[key] = _parse_floats(value, _TRACE_RECORDS[key], path, lineno, key)
+                if key == "trace_version" and records[key] != [TRACE_VERSION]:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: unsupported trace version {value.strip()!r}"
+                    )
+                if key == "direction":
                     try:
-                        direction = Direction(theta, phi)
+                        records[key] = Direction(*records[key])
                     except ValueError as exc:
                         raise TraceFormatError(f"{path}:{lineno}: direction: {exc}") from exc
-                # other commented records are ignored
                 continue
             if data_header is None:
                 if line.replace(" ", "") != TRACE_DATA_HEADER:
@@ -459,38 +452,33 @@ def import_trace(path: str | Path) -> FieldTrace:
 
     if data_header is None:
         raise TraceFormatError(f"{path}: missing data header")
-    if not rows:
-        raise TraceFormatError(f"{path}: no data rows")
-    if (f_vec is None) == (sample is None):
-        raise TraceFormatError(
-            f"{path}: need exactly one far-field record (# ff_f or # ff_sample)"
-        )
-
-    data = np.array(rows, dtype=float)
-    r = data[:, 0]
     # (re, im) pairs viewed as complex keep every bit; re + 1j * im loses a zero's sign
-    e, h = data[:, 1:7].view(complex), data[:, 7:13].view(complex)
-    kwargs: dict = {}
-    if f_vec is not None:
-        kwargs["f"] = np.array(f_vec).view(complex)
-    else:
-        kwargs["sample_r"] = sample[0]
-        kwargs["sample_e"] = np.array(sample[1:7]).view(complex)
-        kwargs["sample_h"] = np.array(sample[7:13]).view(complex)
-    return FieldTrace(r=r, e=e, h=h, direction=direction, **kwargs)
+    data = np.array(rows, dtype=float).reshape(-1, 13)
+    kwargs = {"direction": records.get("direction")}
+    if "ff_f" in records:
+        kwargs["f"] = np.array(records["ff_f"]).view(complex)
+    if "ff_sample" in records:
+        sample_r, *parts = records["ff_sample"]
+        sample = np.array(parts).view(complex)
+        kwargs.update(sample_r=sample_r, sample_e=sample[:3], sample_h=sample[3:])
+    try:
+        return FieldTrace(r=data[:, 0], e=data[:, 1:7].view(complex),
+                          h=data[:, 7:13].view(complex), **kwargs)
+    except ValueError as exc:  # a TraceFormatError or an InconsistentFarField
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def export_trace(trace: FieldTrace, path: str | Path) -> None:
     """Write a trace file that :func:`import_trace` reads back unchanged."""
-    lines = [f"# trace_version = {TRACE_VERSION}"]
-    if trace.sample_r is not None:
+    records = {"trace_version": [TRACE_VERSION]}
+    if trace.sample_r is None:  # a complex array viewed as float is its (re, im) pairs
+        records["ff_f"] = trace.f.view(float)
+    else:
         parts = np.concatenate([trace.sample_e, trace.sample_h]).view(float)
-        lines.append("# ff_sample = " + ",".join(map(_fmt, [trace.sample_r, *parts])))
-    else:  # a complex array viewed as float is its (re, im) pairs
-        lines.append("# ff_f = " + ",".join(map(_fmt, trace.f.view(float))))
+        records["ff_sample"] = [trace.sample_r, *parts]
     if trace.direction is not None:
-        d = trace.direction
-        lines.append(f"# direction = {_fmt(d.theta_deg)},{_fmt(d.phi_deg)}")
+        records["direction"] = [trace.direction.theta_deg, trace.direction.phi_deg]
+    lines = [f"# {key} = {','.join(map(_fmt, values))}" for key, values in records.items()]
     lines.append(TRACE_DATA_HEADER)
     parts = np.column_stack([trace.e, trace.h]).view(float)
     lines.extend(_TRACE_ROW % tuple(row) for row in np.column_stack([trace.r, parts]).tolist())

@@ -161,8 +161,8 @@ class ErrorCurve:
         if r.shape != eps.shape:
             raise ValueError(f"r and epsilon lengths differ: {r.size} vs {eps.size}")
         if r.size:
-            if not np.all(r > 0.0):
-                raise ValueError("radii must be positive")
+            if not (r.min() > 0.0 and r.max() < math.inf):  # NaN fails both
+                raise ValueError("radii must be positive and finite")
             if not np.all(r[1:] > r[:-1]):
                 raise ValueError("radii must be strictly increasing")
             if not (np.all(eps >= 0.0) and np.all(eps <= 1.0)):
@@ -198,7 +198,7 @@ def error_sweep(
     direction : Direction
         Test-line direction.
     r_grid : numpy.ndarray
-        Strictly increasing positive radii, wavelengths.
+        Strictly increasing positive and finite radii, wavelengths.
 
     Returns
     -------
@@ -207,8 +207,8 @@ def error_sweep(
     grid = np.asarray(r_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         return ErrorCurve(grid, grid.copy())
-    if not np.all(grid > 0.0):
-        raise ValueError("sweep grid radii must be positive")
+    if not (grid.min() > 0.0 and grid.max() < math.inf):  # NaN fails both
+        raise ValueError("sweep grid radii must be positive and finite")
     if not np.all(grid[1:] > grid[:-1]):
         raise ValueError("sweep grid must be strictly increasing")
     geometry = scenario.geometry

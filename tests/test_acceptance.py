@@ -1,4 +1,4 @@
-"""Acceptance gate: eight numbered end-to-end criteria, one test each.
+"""Acceptance gate: nine numbered end-to-end criteria, one test each.
 
 ``pytest -v tests/test_acceptance.py`` emits one PASSED/FAILED line per
 criterion.  Everything is deterministic (seeded RNG, fixed grids) and the
@@ -10,6 +10,7 @@ import filecmp
 import numpy as np
 
 from nff import (
+    DIRECTION_PRESETS,
     FREE_SPACE_IMPEDANCE,
     FRONT,
     SIDE,
@@ -35,6 +36,7 @@ from nff import (
     upsilon_power,
     xi_worst_mismatch,
 )
+from nff.boundaries import evaluate_boundaries
 from nff.cli import main
 
 K = WAVENUMBER
@@ -305,3 +307,46 @@ def test_criterion_8_reproduction_is_deterministic(tmp_path):
     assert names_a == names_b and len(names_a) == 19
     for name in names_a:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+
+
+#: fig4's boundary definitions.
+FIG4_SPECS = tuple(BoundarySpec(kind, threshold) for kind, threshold in (
+    ("qr", None), ("ar", None), ("up", 0.9), ("up", 0.8), ("en", 1.01), ("en", 1.05),
+    ("ep", 0.99), ("ep", 1.01), ("wc", 0.001), ("wc", 0.01),
+))
+
+
+def test_criterion_9_no_boundary_marks_one_error_level():
+    """The paper's finding: no boundary definition predicts where the error has fallen.
+
+    On fig4's six panels (N = 8 and N = 64 half-wave arrays, three directions), with ff-bf
+    and nf-bf, every definition found at d <= 1e4 wavelengths on at least two panels has an
+    error eps(d) that spans more than a decade.  On the side lines, the error beyond the
+    ``ar``, ``en`` and ``ep`` boundaries comes back to total mismatch.
+    """
+    eps_at, beyond = {}, []
+    for n in (8, 64):
+        geometry = uniform_linear_array(n, 0.5)
+        tables = evaluate_boundaries(geometry, FIG4_SPECS, DIRECTION_PRESETS.values())
+        for direction, results in zip(DIRECTION_PRESETS.values(), tables):
+            found = {spec: res.value for spec, res in zip(FIG4_SPECS, results)
+                     if res.status == "found" and res.value <= 1e4}
+            radii = np.unique(list(found.values()))
+            for excitation in ("ff-bf", "nf-bf"):
+                scenario = DipoleArrayScenario(geometry, excitation, direction)
+                eps = error_sweep(scenario, direction, radii).epsilon
+                for spec, d in found.items():
+                    eps_at.setdefault(spec, []).append(eps[np.searchsorted(radii, d)])
+                if direction != SIDE:
+                    continue
+                grid = default_grid(1e-3, 1e4, 400)  # the search grid's density
+                grid = grid[grid >= radii[0]]
+                curve = error_sweep(scenario, direction, grid)
+                beyond += [np.max(curve.epsilon[grid >= d]) for spec, d in found.items()
+                           if spec.kind in ("ar", "en", "ep")]
+    spreads = {spec: max(eps) / min(eps) for spec, eps in eps_at.items() if len(eps) >= 4}
+    assert len(spreads) == 9  # ep:1.01 is unbounded on every panel
+    for spec, spread in spreads.items():
+        print(f"  {spec.kind}:{spec.threshold}: eps(d) spreads {spread:.3g}x")
+        assert spread > 10.0, spec
+    assert len(beyond) == 16 and min(beyond) > 0.999

@@ -596,8 +596,8 @@ def test_every_criterion_rejects_a_radius_that_is_not_finite(bad):
 
 @pytest.mark.parametrize("kind", ["up", "en", "ep"])
 def test_a_bisection_midpoint_on_an_element(kind):
-    # an element on the line at a midpoint of the first batch: a speculative one is rerun
-    # one radius at a time, which never visits it, and one on the path raises its message
+    # an element on the line at a midpoint of the first batch: past a speculative one the
+    # walk goes on from its step's own midpoint, and one on the path raises its message
     lo, hi = 3.0, 3.0 * 10 ** (1 / 400)
     mids = boundaries._midpoints(lo, hi, 4)
     base = uniform_linear_array(8, 0.5).positions  # on the side line, short of the bracket
@@ -619,7 +619,7 @@ def test_a_bisection_midpoint_on_an_element(kind):
             want = (FieldSingularity, str(exc))
             assert path[-1] == m and str(exc).startswith(f"singular at r = {m!r}: ")
         try:
-            got = boundaries._refine_crossing(lambda r: side(scan(r)), lo, hi, first, 4)
+            got = boundaries._bisect(lambda r: side(scan(r)), lo, hi, first, 4)
         except FieldSingularity as exc:
             got = (FieldSingularity, str(exc))
         assert got == want, (kind, i)
@@ -1087,7 +1087,7 @@ def test_batched_refinement_matches_one_radius_at_a_time(first, below):
 
         want = _reference_refine(side, lo, hi, first)
         for levels in (1, 2, 3, 4):
-            got = boundaries._refine_crossing(side, lo, hi, first, levels)
+            got = boundaries._bisect(side, lo, hi, first, levels)
             assert got == want and lo <= got <= hi
 
 
@@ -1106,17 +1106,37 @@ def test_batched_refinement_raises_only_on_its_path():
     path = _path(side, lo, hi, True)
     spec = [m for m in boundaries._midpoints(lo, hi, 4) if m not in path]
     assert len(spec) == 11  # one batch: 15 midpoints, 4 of them on the path
-    # a midpoint the walk never visits raises in the batch: the walk is rerun one
-    # radius at a time and returns the reference value
+    # a midpoint the walk never visits raises in the batch: the walk goes on from the
+    # step's own midpoint alone and returns the reference value
     for bad in spec:
-        assert boundaries._refine_crossing(raising_at(bad), lo, hi, True, 4) == want
+        assert boundaries._bisect(raising_at(bad), lo, hi, True, 4) == want
     # a midpoint on the path raises the reference walk's error
     for bad in (path[0], path[5], path[-1]):
         with pytest.raises(FieldSingularity) as ref:
             _reference_refine(raising_at(bad), lo, hi, True)
         with pytest.raises(FieldSingularity) as got:
-            boundaries._refine_crossing(raising_at(bad), lo, hi, True, 4)
+            boundaries._bisect(raising_at(bad), lo, hi, True, 4)
         assert str(got.value) == str(ref.value)
+
+
+def test_a_failed_speculative_midpoint_costs_one_more_call():
+    # 13 steps at 4 levels: the first batch fails on the unvisited half of the first split,
+    # the first step is taken on its own midpoint, and the other 12 steps take 3 batches
+    lo, hi = 3.0, 3.0 * 10 ** (1 / 400)
+    side = lambda r: np.asarray(r) >= 3.01
+    path = _path(side, lo, hi, True)
+    assert len(path) == 13
+    (bad,) = [m for m in boundaries._midpoints(lo, hi, 4)[1:3] if m not in path]
+    calls = []
+
+    def guarded(r):
+        calls.append(np.size(r))
+        if np.any(np.asarray(r) == bad):
+            raise FieldSingularity(f"singular at r = {bad!r}")
+        return side(r)
+
+    assert boundaries._bisect(guarded, lo, hi, True, 4) == _reference_refine(side, lo, hi, True)
+    assert calls == [15, 1, 15, 15, 15]
 
 
 def test_a_line_through_elements():

@@ -140,6 +140,10 @@ def test_auxiliary_fields_reject_origin():
     dist = AngularFieldDistribution(FRONT, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         auxiliary_fields(dist, 0.0)
+    # the boundary criteria's domain: a radius that is not 0 < r < inf has no field
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            auxiliary_fields(dist, np.array([1.0, bad]))
 
 
 def test_analytic_and_sampled_epsilon_agree():

@@ -219,7 +219,8 @@ def test_import_trace_fuzz(tmp_path_factory, text):
     path = _write(tmp_path_factory.getbasetemp(), "fuzz.csv", text)
     try:
         trace = import_trace(path)
-    except (TraceFormatError, InconsistentFarField):
+    except (TraceFormatError, InconsistentFarField) as exc:
+        assert str(exc).startswith(f"{path}:")
         return
     assert isinstance(trace, FieldTrace)
     assert np.all(np.isfinite(trace.f)) and math.isfinite(trace.eh_discrepancy or 0.0)

@@ -581,6 +581,43 @@ def test_trace_schema_violations(tmp_path):
         import_trace(p)
 
 
+def test_trace_faults_that_fieldtrace_finds_name_the_file(tmp_path, capsys):
+    # FieldTrace is the one validator of a read trace; each of its errors is raised again,
+    # of the same type, after the file's name
+    ff_f, direction = "# ff_f = 0,0,0,0,1,0", "# direction = 90,0"
+    one_record = "a trace needs exactly one far-field record: f (# ff_f) or a sample (# ff_sample)"
+    zero = ",0" * 12
+    rows = {"ok": f"1{zero}\n2{zero}", "none": "", "nan_r": f"nan{zero}",
+            "decreasing": f"2{zero}\n1{zero}", "zero_r": f"0{zero}", "negative_r": f"-1{zero}",
+            "inf_field": "1,inf" + ",0" * 11}
+    sample = _make_trace(np.geomspace(1.0, 10.0, 2), with_sample=True)
+    parts = [sample.sample_r, *np.concatenate([sample.sample_e, 2.0 * sample.sample_h]).view(float)]
+    corrupt = "# ff_sample = " + ",".join(f"{x:.17g}" for x in parts)
+    cases = [
+        ("no_rows", [ff_f, direction], "none", TraceFormatError, "trace has no data rows"),
+        ("nan_r", [ff_f], "nan_r", TraceFormatError, "trace radii must be finite"),
+        ("decreasing", [ff_f], "decreasing", TraceFormatError,
+         "trace radii must be strictly increasing"),
+        ("zero_r", [ff_f], "zero_r", TraceFormatError, "trace radii must be positive"),
+        ("negative_r", [ff_f], "negative_r", TraceFormatError, "trace radii must be positive"),
+        ("inf_field", [ff_f], "inf_field", TraceFormatError, "trace field values must be finite"),
+        ("no_record", [direction], "ok", TraceFormatError, one_record),
+        ("two_records", [ff_f, corrupt], "ok", TraceFormatError, one_record),
+        ("not_transversal", [ff_f, "# direction = 0,0"], "ok", TraceFormatError,
+         "far-field record is not transversal to the direction theta=0 deg, phi=0 deg"),
+        ("inconsistent", [corrupt], "ok", InconsistentFarField,
+         "E-based and H-based angular distributions disagree by "),
+    ]
+    for name, records, row, error, message in cases:
+        text = "\n".join(["# trace_version = 1", *records, TRACE_DATA_HEADER, rows[row]])
+        path = _write(tmp_path, f"{name}.csv", text + "\n")
+        with pytest.raises(error) as info:
+            import_trace(path)
+        assert type(info.value) is error and str(info.value).startswith(f"{path}: {message}")
+        assert main(["validate-trace", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
 def test_trace_data_rows_parse_and_fail_by_line(tmp_path):
     # float() strips the whitespace around each value, so padded values read as they are;
     # a row with an empty or non-numeric value, or 12 or 14 values, names its file and line

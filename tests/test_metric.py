@@ -177,6 +177,11 @@ def test_error_sweep_rejects_bad_grids():
         error_sweep(scenario, FRONT, np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         error_sweep(scenario, FRONT, np.array([-1.0, 1.0]))
+    # a radius that is not 0 < r < inf fails before any field is formed, as it fails the
+    # boundary criteria
+    for grid in ([1.0, np.inf], [np.nan], [1.0, np.nan], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="sweep grid radii must be positive and finite"):
+            error_sweep(scenario, FRONT, np.array(grid))
     # the side line passes through the elements of a y-axis array
     for excitation in ("ff-bf", "nf-bf", "none"):
         scenario = DipoleArrayScenario(geo, excitation, FRONT)
@@ -189,6 +194,9 @@ def test_error_curve_validation():
         ErrorCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         ErrorCurve(np.array([1.0, 2.0]), np.array([0.1, 1.5]))
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            ErrorCurve(np.array([1.0, bad]), np.array([0.1, 0.1]))
     curve = ErrorCurve(np.array([1.0, 2.0]), np.array([0.2, 0.1]))
     assert len(curve) == 2
     with pytest.raises(ValueError):
